@@ -5,6 +5,8 @@ Exit codes keep configuration problems apart from genuine check failures:
     0  every selected check passed
     1  at least one check failed (reports carry the witnesses)
     2  fixture could not be read, parsed, or resolved into runnable checks
+    3  internal error: an exception outside the package's own error types
+       escaped, so the run says nothing about the checks
 """
 
 from __future__ import annotations
@@ -12,26 +14,36 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
+from dataclasses import replace
 
 from .dynsys import boundary_subsystem, free_monoid_system, path_space_system
 from .errors import ConfigError, FixtureError, KGraphLabError, WitnessError
 from .fixtures import SUITE_KINDS, Fixture, build_graph, parse_fixture
 from .fock import RELATION_NAMES, verify_identity
 from .groupoid import build_semidirect
-from .reporting import CheckResult, RunReport, normalize_witness, render
+from .reporting import Check, RunReport, render
 from .shapes import INF, Shape
 
 
-def _timed(name: str, fn) -> CheckResult:
+def _timed(name: str, fn) -> Check:
+    """Run one check body and return its Check under the given name, timed."""
     # configuration problems are caught before any check runs; once checks
     # are running, anything a check body raises is a failed check, not exit 2
     t0 = time.perf_counter()
     try:
-        ok, witness, info = fn()
+        check = fn()
     except KGraphLabError as err:
-        ok, witness, info = False, err, f"check raised {type(err).__name__}"
-    return CheckResult(name, bool(ok), normalize_witness(witness),
-                       info, time.perf_counter() - t0)
+        check = Check(name, False, err, f"check raised {type(err).__name__}")
+    return replace(check, name=name, elapsed=time.perf_counter() - t0)
+
+
+def _parts(check: Check) -> list[Check]:
+    """A composite check's sub-checks, the last carrying its time; else the check."""
+    if not check.checks:
+        return [check]
+    *head, last = check.checks
+    return [*head, replace(last, elapsed=check.elapsed)]
 
 
 def _resolve_bound(options: dict, fixture: Fixture, rank: int) -> Shape:
@@ -50,26 +62,18 @@ def _require_graph(graph, suite: str):
 
 
 # -- suites ---------------------------------------------------------------------------
+#
+# Each suite returns its checks named without the suite prefix; run_fixture
+# adds it.
 
-def suite_validate(fixture: Fixture, graph, options: dict) -> list[CheckResult]:
+
+def suite_validate(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "validate")
     bound = _resolve_bound(options, fixture, graph.rank)
-    t0 = time.perf_counter()
-    rep = graph.validate(bound)
-    elapsed = time.perf_counter() - t0
-    results = []
-    for check in rep.checks:
-        info = ""
-        if check.info:
-            info = " ".join(f"{k}={v}" for k, v in sorted(check.info.items()))
-        results.append(CheckResult(f"validate.{check.name}", check.ok,
-                                   normalize_witness(check.witness), info, elapsed=0.0))
-    results.append(CheckResult("validate.morphisms", True, None,
-                               f"count={rep.morphism_count}", elapsed))
-    return results
+    return _parts(_timed("validate", lambda: graph.validate(bound)))
 
 
-def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[CheckResult]:
+def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
     letters = options.get("letters",
                           fixture.system_options.get("letters", "ab"))
     length = options.get("length",
@@ -79,8 +83,7 @@ def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[CheckRe
     def dc_fails():
         rep = system.check_dc()
         # this suite passes when the expected defect shows up
-        return (not rep.ok) and rep.witness is not None, rep.witness, (
-            f"bound={tuple(rep.bound.coords)}")
+        return replace(rep, ok=not rep.ok and rep.witness is not None)
 
     def composite_has_no_witness():
         if len(letters) < 2:
@@ -92,16 +95,17 @@ def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[CheckRe
         try:
             forced.compose(gamma, eta)
         except WitnessError as err:
-            return True, (err.attempted, err.search_bound), "composite rejected"
-        return False, None, "composite unexpectedly accepted"
+            return Check("composite-without-witness", True,
+                         (err.attempted, err.search_bound), "composite rejected")
+        return Check("composite-without-witness", False, None, "composite unexpectedly accepted")
 
     return [
-        _timed("counterexample.domain-compat-fails", dc_fails),
-        _timed("counterexample.composite-without-witness", composite_has_no_witness),
+        _timed("domain-compat-fails", dc_fails),
+        _timed("composite-without-witness", composite_has_no_witness),
     ]
 
 
-def suite_fock(fixture: Fixture, graph, options: dict) -> list[CheckResult]:
+def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "fock")
     bound = _resolve_bound(options, fixture, graph.rank)
     relations = options.get("relations", RELATION_NAMES)
@@ -109,82 +113,52 @@ def suite_fock(fixture: Fixture, graph, options: dict) -> list[CheckResult]:
         if rel not in RELATION_NAMES:
             raise ConfigError(
                 f"unknown relation {rel!r} (known: {', '.join(RELATION_NAMES)})")
-    results = []
-    for rel in relations:
-        def one(rel=rel):
-            rep = verify_identity(graph, rel, bound)
-            witness = None
-            if rep.counterexamples:
-                label, basis = rep.counterexamples[0][:2]
-                witness = (label, repr(basis))
-            return rep.ok, witness, f"checked={rep.checked}"
-        results.append(_timed(f"fock.{rel}", one))
-    return results
+
+    def relation(rel):
+        rep = verify_identity(graph, rel, bound)
+        # witness: the first counterexample's instance label and basis element
+        witness = rep.counterexamples[0][:2] if rep.counterexamples else None
+        return Check(rel, rep.ok, witness, f"checked={rep.checked}")
+
+    return [_timed(rel, lambda rel=rel: relation(rel)) for rel in relations]
 
 
-def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[CheckResult]:
+def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "groupoid")
     bound = _resolve_bound(options, fixture, graph.rank)
     system = path_space_system(graph, bound)
-    results = []
-
-    t0 = time.perf_counter()
-    dc = system.check_dc()
-    results.append(CheckResult("groupoid.domain-compat", dc.ok,
-                               normalize_witness(dc.witness),
-                               f"bound={tuple(dc.bound.coords)}",
-                               time.perf_counter() - t0))
+    dc = _timed("domain-compat", system.check_dc)
     if not dc.ok:
-        results.append(CheckResult("groupoid.axioms", False, None,
-                                   "skipped: domain compatibility failed"))
-        return results
+        return [dc, Check("axioms", False, None, "skipped: domain compatibility failed")]
 
-    witness_bound = None
-    if "witness" in options:
-        witness_bound = Shape(options["witness"])
-    t0 = time.perf_counter()
-    try:
+    witness_bound = Shape(options["witness"]) if "witness" in options else None
+
+    def axioms():
         G = build_semidirect(system, witness_bound=witness_bound)
         rep = G.check_axioms()
-    except WitnessError as err:
-        results.append(CheckResult(
-            "groupoid.build", False,
-            normalize_witness((err.attempted, err.search_bound)),
-            "witness search exhausted", time.perf_counter() - t0))
-        return results
-    elapsed = time.perf_counter() - t0
-    for check in rep.checks:
-        results.append(CheckResult(f"groupoid.{check.name}", check.ok,
-                                   normalize_witness(check.witness), "", elapsed=0.0))
-    results.append(CheckResult("groupoid.census", True, None,
-                               f"elements={len(G)}", elapsed))
-    return results
+        census = Check("census", True, info=f"elements={len(G)}")
+        return replace(rep, checks=rep.checks + (census,))
+
+    return [dc, *_parts(_timed("build", axioms))]
 
 
-def suite_boundary(fixture: Fixture, graph, options: dict) -> list[CheckResult]:
+def suite_boundary(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "boundary")
     prefix_cap = Shape(options["prefix"]) if "prefix" in options else None
     cycle_cap = Shape(options["cycle"]) if "cycle" in options else None
     system = boundary_subsystem(graph, prefix_cap=prefix_cap, cycle_cap=cycle_cap)
     dc_bound = Shape((1,) * graph.rank)
-
-    def commuting():
-        rep = system.check_commuting()
-        return rep.ok, rep.witness, f"points={len(system.carrier)}"
-
-    def dc():
-        rep = system.check_dc(dc_bound)
-        return rep.ok, rep.witness, f"bound={tuple(dc_bound.coords)}"
+    points = f"points={len(system.carrier)}"
 
     def never_exits():
         stuck = next((x for x in system.carrier
                       if any(c is not INF for c in system.exit_time(x).coords)), None)
-        return stuck is None, stuck, f"points={len(system.carrier)}"
+        return Check("exit-infinite", stuck is None, stuck, points)
 
     return [
-        _timed("boundary.commuting", commuting),
-        _timed("boundary.domain-compat", dc),
-        _timed("boundary.exit-infinite", never_exits),
+        _timed("commuting", lambda: replace(system.check_commuting(), info=points)),
+        _timed("domain-compat", lambda: system.check_dc(dc_bound)),
+        _timed("exit-infinite", never_exits),
     ]
 
 
@@ -237,14 +211,15 @@ def run_fixture(fixture: Fixture, *, suite_names=None, bound=None,
     if not selected:
         raise ConfigError("fixture declares no suites and none were selected")
 
-    results: list[CheckResult] = []
+    results: list[Check] = []
     for name in selected:
         options = dict(declared[name].options) if name in declared else {}
         if bound is not None:
             options["bound"] = bound
         if relations is not None and name == "fock":
             options["relations"] = relations
-        results.extend(SUITES[name](fixture, graph, options))
+        results.extend(replace(c, name=f"{name}.{c.name}")
+                       for c in SUITES[name](fixture, graph, options))
 
     return RunReport(fixture=fixture.name,
                      seed=seed if seed is not None else fixture.seed,
@@ -265,6 +240,7 @@ def main(argv=None) -> int:
         relations = tuple(args.relations.split(",")) if args.relations else None
         report = run_fixture(fixture, suite_names=suite_names, bound=bound,
                              relations=relations, seed=args.seed)
+        text = render(report, args.format)
     except OSError as err:
         print(f"error: cannot read fixture: {err}", file=sys.stderr)
         return 2
@@ -274,8 +250,13 @@ def main(argv=None) -> int:
     except KGraphLabError as err:
         print(f"error: fixture does not resolve: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        # a bug, not a verdict: exit 1 must keep meaning "a check failed"
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
-    print(render(report, args.format))
+    print(text)
     return 0 if report.ok else 1
 
 

@@ -13,10 +13,10 @@ product systems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import ConfigError, DomainError
+from .reporting import Check
 from .shapes import INF, ExtendedShape, Shape, shapes_below
 
 
@@ -69,9 +69,6 @@ class PartialMap:
         table = {x: y for x, y in self._table.items() if x in keep and y in keep}
         return PartialMap(self.name, table)
 
-    def graph_items(self):
-        return tuple(self._table.items())
-
     def __eq__(self, other):
         if not isinstance(other, PartialMap):
             return NotImplemented
@@ -84,19 +81,17 @@ class PartialMap:
         return f"PartialMap({self.name}: {len(self._table)} points)"
 
 
-@dataclass(frozen=True)
-class CommutationReport:
-    ok: bool
-    witness: tuple | None  # (i, j, x): 1-based generator pair, offending point
-
-
-@dataclass(frozen=True)
-class DcReport:
-    """Outcome of the joint-domain compatibility check."""
-
-    ok: bool
-    bound: Shape
-    witness: tuple | None  # (n, m, x) with x in dom(T^n) and dom(T^m) but not dom(T^(n join m))
+def _orbit(T: PartialMap, x) -> tuple[int, bool]:
+    """Steps T takes from x until it is undefined or revisits a point; whether it revisited."""
+    seen = {x}
+    cur, steps = x, 0
+    while T.defined_at(cur):
+        cur = T(cur)
+        steps += 1
+        if cur in seen:
+            return steps, True
+        seen.add(cur)
+    return steps, False
 
 
 class MGDS:
@@ -139,8 +134,12 @@ class MGDS:
             raise ConfigError(f"generator index {j} out of range 1..{self.rank}")
         return self.generators[j - 1]
 
-    def check_commuting(self) -> CommutationReport:
-        """Both composition orders of every generator pair must agree as partial maps."""
+    def check_commuting(self) -> Check:
+        """Both composition orders of every generator pair must agree as partial maps.
+
+        The witness is (i, j, x): a 1-based generator pair and the point
+        where the two orders disagree.
+        """
         for i in range(1, self.rank + 1):
             for j in range(i + 1, self.rank + 1):
                 a = self.generators[i - 1].compose(self.generators[j - 1])
@@ -150,8 +149,8 @@ class MGDS:
                 for x in self.carrier:
                     da, db = a.defined_at(x), b.defined_at(x)
                     if da != db or (da and a(x) != b(x)):
-                        return CommutationReport(False, (i, j, x))
-        return CommutationReport(True, None)
+                        return Check("commuting", False, (i, j, x))
+        return Check("commuting", True)
 
     def power(self, n: Shape) -> PartialMap:
         """The composite map indexed by a shape; T^0 is the identity on the carrier."""
@@ -185,18 +184,8 @@ class MGDS:
             raise DomainError(f"{x!r} is not a carrier point of {self.name}", point=x)
         cached = self._exit.get(x)
         if cached is None:
-            coords = []
-            for T in self.generators:
-                seen = {x}
-                cur, count = x, 0
-                while T.defined_at(cur):
-                    cur = T(cur)
-                    if cur in seen:
-                        count = INF
-                        break
-                    seen.add(cur)
-                    count += 1
-                coords.append(count)
+            orbits = (_orbit(T, x) for T in self.generators)
+            coords = [INF if periodic else steps for steps, periodic in orbits]
             cached = self._exit[x] = ExtendedShape(coords)
         return cached
 
@@ -209,30 +198,20 @@ class MGDS:
         groupoid witnesses: large enough to see both every finite domain and
         every period.
         """
-        coords = []
-        for T in self.generators:
-            best = 0
-            for x in self.carrier:
-                seen = {x}
-                cur, steps = x, 0
-                while T.defined_at(cur):
-                    cur = T(cur)
-                    steps += 1
-                    if cur in seen:
-                        break
-                    seen.add(cur)
-                best = max(best, steps)
-            coords.append(best)
-        return Shape(coords)
+        return Shape([max((_orbit(T, x)[0] for x in self.carrier), default=0)
+                      for T in self.generators])
 
-    def check_dc(self, bound: Shape | None = None) -> DcReport:
+    def check_dc(self, bound: Shape | None = None) -> Check:
         """Joint-domain compatibility: dom(T^n) and dom(T^m) meet inside dom(T^(n join m)).
 
-        Scans shape pairs below the bound and reports the first violating
-        triple, if any.
+        Scans shape pairs below the bound (default: exit_bound) and reports
+        the first violating triple (n, m, x): x lies in dom(T^n) and
+        dom(T^m) but not in dom(T^(n join m)).  The info string names the
+        bound scanned.
         """
         if bound is None:
             bound = self.exit_bound()
+        info = f"bound={tuple(bound.coords)}"
         shapes = list(shapes_below(bound))
         for a, n in enumerate(shapes):
             for m in shapes[:a]:
@@ -242,8 +221,8 @@ class MGDS:
                 both = self.domain(n) & self.domain(m)
                 for x in self.carrier:
                     if x in both and x not in allowed:
-                        return DcReport(False, bound, (n, m, x))
-        return DcReport(True, bound, None)
+                        return Check("domain-compat", False, (n, m, x), info)
+        return Check("domain-compat", True, info=info)
 
     def xj_partition(self) -> dict:
         """Split the carrier by the set of coordinates with infinite exit time.
@@ -304,8 +283,7 @@ def path_space_system(graph, cap: Shape, include_boundary: bool = False) -> MGDS
     """
     rep = graph.validate(cap)
     if not rep.ok:
-        first = next(c for c in rep.checks if not c.ok)
-        raise ConfigError(f"graph {graph.name} fails validation: {first.name}")
+        raise ConfigError(f"graph {graph.name} fails validation: {rep.failing()[0].name}")
     from .kgraph import factorize
 
     carrier = list(graph.all_paths(cap))

@@ -249,10 +249,3 @@ def build_graph(fixture: Fixture) -> KGraph | None:
         return flip_graph(name=fixture.name)
     raise FixtureError(f"unknown graph kind {kind!r}")
 
-
-def fixture_bound(fixture: Fixture, fallback_rank: int | None = None) -> Shape | None:
-    if fixture.bound is not None:
-        return Shape(fixture.bound)
-    if fallback_rank is not None:
-        return Shape((1,) * fallback_rank)
-    return None

@@ -62,10 +62,13 @@ class FockOperator:
 
     Subclasses implement act(b) -> dict for a single basis element b (a Path
     of nonzero shape, or VACUUM) and adjoint() -> FockOperator.  Everything
-    else (linear extension, algebra sugar) lives here.
+    else (linear extension, algebra sugar, immutability) lives here.
     """
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("operators are immutable")
 
     def act(self, b) -> dict:
         raise NotImplementedError
@@ -116,19 +119,6 @@ class Identity(FockOperator):
         return "1"
 
 
-class Zero(FockOperator):
-    __slots__ = ()
-
-    def act(self, b):
-        return {}
-
-    def adjoint(self):
-        return self
-
-    def __repr__(self):
-        return "0"
-
-
 class Scaled(FockOperator):
     __slots__ = ("scale", "inner")
 
@@ -137,9 +127,6 @@ class Scaled(FockOperator):
             raise ConfigError(f"operator scalars must be int, got {scale!r}")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
 
     def act(self, b):
         out: dict = {}
@@ -158,9 +145,6 @@ class Sum(FockOperator):
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
 
     def act(self, b):
         out: dict = {}
@@ -183,9 +167,6 @@ class Product(FockOperator):
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
-
     def act(self, b):
         vec = {b: 1}
         for f in reversed(self.factors):
@@ -201,8 +182,8 @@ class Product(FockOperator):
         return "(" + "*".join(repr(f) for f in self.factors) + ")"
 
 
-class LeftCreation(FockOperator):
-    """Prepend a fixed path.  A vertex path acts as the matching span projection."""
+class PathOperator(FockOperator):
+    """Base of the four creation and annihilation operators by a fixed path."""
 
     __slots__ = ("graph", "path")
 
@@ -210,8 +191,11 @@ class LeftCreation(FockOperator):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "path", path)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
+
+class LeftCreation(PathOperator):
+    """Prepend a fixed path.  A vertex path acts as the matching span projection."""
+
+    __slots__ = ()
 
     def act(self, b):
         p = self.path
@@ -229,17 +213,10 @@ class LeftCreation(FockOperator):
         return f"l+{self.path.display()}"
 
 
-class LeftAnnihilation(FockOperator):
+class LeftAnnihilation(PathOperator):
     """Strip a fixed left factor; zero where the factorization disagrees."""
 
-    __slots__ = ("graph", "path")
-
-    def __init__(self, graph, path):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "path", path)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
+    __slots__ = ()
 
     def act(self, b):
         p = self.path
@@ -259,17 +236,10 @@ class LeftAnnihilation(FockOperator):
         return f"l-{self.path.display()}"
 
 
-class RightCreation(FockOperator):
+class RightCreation(PathOperator):
     """Append a fixed path.  A vertex path acts as the matching span projection."""
 
-    __slots__ = ("graph", "path")
-
-    def __init__(self, graph, path):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "path", path)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
+    __slots__ = ()
 
     def act(self, b):
         p = self.path
@@ -286,17 +256,10 @@ class RightCreation(FockOperator):
         return f"r+{self.path.display()}"
 
 
-class RightAnnihilation(FockOperator):
+class RightAnnihilation(PathOperator):
     """Strip a fixed right factor; zero where the factorization disagrees."""
 
-    __slots__ = ("graph", "path")
-
-    def __init__(self, graph, path):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "path", path)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
+    __slots__ = ()
 
     def act(self, b):
         p = self.path
@@ -329,9 +292,6 @@ class SpanProjection(FockOperator):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "with_vacuum", bool(with_vacuum))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("operators are immutable")
 
     def act(self, b):
         if b is VACUUM:
@@ -425,10 +385,6 @@ def identity_operator() -> FockOperator:
     return Identity()
 
 
-def zero_operator() -> FockOperator:
-    return Zero()
-
-
 # -- pointwise evaluation and comparison ----------------------------------------
 
 
@@ -516,32 +472,21 @@ def _run_instances(relation, graph, bound, instances, basis, cap=3):
     return RelationReport(relation, graph.name, bound, not bad, checked, tuple(bad))
 
 
-def verify_left_isometry(graph: KGraph, bound: Shape, basis=None) -> RelationReport:
-    """Prepending then stripping a path projects onto spans rooted at its source."""
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    basis = fock_basis(graph, bound) if basis is None else basis
+def verify_isometry(graph: KGraph, side: str, bound: Shape, basis) -> RelationReport:
+    """Creating then stripping a path projects onto the spans it can attach to.
 
+    side "left": prepending mu, onto spans with target mu.source;
+    side "right": appending mu, onto spans with source mu.target.
+    """
     def instances():
         for mu in graph.all_paths(bound):
-            L = left_creation(graph, mu)
-            yield (f"mu={mu.display()}", Product((L.adjoint(), L)),
-                   target_projection(graph, mu.source))
+            if side == "left":
+                C, P = left_creation(graph, mu), target_projection(graph, mu.source)
+            else:
+                C, P = right_creation(graph, mu), source_projection(graph, mu.target)
+            yield f"mu={mu.display()}", Product((C.adjoint(), C)), P
 
-    return _run_instances("R1.left", graph, bound, instances(), basis)
-
-
-def verify_right_isometry(graph: KGraph, bound: Shape, basis=None) -> RelationReport:
-    """Appending then stripping a path projects onto spans ending at its target."""
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    basis = fock_basis(graph, bound) if basis is None else basis
-
-    def instances():
-        for mu in graph.all_paths(bound):
-            R = right_creation(graph, mu)
-            yield (f"mu={mu.display()}", Product((R.adjoint(), R)),
-                   source_projection(graph, mu.target))
-
-    return _run_instances("R1.right", graph, bound, instances(), basis)
+    return _run_instances(f"R1.{side}", graph, bound, instances(), basis)
 
 
 def verify_vertex_sum(graph: KGraph, j: int, bound: Shape, basis=None) -> RelationReport:
@@ -658,8 +603,7 @@ def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
     bound = bound if isinstance(bound, Shape) else Shape(*bound)
     basis = fock_basis(graph, bound)
     if name == "R1":
-        parts = [verify_left_isometry(graph, bound, basis),
-                 verify_right_isometry(graph, bound, basis)]
+        parts = [verify_isometry(graph, side, bound, basis) for side in ("left", "right")]
     elif name == "R2":
         parts = [verify_vertex_sum(graph, j, bound, basis)
                  for j in range(1, graph.rank + 1)]

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 from .dynsys import MGDS
 from .errors import ConfigError, NotComposable, WitnessError
+from .ideals import IdealTuple, build_sequence, from_mgds
+from .reporting import Check
 from .shapes import Shape, shapes_below
 
 
@@ -43,26 +45,6 @@ class GermElement:
 
     x: object
     y: object
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    ok: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    checks: tuple
-
-
-@dataclass(frozen=True)
-class FreenessReport:
-    ok: bool
-    bound: Shape
-    witness: tuple | None  # (n, m, x) with n != m but T^n x = T^m x
 
 
 class FiniteGroupoid:
@@ -131,7 +113,7 @@ class FiniteGroupoid:
             for h in by_range.get(self.source_of(g), ()):
                 yield g, h
 
-    def check_axioms(self) -> AxiomReport:
+    def check_axioms(self) -> Check:
         """Exhaustive closure, unit, inverse and associativity verification.
 
         Composable pairs whose composite has no witness (possible only on
@@ -140,7 +122,7 @@ class FiniteGroupoid:
         checks = []
 
         bad = next((g for g in self.elements if self.inverse(g) not in self), None)
-        checks.append(AxiomCheck("inverse-closure", bad is None, bad))
+        checks.append(Check("inverse-closure", bad is None, bad))
 
         closure_witness = None
         products: dict = {}
@@ -154,7 +136,7 @@ class FiniteGroupoid:
                 closure_witness = (g, h, gh)
                 break
             products[(g, h)] = gh
-        checks.append(AxiomCheck("closure", closure_witness is None, closure_witness))
+        checks.append(Check("closure", closure_witness is None, closure_witness))
 
         bad = None
         for g in self.elements:
@@ -163,7 +145,7 @@ class FiniteGroupoid:
             if self.compose(left, g) != g or self.compose(g, right) != g:
                 bad = g
                 break
-        checks.append(AxiomCheck("units", bad is None, bad))
+        checks.append(Check("units", bad is None, bad))
 
         bad = None
         for g in self.elements:
@@ -174,7 +156,7 @@ class FiniteGroupoid:
             ):
                 bad = g
                 break
-        checks.append(AxiomCheck("inverse-law", bad is None, bad))
+        checks.append(Check("inverse-law", bad is None, bad))
 
         if closure_witness is None:
             bad = None
@@ -188,10 +170,10 @@ class FiniteGroupoid:
                         break
                 if bad:
                     break
-            checks.append(AxiomCheck("associativity", bad is None, bad))
+            checks.append(Check("associativity", bad is None, bad))
         # associativity is vacuous when closure already failed
 
-        return AxiomReport(all(c.ok for c in checks), tuple(checks))
+        return Check("axioms", all(c.ok for c in checks), checks=tuple(checks))
 
 
 class SemidirectGroupoid(FiniteGroupoid):
@@ -389,8 +371,11 @@ def germ_quotient(G: SemidirectGroupoid):
     return H, pi
 
 
-def check_essentially_free(system: MGDS, bound: Shape | None = None) -> FreenessReport:
-    """Look for distinct powers agreeing somewhere; singletons count as open sets."""
+def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
+    """Look for distinct powers agreeing somewhere; singletons count as open sets.
+
+    The witness is (n, m, x) with n != m but T^n x = T^m x.
+    """
     if bound is None:
         bound = system.exit_bound()
     shapes = list(shapes_below(bound))
@@ -400,8 +385,8 @@ def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Freeness
             pm = system.power(m)
             for x in system.carrier:
                 if pn.defined_at(x) and pm.defined_at(x) and pn(x) == pm(x):
-                    return FreenessReport(False, bound, (n, m, x))
-    return FreenessReport(True, bound, None)
+                    return Check("essentially-free", False, (n, m, x))
+    return Check("essentially-free", True)
 
 
 # -- convolution algebra --------------------------------------------------------------
@@ -641,9 +626,9 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
 def invariant_layers(G: FiniteGroupoid, subsets):
     """Successive difference layers of a tuple of invariant unit-space subsets.
 
-    Layer k keeps the points inside every later subset and outside every
-    earlier one; indices run 0..r+1 so the first layer is the full
-    intersection and the last is the complement of the union.
+    The layers are the stages of ideals.build_sequence on the same subsets,
+    each listed in unit-space order: layer k keeps the points inside every
+    later subset and outside every earlier one, for k = 0..r+1.
     """
     unit = list(G.unit_points)
     sets = [frozenset(s) for s in subsets]
@@ -654,20 +639,10 @@ def invariant_layers(G: FiniteGroupoid, subsets):
         for g in G.elements:
             if (G.range_of(g) in s) != (G.source_of(g) in s):
                 raise ConfigError(f"subset {i} is not invariant: witness {g!r}")
-    r = len(sets)
-    layers = []
-    for k in range(r + 2):
-        keep = [x for x in unit if all(x in sets[i - 1] for i in range(k + 1, r + 1))]
-        layer = [x for x in keep if not any(x in sets[i - 1] for i in range(1, k))]
-        layers.append(tuple(layer))
-    return tuple(layers)
+    stages = build_sequence(IdealTuple(unit, sets))
+    return tuple(tuple(x for x in unit if x in s.support) for s in stages)
 
 
 def exit_time_subsets(sys: MGDS):
     """The r unit-space subsets where each coordinate's exit time is finite."""
-    from .shapes import INF
-
-    return tuple(
-        frozenset(x for x in sys.carrier if sys.exit_time(x).coord(j) is not INF)
-        for j in range(1, sys.rank + 1)
-    )
+    return from_mgds(sys).parts

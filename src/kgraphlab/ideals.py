@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .reporting import Check
 
 
 @dataclass(frozen=True)
@@ -93,27 +94,7 @@ def build_sequence(tup: IdealTuple) -> tuple:
     return tuple(stages)
 
 
-@dataclass(frozen=True)
-class ExactnessCheck:
-    name: str
-    ok: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class ExactnessReport:
-    ok: bool
-    checks: tuple
-    stages: tuple
-
-    def __bool__(self):
-        return self.ok
-
-    def failing(self):
-        return tuple(c for c in self.checks if not c.ok)
-
-
-def verify_exactness(stages) -> ExactnessReport:
+def verify_exactness(stages) -> Check:
     """Pointwise exactness of a staged sequence of supports.
 
     Checks stage containment at both ends, image-equals-kernel at every
@@ -128,25 +109,25 @@ def verify_exactness(stages) -> ExactnessReport:
     checks = []
 
     bad = y[0] - y[1]
-    checks.append(ExactnessCheck("first-stage-contained", not bad,
-                                 ("stage", 0, sorted(bad)[:3]) if bad else None))
+    checks.append(Check("first-stage-contained", not bad,
+                        ("stage", 0, sorted(bad)[:3]) if bad else None))
     for k in range(1, r + 1):
         image = y[k - 1] & y[k]
         kernel = y[k] - y[k + 1]
         diff = image ^ kernel
-        checks.append(ExactnessCheck(f"image-is-kernel-{k}", not diff,
-                                     ("stage", k, sorted(diff)[:3]) if diff else None))
+        checks.append(Check(f"image-is-kernel-{k}", not diff,
+                            ("stage", k, sorted(diff)[:3]) if diff else None))
     bad = y[-1] - y[-2]
-    checks.append(ExactnessCheck("last-stage-contained", not bad,
-                                 ("stage", r + 1, sorted(bad)[:3]) if bad else None))
+    checks.append(Check("last-stage-contained", not bad,
+                        ("stage", r + 1, sorted(bad)[:3]) if bad else None))
 
     points = frozenset().union(*y) if y else frozenset()
     off = [x for x in points
            if sum((-1) ** k for k, s in enumerate(y) if x in s) != 0]
-    checks.append(ExactnessCheck("alternating-sum", not off,
-                                 ("point", sorted(off)[:3]) if off else None))
+    checks.append(Check("alternating-sum", not off,
+                        ("point", sorted(off)[:3]) if off else None))
 
-    return ExactnessReport(all(c.ok for c in checks), tuple(checks), stages)
+    return Check("exactness", all(c.ok for c in checks), checks=tuple(checks))
 
 
 def from_mgds(system) -> IdealTuple:

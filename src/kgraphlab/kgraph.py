@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GraphError, NotComposable, ShapeError
+from .reporting import Check
 from .shapes import Shape, shapes_below
 
 
@@ -120,13 +121,10 @@ class KGraph:
             for c in range(1, rank + 1)
         }
         self._by_color_target: dict[tuple[int, str], tuple[Edge, ...]] = {}
-        self._by_color_source: dict[tuple[int, str], tuple[Edge, ...]] = {}
         for c in range(1, rank + 1):
             for e in self._by_color[c]:
                 self._by_color_target.setdefault((c, e.target), ())
                 self._by_color_target[(c, e.target)] += (e,)
-                self._by_color_source.setdefault((c, e.source), ())
-                self._by_color_source[(c, e.source)] += (e,)
 
         # square tables, plus the inverse direction used when pulling an edge
         # leftward during factorization
@@ -172,15 +170,9 @@ class KGraph:
     def edges(self):
         return tuple(self._edges.values())
 
-    def edges_of_color(self, c):
-        return self._by_color.get(c, ())
-
     def edges_into(self, vertex, color):
         """Edges of the given color whose target is vertex."""
         return self._by_color_target.get((color, vertex), ())
-
-    def edges_out_of(self, vertex, color):
-        return self._by_color_source.get((color, vertex), ())
 
     def __repr__(self):
         return (f"KGraph({self.name}: rank {self.rank}, {len(self.vertices)} vertices, "
@@ -331,7 +323,15 @@ class KGraph:
 
     # -- validation ----------------------------------------------------------------
 
-    def validate(self, bound=None) -> "GraphReport":
+    def validate(self, bound=None) -> Check:
+        """Square tables and cubes, plus the census below a bound, as one Check.
+
+        The gating sub-checks are totality, bijectivity and endpoint
+        preservation of every square table and, from rank 3, the cube
+        comparison.  Two informational sub-checks always pass:
+        factor-nonvoid lists the (shape, vertex, side) triples census
+        finds void, and morphisms carries the path count.
+        """
         checks = []
 
         # square totality / bijectivity / endpoint preservation per color pair
@@ -348,7 +348,7 @@ class KGraph:
 
             missing = sorted(anti_pairs - set(table))
             stray = sorted(set(table) - anti_pairs)
-            checks.append(_check(
+            checks.append(Check(
                 f"square-totality[{i},{j}]", not missing and not stray,
                 witness=(tuple(missing[:3]), tuple(stray[:3])) if missing or stray else None))
 
@@ -362,7 +362,7 @@ class KGraph:
             not_covered = sorted(normal_pairs - values)
             extra_vals = sorted(values - normal_pairs)
             ok = collision is None and not not_covered and not extra_vals
-            checks.append(_check(
+            checks.append(Check(
                 f"square-bijectivity[{i},{j}]", ok,
                 witness=collision or (tuple(not_covered[:3]), tuple(extra_vals[:3])) if not ok else None))
 
@@ -372,44 +372,41 @@ class KGraph:
                         or self.edge(lo).source != self.edge(hi2).source):
                     bad_end = ((hi, lo), (lo2, hi2))
                     break
-            checks.append(_check(f"square-endpoints[{i},{j}]", bad_end is None, witness=bad_end))
+            checks.append(Check(f"square-endpoints[{i},{j}]", bad_end is None, witness=bad_end))
 
         if self.rank >= 3:
             ok, witness = self._check_cubes()
-            checks.append(_check("cube", ok, witness=witness))
+            checks.append(Check("cube", ok, witness=witness))
 
-        # morphism census and factor-nonvoidness within the bound (informational)
         if bound is None:
             bound = Shape(*([2] * self.rank))
+        per_shape, void = self.census(bound)
+        checks.append(Check("factor-nonvoid", True,
+                            info=f"bound={tuple(bound.coords)} void={void}"))
+        checks.append(Check("morphisms", True, info=f"count={sum(per_shape.values())}"))
+        return Check("validate", all(c.ok for c in checks), checks=tuple(checks))
+
+    def census(self, bound: Shape) -> tuple[dict, tuple]:
+        """Path counts per shape below the bound, and where a shape leaves a vertex void.
+
+        Returns (per_shape, void): per_shape maps each shape's coordinates
+        to its number of paths; void lists (shape, vertex, "target") when no
+        path of that shape ends at the vertex and (shape, vertex, "source")
+        when none starts there.
+        """
         per_shape: dict[tuple, int] = {}
         void: list[tuple] = []
-        total = 0
         for n in shapes_below(bound):
             paths = self.enumerate_paths(n)
             per_shape[tuple(n.coords)] = len(paths)
-            total += len(paths)
-            into = {v: 0 for v in self.vertices}
-            outof = {v: 0 for v in self.vertices}
-            for p in paths:
-                into[p.target] += 1
-                outof[p.source] += 1
+            targets = {p.target for p in paths}
+            sources = {p.source for p in paths}
             for v in sorted(self.vertices):
-                if into[v] == 0:
+                if v not in targets:
                     void.append((tuple(n.coords), v, "target"))
-                if outof[v] == 0:
+                if v not in sources:
                     void.append((tuple(n.coords), v, "source"))
-        checks.append(_check("factor-nonvoid", True,
-                             info={"void": tuple(void), "bound": tuple(bound.coords)}))
-
-        gates = [c for c in checks if c.name != "factor-nonvoid"]
-        return GraphReport(
-            graph=self.name,
-            ok=all(c.ok for c in gates),
-            checks=tuple(checks),
-            morphism_count=total,
-            per_shape=per_shape,
-            f_void=tuple(void),
-        )
+        return per_shape, tuple(void)
 
     def _check_cubes(self):
         """Compare the two square-move routes on every 3-color descending word."""
@@ -454,28 +451,6 @@ class KGraph:
                 table[(hi2, lo2)] = (lo, hi)
             squares[pair] = table
         return KGraph(self.rank, self.vertices, edges, squares, name=f"op({self.name})")
-
-
-@dataclass(frozen=True)
-class GraphCheck:
-    name: str
-    ok: bool
-    witness: object = None
-    info: dict | None = None
-
-
-def _check(name, ok, witness=None, info=None):
-    return GraphCheck(name, bool(ok), witness, info)
-
-
-@dataclass(frozen=True)
-class GraphReport:
-    graph: str
-    ok: bool
-    checks: tuple[GraphCheck, ...]
-    morphism_count: int
-    per_shape: dict
-    f_void: tuple
 
 
 # -- module-level op aliases -------------------------------------------------------

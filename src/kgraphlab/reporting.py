@@ -1,8 +1,8 @@
-"""Check results and the two renderings of a fixture run.
+"""The Check record every law check returns, and the renderings of a run.
 
-A run produces a flat list of named pass/fail results, each optionally
-carrying a witness (a finite value tree) and a short info string.  Two
-renderers share that data:
+A run produces a flat list of named checks, each optionally carrying a
+witness (raw evidence, folded into a finite value tree when rendered) and
+a short info string.  Two renderers share that data:
 
 * human lines carry timings and read top to bottom;
 * machine lines are key=value records with no timings, so the same
@@ -15,34 +15,44 @@ round-trips: parse_witness(serialize_witness(w)) == w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .shapes import INF, ExtendedShape, Shape
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """One named check: pass/fail plus optional witness and info string."""
+class Check:
+    """One verdict: pass/fail, a raw witness, an info string, sub-checks.
+
+    Every law check in the package returns this record.  A composite
+    verdict (graph validation, groupoid axioms, exactness) carries its
+    parts in checks.  The witness stays the raw evidence object; it is
+    folded into the witness grammar only when rendered.
+    """
 
     name: str
     ok: bool
     witness: object = None
     info: str = ""
     elapsed: float = 0.0
+    checks: tuple["Check", ...] = ()
+
+    def __bool__(self):
+        return self.ok
+
+    def failing(self) -> tuple["Check", ...]:
+        return tuple(c for c in self.checks if not c.ok)
 
 
 @dataclass(frozen=True)
 class RunReport:
     fixture: str
     seed: int | None
-    results: tuple[CheckResult, ...]
+    results: tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
-
-    def failed(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if not r.ok)
 
 
 # -- witness normalization ----------------------------------------------------------

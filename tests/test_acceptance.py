@@ -196,7 +196,7 @@ def test_6_support_sequences_exhaustive():
             for tup in all_ideal_tuples(range(n), r):
                 rep = verify_exactness(build_sequence(tup))
                 if not rep.ok:
-                    failures.append((n, r, tup, [c.stage for c in rep.checks if not c.ok]))
+                    failures.append((n, r, tup, [c.name for c in rep.failing()]))
                     break
 
     def random_component(rng):

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from kgraphlab import cli
 from kgraphlab.cli import main, run_fixture
 from kgraphlab.errors import ConfigError, FixtureError
 from kgraphlab.fixtures import build_graph, parse_fixture_text
 from kgraphlab.reporting import (
-    CheckResult,
+    Check,
     RunReport,
     WitnessSyntaxError,
     human_lines,
@@ -21,6 +22,7 @@ from kgraphlab.reporting import (
 from kgraphlab.shapes import INF, ExtendedShape, Shape
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # -- fixture parsing -----------------------------------------------------------------
@@ -191,8 +193,8 @@ def test_normalize_witness_folds_shapes_and_exceptions():
 
 def _report():
     return RunReport("demo", 5, (
-        CheckResult("one", True, None, "count=3", 0.25),
-        CheckResult("two", False, (1, "x"), "", 0.5),
+        Check("one", True, None, "count=3", 0.25),
+        Check("two", False, (1, "x"), "", 0.5),
     ))
 
 
@@ -282,6 +284,31 @@ def test_failing_check_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL  counterexample.composite-without-witness" in out
     assert "result: 1/2 checks passed" in out
+
+
+@pytest.mark.parametrize("stem, code", [
+    ("flip", 0), ("free_monoid", 0), ("grid11", 0), ("n2", 0), ("one_letter", 1),
+])
+def test_machine_output_matches_golden(stem, code, tmp_path, capsys):
+    # the golden files pin every byte of the machine format, witnesses included
+    if stem == "one_letter":
+        path = tmp_path / "one_letter.kgf"
+        path.write_text("suite counterexample letters=a\n")
+    else:
+        path = FIXTURES / f"{stem}.kgf"
+    assert main([str(path), "--format", "machine"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.machine").read_text(encoding="utf-8")
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(fixture, graph, options):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "validate", broken)
+    assert main([str(FIXTURES / "grid11.kgf")]) == 3
+    captured = capsys.readouterr()
+    assert "internal error: RuntimeError: boom" in captured.err
+    assert captured.out == ""
 
 
 def test_parse_error_exits_two(tmp_path, capsys):

@@ -133,6 +133,16 @@ def test_operator_arithmetic(n2graph):
         Scaled(1.5, L)
 
 
+def test_operators_are_immutable(n2graph):
+    lam = unique_path(n2graph, (1, 0))
+    L = left_creation(n2graph, lam)
+    for op in (L, L.adjoint(), right_creation(n2graph, lam), 2 * L, L + L, L * L,
+               level_projection(n2graph, 1), identity_operator()):
+        assert not hasattr(op, "__dict__")
+        with pytest.raises(AttributeError):
+            op.path = lam
+
+
 def test_apply_vector_is_linear(n2graph):
     lam = unique_path(n2graph, (1, 0))
     mu = unique_path(n2graph, (0, 1))
