@@ -1,20 +1,20 @@
 """Two-coordinate covering picture over the path-space dynamics.
 
 This module houses the boundary side of the package: eventually periodic
-infinite paths with exact (bounded-unrolling) equality, the paired points
+infinite paths in a diagonal canonical form, the paired points
 (finite path, infinite continuation) carrying two commuting families of
 shifts, the covering map onto (shape, infinite path) data together with
 constructive fiber lifts, the two-sided shift on doubly infinite words,
 and the lattice-translation twist on groupoid elements.
 
-Everything is exact: equality of infinite paths is decided by unrolling
-to a fixed finite shape, so every check here is a finite computation.
+Everything is exact: an infinite path is canonicalized once, at
+construction, so its equality and hash compare two finite paths, and
+every check here is a finite computation.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import functools
 from dataclasses import dataclass
 
 from .dynsys import MGDS, PartialMap
@@ -49,89 +49,30 @@ __all__ = [
 # -- rational infinite paths -----------------------------------------------------
 
 
-def _primitive_root(cycle: Path) -> Path:
-    """Smallest closed path whose repetition gives ``cycle``."""
-    coords = cycle.shape.coords
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
-    for m in range(g, 1, -1):  # largest exponent first -> smallest root
-        if any(c % m for c in coords):
-            continue
-        root_shape = Shape(tuple(c // m for c in coords))
-        root = factorize(cycle, root_shape)[0]
-        if root.source != root.target:
-            continue
-        power = root
-        for _ in range(m - 1):
-            power = compose(power, root)
-        if power == cycle:
-            return root
-    return cycle
-
-
-def _raw_head(prefix: Path, cycle: Path, bound: Shape) -> Path:
-    word = prefix
-    while not bound <= word.shape:
-        word = compose(word, cycle)
-    return factorize(word, bound)[0]
-
-
-def _reduce_period(prefix: Path, cycle: Path) -> tuple[Path, Path]:
-    """Replace the cycle by a strictly smaller period when one exists.
-
-    A primitive cycle need not be the smallest period: squares can braid
-    a longer cycle into alignment with a shorter one (on the flip graph,
-    (a0.a0.b0)-forever equals (a0.b0)-forever).  Candidate periods are
-    the strictly positive shapes dominated by the current cycle shape;
-    each is accepted only after a bounded-unrolling equality check.
-    """
-    reduced = True
-    while reduced:
-        reduced = False
-        for s in shapes_below(cycle.shape):
-            if s == cycle.shape or any(c < 1 for c in s.coords):
-                continue
-            lo, hi = prefix.shape, prefix.shape + s
-            block = factorize(_raw_head(prefix, cycle, hi), lo)[1]
-            if block.source != block.target:
-                continue
-            bound = Shape(tuple(
-                2 * (p + 2 * max(c, b))
-                for p, c, b in zip(prefix.shape.coords, cycle.shape.coords, s.coords)
-            ))
-            if _raw_head(prefix, block, bound) == _raw_head(prefix, cycle, bound):
-                cycle = block
-                reduced = True
-                break
-    return prefix, cycle
-
-
-def _absorb(prefix: Path, cycle: Path) -> tuple[Path, Path]:
-    """Shed whole trailing cycle copies, rotate shared last edges into the cycle."""
+def _canonical(prefix: Path, cycle: Path) -> tuple[Path, Path]:
+    """The diagonal canonical form of prefix.cycle.cycle...; see RationalInfinitePath."""
     rank = prefix.graph.rank
-    changed = True
-    while changed:
-        changed = False
-        while cycle.shape <= prefix.shape:
-            head, tail = factorize(prefix, prefix.shape - cycle.shape)
-            if tail != cycle:
-                break
-            prefix = head
-            changed = True
-        if prefix.shape.is_zero:
-            break
-        for j in range(1, rank + 1):
-            if prefix.shape.coord(j) < 1:
-                continue
-            unit = Shape.unit(rank, j)
-            head, last = factorize(prefix, prefix.shape - unit)
-            c_head, c_last = factorize(cycle, cycle.shape - unit)
-            if last == c_last:
-                prefix, cycle = head, compose(last, c_head)
-                changed = True
-                break
-    return prefix, cycle
+    ones, s = Shape((1,) * rank), cycle.shape
+    start = ones * max(prefix.shape.coords)  # least diagonal grade above the prefix
+    word = prefix
+    while not start + s <= word.shape:
+        word = compose(word, cycle)
+    head, block = factorize(factorize(word, start + s)[0], start)
+    blocks = []
+    while not head.is_vertex:
+        d, head = factorize(head, ones)
+        blocks.append(d)
+    first_seen: dict[Path, int] = {}
+    while block not in first_seen:
+        first_seen[block] = len(blocks)
+        d, rest = factorize(compose(block, block), ones)
+        blocks.append(d)
+        block = factorize(rest, s)[0]
+    lo, hi = first_seen[block], len(blocks)
+    while lo and blocks[lo - 1] == blocks[hi - 1]:
+        lo, hi = lo - 1, hi - 1
+    return (functools.reduce(compose, blocks[:lo], prefix.graph.vertex(prefix.target)),
+            functools.reduce(compose, blocks[lo:hi]))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -140,12 +81,26 @@ class RationalInfinitePath:
 
     The cycle returns to its own left end, meets the prefix's right end,
     and has strictly positive shape in every color, so shifts of every
-    color stay defined forever.  Construction normalizes the pair: a
-    cycle that is a proper power is reduced to its root, a prefix ending
-    in a whole copy of the cycle sheds it, and a prefix whose last edge
-    matches the cycle's last edge rotates that edge into the cycle.
-    Equality is semantic (bounded unrolling), so no check in this module
-    leans on the normalization being complete.
+    color stay defined forever.
+
+    Construction replaces the pair by its diagonal canonical form, so two
+    instances are equal exactly when they live on the same graph object
+    and have equal (prefix, cycle).  The argument: let N = (1,...,1) and
+    cut the path x into diagonal blocks d_i = x(iN, (i+1)N).  The heads
+    x(0, iN) are cofinal, so x and its block sequence determine each
+    other.  Once iN dominates the prefix shape, the tail of x at iN is
+    s-periodic, s being the cycle shape; an s-periodic path is B.B.B...
+    for its block B = tail(0, s), so two of them are equal exactly when
+    their blocks are.  Since N <= s, the next tail has block
+    (B.B)(N, N + s), and d_i = (B.B)(0, N).  Iterating over the finitely
+    many paths of shape s, the first repeated block closes the least
+    period of the tails, hence of the block sequence.  Rotating trailing
+    pre-period blocks into the period while each matches the period's
+    last block then gives the least pre-period.  The canonical prefix is
+    the composite of the pre-period blocks (the vertex x(0) if there are
+    none), the canonical cycle the composite of the period blocks; both
+    depend only on x.  On the flip graph, the point with periods (2, 1)
+    and (1, 2) gets a (3, 3) cycle.
     """
 
     prefix: Path
@@ -167,13 +122,7 @@ class RationalInfinitePath:
             raise ConfigError(
                 f"cycle shape {cycle.shape} must be strictly positive in every color"
             )
-        while True:
-            cycle = _primitive_root(cycle)
-            prefix, cycle = _reduce_period(prefix, cycle)
-            before = (prefix, cycle)
-            prefix, cycle = _absorb(prefix, cycle)
-            if (prefix, cycle) == before:
-                break
+        prefix, cycle = _canonical(prefix, cycle)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 
@@ -217,27 +166,14 @@ class RationalInfinitePath:
     def head(self, k: Shape) -> Path:
         return self.segment(Shape.zero(self.rank), k)
 
-    def _eq_bound(self) -> Shape:
-        return Shape(tuple(
-            2 * (p + 2 * c)
-            for p, c in zip(self.prefix.shape.coords, self.cycle.shape.coords)
-        ))
-
     def __eq__(self, other):
         if not isinstance(other, RationalInfinitePath):
             return NotImplemented
-        if self.rank != other.rank or self.graph is not other.graph:
-            return False
-        bound = self._eq_bound().join(other._eq_bound())
-        return self.head(bound) == other.head(bound)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        # Path equality includes the graph object
+        return (self.prefix, self.cycle) == (other.prefix, other.cycle)
 
     def __hash__(self):
-        # representation independent: equal paths share every finite head
-        return hash(("rational", self.head(Shape((1,) * self.rank))))
+        return hash((self.prefix.target, self.prefix.word, self.cycle.word))
 
     def __repr__(self):
         return f"<{self.prefix.display()}|({self.cycle.display()})^inf>"
@@ -434,7 +370,7 @@ def lift_fiber(z: ZPoint, target, *, witness_bound: Shape | None = None) -> Grou
         raise ConfigError(
             f"cocycle {cocycle} should have {2 * rank} coordinates (seam then slide)"
         )
-    if source_pair[0] != phi(z)[0] or source_pair[1] != phi(z)[1]:
+    if tuple(source_pair) != phi(z):
         raise ConfigError("target arrow does not start at the covering data of z")
     n, w = range_pair
     if not n.is_finite:

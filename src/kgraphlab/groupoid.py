@@ -57,7 +57,7 @@ class FiniteGroupoid:
     def __init__(self, name: str, elements, unit_points):
         self.name = name
         self.elements = tuple(elements)
-        self._element_set = frozenset(self.elements)
+        self._element_set = {g: g for g in self.elements}  # an equal probe finds the stored arrow
         self.unit_points = tuple(unit_points)
 
     def __contains__(self, g):
@@ -232,10 +232,9 @@ class SemidirectGroupoid(FiniteGroupoid):
     def element(self, x, z, y) -> GroupoidElement:
         """The stored arrow with this triple, or a witness-searched fresh one."""
         z = tuple(z)
-        probe = GroupoidElement(x, z, y)
-        for g in self.elements:
-            if g == probe:
-                return g
+        stored = self._element_set.get(GroupoidElement(x, z, y))
+        if stored is not None:
+            return stored
         found = self.find_witness(x, z, y)
         if found is None:
             raise WitnessError(

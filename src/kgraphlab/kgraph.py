@@ -13,7 +13,7 @@ through the square tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GraphError, NotComposable, ShapeError
@@ -36,11 +36,12 @@ class Edge:
 class Path:
     """A composable edge word in normal form, or a single vertex (empty word).
 
-    Equality is word equality within the same graph object.  Construct through
-    KGraph.vertex / KGraph.path / compose, never directly.
+    Equality is word equality within the same graph object; the hash leaves
+    the graph out, so it does not depend on memory addresses.  Construct
+    through KGraph.vertex / KGraph.path / compose, never directly.
     """
 
-    graph: "KGraph"
+    graph: "KGraph" = field(hash=False)
     word: tuple[str, ...]
     base: str | None = None  # vertex name, only for the empty word
 

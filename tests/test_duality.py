@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgraphlab.duality import (
     RationalInfinitePath,
@@ -39,6 +40,7 @@ from kgraphlab.kgraph import (
     KGraph,
     compose,
     factorize,
+    flip_graph,
     grid_graph,
     single_vertex_graph,
 )
@@ -132,17 +134,15 @@ def test_flip_dominated_period_reduced(flip22):
 
 
 def test_flip_equal_points_with_incomparable_periods(flip22):
-    # The same infinite path can have minimal periods (2,1) and (1,2):
-    # the period monoid of a flip-square path is not meet-closed, so no
-    # (primitive cycle, minimal prefix) normal form can be unique here.
-    # Equality is semantic for exactly this reason.
+    # The same infinite path has minimal periods (2,1) and (1,2): the
+    # period monoid of a flip-square path is not meet-closed, so no
+    # (primitive cycle, minimal prefix) form is unique here.  The diagonal
+    # form is: both presentations canonicalize to one (3,3) cycle.
     left = rational(flip22, (), ("a0", "a0", "b1"))
     right = rational(flip22, (), ("a0", "b0", "b1"))
     assert left == right
     assert hash(left) == hash(right)
-    assert left.cycle.shape != right.cycle.shape
-    assert left.cycle.shape.coords == (2, 1)
-    assert right.cycle.shape.coords == (1, 2)
+    assert (left.prefix, left.cycle) == (right.prefix, right.cycle)
 
 
 def test_repr_mentions_both_parts(n2graph):
@@ -150,7 +150,7 @@ def test_repr_mentions_both_parts(n2graph):
     assert "a0" in repr(y) and "inf" in repr(y)
 
 
-# -- the equality bound, validated by brute force ----------------------------------
+# -- the canonical form, validated against bounded unrolling ------------------------
 
 
 def _family(graph, prefixes, cycle_shapes):
@@ -161,8 +161,19 @@ def _family(graph, prefixes, cycle_shapes):
             if p.source == c.target]
 
 
+def _proven_bound(p1, c1, p2, c2):
+    """Heads agreeing up to (p1 v p2) + s1 + s2 decide equality of the paths.
+
+    The tails at n = p1 v p2 are s1- and s2-periodic and agree up to
+    s1 + s2, so shifting the first by s2 gives an s1-periodic path with
+    the same block, that is the first tail itself; both tails are then
+    s2-periodic with equal blocks, hence equal.
+    """
+    return p1.shape.join(p2.shape) + c1.shape + c2.shape
+
+
 def _decision_stable(y1, y2, extra):
-    bound = y1._eq_bound().join(y2._eq_bound())
+    bound = _proven_bound(y1.prefix, y1.cycle, y2.prefix, y2.cycle)
     wide = Shape(tuple(b + e for b, e in zip(bound.coords, extra)))
     return (y1 == y2) == (y1.head(wide) == y2.head(wide))
 
@@ -188,8 +199,85 @@ def test_equality_bound_flip(flip22):
     for i, y1 in enumerate(fam):
         for y2 in fam[i:]:
             assert _decision_stable(y1, y2, (6, 6))
+            assert (y1 == y2) == ((y1.prefix, y1.cycle) == (y2.prefix, y2.cycle))
             if y1 == y2:
                 assert hash(y1) == hash(y2)
+
+
+def _head(prefix, cycle, bound):
+    """Grade-bound head of prefix.cycle.cycle..., by composing and factorizing only."""
+    word = prefix
+    while not bound <= word.shape:
+        word = compose(word, cycle)
+    return factorize(word, bound)[0]
+
+
+def _two_vertex_graph():
+    # a color-1 two-cycle with two color-2 loops at each vertex; squares
+    # through p swap the loop index, squares through q keep it (rank 2 has
+    # no cube condition, so any such bijection is a 2-graph)
+    edges = [Edge("p", 1, "v", "u"), Edge("q", 1, "u", "v")]
+    edges += [Edge(f"b{k}{x}", 2, x, x) for x in "uv" for k in range(2)]
+    table = {}
+    for e, s, t in (("p", "v", "u"), ("q", "u", "v")):
+        for k in range(2):
+            k2 = 1 - k if e == "p" else k
+            table[(f"b{k}{t}", e)] = (e, f"b{k2}{s}")
+    return KGraph(2, ("u", "v"), edges, {(1, 2): table}, name="two_vertex")
+
+
+DIFFERENTIAL_GRAPHS = (
+    flip_graph(),
+    single_vertex_graph([2, 2], "commute"),
+    single_vertex_graph([2, 1, 2], "commute"),
+    _two_vertex_graph(),
+)
+
+
+@st.composite
+def presentations(draw):
+    """Two (prefix, cycle) pairs on one graph, the second often a
+    re-presentation of the first: cut at a later grade, cycle repeated."""
+    graph = draw(st.sampled_from(DIFFERENTIAL_GRAPHS))
+    rank = graph.rank
+    prefix_cap, cycle_cap = Shape((1,) * rank), Shape((2, 2) + (1,) * (rank - 2))
+    cycle_shapes = [s for s in shapes_below(cycle_cap) if all(c >= 1 for c in s.coords)]
+
+    def draw_pair():
+        prefix = draw(st.sampled_from(graph.all_paths(prefix_cap)))
+        cycles = [c for s in cycle_shapes for c in graph.enumerate_paths(
+            s, source=prefix.source, target=prefix.source)]
+        return prefix, draw(st.sampled_from(cycles))
+
+    p1, c1 = draw_pair()
+    if draw(st.booleans()):
+        return (p1, c1), draw_pair()
+    cut = p1.shape + Shape(tuple(draw(st.integers(0, 2)) for _ in range(rank)))
+    period = c1.shape * draw(st.integers(1, 2))
+    p2 = _head(p1, c1, cut)
+    c2 = factorize(_head(p1, c1, cut + period), cut)[1]
+    return (p1, c1), (p2, c2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_canonical_form_matches_bounded_unrolling(case):
+    (p1, c1), (p2, c2) = case
+    y1, y2 = RationalInfinitePath(p1, c1), RationalInfinitePath(p2, c2)
+    bound = _proven_bound(p1, c1, p2, c2)
+    assert (y1 == y2) == (_head(p1, c1, bound) == _head(p2, c2, bound))
+    if y1 == y2:
+        assert hash(y1) == hash(y2)
+    # the canonical pair presents the input path, and is its own canonical form
+    for (p, c), y in (((p1, c1), y1), ((p2, c2), y2)):
+        own = _proven_bound(p, c, y.prefix, y.cycle)
+        assert _head(y.prefix, y.cycle, own) == _head(p, c, own)
+        again = RationalInfinitePath(y.prefix, y.cycle)
+        assert (again.prefix, again.cycle) == (y.prefix, y.cycle)
+
+
+def test_differential_two_vertex_graph_validates():
+    assert DIFFERENTIAL_GRAPHS[-1].validate().ok
 
 
 # -- segments and shifts ------------------------------------------------------------

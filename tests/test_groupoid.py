@@ -88,6 +88,12 @@ def test_element_identity_ignores_witness():
     assert a != GroupoidElement(1, (1,), 1)
 
 
+def test_element_returns_the_stored_arrow(identity_groupoid):
+    for g in identity_groupoid:
+        found = identity_groupoid.element(g.x, g.z, g.y)
+        assert found is g and found.witness == g.witness
+
+
 def test_build_refuses_incompatible_domains():
     with pytest.raises(ConfigError):
         build_semidirect(free_monoid_system("ab", 3))

@@ -348,3 +348,6 @@ def test_path_value_semantics(flip22):
     assert flip22.path(["a0"]) != flip22.path(["a1"])
     other = flip_graph()
     assert other.path(["a0"]) != flip22.path(["a0"])  # graph-identity scoped
+    # ... while the hash leaves the graph out, so it is address independent
+    assert hash(other.path(["a0"])) == hash(flip22.path(["a0"]))
+    assert hash(other.vertex("u")) == hash(flip22.vertex("u"))
