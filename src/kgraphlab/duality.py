@@ -241,8 +241,9 @@ class ZPoint:
     def rank(self) -> int:
         return self.x.graph.rank
 
+    @functools.cached_property
     def composite(self) -> RationalInfinitePath:
-        """The glued infinite path x.y."""
+        """The glued infinite path x.y, built once per point."""
         return RationalInfinitePath(compose(self.x, self.y.prefix), self.y.cycle)
 
     def __repr__(self):
@@ -309,7 +310,7 @@ def zpoint_system(graph, seeds, *, name: str | None = None) -> MGDS:
 
 def phi(z: ZPoint) -> tuple:
     """Covering data of a paired point: (sigma(x), the glued infinite path)."""
-    return (z.x.shape, z.composite())
+    return (z.x.shape, z.composite)
 
 
 def phi_section(pair) -> ZPoint:
@@ -348,16 +349,16 @@ def _apply_word(z: ZPoint, seam: Shape, slide: Shape) -> ZPoint:
     return v_shift(slide, t_shift(seam, z))
 
 
-def lift_fiber(z: ZPoint, target, *, witness_bound: Shape | None = None) -> GroupoidElement:
+def lift_fiber(z: ZPoint, target) -> GroupoidElement:
     """The unique arrow out of z covering a given arrow out of phi(z).
 
     ``target`` is an arrow over covering data: a GroupoidElement or a
     plain (range pair, cocycle, source pair) triple whose source is
     phi(z) and whose cocycle has one coordinate per seam map followed by
     one per slide map.  The range point is reconstructed by splitting the
-    range data, then a witness pair certifying the arrow is found by
-    bounded search.  A valid target always lifts; exhausting the bound
-    means a bug or a model gap and raises loudly.
+    range data, then a witness pair certifying the arrow is found among
+    shapes up to 2 in all 2r coordinates.  A valid target always lifts;
+    exhausting that bound means a bug or a model gap and raises loudly.
     """
     if isinstance(target, GroupoidElement):
         range_pair, cocycle, source_pair = target.x, target.z, target.y
@@ -376,8 +377,7 @@ def lift_fiber(z: ZPoint, target, *, witness_bound: Shape | None = None) -> Grou
     if not n.is_finite:
         raise WitnessError(f"no lift: grade {n} is not covering data of any paired point")
     lifted = phi_section(range_pair)
-    if witness_bound is None:
-        witness_bound = Shape((2,) * (2 * rank))
+    witness_bound = Shape((2,) * (2 * rank))
     for m in shapes_below(witness_bound):
         n_coords = tuple(mc - zc for mc, zc in zip(m.coords, cocycle))
         if any(c < 0 for c in n_coords):

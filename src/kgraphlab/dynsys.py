@@ -64,11 +64,6 @@ class PartialMap:
         }
         return PartialMap(f"{self.name}*{other.name}", table)
 
-    def restrict(self, points) -> "PartialMap":
-        keep = set(points)
-        table = {x: y for x, y in self._table.items() if x in keep and y in keep}
-        return PartialMap(self.name, table)
-
     def __eq__(self, other):
         if not isinstance(other, PartialMap):
             return NotImplemented

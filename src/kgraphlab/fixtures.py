@@ -55,7 +55,7 @@ SUITE_KINDS = {
 }
 
 # option value syntax, shared across directives
-_INT_KEYS = {"rank", "length", "seed"}
+_INT_KEYS = {"rank", "length"}
 _INT_LIST_KEYS = {"size", "counts", "bound", "witness", "prefix", "cycle"}
 _WORD_KEYS = {"squares", "letters"}
 _WORD_LIST_KEYS = {"relations"}

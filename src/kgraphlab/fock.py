@@ -13,6 +13,8 @@ p.source == q.target.  Left creation prepends, right creation appends.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -31,10 +33,16 @@ class _Vacuum:
 
 VACUUM = _Vacuum()
 
+CAP = 3  # failures kept per pointwise comparison and per relation report
+
+
+def _shape(x) -> Shape:
+    return x if isinstance(x, Shape) else Shape(*x)
+
 
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     """The vacuum plus every nonzero-shape path with shape <= bound."""
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
+    bound = _shape(bound)
     out = [VACUUM]
     for n in shapes_below(bound):
         if not n.is_zero:
@@ -101,9 +109,6 @@ class FockOperator:
         if isinstance(other, FockOperator):
             return Sum((self, Scaled(-1, other)))
         return NotImplemented
-
-    def __neg__(self):
-        return Scaled(-1, self)
 
 
 class Identity(FockOperator):
@@ -371,7 +376,7 @@ def level_projection(graph: KGraph, j: int) -> FockOperator:
 
 def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
     """Paths whose shape dominates k; the vacuum is excluded.  Needs k != 0."""
-    k = k if isinstance(k, Shape) else Shape(*k)
+    k = _shape(k)
     if len(k) != graph.rank:
         raise ConfigError(f"shape rank {len(k)} != graph rank {graph.rank}")
     if k.is_zero:
@@ -393,8 +398,8 @@ def apply(op: FockOperator, b) -> dict:
     return op.act(b)
 
 
-def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, *, cap: int = 3):
-    """Compare two operators pointwise.  Returns (ok, checked, failures)."""
+def operators_agree(lhs: FockOperator, rhs: FockOperator, basis):
+    """Compare pointwise up to the CAP+1st failure.  Returns (ok, checked, failures)."""
     failures = []
     checked = 0
     for b in basis:
@@ -402,7 +407,7 @@ def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, *, cap: int = 3
         lv = lhs.act(b)
         rv = rhs.act(b)
         if lv != rv:
-            if len(failures) < cap:
+            if len(failures) < CAP:
                 failures.append((b, lv, rv))
             else:
                 break
@@ -459,26 +464,39 @@ class RelationReport:
         return self.ok
 
 
-def _run_instances(relation, graph, bound, instances, basis, cap=3):
-    """instances: iterable of (label, lhs operator, rhs operator)."""
+def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
+    """The one runner: check (label, lhs, rhs) instances pointwise on basis.
+
+    basis defaults to the window below bound; the first CAP counterexamples
+    over all instances are kept, in order.
+    """
+    bound = _shape(bound)
+    basis = fock_basis(graph, bound) if basis is None else basis
     checked = 0
     bad = []
     for label, lhs, rhs in instances:
-        ok, n, failures = operators_agree(lhs, rhs, basis, cap=cap)
+        _, n, failures = operators_agree(lhs, rhs, basis)
         checked += n
         for b, lv, rv in failures:
-            if len(bad) < cap:
+            if len(bad) < CAP:
                 bad.append((label, b, lv, rv))
     return RelationReport(relation, graph.name, bound, not bad, checked, tuple(bad))
 
 
-def verify_isometry(graph: KGraph, side: str, bound: Shape, basis) -> RelationReport:
-    """Creating then stripping a path projects onto the spans it can attach to.
+def _range_sum(graph, side, paths, *rest) -> FockOperator:
+    """Sum of the one-sided range projections C(lam) C(lam)* over paths, plus rest."""
+    C, A = ((LeftCreation, LeftAnnihilation) if side == "left"
+            else (RightCreation, RightAnnihilation))
+    return Sum([Product((C(graph, lam), A(graph, lam))) for lam in paths] + list(rest))
 
-    side "left": prepending mu, onto spans with target mu.source;
-    side "right": appending mu, onto spans with source mu.target.
+
+def _isometries(graph, bound):
+    """R1: creating then stripping a path projects onto the spans it can attach to.
+
+    Left side, prepending mu: onto spans with target mu.source; then right
+    side, appending mu: onto spans with source mu.target.
     """
-    def instances():
+    for side in ("left", "right"):
         for mu in graph.all_paths(bound):
             if side == "left":
                 C, P = left_creation(graph, mu), target_projection(graph, mu.source)
@@ -486,140 +504,109 @@ def verify_isometry(graph: KGraph, side: str, bound: Shape, basis) -> RelationRe
                 C, P = right_creation(graph, mu), source_projection(graph, mu.target)
             yield f"mu={mu.display()}", Product((C.adjoint(), C)), P
 
-    return _run_instances(f"R1.{side}", graph, bound, instances(), basis)
 
-
-def verify_vertex_sum(graph: KGraph, j: int, bound: Shape, basis=None) -> RelationReport:
-    """A vertex projection splits into color-j edge ranges plus its level part."""
-    _check_color(graph, j)
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    basis = fock_basis(graph, bound) if basis is None else basis
-    ej = Shape.unit(graph.rank, j)
-
-    def instances():
+def _vertex_sums(graph, colors):
+    """R2: a vertex projection splits into color-j edge ranges plus its level part."""
+    for j in colors:
+        _check_color(graph, j)
+        ej = Shape.unit(graph.rank, j)
         for a in sorted(graph.vertices):
-            left_terms = [Product((LeftCreation(graph, lam), LeftAnnihilation(graph, lam)))
-                          for lam in graph.enumerate_paths(ej, target=a)]
-            yield (f"vertex={a},j={j},left",
-                   target_projection(graph, a),
-                   Sum(left_terms + [target_projection_level(graph, a, j)]))
-            right_terms = [Product((RightCreation(graph, lam), RightAnnihilation(graph, lam)))
-                           for lam in graph.enumerate_paths(ej, source=a)]
-            yield (f"vertex={a},j={j},right",
-                   source_projection(graph, a),
-                   Sum(right_terms + [source_projection_level(graph, a, j)]))
-
-    return _run_instances(f"R2[j={j}]", graph, bound, instances(), basis)
+            yield (f"vertex={a},j={j},left", target_projection(graph, a),
+                   _range_sum(graph, "left", graph.enumerate_paths(ej, target=a),
+                              target_projection_level(graph, a, j)))
+            yield (f"vertex={a},j={j},right", source_projection(graph, a),
+                   _range_sum(graph, "right", graph.enumerate_paths(ej, source=a),
+                              source_projection_level(graph, a, j)))
 
 
-def verify_level_complement(graph: KGraph, j: int, bound: Shape, basis=None) -> RelationReport:
-    """Both one-sided color-j range sums have the same complement: the level span."""
-    _check_color(graph, j)
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    basis = fock_basis(graph, bound) if basis is None else basis
-    ej = Shape.unit(graph.rank, j)
-    edges = graph.enumerate_paths(ej)
-    lsum = Sum(Product((LeftCreation(graph, lam), LeftAnnihilation(graph, lam)))
-               for lam in edges)
-    rsum = Sum(Product((RightCreation(graph, lam), RightAnnihilation(graph, lam)))
-               for lam in edges)
-    one = Identity()
-    pj = level_projection(graph, j)
-    instances = [
-        (f"j={j},left", Sum((one, Scaled(-1, lsum))), pj),
-        (f"j={j},right", Sum((one, Scaled(-1, rsum))), pj),
-    ]
-    return _run_instances(f"R3[j={j}]", graph, bound, instances, basis)
+def _level_complements(graph, colors):
+    """R3: both one-sided color-j range sums have the same complement, the level span."""
+    for j in colors:
+        pj = level_projection(graph, j)  # checks the color
+        edges = graph.enumerate_paths(Shape.unit(graph.rank, j))
+        for side in ("left", "right"):
+            yield f"j={j},{side}", Identity() - _range_sum(graph, side, edges), pj
 
 
-def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
-    """Left and right range sums at a fixed nonzero shape agree with the floor span."""
-    k = k if isinstance(k, Shape) else Shape(*k)
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    if k.is_zero:
-        raise ConfigError("shape floor checks need k != 0")
-    basis = fock_basis(graph, bound) if basis is None else basis
-    paths = graph.enumerate_paths(k)
-    lsum = Sum(Product((LeftCreation(graph, lam), LeftAnnihilation(graph, lam)))
-               for lam in paths)
-    rsum = Sum(Product((RightCreation(graph, lam), RightAnnihilation(graph, lam)))
-               for lam in paths)
-    floor = shape_floor_projection(graph, k)
-    kk = tuple(k.coords)
-    instances = [
-        (f"k={kk},left-vs-floor", lsum, floor),
-        (f"k={kk},right-vs-floor", rsum, floor),
-    ]
-    return _run_instances(f"R4[k={kk}]", graph, bound, instances, basis)
+def _shape_floors(graph, ks):
+    """R4: left and right range sums at a fixed nonzero shape k equal the floor span."""
+    for k in ks:
+        floor = shape_floor_projection(graph, k)
+        paths = graph.enumerate_paths(k)
+        for side in ("left", "right"):
+            yield f"k={tuple(k.coords)},{side}-vs-floor", _range_sum(graph, side, paths), floor
 
 
-def creation_commutation(graph: KGraph, lam: Path, mu: Path, bound: Shape,
-                         basis=None) -> RelationReport:
+def _commutations(graph, pairs):
     """Left creation by lam and right creation by mu commute, vacuum included.
 
     Both orders send a path to lam.path.mu (or zero), and the vacuum to the
     two-sided composite lam.mu.  Only nonzero-shape creations are claimed to
     commute: vertex creations are projections and fail this at the vacuum.
     """
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    basis = fock_basis(graph, bound) if basis is None else basis
-    L = left_creation(graph, lam)
-    R = right_creation(graph, mu)
-    instances = [(f"lam={lam.display()},mu={mu.display()}",
-                  Product((L, R)), Product((R, L)))]
-    return _run_instances("commutation", graph, bound, instances, basis)
+    for lam, mu in pairs:
+        L, R = left_creation(graph, lam), right_creation(graph, mu)
+        yield f"lam={lam.display()},mu={mu.display()}", Product((L, R)), Product((R, L))
 
 
-def verify_commutation(graph: KGraph, bound: Shape, pair_bound: Shape = None,
-                       basis=None) -> RelationReport:
-    """creation_commutation over every pair of nonzero-shape paths below pair_bound."""
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    if pair_bound is None:
-        pair_bound = Shape(*([1] * graph.rank))
-    basis = fock_basis(graph, bound) if basis is None else basis
-    pairs = [p for p in graph.all_paths(pair_bound) if not p.shape.is_zero]
-
-    def instances():
-        for lam in pairs:
-            L = left_creation(graph, lam)
-            for mu in pairs:
-                R = right_creation(graph, mu)
-                yield (f"lam={lam.display()},mu={mu.display()}",
-                       Product((L, R)), Product((R, L)))
-
-    return _run_instances("commutation", graph, bound, instances(), basis)
+def _unit_box_pairs(graph):
+    """Every pair of nonzero-shape paths below the unit box, lam-major."""
+    paths = [p for p in graph.all_paths(Shape(*([1] * graph.rank))) if not p.shape.is_zero]
+    return itertools.product(paths, repeat=2)
 
 
-RELATION_NAMES = ("R1", "R2", "R3", "R4", "commutation")
+def verify_vertex_sum(graph: KGraph, j: int, bound: Shape) -> RelationReport:
+    """R2 at one color j."""
+    return _report(f"R2[j={j}]", graph, bound, _vertex_sums(graph, (j,)))
+
+
+def verify_level_complement(graph: KGraph, j: int, bound: Shape) -> RelationReport:
+    """R3 at one color j."""
+    return _report(f"R3[j={j}]", graph, bound, _level_complements(graph, (j,)))
+
+
+def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
+    """R4 at one nonzero shape k."""
+    k = _shape(k)
+    return _report(f"R4[k={tuple(k.coords)}]", graph, bound, _shape_floors(graph, (k,)), basis)
+
+
+def creation_commutation(graph: KGraph, lam: Path, mu: Path, bound: Shape,
+                         basis=None) -> RelationReport:
+    """Commutation of one pair of nonzero-shape paths."""
+    return _report("commutation", graph, bound, _commutations(graph, [(lam, mu)]), basis)
+
+
+def verify_commutation(graph: KGraph, bound: Shape) -> RelationReport:
+    """Commutation of every pair of nonzero-shape paths below the unit box."""
+    return _report("commutation", graph, bound, _commutations(graph, _unit_box_pairs(graph)))
+
+
+# relation name -> (graph, bound) -> every instance of the relation below bound
+_CATALOG = {
+    "R1": _isometries,
+    "R2": lambda graph, bound: _vertex_sums(graph, range(1, graph.rank + 1)),
+    "R3": lambda graph, bound: _level_complements(graph, range(1, graph.rank + 1)),
+    "R4": lambda graph, bound: _shape_floors(
+        graph, [k for k in shapes_below(bound) if not k.is_zero]),
+    "commutation": lambda graph, bound: _commutations(graph, _unit_box_pairs(graph)),
+}
+
+RELATION_NAMES = tuple(_CATALOG)
 
 
 def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
     """Check one named relation everywhere it applies below the bound.
 
-    R2 and R3 run over every color, R4 over every nonzero shape k <= bound,
-    commutation over path pairs below the unit box.  Reports merge with the
-    first few counterexamples kept.
+    The name selects an instance generator in _CATALOG: R1 runs over every
+    path below the bound, R2 and R3 over every color, R4 over every nonzero
+    shape k <= bound, commutation over path pairs below the unit box.  All
+    instances go through _report once, into one report.
     """
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
-    basis = fock_basis(graph, bound)
-    if name == "R1":
-        parts = [verify_isometry(graph, side, bound, basis) for side in ("left", "right")]
-    elif name == "R2":
-        parts = [verify_vertex_sum(graph, j, bound, basis)
-                 for j in range(1, graph.rank + 1)]
-    elif name == "R3":
-        parts = [verify_level_complement(graph, j, bound, basis)
-                 for j in range(1, graph.rank + 1)]
-    elif name == "R4":
-        parts = [verify_shape_floor(graph, k, bound, basis)
-                 for k in shapes_below(bound) if not k.is_zero]
-    elif name == "commutation":
-        parts = [verify_commutation(graph, bound, basis=basis)]
-    else:
+    if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; known: {', '.join(RELATION_NAMES)}")
-    bad = tuple(c for p in parts for c in p.counterexamples)[:3]
-    return RelationReport(name, graph.name, bound, all(p.ok for p in parts),
-                          sum(p.checked for p in parts), bad)
+    bound = _shape(bound)
+    return _report(name, graph, bound, _CATALOG[name](graph, bound))
 
 
 # -- mixed projections -----------------------------------------------------------
@@ -713,7 +700,7 @@ class DiagonalAlgebra:
     right_only: FixedSetAlgebra
 
 
-def _atom_actions(graph, edges, vertices, sides):
+def _atom_actions(graph, sides):
     """Labelled single-step actions, each a partial injection on basis elements.
 
     Returned as (label, act) with act(x) -> image or None; results are cached
@@ -722,19 +709,9 @@ def _atom_actions(graph, edges, vertices, sides):
     atoms = []
 
     def single(op):
-        cache: dict = {}
+        return functools.cache(lambda x: next(iter(op.act(x)), None))
 
-        def act(x):
-            if x in cache:
-                return cache[x]
-            out = op.act(x)
-            img = next(iter(out)) if out else None
-            cache[x] = img
-            return img
-
-        return act
-
-    for e in edges:
+    for e in graph.edges:
         p = graph.path([e.name])
         if "l" in sides:
             atoms.append((f"l+{e.name}", single(LeftCreation(graph, p))))
@@ -742,7 +719,7 @@ def _atom_actions(graph, edges, vertices, sides):
         if "r" in sides:
             atoms.append((f"r+{e.name}", single(RightCreation(graph, p))))
             atoms.append((f"r-{e.name}", single(RightAnnihilation(graph, p))))
-    for a in vertices:
+    for a in sorted(graph.vertices):
         if "l" in sides:
             atoms.append((f"p@{a}", single(target_projection(graph, a))))
         if "r" in sides:
@@ -757,7 +734,7 @@ def _identity_pool(graph, word_len, basis, sides):
     basis.  States dedupe on the induced map, so distinct words with equal
     action cost one visit; the all-undefined state prunes its whole subtree.
     """
-    atoms = _atom_actions(graph, graph.edges, sorted(graph.vertices), sides)
+    atoms = _atom_actions(graph, sides)
     pool: dict = {}
     seen: dict = {}
 
@@ -788,7 +765,7 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
     """
     if word_len < 1:
         raise ConfigError("word_len must be >= 1")
-    bound = bound if isinstance(bound, Shape) else Shape(*bound)
+    bound = _shape(bound)
     basis = fock_basis(graph, bound)
     full_pool = _identity_pool(graph, word_len, basis, "lr")
     left_pool = _identity_pool(graph, word_len, basis, "l")
@@ -827,13 +804,9 @@ class ObstructionReport:
     caveat: str = "membership computed on the finite basis window only"
 
 
-def obstruction_report(graph: KGraph, lam: Path, mu: Path, *, algebra=None,
-                       word_len: int = 4, bound: Shape = None) -> ObstructionReport:
-    """Probe one mixed range projection against the one-sided algebra."""
-    if algebra is None:
-        if bound is None:
-            raise ConfigError("need either a precomputed algebra or a bound")
-        algebra = diagonal_algebra(graph, word_len, bound)
+def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
+                       algebra: DiagonalAlgebra) -> ObstructionReport:
+    """Probe one mixed range projection against a precomputed diagonal_algebra."""
     op = mixed_range_projection(graph, lam, mu)
     ok, witness = is_partial_identity(op, algebra.basis)
     if not ok:

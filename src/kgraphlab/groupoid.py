@@ -492,25 +492,26 @@ class ConvolutionElement:
 def check_lifting_hypothesis(G: FiniteGroupoid, pi: dict, H: FiniteGroupoid):
     """Composable images must come only from composable preimages.
 
-    Returns None when the pushforward is safe, else the offending pair.
+    Returns None when the pushforward is safe, else the first offending pair
+    (a, b) in element order.  Each a scans only the b whose image's range is
+    the source of pi[a], not all of G.
     """
+    by_range: dict = {}
+    for b in G.elements:
+        by_range.setdefault(H.range_of(pi[b]), []).append(b)
     for a in G.elements:
-        for b in G.elements:
-            if H.is_composable(pi[a], pi[b]) and not G.is_composable(a, b):
+        for b in by_range.get(H.source_of(pi[a]), ()):
+            if not G.is_composable(a, b):
                 return (a, b)
     return None
 
 
-def pushforward(f: ConvolutionElement, pi: dict, H: FiniteGroupoid, *, check: bool = False) -> ConvolutionElement:
+def pushforward(f: ConvolutionElement, pi: dict, H: FiniteGroupoid) -> ConvolutionElement:
     """Sum coefficients over the fibers of the element map.
 
-    Run check_lifting_hypothesis first (or pass check=True) so that the
-    result is guaranteed multiplicative.
+    Run check_lifting_hypothesis first so that the result is guaranteed
+    multiplicative.
     """
-    if check:
-        bad = check_lifting_hypothesis(f.groupoid, pi, H)
-        if bad is not None:
-            raise ConfigError(f"element map does not lift composability: {bad!r}")
     out: dict = {}
     for g, v in f._coeffs.items():
         k = pi[g]

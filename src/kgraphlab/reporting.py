@@ -60,11 +60,10 @@ class RunReport:
 def normalize_witness(obj) -> object:
     """Fold arbitrary check evidence into grammar values.
 
-    Grammar values are: None, bool, int, str, and tuples thereof.  Shapes
-    become coordinate tuples (INF coordinates become the string "inf"
-    marker via serialization, kept here as the INF object inside ints is
-    not possible, so they are mapped to the string form).  Anything not
-    covered is rendered through repr.
+    Grammar values are None, bool, int, str, the INF object, and tuples
+    thereof.  Shapes become coordinate tuples; an INF coordinate stays the
+    INF object here, and the writer prints it as inf.  Exceptions become
+    "Type: message"; anything else is rendered through repr.
     """
     if obj is None or isinstance(obj, bool) or isinstance(obj, str):
         return obj

@@ -461,6 +461,15 @@ def test_phi_on_vertex_paths(flip22):
     assert w == y
 
 
+def test_composite_is_built_once(flip22):
+    rng = random.Random(16)
+    for _ in range(10):
+        z = random_zpoint(rng, flip22, Shape((2, 2)), Shape((1, 0)), Shape((1, 1)))
+        assert z.composite is z.composite
+        assert phi(z)[1] is z.composite
+        assert z.composite == RationalInfinitePath(flip22.compose(z.x, z.y.prefix), z.y.cycle)
+
+
 def test_phi_section_round_trips(flip22):
     rng = random.Random(15)
     for _ in range(50):

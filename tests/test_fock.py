@@ -7,7 +7,7 @@ operator evaluation, so the operator tree is never trusted to check itself.
 
 import pytest
 
-from kgraphlab.errors import ConfigError
+from kgraphlab.errors import ConfigError, GraphError
 from kgraphlab.fock import (
     VACUUM,
     DiagonalAlgebra,
@@ -240,6 +240,44 @@ def test_unknown_relation_rejected(n2graph):
         verify_identity(n2graph, "R9", Shape(1, 1))
 
 
+def test_single_color_verifiers_reject_bad_colors(flip22):
+    for j in (0, 3):
+        with pytest.raises(ConfigError):
+            verify_vertex_sum(flip22, j, Shape(1, 1))
+        with pytest.raises(ConfigError):
+            verify_level_complement(flip22, j, Shape(1, 1))
+
+
+def test_catalog_failing_reports_are_pinned():
+    """A square table that is not a bijection breaks the catalog in fixed ways.
+
+    The expected reports were captured from the catalog before it was folded
+    into one table and one runner; they pin the verdict, the count and the
+    first three counterexamples, in order, of a failing relation.
+    """
+    g = single_vertex_graph([2, 2], {(1, 2): {
+        ("b0", "a0"): ("a1", "b0"), ("b0", "a1"): ("a1", "b0"),
+        ("b1", "a0"): ("a0", "b1"), ("b1", "a1"): ("a1", "b1")}})
+
+    def vec(v):
+        return {b.display(): c for b, c in v.items()}
+
+    r1 = verify_identity(g, "R1", (2, 2))
+    assert (r1.relation, r1.graph, r1.bound) == ("R1", g.name, Shape(2, 2))
+    assert (r1.ok, r1.checked, bool(r1)) == (False, 2618, False)
+    assert [(label, b.display(), vec(lv), vec(rv))
+            for label, b, lv, rv in r1.counterexamples] == [
+        ("mu=b0", "a0", {"a1": 1}, {"a0": 1}),
+        ("mu=b0", "a0/b0", {"a1/b0": 1}, {"a0/b0": 1}),
+        ("mu=b0", "a0/b1", {"a1/b1": 1}, {"a0/b1": 1}),
+    ]
+    comm = verify_identity(g, "commutation", (2, 2))
+    assert (comm.ok, comm.checked, comm.counterexamples) == (True, 3136, ())
+    for name in ("R2", "R3", "R4"):
+        with pytest.raises(GraphError, match="no inverse square for word a0,b0"):
+            verify_identity(g, name, (2, 2))
+
+
 def test_level_complement_fixed_sets(n2graph):
     # both one-sided color-1 range sums leave exactly the vertical spans fixed
     report = verify_level_complement(n2graph, 1, Shape(3, 3))
@@ -417,7 +455,7 @@ def test_obstruction_report_fields(flip22, flip_algebra):
     assert report.left_path == lam.display()
     assert report.word_len == 4
     assert report.bound == Shape(3, 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         obstruction_report(flip22, lam, lam)
 
 

@@ -308,6 +308,26 @@ def test_pushforward_is_star_homomorphism(identity_groupoid):
         assert pushforward(f, pi, H).i_norm() <= f.i_norm()
 
 
+def test_lifting_hypothesis_matches_double_loop():
+    G = build_semidirect(grid_system(2, 2))
+    H, germ = germ_quotient(G)
+
+    def brute(pi):
+        for a in G.elements:
+            for b in G.elements:
+                if H.is_composable(pi[a], pi[b]) and not G.is_composable(a, b):
+                    return (a, b)
+        return None
+
+    one_unit = H.unit_at(G.elements[0].x)
+    maps = [germ,
+            {g: one_unit for g in G.elements},
+            {g: H.unit_at(G.range_of(g)) for g in G.elements}]
+    found = [check_lifting_hypothesis(G, pi, H) for pi in maps]
+    assert found == [brute(pi) for pi in maps]
+    assert found[0] is None and found[1] is not None and found[2] is not None
+
+
 def test_pushforward_collapses_translation_sums(identity_groupoid):
     I = identity_groupoid
     H, pi = germ_quotient(I)
