@@ -165,6 +165,11 @@ class MGDS:
     def apply(self, n: Shape, x):
         return self.power(n)(x)
 
+    def meets(self, x, y, m: Shape, n: Shape) -> bool:
+        """Whether T^m x = T^n y with both sides defined: (m, n) witnesses an arrow from y to x."""
+        pm, pn = self.power(m), self.power(n)
+        return pm.defined_at(x) and pn.defined_at(y) and pm(x) == pn(y)
+
     def domain(self, n: Shape) -> frozenset:
         return self.power(n).domain()
 
@@ -196,6 +201,20 @@ class MGDS:
         return Shape([max((_orbit(T, x)[0] for x in self.carrier), default=0)
                       for T in self.generators])
 
+    def first_pair_offence(self, bound: Shape, offenders):
+        """The first (n, m, x) with x in offenders(n, m), or None.
+
+        n runs over the shapes below the bound, m over those before n in
+        shapes_below order; x is the first carrier point of the offending set.
+        """
+        shapes = list(shapes_below(bound))
+        for a, n in enumerate(shapes):
+            for m in shapes[:a]:
+                bad = offenders(n, m)
+                if bad:
+                    return n, m, next(x for x in self.carrier if x in bad)
+        return None
+
     def check_dc(self, bound: Shape | None = None) -> Check:
         """Joint-domain compatibility: dom(T^n) and dom(T^m) meet inside dom(T^(n join m)).
 
@@ -206,18 +225,15 @@ class MGDS:
         """
         if bound is None:
             bound = self.exit_bound()
-        info = f"bound={tuple(bound.coords)}"
-        shapes = list(shapes_below(bound))
-        for a, n in enumerate(shapes):
-            for m in shapes[:a]:
-                if m <= n or n <= m:
-                    continue  # join is the larger one, nothing to check
-                allowed = self.domain(n | m)
-                both = self.domain(n) & self.domain(m)
-                for x in self.carrier:
-                    if x in both and x not in allowed:
-                        return Check("domain-compat", False, (n, m, x), info)
-        return Check("domain-compat", True, info=info)
+        dom = {n: self.domain(n) for n in shapes_below(bound)}
+
+        def outside_join(n, m):
+            if m <= n or n <= m:
+                return ()  # join is the larger one, nothing to check
+            return (dom[n] & dom[m]) - dom[n | m]
+
+        witness = self.first_pair_offence(bound, outside_join)
+        return Check("domain-compat", witness is None, witness, f"bound={tuple(bound.coords)}")
 
     def xj_partition(self) -> dict:
         """Split the carrier by the set of coordinates with infinite exit time.

@@ -700,11 +700,12 @@ class DiagonalAlgebra:
     right_only: FixedSetAlgebra
 
 
-def _atom_actions(graph, sides):
+def _atom_actions(graph):
     """Labelled single-step actions, each a partial injection on basis elements.
 
     Returned as (label, act) with act(x) -> image or None; results are cached
     per atom since words revisit the same intermediate elements constantly.
+    Labels start with l or p for left-side atoms, r or q for right-side ones.
     """
     atoms = []
 
@@ -713,28 +714,23 @@ def _atom_actions(graph, sides):
 
     for e in graph.edges:
         p = graph.path([e.name])
-        if "l" in sides:
-            atoms.append((f"l+{e.name}", single(LeftCreation(graph, p))))
-            atoms.append((f"l-{e.name}", single(LeftAnnihilation(graph, p))))
-        if "r" in sides:
-            atoms.append((f"r+{e.name}", single(RightCreation(graph, p))))
-            atoms.append((f"r-{e.name}", single(RightAnnihilation(graph, p))))
+        atoms.append((f"l+{e.name}", single(LeftCreation(graph, p))))
+        atoms.append((f"l-{e.name}", single(LeftAnnihilation(graph, p))))
+        atoms.append((f"r+{e.name}", single(RightCreation(graph, p))))
+        atoms.append((f"r-{e.name}", single(RightAnnihilation(graph, p))))
     for a in sorted(graph.vertices):
-        if "l" in sides:
-            atoms.append((f"p@{a}", single(target_projection(graph, a))))
-        if "r" in sides:
-            atoms.append((f"q@{a}", single(source_projection(graph, a))))
+        atoms.append((f"p@{a}", single(target_projection(graph, a))))
+        atoms.append((f"q@{a}", single(source_projection(graph, a))))
     return atoms
 
 
-def _identity_pool(graph, word_len, basis, sides):
+def _identity_pool(atoms, word_len, basis):
     """Fixed sets of every partial-identity word of length <= word_len.
 
     Depth-first over words, composing partial injections pointwise over the
     basis.  States dedupe on the induced map, so distinct words with equal
     action cost one visit; the all-undefined state prunes its whole subtree.
     """
-    atoms = _atom_actions(graph, sides)
     pool: dict = {}
     seen: dict = {}
 
@@ -767,9 +763,10 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
         raise ConfigError("word_len must be >= 1")
     bound = _shape(bound)
     basis = fock_basis(graph, bound)
-    full_pool = _identity_pool(graph, word_len, basis, "lr")
-    left_pool = _identity_pool(graph, word_len, basis, "l")
-    right_pool = _identity_pool(graph, word_len, basis, "r")
+    atoms = _atom_actions(graph)
+    full_pool = _identity_pool(atoms, word_len, basis)
+    left_pool = _identity_pool([a for a in atoms if a[0][0] in "lp"], word_len, basis)
+    right_pool = _identity_pool([a for a in atoms if a[0][0] in "rq"], word_len, basis)
     projections = {label or "1": fix for fix, label in sorted(
         full_pool.items(), key=lambda kv: (len(kv[0]), kv[1]))}
     return DiagonalAlgebra(
@@ -808,10 +805,11 @@ def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
                        algebra: DiagonalAlgebra) -> ObstructionReport:
     """Probe one mixed range projection against a precomputed diagonal_algebra."""
     op = mixed_range_projection(graph, lam, mu)
-    ok, witness = is_partial_identity(op, algebra.basis)
-    if not ok:
-        raise ConfigError(f"mixed projection is not a partial identity: {witness!r}")
-    fix = fixed_set(op, algebra.basis)
+    images = [(b, op.act(b)) for b in algebra.basis]  # one action per basis vector
+    moved = next(((b, out) for b, out in images if out and out != {b: 1}), None)
+    if moved:
+        raise ConfigError(f"mixed projection is not a partial identity: {moved!r}")
+    fix = frozenset(b for b, out in images if out)
     return ObstructionReport(
         graph=graph.name,
         left_path=lam.display(),

@@ -2,7 +2,10 @@
 
 An arrow records two carrier points together with the integer translation
 vector connecting them; a witness pair of shapes certifies the connection
-but never takes part in identity.  The germ quotient collapses the
+but never takes part in identity.  A semidirect build is a finite window
+onto an infinite groupoid: it holds every arrow with a witness pair below
+its bound.  Composites may leave the window, and closure fails only on a
+composite that has no witness at all.  The germ quotient collapses the
 translation part, leaving the orbit relation of the action.  The rational
 convolution algebra, its involution and fiberwise norm, the pushforward
 along the quotient, and the coordinate-projection cocycle filtration used
@@ -12,6 +15,7 @@ no floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,6 +58,8 @@ class FiniteGroupoid:
     convolution algebra work uniformly on top of them.
     """
 
+    closed = True  # holds every composite: one outside the element set fails closure
+
     def __init__(self, name: str, elements, unit_points):
         self.name = name
         self.elements = tuple(elements)
@@ -93,31 +99,33 @@ class FiniteGroupoid:
     def is_unit(self, g):
         return g == self.unit_at(self.range_of(g))
 
-    def _beyond_window(self, g) -> bool:
-        """Whether an arrow lies legitimately outside the finite build window.
-
-        A finite build may present a window onto an infinite groupoid;
-        composites escaping the window are not closure defects.  Strict by
-        default; the semidirect build overrides this with its witness bound.
-        """
-        return False
-
     def is_composable(self, g, h) -> bool:
         return self.source_of(g) == self.range_of(h)
 
-    def composable_pairs(self):
+    @staticmethod
+    def _require_meeting(g, h):
+        if g.y != h.x:
+            raise NotComposable(f"arrows do not meet: {g!r} ends at {g.y!r}, {h!r} starts at {h.x!r}",
+                                source=g.y, target=h.x)
+
+    @functools.cached_property
+    def _by_range(self) -> dict:
         by_range: dict = {}
         for h in self.elements:
             by_range.setdefault(self.range_of(h), []).append(h)
+        return by_range
+
+    def composable_pairs(self):
         for g in self.elements:
-            for h in by_range.get(self.source_of(g), ()):
+            for h in self._by_range.get(self.source_of(g), ()):
                 yield g, h
 
     def check_axioms(self) -> Check:
         """Exhaustive closure, unit, inverse and associativity verification.
 
         Composable pairs whose composite has no witness (possible only on
-        forced builds) are reported as closure failures, witness included.
+        forced builds) are reported as closure failures, witness included;
+        so is a composite outside the element set of a closed groupoid.
         """
         checks = []
 
@@ -132,52 +140,41 @@ class FiniteGroupoid:
             except WitnessError as err:
                 closure_witness = (g, h, err)
                 break
-            if gh not in self and not self._beyond_window(gh):
+            if self.closed and gh not in self:
                 closure_witness = (g, h, gh)
                 break
             products[(g, h)] = gh
         checks.append(Check("closure", closure_witness is None, closure_witness))
 
-        bad = None
-        for g in self.elements:
-            left = self.unit_at(self.range_of(g))
-            right = self.unit_at(self.source_of(g))
-            if self.compose(left, g) != g or self.compose(g, right) != g:
-                bad = g
-                break
+        bad = next((g for g in self.elements
+                    if self.compose(self.unit_at(self.range_of(g)), g) != g
+                    or self.compose(g, self.unit_at(self.source_of(g))) != g), None)
         checks.append(Check("units", bad is None, bad))
 
-        bad = None
-        for g in self.elements:
-            inv = self.inverse(g)
-            if (
-                self.compose(g, inv) != self.unit_at(self.range_of(g))
-                or self.compose(inv, g) != self.unit_at(self.source_of(g))
-            ):
-                bad = g
-                break
+        bad = next((g for g, inv in zip(self.elements, map(self.inverse, self.elements))
+                    if self.compose(g, inv) != self.unit_at(self.range_of(g))
+                    or self.compose(inv, g) != self.unit_at(self.source_of(g))), None)
         checks.append(Check("inverse-law", bad is None, bad))
 
-        if closure_witness is None:
-            bad = None
-            by_range: dict = {}
-            for k in self.elements:
-                by_range.setdefault(self.range_of(k), []).append(k)
-            for (g, h), gh in products.items():
-                for k in by_range.get(self.source_of(h), ()):
-                    if self.compose(gh, k) != self.compose(g, products[(h, k)]):
-                        bad = (g, h, k)
-                        break
-                if bad:
-                    break
+        if closure_witness is None:  # associativity is vacuous when closure already failed
+            bad = next(((g, h, k) for (g, h), gh in products.items()
+                        for k in self._by_range.get(self.source_of(h), ())
+                        if self.compose(gh, k) != self.compose(g, products[(h, k)])), None)
             checks.append(Check("associativity", bad is None, bad))
-        # associativity is vacuous when closure already failed
 
         return Check("axioms", all(c.ok for c in checks), checks=tuple(checks))
 
 
 class SemidirectGroupoid(FiniteGroupoid):
-    """Arrows (x, z, y) of a partial-map system, built up to a witness bound."""
+    """Arrows (x, z, y) of a partial-map system, built up to a witness bound.
+
+    The element set is the window: every arrow with a witness (m, n) at most
+    witness_bound.  A composite may need a larger witness and leave the
+    window, so the groupoid is not closed: closure fails only where compose
+    finds no witness.
+    """
+
+    closed = False
 
     def __init__(self, system: MGDS, elements, witness_bound: Shape, *, forced: bool = False):
         super().__init__(f"semidirect({system.name})", elements, system.carrier)
@@ -202,32 +199,31 @@ class SemidirectGroupoid(FiniteGroupoid):
         w = (g.witness[1], g.witness[0]) if g.witness else None
         return GroupoidElement(g.y, tuple(-c for c in g.z), g.x, witness=w)
 
-    def _beyond_window(self, g) -> bool:
-        # no witness pair at or below the build bound means the build never owed us this arrow
-        return self.find_witness(g.x, g.z, g.y, self.witness_bound, cap_n=True) is None
+    def find_witness(self, x, z: tuple, y):
+        """Search (m, n) with m - n = z and T^m x = T^n y, m <= 2 * witness_bound.
 
-    def _witness_valid(self, x, y, m: Shape, n: Shape) -> bool:
-        pm, pn = self.system.power(m), self.system.power(n)
-        return pm.defined_at(x) and pn.defined_at(y) and pm(x) == pn(y)
-
-    def find_witness(self, x, z: tuple, y, bound: Shape | None = None, *, cap_n: bool = False):
-        """Search (m, n) with m - n = z and T^m x = T^n y, m below a shape bound.
-
-        n is determined by m and z; with cap_n it must also sit below the
-        bound, matching what the build enumerates.
+        n is determined by m and z.  The build already holds every arrow with
+        a witness below witness_bound; this is the fallback of element and compose.
         """
-        if bound is None:
-            bound = self.witness_bound * 2
-        for m in shapes_below(bound):
+        z = tuple(z)
+        if len(z) != self.system.rank:
+            raise ConfigError(f"translation {z} has length {len(z)}, not the system rank {self.system.rank}")
+        for m in shapes_below(self.witness_bound * 2):
             coords = [a - b for a, b in zip(m, z)]
             if any(c < 0 for c in coords):
                 continue
             n = Shape(coords)
-            if cap_n and not n <= bound:
-                continue
-            if self._witness_valid(x, y, m, n):
+            if self.system.meets(x, y, m, n):
                 return (m, n)
         return None
+
+    def _searched(self, x, z, y, left, right, message) -> GroupoidElement:
+        """A fresh arrow witnessed by find_witness, else WitnessError (message formatted on failure)."""
+        found = self.find_witness(x, z, y)
+        if found is None:
+            raise WitnessError(message.format(x=x, z=z, y=y), left=left, right=right,
+                               attempted=z, search_bound=self.witness_bound * 2)
+        return GroupoidElement(x, z, y, witness=found)
 
     def element(self, x, z, y) -> GroupoidElement:
         """The stored arrow with this triple, or a witness-searched fresh one."""
@@ -235,16 +231,7 @@ class SemidirectGroupoid(FiniteGroupoid):
         stored = self._element_set.get(GroupoidElement(x, z, y))
         if stored is not None:
             return stored
-        found = self.find_witness(x, z, y)
-        if found is None:
-            raise WitnessError(
-                f"no witness for ({x!r}, {z}, {y!r})",
-                left=x,
-                right=y,
-                attempted=z,
-                search_bound=self.witness_bound * 2,
-            )
-        return GroupoidElement(x, z, y, witness=found)
+        return self._searched(x, z, y, x, y, "no witness for ({x!r}, {z}, {y!r})")
 
     def compose(self, g, h) -> GroupoidElement:
         """Concatenate arrows; witnesses are adjusted through a componentwise join.
@@ -254,34 +241,20 @@ class SemidirectGroupoid(FiniteGroupoid):
         also fails, the composite lies outside the groupoid and WitnessError
         carries the evidence.
         """
-        if g.y != h.x:
-            raise NotComposable(
-                f"arrows do not meet: {g!r} ends at {g.y!r}, {h!r} starts at {h.x!r}",
-                source=g.y,
-                target=h.x,
-            )
+        self._require_meeting(g, h)
         z = tuple(a + b for a, b in zip(g.z, h.z))
         if g.witness and h.witness:
             m, n = g.witness
             m2, n2 = h.witness
             k = n | m2
             mm, nn = m + (k - n), n2 + (k - m2)
-            if self._witness_valid(g.x, h.y, mm, nn):
+            if self.system.meets(g.x, h.y, mm, nn):
                 return GroupoidElement(g.x, z, h.y, witness=(mm, nn))
-        found = self.find_witness(g.x, z, h.y)
-        if found is None:
-            raise WitnessError(
-                f"composite ({g.x!r}, {z}, {h.y!r}) admits no witness",
-                left=g,
-                right=h,
-                attempted=z,
-                search_bound=self.witness_bound * 2,
-            )
-        return GroupoidElement(g.x, z, h.y, witness=found)
+        return self._searched(g.x, z, h.y, g, h, "composite ({x!r}, {z}, {y!r}) admits no witness")
 
 
 def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force: bool = False) -> SemidirectGroupoid:
-    """All arrows (x, m-n, y) with witnesses below the bound, deduplicated by triple.
+    """The window: all arrows (x, m-n, y) with witnesses below the bound, deduplicated by triple.
 
     Refuses systems that fail joint-domain compatibility unless forced; a
     forced build is how the composition counterexample is exhibited.
@@ -336,12 +309,7 @@ class GermGroupoid(FiniteGroupoid):
         return GermElement(g.y, g.x)
 
     def compose(self, g, h):
-        if g.y != h.x:
-            raise NotComposable(
-                f"arrows do not meet: {g!r} ends at {g.y!r}, {h!r} starts at {h.x!r}",
-                source=g.y,
-                target=h.x,
-            )
+        self._require_meeting(g, h)
         return GermElement(g.x, h.y)
 
 
@@ -377,15 +345,13 @@ def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
     """
     if bound is None:
         bound = system.exit_bound()
-    shapes = list(shapes_below(bound))
-    for i, n in enumerate(shapes):
-        pn = system.power(n)
-        for m in shapes[:i]:
-            pm = system.power(m)
-            for x in system.carrier:
-                if pn.defined_at(x) and pm.defined_at(x) and pn(x) == pm(x):
-                    return Check("essentially-free", False, (n, m, x))
-    return Check("essentially-free", True)
+
+    def agree(n, m):
+        pn, pm = system.power(n), system.power(m)
+        return {x for x in system.carrier if pn.defined_at(x) and pm.defined_at(x) and pn(x) == pm(x)}
+
+    witness = system.first_pair_offence(bound, agree)
+    return Check("essentially-free", witness is None, witness)
 
 
 # -- convolution algebra --------------------------------------------------------------
@@ -561,61 +527,40 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
     labels = {g: tuple(g.z[j - 1] for j in js) for g in restricted}
     kernel = tuple(g for g in restricted if not any(labels[g]))
 
+    def exits(x):
+        s = sys.exit_time(x)
+        return [s.coord(j) for j in jc]
+
     defect = []
     for g in kernel:
-        sx, sy = sys.exit_time(g.x), sys.exit_time(g.y)
-        for j in jc:
-            if g.z[j - 1] != sx.coord(j) - sy.coord(j):
-                defect.append((g, j))
-                break
+        gaps = zip(jc, exits(g.x), exits(g.y))
+        j = next((j for j, a, b in gaps if g.z[j - 1] != a - b), None)
+        if j is not None:
+            defect.append((g, j))
 
     if level_bound is None:
         level_bound = tuple(G.witness_bound.coord(j) for j in js)
     wb = G.witness_bound
 
-    def embed(n_j, x):
-        # exponent: n on the filtration coordinates, exit time elsewhere
-        s = sys.exit_time(x)
-        coords_full = [0] * r
-        for idx, j in enumerate(js):
-            coords_full[j - 1] = n_j[idx]
-        for j in jc:
-            coords_full[j - 1] = s.coord(j)
-        return Shape(coords_full)
+    def place(on_j, off_j):
+        # exponent: on_j on the filtration coordinates, off_j on the others
+        full = [0] * r
+        for j, c in itertools.chain(zip(js, on_j), zip(jc, off_j)):
+            full[j - 1] = c
+        return Shape(full)
 
     kernel_pairs = {(g.x, g.y) for g in kernel}
+    free = list(itertools.product(*[range(wb.coord(j) + 1) for j in jc]))
     levels = {}
     for N in itertools.product(*[range(b + 1) for b in level_bound]):
-        direct = set()
+        tops = list(itertools.product(*[range(c + 1) for c in N]))
         # raw form: two witnesses agreeing (and bounded by N) on the filtration coords
-        free_axes = [range(wb.coord(j) + 1) for j in jc]
-        for x, y in kernel_pairs:
-            found = False
-            for n_j in itertools.product(*[range(c + 1) for c in N]):
-                for xc in itertools.product(*free_axes):
-                    for yc in itertools.product(*free_axes):
-                        m_full, n_full = [0] * r, [0] * r
-                        for idx, j in enumerate(js):
-                            m_full[j - 1] = n_j[idx]
-                            n_full[j - 1] = n_j[idx]
-                        for idx, j in enumerate(jc):
-                            m_full[j - 1] = xc[idx]
-                            n_full[j - 1] = yc[idx]
-                        if G._witness_valid(x, y, Shape(m_full), Shape(n_full)):
-                            direct.add((x, y))
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-        shifted = set()
-        for x, y in kernel_pairs:
-            for n_j in itertools.product(*[range(c + 1) for c in N]):
-                if G._witness_valid(x, y, embed(n_j, x), embed(n_j, y)):
-                    shifted.add((x, y))
-                    break
-        levels[N] = (frozenset(direct), frozenset(shifted))
+        raw = [(place(t, a), place(t, b)) for t, a, b in itertools.product(tops, free, free)]
+        direct = frozenset(p for p in kernel_pairs if any(sys.meets(*p, m, n) for m, n in raw))
+        # shifted form: exit times fill the other coords on both sides
+        shifted = frozenset(p for p in kernel_pairs if any(
+            sys.meets(*p, place(t, exits(p[0])), place(t, exits(p[1]))) for t in tops))
+        levels[N] = (direct, shifted)
 
     return KernelFiltration(J, block, labels, kernel, tuple(defect), levels, level_bound)
 

@@ -7,6 +7,7 @@ operator evaluation, so the operator tree is never trusted to check itself.
 
 import pytest
 
+from kgraphlab import fock
 from kgraphlab.errors import ConfigError, GraphError
 from kgraphlab.fock import (
     VACUUM,
@@ -42,7 +43,7 @@ from kgraphlab.fock import (
     verify_vertex_sum,
     RELATION_NAMES,
 )
-from kgraphlab.kgraph import single_vertex_graph
+from kgraphlab.kgraph import grid_graph, single_vertex_graph
 from kgraphlab.shapes import Shape
 
 
@@ -428,6 +429,48 @@ def test_flip_deep_probes_escape_one_sided(flip22, flip_algebra):
     assert one.fixed_set
     assert one.fixed_set not in flip_algebra.one_sided
     assert "finite basis window" in one.caveat
+
+
+def test_flip_projection_labels_are_pinned(flip22):
+    algebra = diagonal_algebra(flip22, 2, Shape(2, 2))
+    assert list(algebra.projections) == [
+        "l-a1 l+a0", "l+a0 l-a0", "l+a1 l-a1", "l+b0 l-b0", "l+b1 l-b1",
+        "r+a0 r-a0", "r+a1 r-a1", "r+b0 r-b0", "r+b1 r-b1", "1"]
+
+
+def test_one_sided_pools_keep_their_vertex_projections():
+    # at word length 1 the one-sided pools hold only the vertex projections: p@ left, q@ right
+    algebra = diagonal_algebra(grid_graph(Shape(2, 1)), 1, Shape(1, 1))
+    sizes = [len(a.atoms) for a in (algebra.full, algebra.one_sided,
+                                    algebra.left_only, algebra.right_only)]
+    assert sizes == [10, 10, 6, 6]
+
+
+def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
+    algebra = diagonal_algebra(flip22, 2, Shape(2, 2))
+    lam = flip22.enumerate_paths(Shape(1, 2))[0]
+    calls = []
+    act = Product.act
+    monkeypatch.setattr(Product, "act", lambda op, b: calls.append(b) or act(op, b))
+    report = obstruction_report(flip22, lam, lam, algebra=algebra)
+    assert calls == list(algebra.basis)
+    monkeypatch.undo()
+    assert report.fixed_set == fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
+    assert sorted(map(repr, report.fixed_set)) == [
+        "<a0/a0/b0/b0>", "<a0/a0/b0/b1>", "<a0/a0/b0>", "<a0/a0>", "<a0/b0/b0>",
+        "<a0/b0>", "<a0>", "<b0/b0>", "<b0>", "<vacuum>"]
+    assert not report.in_one_sided
+
+
+def test_obstruction_report_names_the_first_moved_vector(flip22, monkeypatch):
+    # an annihilator fixes nothing and moves <a0>, the first basis vector it does not kill
+    algebra = diagonal_algebra(flip22, 2, Shape(2, 2))
+    monkeypatch.setattr(fock, "mixed_range_projection",
+                        lambda graph, lam, mu: left_creation(graph, lam).adjoint())
+    a0 = flip22.path(["a0"])
+    with pytest.raises(ConfigError) as err:
+        obstruction_report(flip22, a0, a0, algebra=algebra)
+    assert str(err.value) == "mixed projection is not a partial identity: (<a0>, {<vacuum>: 1})"
 
 
 def test_flip_short_words_alone_do_not_separate(flip_algebra):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kgraphlab.dynsys import (
+    MGDS,
     free_monoid_system,
     grid_system,
     identity_system,
@@ -22,6 +23,7 @@ from kgraphlab.errors import ConfigError, NotComposable, WitnessError
 from kgraphlab.groupoid import (
     ConvolutionElement,
     GermElement,
+    GermGroupoid,
     GroupoidElement,
     build_semidirect,
     check_essentially_free,
@@ -33,10 +35,12 @@ from kgraphlab.groupoid import (
     pushforward,
 )
 from kgraphlab.kgraph import flip_graph, grid_graph, one_loop_per_color_graph
-from kgraphlab.shapes import Shape
+from kgraphlab.shapes import Shape, shapes_below
 
 
 CYCLE_CHAIN = (["c0", "c1", 0, 1], {"c0": "c1", "c1": "c0", 1: 0})
+TAIL_CYCLE = (["t2", "t1", "c0", "c1", "c2"],
+              {"t2": "t1", "t1": "c0", "c0": "c1", "c1": "c2", "c2": "c0"})
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,40 @@ def test_element_returns_the_stored_arrow(identity_groupoid):
         assert found is g and found.witness == g.witness
 
 
+def raw_power(system, m, x):
+    """T^m x by stepping the generator tables one at a time; None where undefined."""
+    for T, count in zip(system.generators, m):
+        for _ in range(count):
+            if not T.defined_at(x):
+                return None
+            x = T(x)
+    return x
+
+
+@pytest.mark.parametrize("system, bound, force", [
+    (grid_system(2, 3), None, False),
+    (identity_system([0, 1], 1), Shape(3), False),
+    (product_system("mix", [CYCLE_CHAIN, CYCLE_CHAIN]), None, False),
+    (free_monoid_system("ab", 3), None, True),
+], ids=["grid2x3", "identity", "mix", "words-forced"])
+def test_build_is_the_brute_force_window(system, bound, force):
+    # the build holds exactly the arrows with a witness pair below the bound
+    G = build_semidirect(system, bound, force=force)
+    wb = G.witness_bound
+    brute = set()
+    for m, n in itertools.product(shapes_below(wb), repeat=2):
+        for x, y in itertools.product(system.carrier, repeat=2):
+            tx = raw_power(system, m, x)
+            if tx is not None and tx == raw_power(system, n, y):
+                brute.add((x, tuple(a - b for a, b in zip(m, n)), y))
+    assert {(g.x, g.z, g.y) for g in G} == brute
+    assert len(G) == len(brute)
+    for g in G:
+        m, n = g.witness
+        assert m <= wb and n <= wb and g.z == tuple(a - b for a, b in zip(m, n))
+        assert raw_power(system, m, g.x) == raw_power(system, n, g.y) is not None
+
+
 def test_build_refuses_incompatible_domains():
     with pytest.raises(ConfigError):
         build_semidirect(free_monoid_system("ab", 3))
@@ -129,7 +167,16 @@ def test_join_formula_witness_is_valid_on_compatible_systems(grid_groupoid):
         m, n = g.witness
         m2, n2 = h.witness
         k = n | m2
-        assert G._witness_valid(g.x, h.y, m + (k - n), n2 + (k - m2))
+        assert G.system.meets(g.x, h.y, m + (k - n), n2 + (k - m2))
+
+
+def test_translation_length_must_match_rank():
+    G = build_semidirect(grid_system(2, 2))
+    for z in ((0, 0, 5), (0,)):
+        with pytest.raises(ConfigError, match=r"translation \(0,"):
+            G.element((0, 0), z, (0, 0))
+        with pytest.raises(ConfigError, match=r"translation \(0,"):
+            G.find_witness((0, 0), z, (0, 0))
 
 
 def test_inverse_and_units(grid_groupoid, identity_groupoid):
@@ -145,6 +192,27 @@ def test_axioms_exhaustive(grid_groupoid, identity_groupoid, mix_groupoid):
     for G in (grid_groupoid, identity_groupoid, mix_groupoid):
         rep = G.check_axioms()
         assert rep.ok, [(c.name, c.witness) for c in rep.checks if not c.ok]
+
+
+def test_composites_may_leave_the_window(mix_groupoid):
+    # periodic composites need witnesses above the build bound; closure still holds
+    G = mix_groupoid
+    g = G.element(("c0", "c0"), (0, -1), ("c0", "c1"))
+    h = G.element(("c0", "c1"), (0, -2), ("c0", "c1"))
+    gh = G.compose(g, h)
+    assert gh not in G
+    assert (gh.x, gh.z, gh.y) == (("c0", "c0"), (0, -3), ("c0", "c1"))
+    assert tuple(map(tuple, gh.witness)) == ((0, 0), (0, 3))
+    assert sum(G.compose(a, b) not in G for a, b in G.composable_pairs()) == 1248
+    closure = next(c for c in G.check_axioms().checks if c.name == "closure")
+    assert closure.ok
+
+
+def test_germ_groupoid_closure_is_strict():
+    H = GermGroupoid("partial", [GermElement(0, 1), GermElement(1, 0), GermElement(0, 0)], [0, 1])
+    closure = next(c for c in H.check_axioms().checks if c.name == "closure")
+    assert not closure.ok
+    assert closure.witness == (GermElement(1, 0), GermElement(0, 1), GermElement(1, 1))
 
 
 def test_axioms_on_path_space_fixtures():
@@ -174,6 +242,9 @@ def test_forced_build_composition_failure():
     assert not closure.ok
     g, h, evidence = closure.witness
     assert isinstance(evidence, WitnessError)
+    assert (g, h) == (F.element("", (0, -1), "a"), F.element("a", (1, 0), ""))
+    assert evidence.attempted == (1, -1) and evidence.search_bound == Shape(6, 6)
+    assert str(evidence) == "composite ('', (1, -1), '') admits no witness"
 
 
 def test_forced_build_failure_shape_scales_with_word_length():
@@ -209,6 +280,31 @@ def test_freeness_witnesses():
     assert check_essentially_free(grid_system(2, 4)).ok
     periodic = check_essentially_free(product_system("mix", [CYCLE_CHAIN, CYCLE_CHAIN]))
     assert not periodic.ok
+
+
+WORDS = free_monoid_system("ab", 3)
+
+
+@pytest.mark.parametrize("system, bound, dc, free", [
+    (WORDS, None, ((1, 0), (0, 1), "a"), ((1, 0), (0, 1), "a")),
+    (MGDS("words-reversed", reversed(WORDS.carrier), WORDS.generators), None,
+     ((1, 0), (0, 1), "b"), ((1, 0), (0, 1), "bbb")),
+    (free_monoid_system("abc", 2), None, ((1, 0), (0, 1), "a"), ((1, 0), (0, 1), "a")),
+    (identity_system([0, 1], 1), Shape(3), None, ((1,), (0,), 0)),
+    (product_system("mix", [CYCLE_CHAIN, CYCLE_CHAIN]), None, None, ((0, 2), (0, 0), ("c0", "c0"))),
+    (product_system("tail", [TAIL_CYCLE, CYCLE_CHAIN]), None, None, ((0, 2), (0, 0), ("t2", "c0"))),
+    (grid_system(2, 3), None, None, None),
+], ids=["words", "words-reversed", "words-abc", "identity", "mix", "tail", "grid"])
+def test_shape_pair_scan_witnesses_are_pinned(system, bound, dc, free):
+    # the first offending pair (n, m), m earlier in shapes_below order, and its first carrier point
+    def plain(witness):
+        return witness and tuple(tuple(v) if isinstance(v, Shape) else v for v in witness)
+
+    rep = system.check_dc(bound)
+    assert (rep.ok, plain(rep.witness)) == (dc is None, dc)
+    assert rep.info == f"bound={tuple(bound or system.exit_bound())}"
+    rep = check_essentially_free(system, bound)
+    assert (rep.ok, plain(rep.witness)) == (free is None, free)
 
 
 def test_injectivity_matches_freeness_exactly():
