@@ -1,6 +1,6 @@
 """Desk-scale workbench for rank-r colored graphs and the structures they induce.
 
-Subpackages by topic:
+Modules by topic:
 
 - shapes: N^r / (N ∪ {inf})^r grading vectors
 - kgraph: colored graphs with square tables, paths, factorization

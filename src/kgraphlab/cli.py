@@ -46,13 +46,19 @@ def _parts(check: Check) -> list[Check]:
     return [*head, replace(last, elapsed=check.elapsed)]
 
 
-def _resolve_bound(options: dict, fixture: Fixture, rank: int) -> Shape:
-    raw = options.get("bound", fixture.bound)
+def _shape_option(options: dict, key: str, rank: int, default=None) -> Shape | None:
+    """The shape an option names, checked against the graph rank; None if unset."""
+    raw = options.get(key, default)
     if raw is None:
-        return Shape((1,) * rank)
+        return None
     if len(raw) != rank:
-        raise ConfigError(f"bound {raw} has {len(raw)} coordinates, graph rank is {rank}")
+        raise ConfigError(f"{key} {raw} has {len(raw)} coordinates, graph rank is {rank}")
     return Shape(raw)
+
+
+def _resolve_bound(options: dict, fixture: Fixture, rank: int) -> Shape:
+    bound = _shape_option(options, "bound", rank, fixture.bound)
+    return Shape((1,) * rank) if bound is None else bound
 
 
 def _require_graph(graph, suite: str):
@@ -126,12 +132,11 @@ def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
 def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "groupoid")
     bound = _resolve_bound(options, fixture, graph.rank)
+    witness_bound = _shape_option(options, "witness", graph.rank)
     system = path_space_system(graph, bound)
     dc = _timed("domain-compat", system.check_dc)
     if not dc.ok:
         return [dc, Check("axioms", False, None, "skipped: domain compatibility failed")]
-
-    witness_bound = Shape(options["witness"]) if "witness" in options else None
 
     def axioms():
         G = build_semidirect(system, witness_bound=witness_bound)
@@ -144,8 +149,8 @@ def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[Check]:
 
 def suite_boundary(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "boundary")
-    prefix_cap = Shape(options["prefix"]) if "prefix" in options else None
-    cycle_cap = Shape(options["cycle"]) if "cycle" in options else None
+    prefix_cap = _shape_option(options, "prefix", graph.rank)
+    cycle_cap = _shape_option(options, "cycle", graph.rank)
     system = boundary_subsystem(graph, prefix_cap=prefix_cap, cycle_cap=cycle_cap)
     dc_bound = Shape((1,) * graph.rank)
     points = f"points={len(system.carrier)}"
@@ -234,7 +239,7 @@ def main(argv=None) -> int:
         bound = None
         if args.bound is not None:
             parts = args.bound.split(",")
-            if not all(p.isdigit() for p in parts):
+            if not all(p.isascii() and p.isdigit() for p in parts):
                 raise ConfigError(f"malformed --bound {args.bound!r}")
             bound = tuple(int(p) for p in parts)
         relations = tuple(args.relations.split(",")) if args.relations else None

@@ -21,6 +21,7 @@ from .dynsys import MGDS, PartialMap
 from .errors import ConfigError, DomainError, NotComposable, ShapeError, WitnessError
 from .groupoid import GroupoidElement
 from .kgraph import Path, compose, factorize
+from .reporting import Check
 from .shapes import INF, ExtendedShape, Shape, make_shape, shapes_below
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "w_shift",
     "lift_fiber",
     "fiber_lift_report",
-    "LiftReport",
     "two_sided_shift",
     "two_sided_shift_inverse",
     "two_sided_cocycle",
@@ -265,7 +265,7 @@ def v_shift(m: Shape, z: ZPoint) -> ZPoint:
     return ZPoint(factorize(extended, m)[1], shift_infinite(m, z.y))
 
 
-def zpoint_system(graph, seeds, *, name: str | None = None) -> MGDS:
+def zpoint_system(graph, seeds) -> MGDS:
     """Dynamical system on paired points: generators T1..Tr then V1..Vr.
 
     The carrier is the full forward closure of the seeds, which is finite:
@@ -302,7 +302,7 @@ def zpoint_system(graph, seeds, *, name: str | None = None) -> MGDS:
                     queue.append(w)
     gens = [PartialMap(f"T{j}", t_tables[j - 1]) for j in range(1, rank + 1)]
     gens += [PartialMap(f"V{j}", v_tables[j - 1]) for j in range(1, rank + 1)]
-    return MGDS(name or f"zcover({graph.name})", carrier, gens)
+    return MGDS(f"zcover({graph.name})", carrier, gens)
 
 
 # -- the covering map and its fibers ----------------------------------------------
@@ -396,36 +396,20 @@ def lift_fiber(z: ZPoint, target) -> GroupoidElement:
     )
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    """Outcome of the exhaustive fiber-uniqueness check."""
-
-    ok: bool
-    checked: int
-    defects: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def fiber_lift_report(groupoid, *, cocycle_cap: int | None = None) -> LiftReport:
+def fiber_lift_report(groupoid) -> Check:
     """Check every arrow of a paired-point groupoid is alone over its image.
 
     Buckets arrows by (source point, covered arrow); two arrows in one
     bucket would be distinct lifts of a single covering arrow out of the
-    same point.  ``cocycle_cap`` restricts to arrows with every cocycle
-    coordinate in [-cap, cap].
+    same point.  The witness holds the first three such buckets; the info
+    string counts the arrows checked.
     """
     buckets: dict = {}
-    checked = 0
     for g in groupoid:
-        if cocycle_cap is not None and any(abs(c) > cocycle_cap for c in g.z):
-            continue
-        checked += 1
         key = (g.y, (phi(g.x), g.z, phi(g.y)))
         buckets.setdefault(key, []).append(g)
     defects = tuple(tuple(v) for v in buckets.values() if len(v) > 1)[:3]
-    return LiftReport(not defects, checked, defects)
+    return Check("fiber-lift", not defects, defects or None, f"checked={len(groupoid)}")
 
 
 # -- two-sided words and the lattice twist ----------------------------------------
@@ -463,15 +447,10 @@ def two_sided_shift(k: int, p) -> tuple:
 
 
 def two_sided_shift_inverse(k: int, p) -> tuple:
-    """Move one color-k edge back across the pivot, from y onto x."""
-    x, y = _pivot_check(p)
-    if not 1 <= k <= x.rank:
-        raise ConfigError(f"color {k} out of range 1..{x.rank}")
-    unit = Shape.unit(x.rank, k)
-    name = y.head(unit).word[0]
-    hop = x.graph.path((name,))
-    return (RationalInfinitePath(compose(hop, x.prefix), x.cycle),
-            shift_infinite(unit, y))
+    """Move one color-k edge back across the pivot, from y onto x: the
+    forward shift with the two sides swapped."""
+    x, y = p
+    return two_sided_shift(k, (y, x))[::-1]
 
 
 def two_sided_cocycle(rank: int, k: int) -> tuple:

@@ -13,7 +13,7 @@ product systems.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import ConfigError, DomainError
 from .reporting import Check
@@ -32,11 +32,6 @@ class PartialMap:
     def __init__(self, name: str, table: dict):
         self.name = name
         self._table = dict(table)
-
-    @classmethod
-    def from_rule(cls, name: str, points: Iterable, defined: Callable, image: Callable):
-        """Materialize a rule-based map over an enumerable point set."""
-        return cls(name, {x: image(x) for x in points if defined(x)})
 
     @classmethod
     def identity(cls, points: Iterable):
@@ -124,11 +119,6 @@ class MGDS:
     def rank(self) -> int:
         return len(self.generators)
 
-    def generator(self, j: int) -> PartialMap:
-        if not 1 <= j <= self.rank:
-            raise ConfigError(f"generator index {j} out of range 1..{self.rank}")
-        return self.generators[j - 1]
-
     def check_commuting(self) -> Check:
         """Both composition orders of every generator pair must agree as partial maps.
 
@@ -161,9 +151,6 @@ class MGDS:
             cur.name = f"T^{tuple(n)}"
             cached = self._powers[n] = cur
         return cached
-
-    def apply(self, n: Shape, x):
-        return self.power(n)(x)
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:
         """Whether T^m x = T^n y with both sides defined: (m, n) witnesses an arrow from y to x."""
@@ -261,12 +248,8 @@ def grid_system(rank: int, side: int) -> MGDS:
     """Points {0..side-1}^rank; generator j subtracts 1 from coordinate j where it can."""
     if rank < 1 or side < 1:
         raise ConfigError("grid needs positive rank and side")
-    pts = list(itertools.product(range(side), repeat=rank))
-    gens = []
-    for j in range(rank):
-        table = {p: p[:j] + (p[j] - 1,) + p[j + 1 :] for p in pts if p[j] >= 1}
-        gens.append(PartialMap(f"T{j + 1}", table))
-    return MGDS(f"grid{rank}x{side}", pts, gens)
+    chain = (range(side), {i: i - 1 for i in range(1, side)})
+    return product_system(f"grid{rank}x{side}", [chain] * rank)
 
 
 def free_monoid_system(alphabet: str = "ab", maxlen: int = 3) -> MGDS:

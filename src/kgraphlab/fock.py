@@ -386,16 +386,7 @@ def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
                           with_vacuum=False)
 
 
-def identity_operator() -> FockOperator:
-    return Identity()
-
-
-# -- pointwise evaluation and comparison ----------------------------------------
-
-
-def apply(op: FockOperator, b) -> dict:
-    """Evaluate an operator on one basis element; {} is the zero vector."""
-    return op.act(b)
+# -- pointwise comparison -----------------------------------------------------------
 
 
 def operators_agree(lhs: FockOperator, rhs: FockOperator, basis):
@@ -412,38 +403,6 @@ def operators_agree(lhs: FockOperator, rhs: FockOperator, basis):
             else:
                 break
     return not failures, checked, failures
-
-
-def is_partial_injection(op: FockOperator, basis):
-    """Whether op maps basis elements to single unit-coefficient vectors, injectively."""
-    hit = {}
-    for b in basis:
-        out = op.act(b)
-        if not out:
-            continue
-        if len(out) != 1:
-            return False, (b, out)
-        (img, c), = out.items()
-        if c != 1:
-            return False, (b, out)
-        if img in hit:
-            return False, (b, hit[img])
-        hit[img] = b
-    return True, None
-
-
-def fixed_set(op: FockOperator, basis) -> frozenset:
-    """The basis elements op fixes.  Meaningful for partial identities."""
-    return frozenset(b for b in basis if op.act(b) == {b: 1})
-
-
-def is_partial_identity(op: FockOperator, basis):
-    """Whether op acts as b -> b or b -> 0 on every listed basis element."""
-    for b in basis:
-        out = op.act(b)
-        if out and out != {b: 1}:
-            return False, (b, out)
-    return True, None
 
 
 # -- the relation catalog --------------------------------------------------------
@@ -505,10 +464,9 @@ def _isometries(graph, bound):
             yield f"mu={mu.display()}", Product((C.adjoint(), C)), P
 
 
-def _vertex_sums(graph, colors):
+def _vertex_sums(graph):
     """R2: a vertex projection splits into color-j edge ranges plus its level part."""
-    for j in colors:
-        _check_color(graph, j)
+    for j in range(1, graph.rank + 1):
         ej = Shape.unit(graph.rank, j)
         for a in sorted(graph.vertices):
             yield (f"vertex={a},j={j},left", target_projection(graph, a),
@@ -519,10 +477,10 @@ def _vertex_sums(graph, colors):
                               source_projection_level(graph, a, j)))
 
 
-def _level_complements(graph, colors):
+def _level_complements(graph):
     """R3: both one-sided color-j range sums have the same complement, the level span."""
-    for j in colors:
-        pj = level_projection(graph, j)  # checks the color
+    for j in range(1, graph.rank + 1):
+        pj = level_projection(graph, j)
         edges = graph.enumerate_paths(Shape.unit(graph.rank, j))
         for side in ("left", "right"):
             yield f"j={j},{side}", Identity() - _range_sum(graph, side, edges), pj
@@ -555,16 +513,6 @@ def _unit_box_pairs(graph):
     return itertools.product(paths, repeat=2)
 
 
-def verify_vertex_sum(graph: KGraph, j: int, bound: Shape) -> RelationReport:
-    """R2 at one color j."""
-    return _report(f"R2[j={j}]", graph, bound, _vertex_sums(graph, (j,)))
-
-
-def verify_level_complement(graph: KGraph, j: int, bound: Shape) -> RelationReport:
-    """R3 at one color j."""
-    return _report(f"R3[j={j}]", graph, bound, _level_complements(graph, (j,)))
-
-
 def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
     """R4 at one nonzero shape k."""
     k = _shape(k)
@@ -577,16 +525,11 @@ def creation_commutation(graph: KGraph, lam: Path, mu: Path, bound: Shape,
     return _report("commutation", graph, bound, _commutations(graph, [(lam, mu)]), basis)
 
 
-def verify_commutation(graph: KGraph, bound: Shape) -> RelationReport:
-    """Commutation of every pair of nonzero-shape paths below the unit box."""
-    return _report("commutation", graph, bound, _commutations(graph, _unit_box_pairs(graph)))
-
-
 # relation name -> (graph, bound) -> every instance of the relation below bound
 _CATALOG = {
     "R1": _isometries,
-    "R2": lambda graph, bound: _vertex_sums(graph, range(1, graph.rank + 1)),
-    "R3": lambda graph, bound: _level_complements(graph, range(1, graph.rank + 1)),
+    "R2": lambda graph, bound: _vertex_sums(graph),
+    "R3": lambda graph, bound: _level_complements(graph),
     "R4": lambda graph, bound: _shape_floors(
         graph, [k for k in shapes_below(bound) if not k.is_zero]),
     "commutation": lambda graph, bound: _commutations(graph, _unit_box_pairs(graph)),
@@ -622,20 +565,6 @@ def mixed_range_projection(graph: KGraph, lam: Path, mu: Path) -> FockOperator:
     L = left_creation(graph, lam)
     R = right_creation(graph, mu)
     return Product((R.adjoint(), L, L.adjoint(), R))
-
-
-def level_conjugated_projection(graph: KGraph, j: int, lam: Path, mu: Path) -> FockOperator:
-    """Level-j compression of the matching domain projection.
-
-    The inner factor is the domain projection of (strip lam on the left)
-    after (append mu); compressing by the level projection keeps only the
-    color-j-free part of its fixed span.
-    """
-    _check_color(graph, j)
-    L = left_creation(graph, lam)
-    R = right_creation(graph, mu)
-    pj = level_projection(graph, j)
-    return Product((pj, L.adjoint(), R, R.adjoint(), L, pj))
 
 
 # -- the diagonal fixed-set algebra ------------------------------------------------

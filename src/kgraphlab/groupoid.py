@@ -96,9 +96,6 @@ class FiniteGroupoid:
     def units(self):
         return tuple(self.unit_at(p) for p in self.unit_points)
 
-    def is_unit(self, g):
-        return g == self.unit_at(self.range_of(g))
-
     def is_composable(self, g, h) -> bool:
         return self.source_of(g) == self.range_of(h)
 

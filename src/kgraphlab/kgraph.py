@@ -315,12 +315,9 @@ class KGraph:
         extend([], None)
         return out
 
-    def all_paths(self, bound: Shape, *, source=None, target=None) -> list[Path]:
+    def all_paths(self, bound: Shape) -> list[Path]:
         """Paths of every shape <= bound (vertices included), shapes in lex order."""
-        out = []
-        for n in shapes_below(bound):
-            out.extend(self.enumerate_paths(n, source=source, target=target))
-        return out
+        return [p for n in shapes_below(bound) for p in self.enumerate_paths(n)]
 
     # -- validation ----------------------------------------------------------------
 

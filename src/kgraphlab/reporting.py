@@ -134,6 +134,9 @@ def parse_witness(text: str):
     return value
 
 
+_DIGITS = frozenset("0123456789")  # the writer emits ASCII digits only
+
+
 class _WitnessParser:
     def __init__(self, text: str):
         self.text = text
@@ -152,7 +155,7 @@ class _WitnessParser:
             return self._tuple()
         if ch == '"':
             return self._string()
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch in _DIGITS:
             return self._int()
         return self._word()
 
@@ -202,9 +205,9 @@ class _WitnessParser:
         start = self.pos
         if self.text[self.pos] == "-":
             self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        if self.pos >= len(self.text) or self.text[self.pos] not in _DIGITS:
             raise WitnessSyntaxError("expected digits", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         return int(self.text[start:self.pos])
 

@@ -207,14 +207,6 @@ class ExtendedShape:
         """1-based coordinates holding INF, as a frozenset."""
         return frozenset(j for j, c in enumerate(self.coords, start=1) if isinstance(c, _Infinity))
 
-    def select(self, J):
-        """Coordinates at the sorted 1-based positions in J, as a tuple."""
-        return tuple(self.coord(j) for j in sorted(J))
-
-    def finite_part(self):
-        """Copy with INF coordinates replaced by 0 (useful as an exponent base)."""
-        return Shape(*(0 if isinstance(c, _Infinity) else c for c in self.coords))
-
 
 class Shape(ExtendedShape):
     """Vector in N^r; arithmetic closes back into Shape whenever finite."""

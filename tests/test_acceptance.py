@@ -276,9 +276,9 @@ def test_7_pairing_and_shift_dualities():
     # unique lifts over every enumerated covered arrow
     lift_system = zpoint_system(flip, [ZPoint(xs[0], ys[0])])
     G = build_semidirect(lift_system, Shape(2, 2, 2, 2))
-    report = fiber_lift_report(G, cocycle_cap=2)
-    if not report.ok or report.checked == 0:
-        failures.append(("fiber uniqueness", report.defects[:2], report.checked))
+    report = fiber_lift_report(G)
+    if not report.ok or report.info != f"checked={len(G)}" or not len(G):
+        failures.append(("fiber uniqueness", report.witness, report.info))
     for g in itertools.islice(iter(G), 0, None, 100):
         if lift_fiber(g.y, g) != g:
             failures.append(("lift round trip", g))

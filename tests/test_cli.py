@@ -176,7 +176,8 @@ def test_witness_round_trip_100_random():
 
 
 def test_witness_parse_rejects_garbage():
-    for bad in ["bogus", "(1, 2", '"open', "1 2", "(1,, 2)", "", "--3", '"\\q"']:
+    for bad in ["bogus", "(1, 2", '"open', "1 2", "(1,, 2)", "", "--3", '"\\q"',
+                "²", "(1, ²)", "٣"]:
         with pytest.raises(WitnessSyntaxError):
             parse_witness(bad)
 
@@ -286,9 +287,15 @@ def test_failing_check_exits_one(tmp_path, capsys):
     assert "result: 1/2 checks passed" in out
 
 
-@pytest.mark.parametrize("stem, code", [
-    ("flip", 0), ("free_monoid", 0), ("grid11", 0), ("n2", 0), ("one_letter", 1),
-])
+# every shipped fixture passes; one_letter is written inline and fails one check
+GOLDEN_CASES = [(p.stem, 0) for p in sorted(FIXTURES.glob("*.kgf"))] + [("one_letter", 1)]
+
+
+def test_every_golden_file_has_a_source():
+    assert sorted(p.stem for p in GOLDEN.glob("*.machine")) == sorted(s for s, _ in GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("stem, code", GOLDEN_CASES)
 def test_machine_output_matches_golden(stem, code, tmp_path, capsys):
     # the golden files pin every byte of the machine format, witnesses included
     if stem == "one_letter":
@@ -330,13 +337,26 @@ def test_unknown_suite_flag_exits_two(capsys):
 
 
 def test_bad_bound_flag_exits_two(capsys):
-    assert main([str(FIXTURES / "n2.kgf"), "--bound", "2,x"]) == 2
-    assert "--bound" in capsys.readouterr().err
+    for bad in ("2,x", "²,1"):
+        assert main([str(FIXTURES / "n2.kgf"), "--bound", bad]) == 2
+        assert "--bound" in capsys.readouterr().err
 
 
 def test_bound_rank_mismatch_exits_two(capsys):
     assert main([str(FIXTURES / "n2.kgf"), "--bound", "1,1,1"]) == 2
     assert "coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["groupoid witness=1", "boundary prefix=1", "boundary cycle=1,1,1"])
+def test_shape_option_rank_mismatch_exits_two(suite, tmp_path, capsys):
+    # a wrong-rank shape option is a fixture error before any check runs
+    path = tmp_path / "rank.kgf"
+    path.write_text(f"graph free_abelian rank=2\nsuite {suite}\n")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    key = suite.split()[1].split("=")[0]
+    assert f"error: {key} " in captured.err and "coordinates, graph rank is 2" in captured.err
+    assert captured.out == ""
 
 
 def test_suite_needs_graph_exits_two(tmp_path, capsys):

@@ -13,19 +13,14 @@ from kgraphlab.fock import (
     VACUUM,
     DiagonalAlgebra,
     FixedSetAlgebra,
+    Identity,
     Product,
     Scaled,
     Sum,
-    apply,
     creation_commutation,
     diagonal_algebra,
-    fixed_set,
     fock_basis,
-    identity_operator,
-    is_partial_identity,
-    is_partial_injection,
     left_creation,
-    level_conjugated_projection,
     level_projection,
     mixed_range_projection,
     obstruction_report,
@@ -36,11 +31,8 @@ from kgraphlab.fock import (
     source_projection_level,
     target_projection,
     target_projection_level,
-    verify_commutation,
     verify_identity,
-    verify_level_complement,
     verify_shape_floor,
-    verify_vertex_sum,
     RELATION_NAMES,
 )
 from kgraphlab.kgraph import grid_graph, single_vertex_graph
@@ -58,20 +50,45 @@ def unique_path(graph, shape):
     return paths[0]
 
 
+def _partial_injection_witness(op, basis):
+    """The first (b, evidence) where op is not a partial injection on basis, or None."""
+    hit = {}
+    for b in basis:
+        out = op.act(b)
+        if not out:
+            continue
+        if len(out) != 1 or next(iter(out.values())) != 1:
+            return b, out
+        img = next(iter(out))
+        if img in hit:
+            return b, hit[img]
+        hit[img] = b
+    return None
+
+
+def _moved(op, basis):
+    """The basis elements op neither fixes nor kills, with their images."""
+    return [(b, out) for b in basis if (out := op.act(b)) and out != {b: 1}]
+
+
+def _fixed_set(op, basis):
+    return frozenset(b for b in basis if op.act(b) == {b: 1})
+
+
 # -- basic actions ---------------------------------------------------------------
 
 
 def test_creations_on_vacuum(n2graph):
     lam = unique_path(n2graph, (1, 0))
-    assert apply(left_creation(n2graph, lam), VACUUM) == {lam: 1}
-    assert apply(right_creation(n2graph, lam), VACUUM) == {lam: 1}
+    assert left_creation(n2graph, lam).act(VACUUM) == {lam: 1}
+    assert right_creation(n2graph, lam).act(VACUUM) == {lam: 1}
 
 
 def test_annihilation_returns_vacuum(n2graph):
     lam = unique_path(n2graph, (1, 1))
-    assert apply(left_creation(n2graph, lam).adjoint(), lam) == {VACUUM: 1}
-    assert apply(right_creation(n2graph, lam).adjoint(), lam) == {VACUUM: 1}
-    assert apply(left_creation(n2graph, lam).adjoint(), VACUUM) == {}
+    assert left_creation(n2graph, lam).adjoint().act(lam) == {VACUUM: 1}
+    assert right_creation(n2graph, lam).adjoint().act(lam) == {VACUUM: 1}
+    assert left_creation(n2graph, lam).adjoint().act(VACUUM) == {}
 
 
 def test_annihilation_factor_mismatch(flip22):
@@ -79,8 +96,8 @@ def test_annihilation_factor_mismatch(flip22):
     a1 = flip22.path(["a1"])
     # a1/b0 has left blue factor a1, not a0
     mu = flip22.compose(a1, flip22.path(["b0"]))
-    assert apply(left_creation(flip22, a0).adjoint(), mu) == {}
-    assert apply(left_creation(flip22, a1).adjoint(), mu) == {flip22.path(["b0"]): 1}
+    assert left_creation(flip22, a0).adjoint().act(mu) == {}
+    assert left_creation(flip22, a1).adjoint().act(mu) == {flip22.path(["b0"]): 1}
 
 
 def test_endpoint_mismatch_gives_zero(grid11):
@@ -91,9 +108,9 @@ def test_endpoint_mismatch_gives_zero(grid11):
     L = left_creation(grid11, lam)
     assert good and bad
     for p in good:
-        assert apply(L, p) == {grid11.compose(lam, p): 1}
+        assert L.act(p) == {grid11.compose(lam, p): 1}
     for p in bad:
-        assert apply(L, p) == {}
+        assert L.act(p) == {}
 
 
 def test_vertex_creation_acts_as_projection(grid11):
@@ -101,10 +118,10 @@ def test_vertex_creation_acts_as_projection(grid11):
     va = grid11.vertex(a)
     L = left_creation(grid11, va)
     P = target_projection(grid11, a)
-    assert apply(L, VACUUM) == {VACUUM: 1}
+    assert L.act(VACUUM) == {VACUUM: 1}
     for b in fock_basis(grid11, Shape(2, 1)):
-        assert apply(L, b) == apply(P, b)
-        assert apply(L.adjoint(), b) == apply(P, b)
+        assert L.act(b) == P.act(b)
+        assert L.adjoint().act(b) == P.act(b)
 
 
 def test_two_sided_concatenation_on_n2(n2graph):
@@ -113,11 +130,11 @@ def test_two_sided_concatenation_on_n2(n2graph):
     L = left_creation(n2graph, unique_path(n2graph, (1, 0)))
     R = right_creation(n2graph, unique_path(n2graph, (0, 1)))
     RL = Product((R, L))
-    assert apply(RL, VACUUM) == {unique_path(n2graph, (1, 1)): 1}
+    assert RL.act(VACUUM) == {unique_path(n2graph, (1, 1)): 1}
     for p, q in [(1, 0), (0, 1), (2, 1), (1, 3), (2, 2)]:
         start = unique_path(n2graph, (p, q))
         want = unique_path(n2graph, (p + 1, q + 1))
-        assert apply(RL, start) == {want: 1}
+        assert RL.act(start) == {want: 1}
 
 
 def test_operator_arithmetic(n2graph):
@@ -127,9 +144,9 @@ def test_operator_arithmetic(n2graph):
     two = 2 * L
     diff = L - L
     for b in basis:
-        image = apply(L, b)
-        assert apply(two, b) == {k: 2 * v for k, v in image.items()}
-        assert apply(diff, b) == {}
+        image = L.act(b)
+        assert two.act(b) == {k: 2 * v for k, v in image.items()}
+        assert diff.act(b) == {}
     with pytest.raises(ConfigError):
         Scaled(1.5, L)
 
@@ -138,7 +155,7 @@ def test_operators_are_immutable(n2graph):
     lam = unique_path(n2graph, (1, 0))
     L = left_creation(n2graph, lam)
     for op in (L, L.adjoint(), right_creation(n2graph, lam), 2 * L, L + L, L * L,
-               level_projection(n2graph, 1), identity_operator()):
+               level_projection(n2graph, 1), Identity()):
         assert not hasattr(op, "__dict__")
         with pytest.raises(AttributeError):
             op.path = lam
@@ -151,7 +168,7 @@ def test_apply_vector_is_linear(n2graph):
     vec = {VACUUM: 2, lam: -1}
     out = {}
     for b, c in vec.items():
-        for k, v in apply(op, b).items():
+        for k, v in op.act(b).items():
             out[k] = out.get(k, 0) + c * v
     out = {k: v for k, v in out.items() if v}
     assert op.apply_vector(vec) == out
@@ -167,8 +184,8 @@ def test_atoms_are_partial_injections(graph_family):
             p = g.path([e.name])
             for op in (left_creation(g, p), left_creation(g, p).adjoint(),
                        right_creation(g, p), right_creation(g, p).adjoint()):
-                ok, witness = is_partial_injection(op, basis)
-                assert ok, (g.name, op, witness)
+                witness = _partial_injection_witness(op, basis)
+                assert witness is None, (g.name, op, witness)
 
 
 def test_catalog_projections_fix_or_kill(graph_family):
@@ -180,8 +197,8 @@ def test_catalog_projections_fix_or_kill(graph_family):
             ops += [target_projection(g, a), source_projection(g, a),
                     target_projection_level(g, a, 1), source_projection_level(g, a, 2)]
         for P in ops:
-            ok, witness = is_partial_identity(P, basis)
-            assert ok, (g.name, P, witness)
+            moved = _moved(P, basis)
+            assert not moved, (g.name, P, moved)
             # projections square to themselves and are self-adjoint
             agree, _, bad = operators_agree(Product((P, P)), P, basis)
             assert agree, (g.name, P, bad)
@@ -213,15 +230,15 @@ def test_adjoint_moves_across_inner_product(flip22):
         Tstar = T.adjoint()
         for u in basis:
             for v in basis:
-                assert dot(apply(Tstar, u), {v: 1}) == dot({u: 1}, apply(T, v))
+                assert dot(Tstar.act(u), {v: 1}) == dot({u: 1}, T.act(v))
 
 
 def test_product_applies_right_to_left(n2graph):
     lam = unique_path(n2graph, (1, 0))
     L = left_creation(n2graph, lam)
     # L* then L fixes the vacuum; L then L* annihilates it
-    assert apply(Product((L.adjoint(), L)), VACUUM) == {VACUUM: 1}
-    assert apply(Product((L, L.adjoint())), VACUUM) == {}
+    assert Product((L.adjoint(), L)).act(VACUUM) == {VACUUM: 1}
+    assert Product((L, L.adjoint())).act(VACUUM) == {}
 
 
 # -- the relation catalog ----------------------------------------------------------
@@ -241,12 +258,16 @@ def test_unknown_relation_rejected(n2graph):
         verify_identity(n2graph, "R9", Shape(1, 1))
 
 
-def test_single_color_verifiers_reject_bad_colors(flip22):
+def test_level_projections_reject_bad_colors(flip22):
+    # the R2 and R3 instances are built from these projections
+    a = next(iter(flip22.vertices))
     for j in (0, 3):
         with pytest.raises(ConfigError):
-            verify_vertex_sum(flip22, j, Shape(1, 1))
+            target_projection_level(flip22, a, j)
         with pytest.raises(ConfigError):
-            verify_level_complement(flip22, j, Shape(1, 1))
+            source_projection_level(flip22, a, j)
+        with pytest.raises(ConfigError):
+            level_projection(flip22, j)
 
 
 def test_catalog_failing_reports_are_pinned():
@@ -281,13 +302,13 @@ def test_catalog_failing_reports_are_pinned():
 
 def test_level_complement_fixed_sets(n2graph):
     # both one-sided color-1 range sums leave exactly the vertical spans fixed
-    report = verify_level_complement(n2graph, 1, Shape(3, 3))
+    report = verify_identity(n2graph, "R3", Shape(3, 3))
     assert report.ok
     basis = fock_basis(n2graph, Shape(3, 3))
     expected = frozenset(
         b for b in basis
         if b is VACUUM or b.shape.coord(1) == 0)
-    assert fixed_set(level_projection(n2graph, 1), basis) == expected
+    assert _fixed_set(level_projection(n2graph, 1), basis) == expected
     assert expected == frozenset(
         [VACUUM] + [unique_path(n2graph, (0, q)) for q in (1, 2, 3)])
 
@@ -298,7 +319,7 @@ def test_shape_floor_sums_match_flip(flip22):
     assert report.ok
     basis = fock_basis(flip22, Shape(2, 2))
     floor = shape_floor_projection(flip22, Shape(1, 0))
-    assert fixed_set(floor, basis) == frozenset(
+    assert _fixed_set(floor, basis) == frozenset(
         b for b in basis if b is not VACUUM and b.shape.coord(1) >= 1)
 
 
@@ -311,7 +332,7 @@ def test_shape_floor_rejects_zero(flip22):
 
 def test_vertex_sum_counterexample_free_on_grid(grid11):
     for j in (1, 2):
-        report = verify_vertex_sum(grid11, j, Shape(2, 2))
+        report = verify_identity(grid11, "R2", Shape(2, 2))
         assert report.ok, report.counterexamples
 
 
@@ -326,7 +347,7 @@ def test_commutation_composable_pair(grid11):
     mu = next(q for q in paths if lam.source == q.target)
     report = creation_commutation(grid11, lam, mu, Shape(2, 2))
     assert report.ok
-    both = apply(Product((left_creation(grid11, lam), right_creation(grid11, mu))), VACUUM)
+    both = Product((left_creation(grid11, lam), right_creation(grid11, mu))).act(VACUUM)
     assert both == {grid11.compose(lam, mu): 1}
 
 
@@ -340,8 +361,8 @@ def test_commutation_brute_force_against_compose(flip22):
             want = {flip22.compose(lam, mu): 1}
         else:
             want = {flip22.compose(lam, flip22.compose(b, mu)): 1}
-        assert apply(Product((L, R)), b) == want
-        assert apply(Product((R, L)), b) == want
+        assert Product((L, R)).act(b) == want
+        assert Product((R, L)).act(b) == want
 
 
 def test_vertex_projection_vacuum_asymmetry(grid11):
@@ -352,8 +373,8 @@ def test_vertex_projection_vacuum_asymmetry(grid11):
     other = next(a for a in grid11.vertices if a != mu.target)
     P = target_projection(grid11, other)
     R = right_creation(grid11, mu)
-    assert apply(Product((R, P)), VACUUM) == {mu: 1}
-    assert apply(Product((P, R)), VACUUM) == {}
+    assert Product((R, P)).act(VACUUM) == {mu: 1}
+    assert Product((P, R)).act(VACUUM) == {}
     report = creation_commutation(grid11, grid11.vertex(other), mu, Shape(1, 1))
     assert not report.ok
     label, where, lhs, rhs = report.counterexamples[0]
@@ -362,7 +383,7 @@ def test_vertex_projection_vacuum_asymmetry(grid11):
 
 def test_commutation_scan_all_small_pairs(graph_family):
     for g in graph_family:
-        report = verify_commutation(g, Shape(2, 2))
+        report = verify_identity(g, "commutation", Shape(2, 2))
         assert report.ok, (g.name, report.counterexamples)
 
 
@@ -455,7 +476,7 @@ def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
     report = obstruction_report(flip22, lam, lam, algebra=algebra)
     assert calls == list(algebra.basis)
     monkeypatch.undo()
-    assert report.fixed_set == fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
+    assert report.fixed_set == _fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
     assert sorted(map(repr, report.fixed_set)) == [
         "<a0/a0/b0/b0>", "<a0/a0/b0/b1>", "<a0/a0/b0>", "<a0/a0>", "<a0/b0/b0>",
         "<a0/b0>", "<a0>", "<b0/b0>", "<b0>", "<vacuum>"]
@@ -483,10 +504,12 @@ def test_mixed_projections_are_partial_identities(flip22):
     basis = fock_basis(flip22, Shape(2, 2))
     lam = flip22.path(["a0"])
     mu = flip22.path(["a1"])
-    for op in (mixed_range_projection(flip22, lam, mu),
-               level_conjugated_projection(flip22, 2, lam, mu)):
-        ok, witness = is_partial_identity(op, basis)
-        assert ok, witness
+    L, R = left_creation(flip22, lam), right_creation(flip22, mu)
+    level = level_projection(flip22, 2)
+    level_conjugated = Product((level, L.adjoint(), R, R.adjoint(), L, level))
+    for op in (mixed_range_projection(flip22, lam, mu), level_conjugated):
+        moved = _moved(op, basis)
+        assert not moved, moved
         agree, _, bad = operators_agree(op.adjoint(), op, basis)
         assert agree, bad
 
@@ -503,7 +526,7 @@ def test_obstruction_report_fields(flip22, flip_algebra):
 
 
 def test_identity_operator_everywhere(graph_family):
-    one = identity_operator()
+    one = Identity()
     for g in graph_family:
         for b in fock_basis(g, Shape(1, 1)):
-            assert apply(one, b) == {b: 1}
+            assert one.act(b) == {b: 1}

@@ -75,7 +75,7 @@ def test_unit_space(grid_groupoid):
     units = G.units
     assert len(units) == 16
     for u in units:
-        assert u.x == u.y and u.z == (0, 0) and G.is_unit(u)
+        assert u.x == u.y and u.z == (0, 0) and u == G.unit_at(u.x)
 
 
 def test_identity_build_collects_translations(identity_groupoid):

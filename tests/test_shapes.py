@@ -49,7 +49,6 @@ def test_infinite_coordinates():
     assert s - Shape(3, 1) == ExtendedShape(INF, 1)
     assert Shape(100, 1) <= s
     assert s.infinite_support() == frozenset({1})
-    assert s.finite_part() == Shape(0, 2)
     assert not s.is_finite and Shape(1, 1).is_finite
     with pytest.raises(ShapeError):
         s - ExtendedShape(INF, 0)
@@ -65,10 +64,9 @@ def test_mixed_class_equality_and_make_shape():
     assert isinstance(Shape(1, 1) + Shape(0, 0), Shape)
 
 
-def test_select_and_coord_are_one_based():
+def test_coord_is_one_based():
     s = ExtendedShape(4, INF, 6)
     assert s.coord(1) == 4 and s.coord(3) == 6
-    assert s.select({3, 1}) == (4, 6)
     with pytest.raises(ShapeError):
         s.coord(0)
 
