@@ -17,7 +17,8 @@ import time
 import traceback
 from dataclasses import replace
 
-from .dynsys import boundary_subsystem, free_monoid_system, path_space_system
+from .duality import boundary_subsystem, path_space_system
+from .dynsys import free_monoid_system
 from .errors import ConfigError, FixtureError, KGraphLabError, WitnessError
 from .fixtures import SUITE_KINDS, Fixture, build_graph, parse_fixture
 from .fock import RELATION_NAMES, verify_identity

@@ -1,11 +1,13 @@
 """Two-coordinate covering picture over the path-space dynamics.
 
 This module houses the boundary side of the package: eventually periodic
-infinite paths in a diagonal canonical form, the paired points
-(finite path, infinite continuation) carrying two commuting families of
-shifts, the covering map onto (shape, infinite path) data together with
-constructive fiber lifts, the two-sided shift on doubly infinite words,
-and the lattice-translation twist on groupoid elements.
+infinite paths in a diagonal canonical form, the unit-shift systems on
+path spaces and boundaries, the paired points (finite path, infinite
+continuation) carrying two commuting families of shifts (all three
+systems built by MGDS.closure), the covering map onto (shape, infinite
+path) data together with constructive fiber lifts, the two-sided shift
+on doubly infinite words, and the lattice-translation twist on groupoid
+elements.
 
 Everything is exact: an infinite path is canonicalized once, at
 construction, so its equality and hash compare two finite paths, and
@@ -17,18 +19,20 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .dynsys import MGDS, PartialMap
+from .dynsys import MGDS
 from .errors import ConfigError, DomainError, NotComposable, ShapeError, WitnessError
 from .groupoid import GroupoidElement
 from .kgraph import Path, compose, factorize
 from .reporting import Check
-from .shapes import INF, ExtendedShape, Shape, make_shape, shapes_below
+from .shapes import INF, ExtendedShape, Shape, make_shape, shapes_below, witness_pairs
 
 __all__ = [
     "RationalInfinitePath",
     "ZPoint",
     "boundary_points",
     "shift_infinite",
+    "path_space_system",
+    "boundary_subsystem",
     "t_shift",
     "v_shift",
     "zpoint_system",
@@ -215,6 +219,49 @@ def boundary_points(graph, *, prefix_cap: Shape | None = None,
     return points
 
 
+def _unit_maps(letter: str, shift, rank: int) -> list:
+    """The generators (letter + j, shift by the color-j unit shape) for j = 1..rank."""
+    return [(f"{letter}{j}", functools.partial(shift, Shape.unit(rank, j)))
+            for j in range(1, rank + 1)]
+
+
+def _drop_head(k: Shape, p: Path) -> Path:
+    """The path-space shift: drop the grade-k head of a finite path, undefined below k."""
+    if not k <= p.shape:
+        raise DomainError(f"no shift by {k}: {p!r} has shape {p.shape}", point=p)
+    return factorize(p, k)[1]
+
+
+def path_space_system(graph, cap: Shape) -> MGDS:
+    """Paths of shape at most cap, shifted by peeling unit heads off the target end.
+
+    The window is closed under the shifts, so the carrier is
+    graph.all_paths(cap) in its order.
+    """
+    rep = graph.validate(cap)
+    if not rep.ok:
+        raise ConfigError(f"graph {graph.name} fails validation: {rep.failing()[0].name}")
+    return MGDS.closure(f"paths({graph.name})<= {tuple(cap)}", graph.all_paths(cap),
+                        _unit_maps("T", _drop_head, graph.rank))
+
+
+def boundary_subsystem(graph, prefix_cap: Shape | None = None, cycle_cap: Shape | None = None) -> MGDS:
+    """Restriction to the eventually periodic infinite stand-ins alone.
+
+    Requires every vertex to receive an edge of every color, so the shifts
+    stay total and no finite path would belong to the boundary.  The
+    carrier is boundary_points within the caps, closed under the shifts.
+    """
+    for v in graph.vertices:
+        for j in range(1, graph.rank + 1):
+            if not graph.edges_into(v, j):
+                raise ConfigError(f"vertex {v} of {graph.name} receives no color-{j} edge; "
+                                  "its boundary would contain finite paths")
+    pts = boundary_points(graph, prefix_cap=prefix_cap, cycle_cap=cycle_cap)
+    return MGDS.closure(f"boundary({graph.name})", pts,
+                        _unit_maps("T", shift_infinite, graph.rank))
+
+
 # -- paired points and their two shift families ----------------------------------
 
 
@@ -274,35 +321,8 @@ def zpoint_system(graph, seeds) -> MGDS:
     keeps every domain honest, so commutation and domain checks measure
     the maps themselves and not the sampling window.
     """
-    rank = graph.rank
-    t_tables = [dict() for _ in range(rank)]
-    v_tables = [dict() for _ in range(rank)]
-    carrier, queue = [], []
-    seen = set()
-    for z in seeds:
-        if z not in seen:
-            seen.add(z)
-            queue.append(z)
-    while queue:
-        z = queue.pop(0)
-        carrier.append(z)
-        for j in range(1, rank + 1):
-            unit = Shape.unit(rank, j)
-            images = []
-            if z.x.shape.coord(j) >= 1:
-                w = t_shift(unit, z)
-                t_tables[j - 1][z] = w
-                images.append(w)
-            w = v_shift(unit, z)
-            v_tables[j - 1][z] = w
-            images.append(w)
-            for w in images:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    gens = [PartialMap(f"T{j}", t_tables[j - 1]) for j in range(1, rank + 1)]
-    gens += [PartialMap(f"V{j}", v_tables[j - 1]) for j in range(1, rank + 1)]
-    return MGDS(f"zcover({graph.name})", carrier, gens)
+    maps = _unit_maps("T", t_shift, graph.rank) + _unit_maps("V", v_shift, graph.rank)
+    return MGDS.closure(f"zcover({graph.name})", seeds, maps)
 
 
 # -- the covering map and its fibers ----------------------------------------------
@@ -378,11 +398,7 @@ def lift_fiber(z: ZPoint, target) -> GroupoidElement:
         raise WitnessError(f"no lift: grade {n} is not covering data of any paired point")
     lifted = phi_section(range_pair)
     witness_bound = Shape((2,) * (2 * rank))
-    for m in shapes_below(witness_bound):
-        n_coords = tuple(mc - zc for mc, zc in zip(m.coords, cocycle))
-        if any(c < 0 for c in n_coords):
-            continue
-        n_wit = Shape(n_coords)
+    for m, n_wit in witness_pairs(witness_bound, cocycle):
         try:
             left = _apply_word(lifted, *_split(m, rank))
             right = _apply_word(z, *_split(n_wit, rank))

@@ -4,10 +4,10 @@ A system is a finite point set together with finitely many partial self-maps
 that commute pairwise (equal domains and equal values for both composition
 orders).  Composite powers indexed by shapes, the joint-domain compatibility
 check, exit times, and the partition of the carrier by which coordinates can
-be shifted forever all live here, along with the stock carriers used
-throughout the test suite: integer grids, a two-sided word system, path
-spaces of validated graphs, their eventually periodic boundaries, and plain
-product systems.
+be shifted forever all live here, along with the closure builder that
+generates a carrier from seeds and the stock carriers used throughout the
+test suite: integer grids, a two-sided word system, and plain product
+systems.
 """
 
 from __future__ import annotations
@@ -115,6 +115,30 @@ class MGDS:
                     f"generators {i} and {j} of system {name} do not commute at {x!r}"
                 )
 
+    @classmethod
+    def closure(cls, name: str, seeds: Iterable, maps) -> "MGDS":
+        """The system of the named maps on the forward closure of the seeds.
+
+        maps: (name, f) pairs in generator order, each f raising DomainError
+        where it is undefined.  The carrier lists the seeds first,
+        deduplicated and in order, then new points breadth first in the
+        order they are first reached, the maps tried in generator order.
+        """
+        maps = tuple(maps)
+        carrier = list(dict.fromkeys(seeds))
+        seen = set(carrier)
+        tables = [{} for _ in maps]
+        for x in carrier:  # the loop reaches the points appended below: breadth first
+            for table, (_, f) in zip(tables, maps):
+                try:
+                    y = table[x] = f(x)
+                except DomainError:
+                    continue
+                if y not in seen:
+                    seen.add(y)
+                    carrier.append(y)
+        return cls(name, carrier, [PartialMap(n, t) for (n, _), t in zip(maps, tables)])
+
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -154,8 +178,8 @@ class MGDS:
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:
         """Whether T^m x = T^n y with both sides defined: (m, n) witnesses an arrow from y to x."""
-        pm, pn = self.power(m), self.power(n)
-        return pm.defined_at(x) and pn.defined_at(y) and pm(x) == pn(y)
+        pm, pn = self.power(m)._table, self.power(n)._table
+        return x in pm and y in pn and pm[x] == pn[y]
 
     def domain(self, n: Shape) -> frozenset:
         return self.power(n).domain()
@@ -267,57 +291,6 @@ def free_monoid_system(alphabet: str = "ab", maxlen: int = 3) -> MGDS:
     left = PartialMap("L", {w: w[1:] for w in words if w})
     right = PartialMap("R", {w: w[:-1] for w in words if w})
     return MGDS(f"words<= {maxlen}", words, [left, right])
-
-
-def path_space_system(graph, cap: Shape, include_boundary: bool = False) -> MGDS:
-    """Paths of shape at most cap, shifted by peeling unit heads off the target end.
-
-    With include_boundary, eventually periodic infinite paths (deduplicated
-    semantically) join the carrier; the shifts are total on them.
-    """
-    rep = graph.validate(cap)
-    if not rep.ok:
-        raise ConfigError(f"graph {graph.name} fails validation: {rep.failing()[0].name}")
-    from .kgraph import factorize
-
-    carrier = list(graph.all_paths(cap))
-    if include_boundary:
-        from .duality import boundary_points, shift_infinite
-
-        carrier.extend(boundary_points(graph, prefix_cap=cap))
-    tables = [dict() for _ in range(graph.rank)]
-    for x in carrier:
-        for j in range(1, graph.rank + 1):
-            e = Shape.unit(graph.rank, j)
-            if hasattr(x, "cycle"):  # infinite stand-in: always shiftable
-                tables[j - 1][x] = shift_infinite(e, x)
-            elif x.shape.coord(j) >= 1:
-                tables[j - 1][x] = factorize(x, e)[1]
-    gens = [PartialMap(f"T{j}", tables[j - 1]) for j in range(1, graph.rank + 1)]
-    return MGDS(f"paths({graph.name})<= {tuple(cap)}", carrier, gens)
-
-
-def boundary_subsystem(graph, prefix_cap: Shape | None = None, cycle_cap: Shape | None = None) -> MGDS:
-    """Restriction to the eventually periodic infinite stand-ins alone.
-
-    Requires every vertex to receive an edge of every color, so the shifts
-    stay total and no finite path would belong to the boundary.
-    """
-    from .duality import boundary_points, shift_infinite
-
-    for v in graph.vertices:
-        for j in range(1, graph.rank + 1):
-            if not graph.edges_into(v, j):
-                raise ConfigError(
-                    f"vertex {v} of {graph.name} receives no color-{j} edge; "
-                    "its boundary would contain finite paths"
-                )
-    pts = boundary_points(graph, prefix_cap=prefix_cap, cycle_cap=cycle_cap)
-    gens = []
-    for j in range(1, graph.rank + 1):
-        e = Shape.unit(graph.rank, j)
-        gens.append(PartialMap(f"T{j}", {x: shift_infinite(e, x) for x in pts}))
-    return MGDS(f"boundary({graph.name})", pts, gens)
 
 
 def identity_system(points: Iterable, rank: int) -> MGDS:

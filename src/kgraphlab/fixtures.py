@@ -57,7 +57,6 @@ SUITE_KINDS = {
 # option value syntax, shared across directives
 _INT_KEYS = {"rank", "length"}
 _INT_LIST_KEYS = {"size", "counts", "bound", "witness", "prefix", "cycle"}
-_WORD_KEYS = {"squares", "letters"}
 _WORD_LIST_KEYS = {"relations"}
 
 
@@ -81,10 +80,10 @@ class Fixture:
 
 
 def _parse_int(text: str, line: int, col: int) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise FixtureError(f"expected an integer, got {text!r}", line=line, column=col) from None
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise FixtureError(f"expected an integer, got {text!r}", line=line, column=col)
+    return int(text)
 
 
 def _parse_int_list(text: str, line: int, col: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from .dynsys import MGDS
 from .errors import ConfigError, NotComposable, WitnessError
 from .ideals import IdealTuple, build_sequence, from_mgds
 from .reporting import Check
-from .shapes import Shape, shapes_below
+from .shapes import Shape, shapes_below, witness_pairs
 
 
 @dataclass(frozen=True)
@@ -205,14 +205,8 @@ class SemidirectGroupoid(FiniteGroupoid):
         z = tuple(z)
         if len(z) != self.system.rank:
             raise ConfigError(f"translation {z} has length {len(z)}, not the system rank {self.system.rank}")
-        for m in shapes_below(self.witness_bound * 2):
-            coords = [a - b for a, b in zip(m, z)]
-            if any(c < 0 for c in coords):
-                continue
-            n = Shape(coords)
-            if self.system.meets(x, y, m, n):
-                return (m, n)
-        return None
+        return next(((m, n) for m, n in witness_pairs(self.witness_bound * 2, z)
+                     if self.system.meets(x, y, m, n)), None)
 
     def _searched(self, x, z, y, left, right, message) -> GroupoidElement:
         """A fresh arrow witnessed by find_witness, else WitnessError (message formatted on failure)."""
@@ -344,8 +338,7 @@ def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
         bound = system.exit_bound()
 
     def agree(n, m):
-        pn, pm = system.power(n), system.power(m)
-        return {x for x in system.carrier if pn.defined_at(x) and pm.defined_at(x) and pn(x) == pm(x)}
+        return {x for x in system.carrier if system.meets(x, x, n, m)}
 
     witness = system.first_pair_offence(bound, agree)
     return Check("essentially-free", witness is None, witness)

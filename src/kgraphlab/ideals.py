@@ -43,26 +43,6 @@ class IdealTuple:
             raise ConfigError(f"part index {j} out of range 1..{self.rank}")
         return self.parts[j - 1]
 
-    def j_meet(self, S) -> frozenset:
-        """Intersection of the parts indexed by nonempty S."""
-        S = sorted(set(S))
-        if not S:
-            raise ConfigError("j_meet needs a nonempty index set")
-        out = self.part(S[0])
-        for j in S[1:]:
-            out &= self.part(j)
-        return out
-
-    def j_join(self, S) -> frozenset:
-        """Union of the parts indexed by nonempty S."""
-        S = sorted(set(S))
-        if not S:
-            raise ConfigError("j_join needs a nonempty index set")
-        out = self.part(S[0])
-        for j in S[1:]:
-            out |= self.part(j)
-        return out
-
 
 @dataclass(frozen=True)
 class SequenceStage:

@@ -248,3 +248,13 @@ def shapes_below(bound: Shape):
             yield from rec(prefix + [v], rest[1:])
 
     yield from rec([], ranges)
+
+
+def witness_pairs(bound: Shape, z):
+    """Candidate witnesses (m, n) of a translation z: m <= bound, n = m - z >= 0.
+
+    m runs in shapes_below order."""
+    for m in shapes_below(bound):
+        coords = [a - b for a, b in zip(m.coords, z)]
+        if all(c >= 0 for c in coords):
+            yield m, Shape(coords)

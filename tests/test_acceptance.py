@@ -19,6 +19,7 @@ from kgraphlab.duality import (
     boundary_points,
     fiber_lift_report,
     lift_fiber,
+    path_space_system,
     phi,
     s_shift,
     t_shift,
@@ -34,7 +35,6 @@ from kgraphlab.dynsys import (
     free_monoid_system,
     grid_system,
     identity_system,
-    path_space_system,
     product_system,
 )
 from kgraphlab.errors import WitnessError

@@ -90,6 +90,25 @@ def test_malformed_int_list_rejected():
         parse_fixture_text("seed 3.5\n")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("bound \u0663,1\n", 7),  # ARABIC-INDIC DIGIT THREE
+    ("bound 1_0,1\n", 7),
+    ("bound +1,1\n", 7),
+    ("seed \u0663\n", 6),
+], ids=["non-ascii-digit", "underscore", "plus-sign", "non-ascii-seed"])
+def test_integers_take_ascii_digits_only(text, column):
+    with pytest.raises(FixtureError) as ei:
+        parse_fixture_text(text)
+    assert (ei.value.line, ei.value.column) == (1, column)
+    assert "expected an integer" in str(ei.value)
+
+
+def test_signed_seed_and_negative_entry():
+    assert parse_fixture_text("seed -4\n").seed == -4
+    with pytest.raises(FixtureError, match="negative entry"):
+        parse_fixture_text("bound -1,1\n")
+
+
 def test_bare_token_where_option_expected():
     with pytest.raises(FixtureError) as ei:
         parse_fixture_text("graph grid 1,1\n")

@@ -10,8 +10,10 @@ from kgraphlab.duality import (
     RationalInfinitePath,
     ZPoint,
     boundary_points,
+    boundary_subsystem,
     fiber_lift_report,
     lift_fiber,
+    path_space_system,
     phi,
     phi_section,
     s_shift,
@@ -26,7 +28,7 @@ from kgraphlab.duality import (
     w_shift,
     zpoint_system,
 )
-from kgraphlab.dynsys import boundary_subsystem, path_space_system
+from kgraphlab.dynsys import PartialMap
 from kgraphlab.errors import (
     ConfigError,
     DomainError,
@@ -352,12 +354,23 @@ def test_boundary_deterministic(flip22):
 
 
 def test_path_space_system_with_boundary(n2graph):
-    sys = path_space_system(n2graph, Shape((1, 1)), include_boundary=True)
-    assert len(sys.carrier) == 5
+    # the boundary of n2's path space is one point, shiftable forever
+    sys = boundary_subsystem(n2graph)
+    assert len(sys.carrier) == 1
     assert sys.check_commuting().ok
-    boundary = [x for x in sys.carrier if hasattr(x, "cycle")]
-    assert len(boundary) == 1
-    assert sys.exit_time(boundary[0]) == make_shape((INF, INF))
+    assert sys.exit_time(sys.carrier[0]) == make_shape((INF, INF))
+
+
+def test_path_space_carrier_is_the_window(grid11, n2graph, flip22):
+    for graph, cap in ((grid11, Shape((1, 1))), (n2graph, Shape((2, 2))), (flip22, Shape((1, 1)))):
+        assert path_space_system(graph, cap).carrier == tuple(graph.all_paths(cap))
+
+
+def test_boundary_carrier_is_the_window(flip22, n2graph):
+    caps = ((flip22, None, None), (n2graph, None, None), (flip22, Shape((1, 1)), Shape((1, 1))))
+    for graph, prefix_cap, cycle_cap in caps:
+        window = boundary_points(graph, prefix_cap=prefix_cap, cycle_cap=cycle_cap)
+        assert boundary_subsystem(graph, prefix_cap, cycle_cap).carrier == tuple(window)
 
 
 def test_boundary_subsystem_flip(flip22):
@@ -439,6 +452,63 @@ def test_zpoint_system_flip_dc(flip22):
     assert len(sys.carrier) == 180
     assert sys.check_commuting().ok
     assert sys.check_dc(Shape((1, 1, 1, 1))).ok
+
+
+def _reference_zpoint_system(graph, seeds):
+    """The paired-point closure as an explicit T/V loop: T1, V1, T2, V2 per point."""
+    rank = graph.rank
+    t_tables = [dict() for _ in range(rank)]
+    v_tables = [dict() for _ in range(rank)]
+    carrier, queue = [], list(dict.fromkeys(seeds))
+    seen = set(queue)
+    while queue:
+        z = queue.pop(0)
+        carrier.append(z)
+        for j in range(1, rank + 1):
+            unit = Shape.unit(rank, j)
+            images = []
+            if z.x.shape.coord(j) >= 1:
+                w = t_tables[j - 1][z] = t_shift(unit, z)
+                images.append(w)
+            w = v_tables[j - 1][z] = v_shift(unit, z)
+            images.append(w)
+            for w in images:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return carrier, t_tables + v_tables
+
+
+def _flip_word(flip, word):
+    return flip.path(word) if word else flip.vertex("u")
+
+
+def _relabel(word):
+    """Swap a0 with a1 and b0 with b1: an automorphism of the flip graph."""
+    return tuple(e[0] + str(1 - int(e[1:])) for e in word)
+
+
+def _closure_seed_sets(flip, n2):
+    ys = boundary_points(n2)
+    yield n2, [ZPoint(next(iter(n2.enumerate_paths(Shape((2, 2))))), ys[0])]
+    ys, xs = boundary_points(flip), list(flip.enumerate_paths(Shape((2, 2))))
+    yield flip, [ZPoint(x, y) for x in xs[:4] for y in ys[:2]]
+    # the closure seeds of the boundary-pairing benchmark, and their relabels
+    for x in (("a0",), ("b0",), ("a0", "b0"), ("a0", "b1")):
+        for c in (("a0", "b0"), ("a0", "b1")):
+            for rx, rc in ((x, c), (_relabel(x), _relabel(c))):
+                y = RationalInfinitePath(flip.vertex("u"), _flip_word(flip, rc))
+                yield flip, [ZPoint(_flip_word(flip, rx), y)]
+
+
+def test_zpoint_system_matches_reference_loop(flip22, n2graph):
+    for graph, seeds in _closure_seed_sets(flip22, n2graph):
+        sys = zpoint_system(graph, seeds)
+        carrier, tables = _reference_zpoint_system(graph, seeds)
+        assert set(sys.carrier) == set(carrier) and len(sys.carrier) == len(carrier)
+        assert sys.carrier[:len(set(seeds))] == tuple(dict.fromkeys(seeds))
+        assert [T.name for T in sys.generators] == ["T1", "T2", "V1", "V2"]
+        assert list(sys.generators) == [PartialMap("ref", t) for t in tables]  # equal tables
 
 
 def test_zpoint_exit_pattern(flip22):
@@ -570,6 +640,41 @@ def test_fiber_lift_report_flip(flip22):
     # a slice of arrows: the lift over each one's covering data is itself
     for g in list(G)[::50]:
         assert lift_fiber(g.y, g) == g
+
+
+# The (m, n) that lift_fiber finds for every 50th arrow of the build in
+# test_fiber_lift_report_flip, keyed by the arrow's repr.
+LIFT_WITNESSES = {
+    "((a0/a0/b0/b0, <u|(a0/b0)^inf>), (0, 0, 0, 0), (a0/a0/b0/b0, <u|(a0/b0)^inf>))":
+        ((0, 0, 0, 0), (0, 0, 0, 0)),
+    "((a0/a0, <u|(a0/b0)^inf>), (0, -1, -1, 0), (a0/a0/b0, <u|(a0/b0)^inf>))":
+        ((0, 0, 0, 0), (0, 1, 1, 0)),
+    "((a0/a0/b0/b0, <u|(a0/b0)^inf>), (0, 0, 0, 1), (a0/a0/b0/b0, <u|(a0/b0)^inf>))":
+        ((0, 0, 0, 1), (0, 0, 0, 0)),
+    "((a0/a0/b0/b0, <u|(a0/b0)^inf>), (0, 0, 1, 0), (a0/a0/b0/b0, <u|(a0/b0)^inf>))":
+        ((0, 0, 1, 0), (0, 0, 0, 0)),
+    "((a0/a0/b0/b0, <u|(a0/b0)^inf>), (0, 0, 1, 1), (a0/a0/b0/b0, <u|(a0/b0)^inf>))":
+        ((0, 0, 1, 1), (0, 0, 0, 0)),
+    "((b0/b0, <u|(a0/b0)^inf>), (-1, 1, 0, 0), (a0/b0, <u|(a0/b0)^inf>))":
+        ((0, 1, 0, 0), (1, 0, 0, 0)),
+    "((b0, <u|(a0/b0)^inf>), (-1, 1, 1, 0), (a0, <u|(a0/b0)^inf>))":
+        ((0, 1, 1, 0), (1, 0, 0, 0)),
+    "((a0, <u|(a0/b0)^inf>), (1, -1, -1, 0), (b0, <u|(a0/b0)^inf>))":
+        ((1, 0, 0, 0), (0, 1, 1, 0)),
+    "((a0, <u|(a0/b0)^inf>), (1, 0, 1, 1), (u, <u|(a0/b0)^inf>))":
+        ((1, 0, 1, 1), (0, 0, 0, 0)),
+}
+
+
+def test_lift_witnesses_pinned(flip22):
+    ys = boundary_points(flip22)
+    x = next(iter(flip22.enumerate_paths(Shape((2, 2)))))
+    G = build_semidirect(zpoint_system(flip22, [ZPoint(x, ys[0])]), Shape((1, 1, 1, 1)))
+    arrows = {repr(g): g for g in G}
+    for key, witness in LIFT_WITNESSES.items():
+        g = arrows[key]
+        m, n = lift_fiber(g.y, g).witness
+        assert (tuple(m.coords), tuple(n.coords)) == witness
 
 
 # -- two-sided words -----------------------------------------------------------------

@@ -10,13 +10,13 @@ import random
 
 import pytest
 
+from kgraphlab.duality import path_space_system
 from kgraphlab.dynsys import (
     MGDS,
     PartialMap,
     free_monoid_system,
     grid_system,
     identity_system,
-    path_space_system,
     product_system,
 )
 from kgraphlab.errors import ConfigError, DomainError
@@ -150,6 +150,37 @@ def test_word_system_dc_witness_arithmetic():
     fm = free_monoid_system("ab", 3)
     n, m, x = fm.check_dc().witness
     assert x in fm.domain(n) and x in fm.domain(m) and x not in fm.domain(n | m)
+
+
+# -- the closure builder -------------------------------------------------------------
+
+
+def _step(j):
+    """Lower coordinate j of a lattice point by one; undefined at zero."""
+    def f(p):
+        if p[j] == 0:
+            raise DomainError(f"coordinate {j} of {p} is zero", point=p)
+        return p[:j] + (p[j] - 1,) + p[j + 1:]
+    return f
+
+
+def test_closure_grows_breadth_first_in_generator_order():
+    sys = MGDS.closure("lattice", [(1, 1), (2, 0), (1, 1)], [("T1", _step(0)), ("T2", _step(1))])
+    # seeds first, deduplicated; then each point's T1 image before its T2 image
+    assert sys.carrier == ((1, 1), (2, 0), (0, 1), (1, 0), (0, 0))
+    assert [T.name for T in sys.generators] == ["T1", "T2"]
+    # a map that raises DomainError leaves the point out of its own domain
+    assert sys.generators[0] == PartialMap("T1", {(1, 1): (0, 1), (2, 0): (1, 0), (1, 0): (0, 0)})
+    assert sys.generators[1] == PartialMap("T2", {(1, 1): (1, 0), (0, 1): (0, 0)})
+    assert sys.check_dc().ok
+
+
+def test_closure_checks_commuting():
+    def swap(p):
+        return p[::-1]
+
+    with pytest.raises(ConfigError, match="do not commute"):
+        MGDS.closure("bad", [(1, 0)], [("T1", _step(0)), ("T2", swap)])
 
 
 # -- path-space systems -------------------------------------------------------------

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from kgraphlab.duality import path_space_system
 from kgraphlab.dynsys import (
     MGDS,
     free_monoid_system,
     grid_system,
     identity_system,
-    path_space_system,
     product_system,
 )
 from kgraphlab.errors import ConfigError, NotComposable, WitnessError

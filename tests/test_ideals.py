@@ -37,27 +37,6 @@ def supports(tup):
 # -- tuple basics ------------------------------------------------------------------
 
 
-def test_meet_and_join():
-    t = IdealTuple(P4, [{1, 2}, {2, 3}])
-    assert t.j_meet([1, 2]) == {2}
-    assert t.j_join([1, 2]) == {1, 2, 3}
-    assert t.j_meet([1]) == {1, 2}
-    assert t.j_meet([2, 1, 2]) == {2}
-
-
-def test_meet_of_all_parts():
-    t = IdealTuple(P4, [{1, 2}, {2, 3}, {2, 4}])
-    assert t.j_meet(range(1, t.rank + 1)) == {2}
-
-
-def test_empty_index_set_rejected():
-    t = IdealTuple(P4, [{1, 2}])
-    with pytest.raises(ConfigError):
-        t.j_meet([])
-    with pytest.raises(ConfigError):
-        t.j_join(())
-
-
 def test_part_must_be_subset():
     with pytest.raises(ConfigError):
         IdealTuple({1, 2}, [{1, 3}])
