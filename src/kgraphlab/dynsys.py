@@ -162,23 +162,34 @@ class MGDS:
         return Check("commuting", True)
 
     def power(self, n: Shape) -> PartialMap:
-        """The composite map indexed by a shape; T^0 is the identity on the carrier."""
+        """The composite map indexed by a shape or its coordinates; T^0 is the identity.
+
+        The table is keyed by coordinate tuple.  Only a miss checks the rank:
+        a key in the table has passed that check already.
+        """
         n = Shape(n) if not isinstance(n, Shape) else n
-        if n.rank != self.rank:
-            raise ConfigError(f"shape rank {n.rank} does not match system rank {self.rank}")
-        cached = self._powers.get(n)
+        cached = self._powers.get(n.coords)
         if cached is None:
+            if n.rank != self.rank:
+                raise ConfigError(f"shape rank {n.rank} does not match system rank {self.rank}")
             cur = PartialMap.identity(self.carrier)
             for j, count in enumerate(n, start=1):
                 for _ in range(count):
                     cur = self.generators[j - 1].compose(cur)
-            cur.name = f"T^{tuple(n)}"
-            cached = self._powers[n] = cur
+            cur.name = f"T^{n.coords}"
+            cached = self._powers[n.coords] = cur
         return cached
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:
         """Whether T^m x = T^n y with both sides defined: (m, n) witnesses an arrow from y to x."""
-        pm, pn = self.power(m)._table, self.power(n)._table
+        # a plain coordinate tuple misses here and power() checks it
+        pm = self._powers.get(getattr(m, "coords", None))
+        pn = self._powers.get(getattr(n, "coords", None))
+        if pm is None:  # an empty map is falsy: test the miss by identity
+            pm = self.power(m)
+        if pn is None:
+            pn = self.power(n)
+        pm, pn = pm._table, pn._table
         return x in pm and y in pn and pm[x] == pn[y]
 
     def domain(self, n: Shape) -> frozenset:

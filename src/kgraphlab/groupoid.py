@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -233,12 +234,15 @@ class SemidirectGroupoid(FiniteGroupoid):
         carries the evidence.
         """
         self._require_meeting(g, h)
-        z = tuple(a + b for a, b in zip(g.z, h.z))
+        z = tuple(map(operator.add, g.z, h.z))
         if g.witness and h.witness:
-            m, n = g.witness
-            m2, n2 = h.witness
-            k = n | m2
-            mm, nn = m + (k - n), n2 + (k - m2)
+            (m, n), (m2, n2) = g.witness, h.witness
+            mm, nn = [], []
+            for a, b, c, d in zip(m.coords, n.coords, m2.coords, n2.coords):
+                k = b if b > c else c  # k = n join m2; mm = m + k - n, nn = n2 + k - m2
+                mm.append(a + k - b)
+                nn.append(d + k - c)
+            mm, nn = Shape._make(tuple(mm)), Shape._make(tuple(nn))
             if self.system.meets(g.x, h.y, mm, nn):
                 return GroupoidElement(g.x, z, h.y, witness=(mm, nn))
         return self._searched(g.x, z, h.y, g, h, "composite ({x!r}, {z}, {y!r}) admits no witness")

@@ -50,7 +50,7 @@ class Path:
         counts = [0] * self.graph.rank
         for name in self.word:
             counts[self.graph.edge(name).color - 1] += 1
-        return Shape(*counts)
+        return Shape._make(tuple(counts))
 
     @property
     def is_vertex(self):
@@ -195,11 +195,11 @@ class KGraph:
         return Path(self, self._normal_word(word))
 
     def _check_chain(self, word):
-        for a, b in zip(word, word[1:]):
-            ea, eb = self.edge(a), self.edge(b)
+        edges = [self.edge(nm) for nm in word]  # an unknown name fails here, alone or not
+        for ea, eb in zip(edges, edges[1:]):
             if ea.source != eb.target:
                 raise NotComposable(
-                    f"edges {a} and {b} do not chain: source {ea.source} != target {eb.target}",
+                    f"edges {ea.name} and {eb.name} do not chain: source {ea.source} != target {eb.target}",
                     source=ea.source, target=eb.target)
 
     def _normal_word(self, word):

@@ -4,10 +4,17 @@ A Shape is an element of N^r under the componentwise order; an ExtendedShape
 allows the formal value INF in any coordinate.  Both are immutable and value
 hashable.  Colors and coordinate labels are 1-based throughout the package;
 plain sequence indexing stays 0-based.
+
+The public constructors (Shape, ExtendedShape, make_shape) validate every
+coordinate.  Arithmetic on valid shapes closes without validating again:
+its results, and those of shapes_below and witness_pairs, are built by the
+trusted constructor _make.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Iterable
 
 from .errors import ShapeError
@@ -94,6 +101,19 @@ class ExtendedShape:
             self, "coords", tuple(_coerce_coord(c, self._allow_inf) for c in coords)
         )
 
+    @classmethod
+    def _make(cls, coords: tuple):
+        """Trusted constructor: coords is a tuple of valid coordinates for cls, not checked again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "coords", coords)
+        return s
+
+    def _closed(self, other, coords: tuple):
+        """The result over coords of an operation on self and other: make_shape's class, unchecked."""
+        if type(self) is Shape and type(other) is Shape:
+            return Shape._make(coords)
+        return (ExtendedShape if INF in coords else Shape)._make(coords)
+
     def __setattr__(self, name, value):
         raise AttributeError("shapes are immutable")
 
@@ -139,7 +159,7 @@ class ExtendedShape:
 
     def __add__(self, other):
         self._check_rank(other)
-        return make_shape(a + b for a, b in zip(self.coords, other.coords))
+        return self._closed(other, tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other):
         """Componentwise difference; requires other <= self and other finite."""
@@ -148,30 +168,30 @@ class ExtendedShape:
             raise ShapeError(f"subtrahend must be finite: {other}")
         if not other <= self:
             raise ShapeError(f"cannot subtract {other} from {self}: not dominated")
-        return make_shape(a - b for a, b in zip(self.coords, other.coords))
+        return self._closed(other, tuple(map(operator.sub, self.coords, other.coords)))
 
     def __mul__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        return make_shape((c if isinstance(c, _Infinity) else c * k) for c in self.coords)
+        return self._closed(self, tuple(c if c is INF else c * k for c in self.coords))
 
     __rmul__ = __mul__
 
     def join(self, other):
         """Componentwise maximum."""
         self._check_rank(other)
-        return make_shape(
-            b if isinstance(b, _Infinity) or (not isinstance(a, _Infinity) and a < b) else a
+        return self._closed(other, tuple(
+            b if b is INF or (a is not INF and a < b) else a
             for a, b in zip(self.coords, other.coords)
-        )
+        ))
 
     def meet(self, other):
         """Componentwise minimum."""
         self._check_rank(other)
-        return make_shape(
-            a if isinstance(b, _Infinity) or (not isinstance(a, _Infinity) and a <= b) else b
+        return self._closed(other, tuple(
+            a if b is INF or (a is not INF and a <= b) else b
             for a, b in zip(self.coords, other.coords)
-        )
+        ))
 
     def __or__(self, other):
         return self.join(other)
@@ -180,8 +200,9 @@ class ExtendedShape:
         return self.meet(other)
 
     def __le__(self, other):
-        self._check_rank(other)
-        return all(a <= b for a, b in zip(self.coords, other.coords))
+        if not (type(self) is Shape and type(other) is Shape and len(self.coords) == len(other.coords)):
+            self._check_rank(other)
+        return all(map(operator.le, self.coords, other.coords))
 
     def __lt__(self, other):
         return self <= other and self.coords != other.coords
@@ -216,14 +237,16 @@ class Shape(ExtendedShape):
 
     @classmethod
     def zero(cls, rank):
-        return cls(*([0] * rank))
+        if rank < 1:
+            raise ShapeError("shape needs at least one coordinate")
+        return cls._make((0,) * rank)
 
     @classmethod
     def unit(cls, rank, j):
         """The j-th coordinate vector, j 1-based."""
         if not 1 <= j <= rank:
             raise ShapeError(f"unit index {j} out of range 1..{rank}")
-        return cls(*(1 if i == j else 0 for i in range(1, rank + 1)))
+        return cls._make(tuple(1 if i == j else 0 for i in range(1, rank + 1)))
 
 
 def make_shape(coords: Iterable) -> ExtendedShape:
@@ -238,23 +261,17 @@ def shapes_below(bound: Shape):
     """All finite shapes n with 0 <= n <= bound, in lexicographic order."""
     if not bound.is_finite:
         raise ShapeError(f"bound must be finite: {bound}")
-    ranges = [range(c + 1) for c in bound.coords]
-
-    def rec(prefix, rest):
-        if not rest:
-            yield Shape(*prefix)
-            return
-        for v in rest[0]:
-            yield from rec(prefix + [v], rest[1:])
-
-    yield from rec([], ranges)
+    for coords in itertools.product(*(range(c + 1) for c in bound.coords)):
+        yield Shape._make(coords)
 
 
 def witness_pairs(bound: Shape, z):
     """Candidate witnesses (m, n) of a translation z: m <= bound, n = m - z >= 0.
 
-    m runs in shapes_below order."""
+    z is a tuple of ints, one per coordinate; m runs in shapes_below order."""
+    if not all(isinstance(c, int) for c in z):
+        raise ShapeError(f"translation coordinates must be ints, got {tuple(z)}")
     for m in shapes_below(bound):
-        coords = [a - b for a, b in zip(m.coords, z)]
+        coords = tuple(map(operator.sub, m.coords, z))
         if all(c >= 0 for c in coords):
-            yield m, Shape(coords)
+            yield m, Shape._make(coords)

@@ -19,9 +19,9 @@ from kgraphlab.dynsys import (
     identity_system,
     product_system,
 )
-from kgraphlab.errors import ConfigError, DomainError
+from kgraphlab.errors import ConfigError, DomainError, ShapeError
 from kgraphlab.kgraph import factorize, grid_graph, one_loop_per_color_graph
-from kgraphlab.shapes import INF, Shape, shapes_below
+from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
 
 # -- partial maps -----------------------------------------------------------
@@ -84,6 +84,30 @@ def test_grid_iterated_shift(grid24):
     assert grid24.power(Shape(2, 1))((3, 2)) == (1, 1)
     with pytest.raises(DomainError):
         grid24.power(Shape(2, 1))((1, 1))
+
+
+def test_power_checks_rank_on_every_miss():
+    system = grid_system(2, 2)
+    with pytest.raises(ConfigError, match="rank 1"):
+        system.power(Shape(1))
+    for n in shapes_below(Shape(1, 1)):
+        system.power(n)
+    with pytest.raises(ConfigError, match="rank 1"):
+        system.power(Shape(1))
+    with pytest.raises(ConfigError, match="rank 1"):
+        system.meets((0, 0), (0, 0), Shape(1), Shape(0, 0))
+    with pytest.raises(ConfigError, match="rank 3"):
+        system.meets((0, 0), (0, 0), Shape(0, 0), Shape(0, 0, 0))
+    with pytest.raises(ShapeError):
+        system.power(ExtendedShape(INF, 0))
+
+
+def test_power_table_is_keyed_by_coordinates():
+    system = grid_system(2, 2)
+    assert system.power((1, 0)) is system.power(Shape(1, 0))
+    assert system.power(Shape(0, 1)) is system.power((0, 1))
+    assert system.meets((0, 1), (1, 0), (0, 0), (1, 1)) is False
+    assert system.meets((0, 0), (1, 0), (0, 0), Shape(1, 0)) is True
 
 
 def test_power_zero_is_identity(grid24):

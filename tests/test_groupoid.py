@@ -5,6 +5,7 @@ all recomputed from first principles inside this file before being compared
 with the library.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -168,6 +169,26 @@ def test_join_formula_witness_is_valid_on_compatible_systems(grid_groupoid):
         m2, n2 = h.witness
         k = n | m2
         assert G.system.meets(g.x, h.y, m + (k - n), n2 + (k - m2))
+
+
+def witness_digest(G):
+    """sha256 over the element order with witnesses, then every composite in composable-pair order."""
+    h = hashlib.sha256()
+    for g in G:
+        h.update(f"{g!r} {tuple(map(tuple, g.witness))}\n".encode())
+    for g, k in G.composable_pairs():
+        gk = G.compose(g, k)
+        h.update(f"{g!r} {k!r} {tuple(map(tuple, gk.witness))}\n".encode())
+    return h.hexdigest()
+
+
+def test_witnesses_are_pinned(mix_groupoid):
+    # the build order with its witnesses, and the witness compose picks for every
+    # composable pair: a change to either rule changes a digest
+    assert witness_digest(build_semidirect(grid_system(2, 3))) == \
+        "dab8f5690bb5c765390188d2b1573b624843ebafdc1ccac258878697581f3a88"
+    assert witness_digest(mix_groupoid) == \
+        "b1cd1c252fe3daa4cea18f8af9cab8bcda83f0555ccb37662c8ed9328e7cdc8e"
 
 
 def test_translation_length_must_match_rank():

@@ -351,3 +351,9 @@ def test_path_value_semantics(flip22):
     # ... while the hash leaves the graph out, so it is address independent
     assert hash(other.path(["a0"])) == hash(flip22.path(["a0"]))
     assert hash(other.vertex("u")) == hash(flip22.vertex("u"))
+
+
+def test_path_rejects_unknown_edge_names(flip22):
+    for word in (["zz"], ["a0", "zz"], ["zz", "a0"]):
+        with pytest.raises(GraphError, match="unknown edge 'zz'"):
+            flip22.path(word)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgraphlab.errors import ShapeError
-from kgraphlab.shapes import INF, ExtendedShape, Shape, make_shape, shapes_below
+from kgraphlab.shapes import INF, ExtendedShape, Shape, make_shape, shapes_below, witness_pairs
 
 coord = st.one_of(st.integers(min_value=0, max_value=9), st.just(INF))
 finite_coord = st.integers(min_value=0, max_value=9)
@@ -27,6 +27,10 @@ def test_construction_and_validation():
     with pytest.raises(ShapeError):
         Shape(1.5, 0)
     with pytest.raises(ShapeError):
+        Shape(True, 0)
+    with pytest.raises(ShapeError):
+        make_shape((-1, 0))
+    with pytest.raises(ShapeError):
         Shape()
 
 
@@ -40,6 +44,7 @@ def test_basic_algebra():
     assert Shape.zero(2) <= a
     assert a.diff(b) == (1, -2)
     assert Shape.unit(3, 2) == Shape(0, 1, 0)
+    assert same_as_validated(Shape.unit(3, 2)) and same_as_validated(Shape.zero(3))
     assert 2 * Shape(1, 2) == Shape(2, 4)
 
 
@@ -102,3 +107,38 @@ def test_sub_inverts_add(a, b):
 def test_lattice_subtraction_law(s, n):
     # exit-time style arithmetic: (s + n) - n == s even through INF coordinates
     assert (s + n) - n == s
+
+
+def same_as_validated(s):
+    """s equals, hashes like and has the class of make_shape over its coordinates."""
+    ref = make_shape(s.coords)
+    return s == ref and hash(s) == hash(ref) and type(s) is type(ref)
+
+
+@given(st.one_of(xshape(), fshape()), st.one_of(xshape(), fshape()))
+def test_arithmetic_matches_validated_construction(a, b):
+    for s in (a + b, a.join(b), a.meet(b), 2 * a):
+        assert same_as_validated(s)
+    if b.is_finite:
+        assert same_as_validated((a + b) - b)
+
+
+@given(st.tuples(*([st.integers(min_value=0, max_value=9)] * 2)).map(ExtendedShape))
+def test_finite_extended_shapes_close_into_shape(a):
+    # an ExtendedShape without INF: every result is a Shape, as make_shape would build
+    for s in (a + a, a - a, a.join(a), a.meet(a), 3 * a):
+        assert same_as_validated(s) and type(s) is Shape
+
+
+@given(fshape(rank=2), st.tuples(*([st.integers(min_value=-3, max_value=3)] * 2)))
+def test_enumerated_shapes_match_validated_construction(bound, z):
+    for n in shapes_below(bound):
+        assert n == Shape(*n.coords) and type(n) is Shape
+    for m, n in witness_pairs(bound, z):
+        assert m == Shape(*m.coords) and n == Shape(*n.coords)
+        assert type(m) is type(n) is Shape and m.diff(n) == z
+
+
+def test_witness_pairs_take_int_translations():
+    with pytest.raises(ShapeError):
+        list(witness_pairs(Shape(1, 1), (0.5, 0)))
