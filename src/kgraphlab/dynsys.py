@@ -182,14 +182,7 @@ class MGDS:
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:
         """Whether T^m x = T^n y with both sides defined: (m, n) witnesses an arrow from y to x."""
-        # a plain coordinate tuple misses here and power() checks it
-        pm = self._powers.get(getattr(m, "coords", None))
-        pn = self._powers.get(getattr(n, "coords", None))
-        if pm is None:  # an empty map is falsy: test the miss by identity
-            pm = self.power(m)
-        if pn is None:
-            pn = self.power(n)
-        pm, pn = pm._table, pn._table
+        pm, pn = self.power(m)._table, self.power(n)._table
         return x in pm and y in pn and pm[x] == pn[y]
 
     def domain(self, n: Shape) -> frozenset:

@@ -108,10 +108,9 @@ class ExtendedShape:
         object.__setattr__(s, "coords", coords)
         return s
 
-    def _closed(self, other, coords: tuple):
-        """The result over coords of an operation on self and other: make_shape's class, unchecked."""
-        if type(self) is Shape and type(other) is Shape:
-            return Shape._make(coords)
+    @staticmethod
+    def _closed(coords: tuple):
+        """The result of arithmetic over coords: make_shape's class, unchecked."""
         return (ExtendedShape if INF in coords else Shape)._make(coords)
 
     def __setattr__(self, name, value):
@@ -159,7 +158,7 @@ class ExtendedShape:
 
     def __add__(self, other):
         self._check_rank(other)
-        return self._closed(other, tuple(map(operator.add, self.coords, other.coords)))
+        return self._closed(tuple(map(operator.add, self.coords, other.coords)))
 
     def __sub__(self, other):
         """Componentwise difference; requires other <= self and other finite."""
@@ -168,19 +167,19 @@ class ExtendedShape:
             raise ShapeError(f"subtrahend must be finite: {other}")
         if not other <= self:
             raise ShapeError(f"cannot subtract {other} from {self}: not dominated")
-        return self._closed(other, tuple(map(operator.sub, self.coords, other.coords)))
+        return self._closed(tuple(map(operator.sub, self.coords, other.coords)))
 
     def __mul__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        return self._closed(self, tuple(c if c is INF else c * k for c in self.coords))
+        return self._closed(tuple(c if c is INF else c * k for c in self.coords))
 
     __rmul__ = __mul__
 
     def join(self, other):
         """Componentwise maximum."""
         self._check_rank(other)
-        return self._closed(other, tuple(
+        return self._closed(tuple(
             b if b is INF or (a is not INF and a < b) else a
             for a, b in zip(self.coords, other.coords)
         ))
@@ -188,7 +187,7 @@ class ExtendedShape:
     def meet(self, other):
         """Componentwise minimum."""
         self._check_rank(other)
-        return self._closed(other, tuple(
+        return self._closed(tuple(
             a if b is INF or (a is not INF and a <= b) else b
             for a, b in zip(self.coords, other.coords)
         ))
@@ -200,8 +199,7 @@ class ExtendedShape:
         return self.meet(other)
 
     def __le__(self, other):
-        if not (type(self) is Shape and type(other) is Shape and len(self.coords) == len(other.coords)):
-            self._check_rank(other)
+        self._check_rank(other)
         return all(map(operator.le, self.coords, other.coords))
 
     def __lt__(self, other):

@@ -102,6 +102,18 @@ def test_power_checks_rank_on_every_miss():
         system.power(ExtendedShape(INF, 0))
 
 
+def test_meets_checks_type_whether_or_not_the_power_is_tabled():
+    system = grid_system(2, 2)
+    with pytest.raises(ShapeError):
+        system.meets((0, 0), (0, 0), ExtendedShape(1, 0), Shape(0, 0))
+    system.power(Shape(1, 0))
+    system.power(Shape(0, 0))
+    with pytest.raises(ShapeError):
+        system.meets((0, 0), (0, 0), ExtendedShape(1, 0), Shape(0, 0))
+    with pytest.raises(ShapeError):
+        system.meets((0, 0), (0, 0), Shape(0, 0), ExtendedShape(1, 0))
+
+
 def test_power_table_is_keyed_by_coordinates():
     system = grid_system(2, 2)
     assert system.power((1, 0)) is system.power(Shape(1, 0))
