@@ -68,18 +68,22 @@ def _accumulate(dst: dict, src: dict, scale: int = 1):
 class FockOperator:
     """Base class for operator expression trees.
 
-    Subclasses implement act(b) -> dict for a single basis element b (a Path
-    of nonzero shape, or VACUUM) and adjoint() -> FockOperator.  Everything
-    else (linear extension, algebra sugar, immutability) lives here.
+    Subclasses implement adjoint() -> FockOperator and either image(b) ->
+    basis element or None, when they send each basis element b (a Path of
+    nonzero shape, or VACUUM) to at most one with coefficient 1, or act(b)
+    -> dict.  Everything else (act from image, linear extension, algebra
+    sugar, immutability) lives here.
     """
 
     __slots__ = ()
+    image = None
 
     def __setattr__(self, name, value):
         raise AttributeError("operators are immutable")
 
     def act(self, b) -> dict:
-        raise NotImplementedError
+        img = self.image(b)
+        return {} if img is None else {img: 1}
 
     def adjoint(self) -> "FockOperator":
         raise NotImplementedError
@@ -114,8 +118,8 @@ class FockOperator:
 class Identity(FockOperator):
     __slots__ = ()
 
-    def act(self, b):
-        return {b: 1}
+    def image(self, b):
+        return b
 
     def adjoint(self):
         return self
@@ -164,15 +168,29 @@ class Sum(FockOperator):
         return "(" + " + ".join(repr(t) for t in self.terms) + ")"
 
 
-class Product(FockOperator):
-    """Composition; factors apply right to left, like written products."""
+def _chain(maps, b):
+    """b through partial maps in the given order; None once one is undefined."""
+    for f in maps:
+        b = f(b)
+        if b is None:
+            break
+    return b
 
-    __slots__ = ("factors",)
+
+class Product(FockOperator):
+    """Composition, right to left like written products; of partial maps, a partial map."""
+
+    __slots__ = ("factors", "image")
 
     def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
+        factors = tuple(factors)
+        maps = tuple(f.image for f in reversed(factors))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "image", None if None in maps else functools.partial(_chain, maps))
 
     def act(self, b):
+        if self.image is not None:
+            return super().act(b)
         vec = {b: 1}
         for f in reversed(self.factors):
             if not vec:
@@ -196,92 +214,89 @@ class PathOperator(FockOperator):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "path", path)
 
+    def __repr__(self):
+        return f"{self.symbol}{self.path.display()}"
+
 
 class LeftCreation(PathOperator):
     """Prepend a fixed path.  A vertex path acts as the matching span projection."""
 
     __slots__ = ()
+    symbol = "l+"
 
-    def act(self, b):
+    def image(self, b):
         p = self.path
         if b is VACUUM:
             # a vertex creation is a projection and fixes the vacuum
-            return {VACUUM: 1} if p.is_vertex else {p: 1}
+            return VACUUM if p.is_vertex else p
         if p.source != b.target:
-            return {}
-        return {self.graph.compose(p, b): 1}
+            return None
+        return self.graph.compose(p, b)
 
     def adjoint(self):
         return LeftAnnihilation(self.graph, self.path)
-
-    def __repr__(self):
-        return f"l+{self.path.display()}"
 
 
 class LeftAnnihilation(PathOperator):
     """Strip a fixed left factor; zero where the factorization disagrees."""
 
     __slots__ = ()
+    symbol = "l-"
 
-    def act(self, b):
+    def image(self, b):
         p = self.path
         if b is VACUUM:
-            return {VACUUM: 1} if p.is_vertex else {}
-        if not p.shape <= b.shape:
-            return {}
-        head, tail = self.graph.factorize(b, p.shape)
+            return VACUUM if p.is_vertex else None
+        k = p.shape.coords
+        if any(x > y for x, y in zip(k, b.shape.coords)):
+            return None
+        head, tail = self.graph._split(b, k)
         if head != p:
-            return {}
-        return {VACUUM: 1} if tail.is_vertex else {tail: 1}
+            return None
+        return VACUUM if tail.is_vertex else tail
 
     def adjoint(self):
         return LeftCreation(self.graph, self.path)
-
-    def __repr__(self):
-        return f"l-{self.path.display()}"
 
 
 class RightCreation(PathOperator):
     """Append a fixed path.  A vertex path acts as the matching span projection."""
 
     __slots__ = ()
+    symbol = "r+"
 
-    def act(self, b):
+    def image(self, b):
         p = self.path
         if b is VACUUM:
-            return {VACUUM: 1} if p.is_vertex else {p: 1}
+            return VACUUM if p.is_vertex else p
         if b.source != p.target:
-            return {}
-        return {self.graph.compose(b, p): 1}
+            return None
+        return self.graph.compose(b, p)
 
     def adjoint(self):
         return RightAnnihilation(self.graph, self.path)
-
-    def __repr__(self):
-        return f"r+{self.path.display()}"
 
 
 class RightAnnihilation(PathOperator):
     """Strip a fixed right factor; zero where the factorization disagrees."""
 
     __slots__ = ()
+    symbol = "r-"
 
-    def act(self, b):
+    def image(self, b):
         p = self.path
         if b is VACUUM:
-            return {VACUUM: 1} if p.is_vertex else {}
-        if not p.shape <= b.shape:
-            return {}
-        head, tail = self.graph.factorize(b, b.shape - p.shape)
+            return VACUUM if p.is_vertex else None
+        k = tuple(y - x for x, y in zip(p.shape.coords, b.shape.coords))
+        if min(k) < 0:
+            return None
+        head, tail = self.graph._split(b, k)
         if tail != p:
-            return {}
-        return {VACUUM: 1} if head.is_vertex else {head: 1}
+            return None
+        return VACUUM if head.is_vertex else head
 
     def adjoint(self):
         return RightCreation(self.graph, self.path)
-
-    def __repr__(self):
-        return f"r-{self.path.display()}"
 
 
 class SpanProjection(FockOperator):
@@ -298,10 +313,10 @@ class SpanProjection(FockOperator):
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "with_vacuum", bool(with_vacuum))
 
-    def act(self, b):
+    def image(self, b):
         if b is VACUUM:
-            return {VACUUM: 1} if self.with_vacuum else {}
-        return {b: 1} if self.predicate(b) else {}
+            return VACUUM if self.with_vacuum else None
+        return b if self.predicate(b) else None
 
     def adjoint(self):
         return self
@@ -632,24 +647,19 @@ class DiagonalAlgebra:
 def _atom_actions(graph):
     """Labelled single-step actions, each a partial injection on basis elements.
 
-    Returned as (label, act) with act(x) -> image or None; results are cached
-    per atom since words revisit the same intermediate elements constantly.
+    Returned as (label, act) with act the atom's cached image, x -> image or
+    None, since words revisit the same intermediate elements constantly.
     Labels start with l or p for left-side atoms, r or q for right-side ones.
     """
     atoms = []
-
-    def single(op):
-        return functools.cache(lambda x: next(iter(op.act(x)), None))
-
     for e in graph.edges:
         p = graph.path([e.name])
-        atoms.append((f"l+{e.name}", single(LeftCreation(graph, p))))
-        atoms.append((f"l-{e.name}", single(LeftAnnihilation(graph, p))))
-        atoms.append((f"r+{e.name}", single(RightCreation(graph, p))))
-        atoms.append((f"r-{e.name}", single(RightAnnihilation(graph, p))))
+        for cls in (LeftCreation, LeftAnnihilation, RightCreation, RightAnnihilation):
+            op = cls(graph, p)
+            atoms.append((repr(op), functools.cache(op.image)))
     for a in sorted(graph.vertices):
-        atoms.append((f"p@{a}", single(target_projection(graph, a))))
-        atoms.append((f"q@{a}", single(source_projection(graph, a))))
+        atoms.append((f"p@{a}", functools.cache(target_projection(graph, a).image)))
+        atoms.append((f"q@{a}", functools.cache(source_projection(graph, a).image)))
     return atoms
 
 

@@ -180,6 +180,7 @@ class SemidirectGroupoid(FiniteGroupoid):
         self.witness_bound = witness_bound
         self.forced = forced
         self._zero = (0,) * system.rank
+        self._zero_witness = (Shape.zero(system.rank),) * 2
 
     def range_of(self, g):
         return g.x
@@ -190,8 +191,7 @@ class SemidirectGroupoid(FiniteGroupoid):
     def unit_at(self, point):
         if point not in self.system._carrier_set:
             raise ConfigError(f"{point!r} is not a carrier point")
-        z = Shape.zero(self.system.rank)
-        return GroupoidElement(point, self._zero, point, witness=(z, z))
+        return GroupoidElement(point, self._zero, point, witness=self._zero_witness)
 
     def inverse(self, g):
         w = (g.witness[1], g.witness[0]) if g.witness else None

@@ -47,9 +47,10 @@ class Path:
 
     @cached_property
     def shape(self) -> Shape:
+        color = self.graph._color
         counts = [0] * self.graph.rank
         for name in self.word:
-            counts[self.graph.edge(name).color - 1] += 1
+            counts[color[name] - 1] += 1
         return Shape._make(tuple(counts))
 
     @property
@@ -61,14 +62,14 @@ class Path:
         """Vertex at the left (grading-zero) end."""
         if not self.word:
             return self.base
-        return self.graph.edge(self.word[0]).target
+        return self.graph._target[self.word[0]]
 
     @property
     def source(self):
         """Vertex at the right end."""
         if not self.word:
             return self.base
-        return self.graph.edge(self.word[-1]).source
+        return self.graph._source[self.word[-1]]
 
     def __len__(self):
         return len(self.word)
@@ -115,6 +116,10 @@ class KGraph:
             if e.source not in vset or e.target not in vset:
                 raise GraphError(f"edge {e.name!r} has unknown endpoint")
             self._edges[e.name] = e
+        # the path kernel reads these instead of going through edge()
+        self._color = {nm: e.color for nm, e in self._edges.items()}
+        self._source = {nm: e.source for nm, e in self._edges.items()}
+        self._target = {nm: e.target for nm, e in self._edges.items()}
 
         self._by_color: dict[int, tuple[Edge, ...]] = {
             c: tuple(sorted((e for e in self._edges.values() if e.color == c),
@@ -191,37 +196,40 @@ class KGraph:
         word = tuple(names)
         if not word:
             raise GraphError("empty edge word; use vertex() for grading-zero paths")
+        for nm in word:
+            self.edge(nm)  # an unknown name fails here, alone or not
         self._check_chain(word)
         return Path(self, self._normal_word(word))
 
     def _check_chain(self, word):
-        edges = [self.edge(nm) for nm in word]  # an unknown name fails here, alone or not
-        for ea, eb in zip(edges, edges[1:]):
-            if ea.source != eb.target:
+        source, target = self._source, self._target
+        for a, b in zip(word, word[1:]):
+            if source[a] != target[b]:
                 raise NotComposable(
-                    f"edges {ea.name} and {eb.name} do not chain: source {ea.source} != target {eb.target}",
-                    source=ea.source, target=eb.target)
+                    f"edges {a} and {b} do not chain: source {source[a]} != target {target[b]}",
+                    source=source[a], target=target[b])
 
     def _normal_word(self, word):
         """Sort colors ascending by square rewrites; O(len^2) moves."""
+        color = self._color
         w = list(word)
-        i = 0
-        while i < len(w) - 1:
-            ci = self.edge(w[i]).color
-            cj = self.edge(w[i + 1]).color
+        c = [color[nm] for nm in w]
+        i, last = 0, len(w) - 1
+        while i < last:
+            ci, cj = c[i], c[i + 1]
             if ci <= cj:
                 i += 1
                 continue
-            table = self._to_normal[(cj, ci)]
             try:
-                w[i], w[i + 1] = table[(w[i], w[i + 1])]
+                w[i], w[i + 1] = self._to_normal[(cj, ci)][(w[i], w[i + 1])]
             except KeyError:
                 raise GraphError(
                     f"no square for word {w[i]},{w[i+1]} (colors {ci},{cj})") from None
+            c[i], c[i + 1] = cj, ci
             if i:
                 i -= 1
         out = tuple(w)
-        self._check_chain(out)
+        self._check_chain(out)  # a square that breaks outer endpoints breaks the chain
         return out
 
     # -- composition and factorization ------------------------------------------
@@ -233,48 +241,53 @@ class KGraph:
             raise NotComposable(
                 f"cannot compose {p!r}·{q!r}: source {p.source} != target {q.target}",
                 source=p.source, target=q.target)
-        if p.is_vertex:
+        if not p.word:
             return q
-        if q.is_vertex:
+        if not q.word:
             return p
         return Path(self, self._normal_word(p.word + q.word))
 
     def _pull_front(self, word, j):
         """Rewrite a normal word so an edge of color j leads; return (edge, rest)."""
-        idx = None
-        for k, nm in enumerate(word):
-            if self.edge(nm).color == j:
-                idx = k
+        color = self._color
+        for idx, nm in enumerate(word):
+            if color[nm] == j:
                 break
-        if idx is None:
+        else:
             raise GraphError(f"word has no color-{j} edge to pull")
-        w = list(word)
+        if not idx:
+            return nm, word[1:]
+        w = list(word[:idx + 1])  # only the part up to the pulled edge is rewritten
         for p in range(idx, 0, -1):
-            lo_c = self.edge(w[p - 1]).color  # < j since the word is normal
-            table = self._to_anti[(lo_c, j)]
+            lo_c = color[w[p - 1]]  # < j since the word is normal
             try:
-                w[p - 1], w[p] = table[(w[p - 1], w[p])]
+                w[p - 1], w[p] = self._to_anti[(lo_c, j)][(w[p - 1], w[p])]
             except KeyError:
                 raise GraphError(
                     f"no inverse square for word {w[p-1]},{w[p]} (colors {lo_c},{j})") from None
-        return w[0], tuple(w[1:])
+        return w[0], tuple(w[1:]) + word[idx + 1:]
 
     def factorize(self, p: Path, k: Shape) -> tuple[Path, Path]:
-        """Split p = head·tail with shape(head) = k.  Requires 0 <= k <= shape(p)."""
+        """Split p = head·tail with shape(head) = k, a Shape or tuple with 0 <= k <= shape(p)."""
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
+        k = k if isinstance(k, Shape) else Shape(*k)
         if len(k) != self.rank:
             raise ShapeError(f"shape rank {len(k)} != graph rank {self.rank}")
-        if not k.is_finite or not k <= p.shape:
+        if not k <= p.shape:
             raise ShapeError(f"cannot factor {p!r} at {k}: not dominated by {p.shape}")
+        return self._split(p, k.coords)
+
+    def _split(self, p: Path, coords: tuple) -> tuple[Path, Path]:
+        """factorize's body, for coords already known to lie in [0, shape(p)]."""
         head: list[str] = []
         rest = p.word
-        for j in range(1, self.rank + 1):
-            for _ in range(k.coord(j)):
+        for j, n in enumerate(coords, 1):
+            for _ in range(n):
                 e, rest = self._pull_front(rest, j)
                 head.append(e)
-        head_path = self.vertex(p.target) if not head else Path(self, tuple(head))
-        tail_path = self.vertex(head_path.source) if not rest else Path(self, rest)
+        head_path = Path(self, tuple(head)) if head else Path(self, (), p.target)
+        tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
         return head_path, tail_path
 
     # -- enumeration --------------------------------------------------------------
@@ -366,8 +379,8 @@ class KGraph:
 
             bad_end = None
             for (hi, lo), (lo2, hi2) in table.items():
-                if (self.edge(hi).target != self.edge(lo2).target
-                        or self.edge(lo).source != self.edge(hi2).source):
+                if (self._target[hi] != self._target[lo2]
+                        or self._source[lo] != self._source[hi2]):
                     bad_end = ((hi, lo), (lo2, hi2))
                     break
             checks.append(Check(f"square-endpoints[{i},{j}]", bad_end is None, witness=bad_end))
@@ -412,7 +425,7 @@ class KGraph:
         def swap(w, p):
             # the pair at position p must be color-descending (anti-normal)
             a, b = w[p], w[p + 1]
-            ca, cb = self.edge(a).color, self.edge(b).color
+            ca, cb = self._color[a], self._color[b]
             table = self._to_normal[(cb, ca)]
             if (a, b) not in table:
                 return None

@@ -35,7 +35,7 @@ from kgraphlab.fock import (
     verify_shape_floor,
     RELATION_NAMES,
 )
-from kgraphlab.kgraph import grid_graph, single_vertex_graph
+from kgraphlab.kgraph import KGraph, flip_graph, grid_graph, single_vertex_graph
 from kgraphlab.shapes import Shape
 
 
@@ -73,6 +73,46 @@ def _moved(op, basis):
 
 def _fixed_set(op, basis):
     return frozenset(b for b in basis if op.act(b) == {b: 1})
+
+
+def _combine(pairs):
+    """The sum of c * vector over (vector, c) pairs, zero entries dropped."""
+    out = {}
+    for vec, c in pairs:
+        for b, v in vec.items():
+            out[b] = out.get(b, 0) + c * v
+    return {b: v for b, v in out.items() if v}
+
+
+def _reference_act(op, b):
+    """Vector evaluation as it was before operators became partial maps.
+
+    Products apply their factors to whole vectors, right to left, and the
+    annihilations go through the public factorize after a Shape dominance
+    test; creations and projections act through their own act.
+    """
+    if isinstance(op, Product):
+        vec = {b: 1}
+        for f in reversed(op.factors):
+            vec = _combine((_reference_act(f, x), c) for x, c in vec.items())
+        return vec
+    if isinstance(op, Sum):
+        return _combine((_reference_act(t, b), 1) for t in op.terms)
+    if isinstance(op, Scaled):
+        return _combine([(_reference_act(op.inner, b), op.scale)])
+    left = isinstance(op, fock.LeftAnnihilation)
+    if not left and not isinstance(op, fock.RightAnnihilation):
+        return op.act(b)
+    p = op.path
+    if b is VACUUM:
+        return {VACUUM: 1} if p.is_vertex else {}
+    if not p.shape <= b.shape:
+        return {}
+    head, tail = op.graph.factorize(b, p.shape if left else b.shape - p.shape)
+    kept, rest = (head, tail) if left else (tail, head)
+    if kept != p:
+        return {}
+    return {VACUUM: 1} if rest.is_vertex else {rest: 1}
 
 
 # -- basic actions ---------------------------------------------------------------
@@ -231,6 +271,51 @@ def test_adjoint_moves_across_inner_product(flip22):
         for u in basis:
             for v in basis:
                 assert dot(Tstar.act(u), {v: 1}) == dot({u: 1}, T.act(v))
+
+
+def test_catalog_instances_match_the_reference_evaluation(graph_family):
+    for g in graph_family:
+        basis = fock_basis(g, Shape(2, 2))
+        a = g.enumerate_paths(Shape(1, 0))[0]
+        L, R = left_creation(g, a), right_creation(g, a)
+        mixed = [("mixed", Product((Sum((L, Scaled(-2, R))), L.adjoint())),
+                  Product((R.adjoint(), Identity() - Product((L, L.adjoint())))))]
+        for name in RELATION_NAMES:
+            for label, lhs, rhs in [*fock._CATALOG[name](g, Shape(2, 2)), *mixed]:
+                for b in basis:
+                    assert lhs.act(b) == _reference_act(lhs, b), (g.name, name, label, b)
+                    assert rhs.act(b) == _reference_act(rhs, b), (g.name, name, label, b)
+
+
+def test_products_are_partial_maps_exactly_when_their_factors_are(n2graph):
+    lam = unique_path(n2graph, (1, 0))
+    L, R = left_creation(n2graph, lam), right_creation(n2graph, lam)
+    assert Product((L.adjoint(), target_projection(n2graph, "u"), R, Identity())).image
+    assert Product((L, Product((R, R.adjoint())))).image
+    assert Product((L, Sum((L, R)))).image is None
+    assert Product((L, 2 * R)).image is None
+    assert Sum((L,)).image is None and Scaled(1, L).image is None
+
+
+def test_relation_work_counts_are_pinned(monkeypatch):
+    """Normalizations and pulls per relation run, as counted before partial maps.
+
+    Evaluating through image must do the same kernel work as evaluating
+    through vectors did, only cheaper.
+    """
+    counts = {}
+    for name in ("_normal_word", "_pull_front"):
+        def counted(*args, _name=name, _inner=getattr(KGraph, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _inner(*args)
+        monkeypatch.setattr(KGraph, name, counted)
+    g = flip_graph()
+    report = verify_identity(g, "R1", (2, 2))
+    assert (report.ok, report.checked, counts) == (
+        True, 4802, {"_pull_front": 13720, "_normal_word": 4608})
+    counts.clear()
+    report = verify_identity(g, "commutation", (2, 2))
+    assert (report.ok, report.checked, counts) == (True, 3136, {"_normal_word": 12416})
 
 
 def test_product_applies_right_to_left(n2graph):

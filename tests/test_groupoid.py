@@ -77,6 +77,8 @@ def test_unit_space(grid_groupoid):
     assert len(units) == 16
     for u in units:
         assert u.x == u.y and u.z == (0, 0) and u == G.unit_at(u.x)
+        assert u.witness == (Shape.zero(2), Shape.zero(2))
+        assert [type(w) for w in u.witness] == [Shape, Shape]
 
 
 def test_identity_build_collects_translations(identity_groupoid):

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+import kgraphlab
 from kgraphlab.errors import GraphError, NotComposable, ShapeError
 from kgraphlab.kgraph import (
     Edge,
@@ -20,7 +21,7 @@ from kgraphlab.kgraph import (
     one_loop_per_color_graph,
     single_vertex_graph,
 )
-from kgraphlab.shapes import Shape, shapes_below
+from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
 
 # -- independent oracles -----------------------------------------------------------
@@ -165,6 +166,7 @@ def test_factorize_matches_brute_force_and_is_unique(graph_family):
                 h, t = factorize(p, k)
                 assert h.shape == k and compose(h, t) == p
                 assert brute_factorizations(g, p, k) == [(h, t)]
+                assert g._split(p, k.coords) == (h, t)
 
 
 def test_factorize_out_of_range(n2graph):
@@ -181,6 +183,17 @@ def test_factorize_degenerate_ends(flip22):
     assert h.is_vertex and t == p
     h, t = factorize(p, p.shape)
     assert h == p and t.is_vertex
+
+
+def test_factorize_takes_a_coordinate_tuple(flip22):
+    p = flip22.path(["a0", "a1", "b1"])
+    for split in (factorize, kgraphlab.factorize):
+        assert split(p, (1, 0)) == split(p, Shape(1, 0))
+        assert split(p, (2, 1)) == (p, flip22.vertex("u"))
+        for bad in ((1, -1), ExtendedShape(INF, 0), (1,), (1, 0, 0), Shape(1), (0, 2),
+                    Shape(3, 0)):
+            with pytest.raises(ShapeError):
+                split(p, bad)
 
 
 # -- enumeration ---------------------------------------------------------------------------
@@ -257,6 +270,18 @@ def test_validate_reports_missing_square():
     assert not tot.ok and ("b0", "a0") in tot.witness[0]
     with pytest.raises(GraphError):
         g.path(["b0", "a0"])
+
+
+def test_square_breaking_outer_endpoints_is_caught_when_normalizing():
+    # b.a at u is sent to c.d at v: each side chains, the outer endpoints do not,
+    # so a word through the square normalizes to one that does not chain
+    edges = [Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"), Edge("c", 1, "v", "v"),
+             Edge("d", 2, "v", "v"), Edge("x", 1, "u", "v")]
+    g = KGraph(2, ["u", "v"], edges, {(1, 2): {("b", "a"): ("c", "d")}})
+    ends = next(c for c in g.validate().checks if c.name == "square-endpoints[1,2]")
+    assert not ends.ok and ends.witness == (("b", "a"), ("c", "d"))
+    with pytest.raises(NotComposable, match="edges x and c do not chain"):
+        g.path(["x", "b", "a"])
 
 
 def test_validate_cube_failure():
