@@ -53,10 +53,11 @@ class GermElement:
 
 
 class FiniteGroupoid:
-    """Finite groupoid with an explicit element set.
+    """Finite groupoid with an explicit set of distinct elements.
 
     Subclasses provide the structure maps; the axiom checker and the
-    convolution algebra work uniformly on top of them.
+    convolution algebra work uniformly on top of them.  An element's id is
+    its position in elements.
     """
 
     closed = True  # holds every composite: one outside the element set fails closure
@@ -64,7 +65,7 @@ class FiniteGroupoid:
     def __init__(self, name: str, elements, unit_points):
         self.name = name
         self.elements = tuple(elements)
-        self._element_set = {g: g for g in self.elements}  # an equal probe finds the stored arrow
+        self._element_set = {g: i for i, g in enumerate(self.elements)}  # arrow -> id; an equal probe finds it
         self.unit_points = tuple(unit_points)
 
     def __contains__(self, g):
@@ -108,15 +109,20 @@ class FiniteGroupoid:
 
     @functools.cached_property
     def _by_range(self) -> dict:
+        """Range point -> ids of the elements starting there."""
         by_range: dict = {}
-        for h in self.elements:
-            by_range.setdefault(self.range_of(h), []).append(h)
+        for j, h in enumerate(self.elements):
+            by_range.setdefault(self.range_of(h), []).append(j)
         return by_range
 
+    def _composable_ids(self):
+        for i, g in enumerate(self.elements):
+            for j in self._by_range.get(self.source_of(g), ()):
+                yield i, j
+
     def composable_pairs(self):
-        for g in self.elements:
-            for h in self._by_range.get(self.source_of(g), ()):
-                yield g, h
+        elements = self.elements
+        return ((elements[i], elements[j]) for i, j in self._composable_ids())
 
     def check_axioms(self) -> Check:
         """Exhaustive closure, unit, inverse and associativity verification.
@@ -124,40 +130,67 @@ class FiniteGroupoid:
         Composable pairs whose composite has no witness (possible only on
         forced builds) are reported as closure failures, witness included;
         so is a composite outside the element set of a closed groupoid.
+
+        The closure pass composes each composable pair once and keeps the
+        composite with its id, None when it leaves the window.  The unit,
+        inverse and associativity checks read that table.  A lookup answers
+        what a fresh compose would: an arrow is its triple (x, z, y), never
+        its witness, so the stored operand and a fresh equal one have equal
+        composites.  compose runs again only for a product with an operand
+        outside the window, or for a pair the closure pass did not reach
+        because it failed first.  The table lives for this call only.
         """
+        elements, ids, by_range = self.elements, self._element_set, self._by_range
+        operands = tuple(zip(elements, range(len(elements))))  # (arrow, id) per element
+        table: dict = {}  # composable id pair -> (composite, its id or None outside the window)
+
+        def operand(g):
+            return g, ids.get(g)
+
+        def unit(point):
+            return operand(self.unit_at(point))
+
+        def times(a, b):
+            found = table.get((a[1], b[1]))
+            return operand(self.compose(a[0], b[0])) if found is None else found
+
+        def same(a, b):  # by id inside the window, by triple outside it
+            return a[1] == b[1] and (a[1] is not None or a[0] == b[0])
+
         checks = []
 
-        bad = next((g for g in self.elements if self.inverse(g) not in self), None)
+        bad = next((g for g in elements if self.inverse(g) not in ids), None)
         checks.append(Check("inverse-closure", bad is None, bad))
 
         closure_witness = None
-        products: dict = {}
-        for g, h in self.composable_pairs():
+        for i, j in self._composable_ids():
+            g, h = elements[i], elements[j]
             try:
                 gh = self.compose(g, h)
             except WitnessError as err:
                 closure_witness = (g, h, err)
                 break
-            if self.closed and gh not in self:
+            found = operand(gh)
+            if self.closed and found[1] is None:
                 closure_witness = (g, h, gh)
                 break
-            products[(g, h)] = gh
+            table[i, j] = found
         checks.append(Check("closure", closure_witness is None, closure_witness))
 
-        bad = next((g for g in self.elements
-                    if self.compose(self.unit_at(self.range_of(g)), g) != g
-                    or self.compose(g, self.unit_at(self.source_of(g))) != g), None)
+        bad = next((g for g, i in operands
+                    if not same(times(unit(self.range_of(g)), (g, i)), (g, i))
+                    or not same(times((g, i), unit(self.source_of(g))), (g, i))), None)
         checks.append(Check("units", bad is None, bad))
 
-        bad = next((g for g, inv in zip(self.elements, map(self.inverse, self.elements))
-                    if self.compose(g, inv) != self.unit_at(self.range_of(g))
-                    or self.compose(inv, g) != self.unit_at(self.source_of(g))), None)
+        bad = next((g for (g, i), inv in zip(operands, map(operand, map(self.inverse, elements)))
+                    if not same(times((g, i), inv), unit(self.range_of(g)))
+                    or not same(times(inv, (g, i)), unit(self.source_of(g)))), None)
         checks.append(Check("inverse-law", bad is None, bad))
 
         if closure_witness is None:  # associativity is vacuous when closure already failed
-            bad = next(((g, h, k) for (g, h), gh in products.items()
-                        for k in self._by_range.get(self.source_of(h), ())
-                        if self.compose(gh, k) != self.compose(g, products[(h, k)])), None)
+            bad = next(((elements[i], elements[j], elements[k]) for (i, j), gh in table.items()
+                        for k in by_range.get(self.source_of(elements[j]), ())
+                        if not same(times(gh, operands[k]), times(operands[i], table[j, k]))), None)
             checks.append(Check("associativity", bad is None, bad))
 
         return Check("axioms", all(c.ok for c in checks), checks=tuple(checks))
@@ -180,7 +213,6 @@ class SemidirectGroupoid(FiniteGroupoid):
         self.witness_bound = witness_bound
         self.forced = forced
         self._zero = (0,) * system.rank
-        self._zero_witness = (Shape.zero(system.rank),) * 2
 
     def range_of(self, g):
         return g.x
@@ -188,10 +220,16 @@ class SemidirectGroupoid(FiniteGroupoid):
     def source_of(self, g):
         return g.y
 
+    @functools.cached_property
+    def _units(self) -> dict:
+        """Carrier point x -> the stored unit arrow (x, 0, x); a build holds every one."""
+        return {x: self.element(x, self._zero, x) for x in self.system.carrier}
+
     def unit_at(self, point):
-        if point not in self.system._carrier_set:
+        unit = self._units.get(point)
+        if unit is None:
             raise ConfigError(f"{point!r} is not a carrier point")
-        return GroupoidElement(point, self._zero, point, witness=self._zero_witness)
+        return unit
 
     def inverse(self, g):
         w = (g.witness[1], g.witness[0]) if g.witness else None
@@ -220,9 +258,9 @@ class SemidirectGroupoid(FiniteGroupoid):
     def element(self, x, z, y) -> GroupoidElement:
         """The stored arrow with this triple, or a witness-searched fresh one."""
         z = tuple(z)
-        stored = self._element_set.get(GroupoidElement(x, z, y))
-        if stored is not None:
-            return stored
+        i = self._element_set.get(GroupoidElement(x, z, y))
+        if i is not None:
+            return self.elements[i]
         return self._searched(x, z, y, x, y, "no witness for ({x!r}, {z}, {y!r})")
 
     def compose(self, g, h) -> GroupoidElement:

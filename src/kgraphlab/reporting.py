@@ -9,8 +9,9 @@ a short info string.  Two renderers share that data:
   fixture and seed always produce byte-identical output.
 
 Witness values use a tiny self-describing grammar (ints, the infinity
-marker, quoted strings, booleans, none, and nested tuples).  The grammar
-round-trips: parse_witness(serialize_witness(w)) == w.
+marker, quoted strings, booleans, none, and nested tuples).  Nothing in
+the package reads it back; the CLI tests parse every written witness to
+check that the grammar round-trips.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ def normalize_witness(obj) -> object:
 # -- witness grammar ----------------------------------------------------------------
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def serialize_witness(value) -> str:
@@ -114,112 +114,6 @@ def _write(value) -> str:
     if isinstance(value, tuple):
         return "(" + ", ".join(_write(v) for v in value) + ")"
     raise ValueError(f"not a grammar value: {value!r}")
-
-
-class WitnessSyntaxError(ValueError):
-    """Raised when witness text does not match the grammar."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
-def parse_witness(text: str):
-    """Parse one serialized witness back into its value tree."""
-    parser = _WitnessParser(text)
-    value = parser.value()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise WitnessSyntaxError("trailing input", parser.pos)
-    return value
-
-
-_DIGITS = frozenset("0123456789")  # the writer emits ASCII digits only
-
-
-class _WitnessParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def value(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise WitnessSyntaxError("unexpected end of input", self.pos)
-        ch = self.text[self.pos]
-        if ch == "(":
-            return self._tuple()
-        if ch == '"':
-            return self._string()
-        if ch == "-" or ch in _DIGITS:
-            return self._int()
-        return self._word()
-
-    def _tuple(self):
-        self.pos += 1  # consume (
-        items = []
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ")":
-            self.pos += 1
-            return ()
-        while True:
-            items.append(self.value())
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                raise WitnessSyntaxError("unclosed tuple", self.pos)
-            ch = self.text[self.pos]
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == ")":
-                self.pos += 1
-                return tuple(items)
-            raise WitnessSyntaxError(f"expected ',' or ')' not {ch!r}", self.pos)
-
-    def _string(self):
-        self.pos += 1  # consume opening quote
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise WitnessSyntaxError("dangling escape", self.pos)
-                esc = self.text[self.pos + 1]
-                if esc not in _UNESCAPES:
-                    raise WitnessSyntaxError(f"unknown escape \\{esc}", self.pos)
-                out.append(_UNESCAPES[esc])
-                self.pos += 2
-                continue
-            out.append(ch)
-            self.pos += 1
-        raise WitnessSyntaxError("unterminated string", self.pos)
-
-    def _int(self):
-        start = self.pos
-        if self.text[self.pos] == "-":
-            self.pos += 1
-        if self.pos >= len(self.text) or self.text[self.pos] not in _DIGITS:
-            raise WitnessSyntaxError("expected digits", self.pos)
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        return int(self.text[start:self.pos])
-
-    def _word(self):
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalpha()):
-            self.pos += 1
-        word = self.text[start:self.pos]
-        table = {"none": None, "true": True, "false": False, "inf": INF}
-        if word not in table:
-            raise WitnessSyntaxError(f"unknown token {word!r}", start)
-        return table[word]
 
 
 # -- renderers ----------------------------------------------------------------------

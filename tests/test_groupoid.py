@@ -23,9 +23,11 @@ from kgraphlab.dynsys import (
 from kgraphlab.errors import ConfigError, NotComposable, WitnessError
 from kgraphlab.groupoid import (
     ConvolutionElement,
+    FiniteGroupoid,
     GermElement,
     GermGroupoid,
     GroupoidElement,
+    SemidirectGroupoid,
     build_semidirect,
     check_essentially_free,
     check_lifting_hypothesis,
@@ -215,6 +217,81 @@ def test_axioms_exhaustive(grid_groupoid, identity_groupoid, mix_groupoid):
     for G in (grid_groupoid, identity_groupoid, mix_groupoid):
         rep = G.check_axioms()
         assert rep.ok, [(c.name, c.witness) for c in rep.checks if not c.ok]
+
+
+def test_axiom_compose_work_is_pinned(monkeypatch, grid_groupoid, mix_groupoid):
+    """compose calls per check_axioms: each composable pair once, plus the escaped composites.
+
+    The grid window is closed under composition, so its 4,096 composable
+    pairs are all the work.  The periodic mix window composes its 3,364
+    pairs, then 56,640 associativity products with an operand outside the
+    window.  Composing afresh for every associativity triple took 136,192
+    and 145,660 calls.
+    """
+    calls = [0]
+
+    def counted(self, g, h, _inner=SemidirectGroupoid.compose):
+        calls[0] += 1
+        return _inner(self, g, h)
+
+    monkeypatch.setattr(SemidirectGroupoid, "compose", counted)
+    found = []
+    for G in (grid_groupoid, mix_groupoid):
+        calls[0] = 0
+        found.append((len(G), sum(1 for _ in G.composable_pairs()), G.check_axioms().ok, calls[0]))
+    assert found == [(256, 4096, True, 4096), (196, 3364, True, 60004)]
+
+
+class MisComposing(FiniteGroupoid):
+    """The cyclic group Z/n as a one-point groupoid, with compose wrong on chosen pairs.
+
+    The element set holds the arrows 0..held-1; with held < n it is a window
+    that composites may leave, as in a semidirect build.  Every arrow starts
+    and ends at the one point, so a wrong composite still composes with
+    everything and each law check runs to its verdict.
+    """
+
+    def __init__(self, wrong, n, held):
+        super().__init__("mis", map(self.arrow, range(held)), (0,))
+        self.n, self.closed = n, held == n
+        self.wrong = {(self.arrow(g), self.arrow(h)): self.arrow(gh) for (g, h), gh in wrong.items()}
+
+    @staticmethod
+    def arrow(k):
+        return GroupoidElement(0, (k,), 0)
+
+    def range_of(self, g):
+        return g.x
+
+    def source_of(self, g):
+        return g.y
+
+    def unit_at(self, point):
+        return self.arrow(0)
+
+    def inverse(self, g):
+        return self.arrow(-g.z[0] % self.n)
+
+    def compose(self, g, h):
+        return self.wrong.get((g, h)) or self.arrow((g.z[0] + h.z[0]) % self.n)
+
+
+@pytest.mark.parametrize("wrong, n, held, failing", [
+    ({(0, 1): 2}, 3, 3, {"units": 1, "associativity": (0, 1, 1)}),
+    ({(1, 2): 1}, 3, 3, {"inverse-law": 1, "associativity": (1, 1, 1)}),
+    ({(1, 1): 0}, 3, 3, {"associativity": (1, 1, 2)}),
+    ({(0, 0): 5}, 3, 3, {"closure": (0, 0, 5), "units": 0, "inverse-law": 0}),
+    # (1 1) 1 and 1 (1 1) both leave the window {0, 1}; only the former is wrong
+    ({(2, 1): 4}, 5, 2, {"inverse-closure": 1, "associativity": (1, 1, 1)}),
+], ids=["units", "inverse-law", "associativity", "closure", "associativity-outside-window"])
+def test_failing_laws_keep_their_first_witness(wrong, n, held, failing):
+    # each law's first offender in element order (a triple for closure and
+    # associativity); associativity is not checked once closure fails
+    arrows = {name: MisComposing.arrow(w) if isinstance(w, int) else tuple(map(MisComposing.arrow, w))
+              for name, w in failing.items()}
+    rep = MisComposing(wrong, n, held).check_axioms()
+    assert not rep.ok
+    assert {c.name: c.witness for c in rep.checks if not c.ok} == arrows
 
 
 def test_composites_may_leave_the_window(mix_groupoid):
