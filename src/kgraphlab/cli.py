@@ -134,8 +134,14 @@ def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "groupoid")
     bound = _resolve_bound(options, fixture, graph.rank)
     witness_bound = _shape_option(options, "witness", graph.rank)
-    system = path_space_system(graph, bound)
-    dc = _timed("domain-compat", system.check_dc)
+    system = None
+
+    def domain_compat():  # building the system validates the graph; an invalid one fails here
+        nonlocal system
+        system = path_space_system(graph, bound)
+        return system.check_dc()
+
+    dc = _timed("domain-compat", domain_compat)
     if not dc.ok:
         return [dc, Check("axioms", False, None, "skipped: domain compatibility failed")]
 

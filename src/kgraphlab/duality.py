@@ -23,7 +23,7 @@ from .dynsys import MGDS
 from .errors import ConfigError, DomainError, NotComposable, ShapeError, WitnessError
 from .groupoid import GroupoidElement
 from .kgraph import Path, compose, factorize
-from .reporting import Check
+from .reporting import CAP, Check
 from .shapes import INF, ExtendedShape, Shape, make_shape, shapes_below, witness_pairs
 
 __all__ = [
@@ -417,14 +417,14 @@ def fiber_lift_report(groupoid) -> Check:
 
     Buckets arrows by (source point, covered arrow); two arrows in one
     bucket would be distinct lifts of a single covering arrow out of the
-    same point.  The witness holds the first three such buckets; the info
+    same point.  The witness holds the first CAP such buckets; the info
     string counts the arrows checked.
     """
     buckets: dict = {}
     for g in groupoid:
         key = (g.y, (phi(g.x), g.z, phi(g.y)))
         buckets.setdefault(key, []).append(g)
-    defects = tuple(tuple(v) for v in buckets.values() if len(v) > 1)[:3]
+    defects = tuple(tuple(v) for v in buckets.values() if len(v) > 1)[:CAP]
     return Check("fiber-lift", not defects, defects or None, f"checked={len(groupoid)}")
 
 

@@ -16,7 +16,7 @@ import itertools
 from typing import Iterable
 
 from .errors import ConfigError, DomainError
-from .reporting import Check
+from .reporting import CAP, Check
 from .shapes import INF, ExtendedShape, Shape, shapes_below
 
 
@@ -103,7 +103,7 @@ class MGDS:
             stray = (T.domain() | T.codomain_points()) - self._carrier_set
             if stray:
                 raise ConfigError(
-                    f"map {T.name} of system {name} leaves the carrier: {sorted(map(repr, stray))[:3]}"
+                    f"map {T.name} of system {name} leaves the carrier: {sorted(map(repr, stray))[:CAP]}"
                 )
         self._powers: dict = {}
         self._exit: dict = {}

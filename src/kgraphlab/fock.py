@@ -1,10 +1,15 @@
 """Creation operators on the path-space basis of a colored graph.
 
 The basis is a single shared vacuum symbol plus every path of nonzero shape.
-Operators are immutable expression trees evaluated lazily, one basis vector
-at a time, with integer coefficients throughout.  Nothing is ever truncated:
-a shape bound only selects which vectors a checker visits, never how an
-operator acts, so every reported identity is exact on the checked vectors.
+Creations and annihilations are partial injections on it, so every operator
+is in one normal form: a partial map (a creation, annihilation, span
+projection, the identity, or a Product of partial maps), or a Sum of
+(int coefficient, partial map) terms.  A partial map sends a basis vector
+to at most one; a sum adds its terms' images with their coefficients.
+Operators are immutable and evaluated lazily, one basis vector at a time.
+Nothing is ever truncated: a shape bound only selects which vectors a
+checker visits, never how an operator acts, so every reported identity is
+exact on the checked vectors.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .kgraph import KGraph, Path
+from .reporting import CAP
 from .shapes import Shape, shapes_below
 
 
@@ -32,8 +38,6 @@ class _Vacuum:
 
 
 VACUUM = _Vacuum()
-
-CAP = 3  # failures kept per pointwise comparison and per relation report
 
 
 def _shape(x) -> Shape:
@@ -50,72 +54,95 @@ def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     return tuple(out)
 
 
-# -- integer vectors -----------------------------------------------------------
-#
-# A vector is a plain dict {basis element: nonzero int}.  The empty dict is the
-# zero vector.  Helpers keep entries clean so dict equality is vector equality.
-
-
-def _accumulate(dst: dict, src: dict, scale: int = 1):
-    for b, c in src.items():
-        new = dst.get(b, 0) + scale * c
-        if new:
-            dst[b] = new
-        else:
-            dst.pop(b, None)
-
-
 class FockOperator:
-    """Base class for operator expression trees.
+    """Base of the two operator kinds, PartialMap and Sum.
 
-    Subclasses implement adjoint() -> FockOperator and either image(b) ->
-    basis element or None, when they send each basis element b (a Path of
-    nonzero shape, or VACUUM) to at most one with coefficient 1, or act(b)
-    -> dict.  Everything else (act from image, linear extension, algebra
-    sugar, immutability) lives here.
+    terms is a tuple of (int coefficient, partial map) pairs, and the algebra
+    works on terms alone: k * op, + and - join term lists; * of two partial
+    maps is their Product, and * with a Sum distributes as it is built.
     """
 
     __slots__ = ()
-    image = None
 
     def __setattr__(self, name, value):
         raise AttributeError("operators are immutable")
+
+    def __mul__(self, other):
+        if isinstance(other, FockOperator):
+            return Sum((c * d, s * t) for c, s in self.terms for d, t in other.terms)
+        return NotImplemented
+
+    def __rmul__(self, k):
+        return Sum((k * c, t) for c, t in self.terms)
+
+    def __add__(self, other):
+        if isinstance(other, FockOperator):
+            return Sum(self.terms + other.terms)
+        return NotImplemented
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+
+class PartialMap(FockOperator):
+    """An operator sending each basis element to at most one, with coefficient 1.
+
+    Subclasses implement image(b) -> basis element or None, for b a Path of
+    nonzero shape or VACUUM, and adjoint(); act(b) -> dict is derived.
+    """
+
+    __slots__ = ()
+
+    @property
+    def terms(self):
+        return ((1, self),)
 
     def act(self, b) -> dict:
         img = self.image(b)
         return {} if img is None else {img: 1}
 
-    def adjoint(self) -> "FockOperator":
-        raise NotImplementedError
+    def __mul__(self, other):
+        if isinstance(other, PartialMap):
+            return Product((self, other))
+        return super().__mul__(other)
 
-    def apply_vector(self, vec: dict) -> dict:
+
+class Sum(FockOperator):
+    """A signed sum of partial maps: terms are (int coefficient, partial map) pairs.
+
+    Zero terms are dropped when the sum is built; act adds each term's image
+    with its coefficient and drops entries that cancel.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        terms = tuple(terms)
+        for c, t in terms:
+            if not isinstance(c, int) or not isinstance(t, PartialMap):
+                raise ConfigError(f"a sum term is an (int, partial map) pair, got {(c, t)!r}")
+        object.__setattr__(self, "terms", tuple((c, t) for c, t in terms if c))
+
+    def act(self, b) -> dict:
         out: dict = {}
-        for b, c in vec.items():
-            _accumulate(out, self.act(b), c)
+        for c, t in self.terms:
+            img = t.image(b)
+            if img is not None:
+                new = out.get(img, 0) + c
+                if new:
+                    out[img] = new
+                else:
+                    del out[img]  # c != 0, so img was there
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, FockOperator):
-            return Product((self, other))
-        return NotImplemented
+    def adjoint(self):
+        return Sum((c, t.adjoint()) for c, t in self.terms)
 
-    def __rmul__(self, k):
-        if isinstance(k, int):
-            return Scaled(k, self)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, FockOperator):
-            return Sum((self, other))
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, FockOperator):
-            return Sum((self, Scaled(-1, other)))
-        return NotImplemented
+    def __repr__(self):
+        return "(" + " + ".join(f"{c}*{t!r}" for c, t in self.terms) + ")"
 
 
-class Identity(FockOperator):
+class Identity(PartialMap):
     __slots__ = ()
 
     def image(self, b):
@@ -128,46 +155,6 @@ class Identity(FockOperator):
         return "1"
 
 
-class Scaled(FockOperator):
-    __slots__ = ("scale", "inner")
-
-    def __init__(self, scale, inner):
-        if not isinstance(scale, int):
-            raise ConfigError(f"operator scalars must be int, got {scale!r}")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "inner", inner)
-
-    def act(self, b):
-        out: dict = {}
-        _accumulate(out, self.inner.act(b), self.scale)
-        return out
-
-    def adjoint(self):
-        return Scaled(self.scale, self.inner.adjoint())
-
-    def __repr__(self):
-        return f"{self.scale}*{self.inner!r}"
-
-
-class Sum(FockOperator):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def act(self, b):
-        out: dict = {}
-        for t in self.terms:
-            _accumulate(out, t.act(b))
-        return out
-
-    def adjoint(self):
-        return Sum(t.adjoint() for t in self.terms)
-
-    def __repr__(self):
-        return "(" + " + ".join(repr(t) for t in self.terms) + ")"
-
-
 def _chain(maps, b):
     """b through partial maps in the given order; None once one is undefined."""
     for f in maps:
@@ -177,26 +164,19 @@ def _chain(maps, b):
     return b
 
 
-class Product(FockOperator):
-    """Composition, right to left like written products; of partial maps, a partial map."""
+class Product(PartialMap):
+    """Composition of partial maps, right to left like written products."""
 
     __slots__ = ("factors", "image")
 
     def __init__(self, factors):
         factors = tuple(factors)
-        maps = tuple(f.image for f in reversed(factors))
+        bad = next((f for f in factors if not isinstance(f, PartialMap)), None)
+        if bad is not None:
+            raise ConfigError(f"a product factor must be a partial map, got {bad!r}")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "image", None if None in maps else functools.partial(_chain, maps))
-
-    def act(self, b):
-        if self.image is not None:
-            return super().act(b)
-        vec = {b: 1}
-        for f in reversed(self.factors):
-            if not vec:
-                break
-            vec = f.apply_vector(vec)
-        return vec
+        object.__setattr__(self, "image",
+                           functools.partial(_chain, tuple(f.image for f in reversed(factors))))
 
     def adjoint(self):
         return Product(f.adjoint() for f in reversed(self.factors))
@@ -205,7 +185,7 @@ class Product(FockOperator):
         return "(" + "*".join(repr(f) for f in self.factors) + ")"
 
 
-class PathOperator(FockOperator):
+class PathOperator(PartialMap):
     """Base of the four creation and annihilation operators by a fixed path."""
 
     __slots__ = ("graph", "path")
@@ -299,7 +279,7 @@ class RightAnnihilation(PathOperator):
         return RightCreation(self.graph, self.path)
 
 
-class SpanProjection(FockOperator):
+class SpanProjection(PartialMap):
     """Diagonal projection onto the basis vectors satisfying a predicate.
 
     with_vacuum controls whether the vacuum belongs to the projected span;
@@ -345,11 +325,6 @@ def _check_vertex(graph, a):
         raise ConfigError(f"unknown vertex {a!r}")
 
 
-def _check_color(graph, j):
-    if not 1 <= j <= graph.rank:
-        raise ConfigError(f"color {j} out of range 1..{graph.rank}")
-
-
 def target_projection(graph: KGraph, a) -> FockOperator:
     """Vacuum plus every path whose target is the given vertex."""
     _check_vertex(graph, a)
@@ -362,30 +337,10 @@ def source_projection(graph: KGraph, a) -> FockOperator:
     return SpanProjection(f"source={a}", lambda b: b.source == a, with_vacuum=True)
 
 
-def target_projection_level(graph: KGraph, a, j: int) -> FockOperator:
-    """Like target_projection but restricted to paths with no color-j edge."""
-    _check_vertex(graph, a)
-    _check_color(graph, j)
-    return SpanProjection(
-        f"target={a},level{j}=0",
-        lambda b: b.target == a and b.shape.coord(j) == 0,
-        with_vacuum=True,
-    )
-
-
-def source_projection_level(graph: KGraph, a, j: int) -> FockOperator:
-    _check_vertex(graph, a)
-    _check_color(graph, j)
-    return SpanProjection(
-        f"source={a},level{j}=0",
-        lambda b: b.source == a and b.shape.coord(j) == 0,
-        with_vacuum=True,
-    )
-
-
 def level_projection(graph: KGraph, j: int) -> FockOperator:
     """Vacuum plus every path with no color-j edge."""
-    _check_color(graph, j)
+    if not 1 <= j <= graph.rank:
+        raise ConfigError(f"color {j} out of range 1..{graph.rank}")
     return SpanProjection(f"level{j}=0", lambda b: b.shape.coord(j) == 0, with_vacuum=True)
 
 
@@ -457,11 +412,11 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     return RelationReport(relation, graph.name, bound, not bad, checked, tuple(bad))
 
 
-def _range_sum(graph, side, paths, *rest) -> FockOperator:
-    """Sum of the one-sided range projections C(lam) C(lam)* over paths, plus rest."""
+def _range_sum(graph, side, paths) -> Sum:
+    """Sum of the one-sided range projections C(lam) C(lam)* over paths."""
     C, A = ((LeftCreation, LeftAnnihilation) if side == "left"
             else (RightCreation, RightAnnihilation))
-    return Sum([Product((C(graph, lam), A(graph, lam))) for lam in paths] + list(rest))
+    return Sum((1, Product((C(graph, lam), A(graph, lam)))) for lam in paths)
 
 
 def _isometries(graph, bound):
@@ -482,14 +437,13 @@ def _isometries(graph, bound):
 def _vertex_sums(graph):
     """R2: a vertex projection splits into color-j edge ranges plus its level part."""
     for j in range(1, graph.rank + 1):
-        ej = Shape.unit(graph.rank, j)
+        ej, level = Shape.unit(graph.rank, j), level_projection(graph, j)
         for a in sorted(graph.vertices):
-            yield (f"vertex={a},j={j},left", target_projection(graph, a),
-                   _range_sum(graph, "left", graph.enumerate_paths(ej, target=a),
-                              target_projection_level(graph, a, j)))
-            yield (f"vertex={a},j={j},right", source_projection(graph, a),
-                   _range_sum(graph, "right", graph.enumerate_paths(ej, source=a),
-                              source_projection_level(graph, a, j)))
+            for side, end, P in (("left", "target", target_projection(graph, a)),
+                                 ("right", "source", source_projection(graph, a))):
+                edges = graph.enumerate_paths(ej, **{end: a})
+                yield (f"vertex={a},j={j},{side}", P,
+                       _range_sum(graph, side, edges) + Product((level, P)))  # P tests first
 
 
 def _level_complements(graph):

@@ -129,7 +129,8 @@ class FiniteGroupoid:
 
         Composable pairs whose composite has no witness (possible only on
         forced builds) are reported as closure failures, witness included;
-        so is a composite outside the element set of a closed groupoid.
+        so is a composite outside the element set of a closed groupoid, and
+        one that does not run from the range of g to the source of h.
 
         The closure pass composes each composable pair once and keeps the
         composite with its id, None when it leaves the window.  The unit,
@@ -171,7 +172,8 @@ class FiniteGroupoid:
                 closure_witness = (g, h, err)
                 break
             found = operand(gh)
-            if self.closed and found[1] is None:
+            if ((self.closed and found[1] is None) or self.range_of(gh) != self.range_of(g)
+                    or self.source_of(gh) != self.source_of(h)):
                 closure_witness = (g, h, gh)
                 break
             table[i, j] = found

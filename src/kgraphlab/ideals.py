@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .reporting import Check
+from .reporting import CAP, Check
 
 
 @dataclass(frozen=True)
@@ -90,22 +90,22 @@ def verify_exactness(stages) -> Check:
 
     bad = y[0] - y[1]
     checks.append(Check("first-stage-contained", not bad,
-                        ("stage", 0, sorted(bad)[:3]) if bad else None))
+                        ("stage", 0, sorted(bad)[:CAP]) if bad else None))
     for k in range(1, r + 1):
         image = y[k - 1] & y[k]
         kernel = y[k] - y[k + 1]
         diff = image ^ kernel
         checks.append(Check(f"image-is-kernel-{k}", not diff,
-                            ("stage", k, sorted(diff)[:3]) if diff else None))
+                            ("stage", k, sorted(diff)[:CAP]) if diff else None))
     bad = y[-1] - y[-2]
     checks.append(Check("last-stage-contained", not bad,
-                        ("stage", r + 1, sorted(bad)[:3]) if bad else None))
+                        ("stage", r + 1, sorted(bad)[:CAP]) if bad else None))
 
     points = frozenset().union(*y) if y else frozenset()
     off = [x for x in points
            if sum((-1) ** k for k, s in enumerate(y) if x in s) != 0]
     checks.append(Check("alternating-sum", not off,
-                        ("point", sorted(off)[:3]) if off else None))
+                        ("point", sorted(off)[:CAP]) if off else None))
 
     return Check("exactness", all(c.ok for c in checks), checks=tuple(checks))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GraphError, NotComposable, ShapeError
-from .reporting import Check
+from .reporting import CAP, Check
 from .shapes import Shape, shapes_below
 
 
@@ -361,7 +361,7 @@ class KGraph:
             stray = sorted(set(table) - anti_pairs)
             checks.append(Check(
                 f"square-totality[{i},{j}]", not missing and not stray,
-                witness=(tuple(missing[:3]), tuple(stray[:3])) if missing or stray else None))
+                witness=(tuple(missing[:CAP]), tuple(stray[:CAP])) if missing or stray else None))
 
             seen: dict[tuple, tuple] = {}
             collision = None
@@ -375,7 +375,7 @@ class KGraph:
             ok = collision is None and not not_covered and not extra_vals
             checks.append(Check(
                 f"square-bijectivity[{i},{j}]", ok,
-                witness=collision or (tuple(not_covered[:3]), tuple(extra_vals[:3])) if not ok else None))
+                witness=collision or (tuple(not_covered[:CAP]), tuple(extra_vals[:CAP])) if not ok else None))
 
             bad_end = None
             for (hi, lo), (lo2, hi2) in table.items():

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .shapes import INF, ExtendedShape, Shape
 
+CAP = 3  # offenders a witness lists, counterexamples a report keeps
+
 
 @dataclass(frozen=True)
 class Check:

@@ -9,6 +9,7 @@ from kgraphlab import cli
 from kgraphlab.cli import main, run_fixture
 from kgraphlab.errors import ConfigError, FixtureError
 from kgraphlab.fixtures import build_graph, parse_fixture_text
+from kgraphlab.kgraph import Edge, KGraph
 from kgraphlab.reporting import (
     Check,
     RunReport,
@@ -435,6 +436,25 @@ def test_machine_output_matches_golden(stem, code, tmp_path, capsys):
         path = FIXTURES / f"{stem}.kgf"
     assert main([str(path), "--format", "machine"]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.machine").read_text(encoding="utf-8")
+
+
+def test_groupoid_suite_reports_an_invalid_graph_as_a_failed_check(monkeypatch, tmp_path, capsys):
+    # building the path-space system validates the graph inside the timed
+    # domain-compat check, so an invalid graph is a witness there, not exit 2
+    edges = [Edge("a0", 1, "u", "u"), Edge("b0", 2, "u", "u")]
+    missing = KGraph(2, ["u"], edges, {(1, 2): {}}, name="missing")
+    monkeypatch.setattr(cli, "build_graph", lambda fixture: missing)
+    path = tmp_path / "missing.kgf"
+    path.write_text("graph grid size=1,1\nsuite validate\nsuite groupoid\n")
+    assert main([str(path), "--format", "machine"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        'record=check name="groupoid.domain-compat" status=fail witness="ConfigError: graph '
+        'missing fails validation: square-totality[1,2]" info="check raised ConfigError"',
+        'record=check name="groupoid.axioms" status=fail witness=none '
+        'info="skipped: domain compatibility failed"',
+        "record=summary ok=false",
+    ]
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

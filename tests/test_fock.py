@@ -5,6 +5,10 @@ path composition, explicit span predicates) and compared against the lazy
 operator evaluation, so the operator tree is never trusted to check itself.
 """
 
+import operator
+import random
+from fractions import Fraction
+
 import pytest
 
 from kgraphlab import fock
@@ -14,8 +18,8 @@ from kgraphlab.fock import (
     DiagonalAlgebra,
     FixedSetAlgebra,
     Identity,
+    PartialMap,
     Product,
-    Scaled,
     Sum,
     creation_commutation,
     diagonal_algebra,
@@ -28,9 +32,7 @@ from kgraphlab.fock import (
     right_creation,
     shape_floor_projection,
     source_projection,
-    source_projection_level,
     target_projection,
-    target_projection_level,
     verify_identity,
     verify_shape_floor,
     RELATION_NAMES,
@@ -87,9 +89,10 @@ def _combine(pairs):
 def _reference_act(op, b):
     """Vector evaluation as it was before operators became partial maps.
 
-    Products apply their factors to whole vectors, right to left, and the
-    annihilations go through the public factorize after a Shape dominance
-    test; creations and projections act through their own act.
+    Products apply their factors to whole vectors, right to left, sums add
+    their (coefficient, term) pairs' vectors, and the annihilations go
+    through the public factorize after a Shape dominance test; creations and
+    projections act through their own act.
     """
     if isinstance(op, Product):
         vec = {b: 1}
@@ -97,9 +100,7 @@ def _reference_act(op, b):
             vec = _combine((_reference_act(f, x), c) for x, c in vec.items())
         return vec
     if isinstance(op, Sum):
-        return _combine((_reference_act(t, b), 1) for t in op.terms)
-    if isinstance(op, Scaled):
-        return _combine([(_reference_act(op.inner, b), op.scale)])
+        return _combine((_reference_act(t, b), c) for c, t in op.terms)
     left = isinstance(op, fock.LeftAnnihilation)
     if not left and not isinstance(op, fock.RightAnnihilation):
         return op.act(b)
@@ -188,7 +189,7 @@ def test_operator_arithmetic(n2graph):
         assert two.act(b) == {k: 2 * v for k, v in image.items()}
         assert diff.act(b) == {}
     with pytest.raises(ConfigError):
-        Scaled(1.5, L)
+        Sum(((1.5, L),))
 
 
 def test_operators_are_immutable(n2graph):
@@ -199,19 +200,6 @@ def test_operators_are_immutable(n2graph):
         assert not hasattr(op, "__dict__")
         with pytest.raises(AttributeError):
             op.path = lam
-
-
-def test_apply_vector_is_linear(n2graph):
-    lam = unique_path(n2graph, (1, 0))
-    mu = unique_path(n2graph, (0, 1))
-    op = Sum((left_creation(n2graph, lam), right_creation(n2graph, mu)))
-    vec = {VACUUM: 2, lam: -1}
-    out = {}
-    for b, c in vec.items():
-        for k, v in op.act(b).items():
-            out[k] = out.get(k, 0) + c * v
-    out = {k: v for k, v in out.items() if v}
-    assert op.apply_vector(vec) == out
 
 
 # -- structural invariants -------------------------------------------------------
@@ -235,14 +223,15 @@ def test_catalog_projections_fix_or_kill(graph_family):
                shape_floor_projection(g, Shape(1, 1))]
         for a in g.vertices:
             ops += [target_projection(g, a), source_projection(g, a),
-                    target_projection_level(g, a, 1), source_projection_level(g, a, 2)]
+                    Product((target_projection(g, a), level_projection(g, 1))),
+                    Product((source_projection(g, a), level_projection(g, 2)))]
         for P in ops:
             moved = _moved(P, basis)
             assert not moved, (g.name, P, moved)
             # projections square to themselves and are self-adjoint
-            agree, _, bad = operators_agree(Product((P, P)), P, basis)
-            assert agree, (g.name, P, bad)
-            assert P.adjoint() is P
+            for twin in (Product((P, P)), P.adjoint()):
+                agree, _, bad = operators_agree(twin, P, basis)
+                assert agree, (g.name, P, twin, bad)
 
 
 def test_adjoint_involution(flip22):
@@ -251,7 +240,7 @@ def test_adjoint_involution(flip22):
     L = left_creation(flip22, lam)
     R = right_creation(flip22, mu)
     basis = fock_basis(flip22, Shape(2, 2))
-    for op in (L, R, Product((L.adjoint(), R)), Sum((L, Scaled(-2, R))),
+    for op in (L, R, Product((L.adjoint(), R)), L - 2 * R,
                Product((R.adjoint(), L, L.adjoint(), R))):
         agree, _, bad = operators_agree(op.adjoint().adjoint(), op, basis)
         assert agree, (op, bad)
@@ -266,7 +255,7 @@ def test_adjoint_moves_across_inner_product(flip22):
     L = left_creation(flip22, lam)
     R = right_creation(flip22, mu)
     basis = fock_basis(flip22, Shape(1, 1))
-    for T in (L, R, Product((L.adjoint(), R)), Sum((L, R))):
+    for T in (L, R, Product((L.adjoint(), R)), L + R):
         Tstar = T.adjoint()
         for u in basis:
             for v in basis:
@@ -278,8 +267,8 @@ def test_catalog_instances_match_the_reference_evaluation(graph_family):
         basis = fock_basis(g, Shape(2, 2))
         a = g.enumerate_paths(Shape(1, 0))[0]
         L, R = left_creation(g, a), right_creation(g, a)
-        mixed = [("mixed", Product((Sum((L, Scaled(-2, R))), L.adjoint())),
-                  Product((R.adjoint(), Identity() - Product((L, L.adjoint())))))]
+        mixed = [("mixed", (L - 2 * R) * L.adjoint(),
+                  R.adjoint() * (Identity() - L * L.adjoint()))]
         for name in RELATION_NAMES:
             for label, lhs, rhs in [*fock._CATALOG[name](g, Shape(2, 2)), *mixed]:
                 for b in basis:
@@ -290,11 +279,64 @@ def test_catalog_instances_match_the_reference_evaluation(graph_family):
 def test_products_are_partial_maps_exactly_when_their_factors_are(n2graph):
     lam = unique_path(n2graph, (1, 0))
     L, R = left_creation(n2graph, lam), right_creation(n2graph, lam)
-    assert Product((L.adjoint(), target_projection(n2graph, "u"), R, Identity())).image
-    assert Product((L, Product((R, R.adjoint())))).image
-    assert Product((L, Sum((L, R)))).image is None
-    assert Product((L, 2 * R)).image is None
-    assert Sum((L,)).image is None and Scaled(1, L).image is None
+    assert isinstance(Product((L.adjoint(), target_projection(n2graph, "u"), R, Identity())),
+                      PartialMap)
+    assert isinstance(Product((L, Product((R, R.adjoint())))), PartialMap)
+    for factor in (L + R, 2 * R, 1 * R):
+        with pytest.raises(ConfigError):
+            Product((L, factor))
+        assert not isinstance(L * factor, PartialMap)
+
+
+def _random_operator(rng, atoms, depth):
+    """A random expression over atoms: products, sums, differences, multiples, adjoints."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    kind = rng.choice(("product", "sum", "difference", "multiple", "adjoint"))
+    a = _random_operator(rng, atoms, depth - 1)
+    if kind == "multiple":
+        return rng.choice((0, -1, 2, 3)) * a
+    if kind == "adjoint":
+        return a.adjoint()
+    b = _random_operator(rng, atoms, depth - 1)
+    return {"product": operator.mul, "sum": operator.add, "difference": operator.sub}[kind](a, b)
+
+
+def _in_normal_form(op):
+    """A partial map, or a Sum of (int, partial map) terms with no zero coefficient."""
+    return isinstance(op, PartialMap) or (isinstance(op, Sum) and all(
+        type(c) is int and c and isinstance(t, PartialMap) for c, t in op.terms))
+
+
+def test_random_expressions_keep_the_normal_form(graph_family):
+    # the algebra is checked against vector arithmetic on its operands' actions
+    rng = random.Random(2008)
+    for g in graph_family:
+        basis = fock_basis(g, Shape(2, 2))
+        atoms = [op for e in g.edges for create in (left_creation, right_creation)
+                 for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
+        for _ in range(30):
+            A, B, C = (_random_operator(rng, atoms, 3) for _ in range(3))
+            k = rng.choice((0, -1, 2))
+            assert all(map(_in_normal_form, (A, B, C, A * B, A + B, A - B, k * A, A.adjoint())))
+            for b in basis:
+                a, c = A.act(b), B.act(b)
+                assert a == _reference_act(A, b), (g.name, A, b)
+                assert (A * B).act(b) == _combine((A.act(x), n) for x, n in c.items())
+                assert (A + B).act(b) == _combine([(a, 1), (c, 1)])
+                assert (A - B).act(b) == _combine([(a, 1), (c, -1)])
+                assert (k * A).act(b) == _combine([(a, k)])
+            # the adjoint moves across the inner product
+            images = {v: A.act(v) for v in basis}
+            for u in basis:
+                back = A.adjoint().act(u)
+                assert all(back.get(v, 0) == images[v].get(u, 0) for v in basis), (g.name, A, u)
+            agree, _, bad = operators_agree((A + B) * C, A * C + B * C, basis)
+            assert agree, (g.name, A, B, C, bad)
+            with pytest.raises(ConfigError):
+                Product((C, A + B))
+            with pytest.raises(ConfigError):
+                Sum(((Fraction(1, 2), rng.choice(atoms)),))
 
 
 def test_relation_work_counts_are_pinned(monkeypatch):
@@ -345,12 +387,7 @@ def test_unknown_relation_rejected(n2graph):
 
 def test_level_projections_reject_bad_colors(flip22):
     # the R2 and R3 instances are built from these projections
-    a = next(iter(flip22.vertices))
     for j in (0, 3):
-        with pytest.raises(ConfigError):
-            target_projection_level(flip22, a, j)
-        with pytest.raises(ConfigError):
-            source_projection_level(flip22, a, j)
         with pytest.raises(ConfigError):
             level_projection(flip22, j)
 

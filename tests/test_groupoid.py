@@ -315,6 +315,27 @@ def test_germ_groupoid_closure_is_strict():
     assert closure.witness == (GermElement(1, 0), GermElement(0, 1), GermElement(1, 1))
 
 
+class WrongEndpoint(GermGroupoid):
+    """The pair groupoid on {0, 1}, whose compose sends ((0, 1), (1, 0)) to (0, 1)."""
+
+    def compose(self, g, h):
+        if (g, h) == (GermElement(0, 1), GermElement(1, 0)):
+            return GermElement(0, 1)
+        return super().compose(g, h)
+
+
+def test_a_composite_with_a_wrong_endpoint_fails_closure():
+    # the composite must run from the range of g to the source of h; a wrong
+    # one is a closure witness, not a NotComposable raised by associativity
+    H = WrongEndpoint("pair", [GermElement(x, y) for x in (0, 1) for y in (0, 1)], [0, 1])
+    rep = H.check_axioms()
+    assert not rep.ok
+    assert {c.name: c.witness for c in rep.failing()} == {
+        "closure": (GermElement(0, 1), GermElement(1, 0), GermElement(0, 1)),
+        "inverse-law": GermElement(0, 1),
+    }
+
+
 def test_axioms_on_path_space_fixtures():
     for g, cap in (
         (grid_graph(Shape(1, 1)), Shape(1, 1)),

@@ -1,7 +1,8 @@
-"""The package's import layering, read from the source with ast.
+"""The package's import layering and callers, read from the source with ast.
 
-Every import of a kgraphlab module sits at module level, and the graph of
-imports between the package's modules has no cycle.
+Every import of a kgraphlab module sits at module level, the graph of
+imports between the package's modules has no cycle, and every definition
+has a caller outside the tests or a listed reason to stay.
 """
 
 import ast
@@ -62,3 +63,43 @@ def test_module_imports_have_no_cycle(trees):
     for name in sorted(graph):
         if name not in state:
             visit(name)
+
+
+# definitions no code in src/ or bench/ names, each with its reason to stay
+_TESTS_ONLY = "only tests call it; give it a caller or drop it (ROADMAP: one record, no orphan code)"
+_DUALITY = "for the Λ/Λᵒᵖ duality groupoid's checks (ROADMAP); it goes if they never land"
+UNCALLED = {
+    "coeff": "the only public reader of a convolution element's values",
+    "theta_twist": _DUALITY,
+    "theta_untwist": _DUALITY,
+    "two_sided_cocycle": _DUALITY,
+    "fiber_lift_report": _TESTS_ONLY,
+    "composable_pairs": _TESTS_ONLY,
+    "units": _TESTS_ONLY,
+    "indicator": _TESTS_ONLY,
+    "star": _TESTS_ONLY,
+}
+
+
+def test_every_definition_has_a_caller(trees):
+    """Every function, method and class of the package is named outside tests.
+
+    A definition counts as called when some Name, Attribute or import in
+    src/ or bench/ spells its name (dunders are called by the language).
+    The check is by name only: a name shared with another definition hides
+    an orphan, so it can miss one, but it never flags a name in use.
+    """
+    root = PACKAGE.parents[1]
+    named = set()
+    for path in [*root.joinpath("src").rglob("*.py"), *root.joinpath("bench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assert sorted(defined - named) == sorted(UNCALLED)
