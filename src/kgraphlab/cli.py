@@ -81,11 +81,8 @@ def suite_validate(fixture: Fixture, graph, options: dict) -> list[Check]:
 
 
 def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
-    letters = options.get("letters",
-                          fixture.system_options.get("letters", "ab"))
-    length = options.get("length",
-                         fixture.system_options.get("length", 3))
-    system = free_monoid_system(letters, length)
+    letters = options.get("letters", "ab")
+    system = free_monoid_system(letters, options.get("length", 3))
 
     def dc_fails():
         rep = system.check_dc()
@@ -210,10 +207,9 @@ def run_fixture(fixture: Fixture, *, suite_names=None, bound=None,
                 relations=None, seed=None) -> RunReport:
     """Run the selected suites and collect every check result, in order."""
     graph = build_graph(fixture)
-    declared = {s.name: s for s in fixture.suites}
 
     if suite_names is None:
-        selected = [s.name for s in fixture.suites]
+        selected = list(fixture.suites)
     else:
         selected = list(suite_names)
         for name in selected:
@@ -225,7 +221,7 @@ def run_fixture(fixture: Fixture, *, suite_names=None, bound=None,
 
     results: list[Check] = []
     for name in selected:
-        options = dict(declared[name].options) if name in declared else {}
+        options = dict(fixture.suites.get(name, {}))
         if bound is not None:
             options["bound"] = bound
         if relations is not None and name == "fock":

@@ -18,32 +18,25 @@ class GraphError(KGraphLabError, ValueError):
 class NotComposable(GraphError):
     """Endpoint mismatch when composing paths or groupoid elements."""
 
-    def __init__(self, msg, *, source=None, target=None):
-        super().__init__(msg)
-        self.source = source
-        self.target = target
-
 
 class DomainError(KGraphLabError, ValueError):
     """Partial map applied outside its domain."""
 
-    def __init__(self, msg, *, point=None, index=None):
+    def __init__(self, msg, *, point=None):
         super().__init__(msg)
         self.point = point
-        self.index = index
 
 
 class WitnessError(KGraphLabError, ValueError):
     """No valid commuting-power witness exists for an attempted composition.
 
     Only reachable when the domain-compatibility condition fails; carries the
-    offending pair so callers can surface the counterexample.
+    attempted translation and the search bound so callers can surface the
+    counterexample.
     """
 
-    def __init__(self, msg, *, left=None, right=None, attempted=None, search_bound=None):
+    def __init__(self, msg, *, attempted=None, search_bound=None):
         super().__init__(msg)
-        self.left = left
-        self.right = right
         self.attempted = attempted
         self.search_bound = search_bound
 
@@ -53,13 +46,9 @@ class ConfigError(KGraphLabError, ValueError):
 
 
 class FixtureError(KGraphLabError, ValueError):
-    """Parse or resolution failure in a fixture file; carries line/column."""
+    """Parse failure in a fixture file, located by line and column."""
 
-    def __init__(self, msg, *, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f"line {line}" + (f", column {column}" if column is not None else "")
-            msg = f"{loc}: {msg}"
-        super().__init__(msg)
+    def __init__(self, msg, *, line, column):
+        super().__init__(f"line {line}, column {column}: {msg}")
         self.line = line
         self.column = column

@@ -10,17 +10,20 @@ A fixture file declares one scenario per file:
     bound 2,2
     seed  7
 
-Directives:
+Directives, each at most once except suite (once per suite name):
 
     name  <free text>           run label (defaults to the file stem)
-    graph <kind> key=value...   kinds: grid, loops, free_abelian, flip
-    system <kind> key=value...  kinds: free_monoid
+    graph grid size=<ints>      lattice-interval graph below size
+    graph loops counts=<ints> [squares=commute|flip]
+                                one vertex, counts[j-1] loops of color j
     suite <name> key=value...   validate, counterexample, fock, groupoid, boundary
     bound <comma separated ints>
     seed  <int>
 
-Unknown directives, unknown kinds, unknown option keys and malformed
-values are all rejected with the line and column of the offending token.
+Unknown directives, kinds and option keys, repeated directives, a missing
+required graph option, a value outside its choices, flip squares over
+unequal loop counts and malformed values are all rejected with the line and column of the offending token, so a
+parsed fixture always builds its graph.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from .errors import FixtureError
-from .kgraph import KGraph, flip_graph, grid_graph, one_loop_per_color_graph, single_vertex_graph
+from .kgraph import KGraph, grid_graph, single_vertex_graph
 from .shapes import Shape
 
 _TOKEN = re.compile(r"\S+")
@@ -38,13 +41,8 @@ _TOKEN = re.compile(r"\S+")
 GRAPH_KINDS = {
     "grid": {"size"},
     "loops": {"counts", "squares"},
-    "free_abelian": {"rank"},
-    "flip": set(),
 }
-
-SYSTEM_KINDS = {
-    "free_monoid": {"letters", "length"},
-}
+_OPTIONAL = {"squares"}  # every other graph option is required
 
 SUITE_KINDS = {
     "validate": {"bound"},
@@ -55,16 +53,10 @@ SUITE_KINDS = {
 }
 
 # option value syntax, shared across directives
-_INT_KEYS = {"rank", "length"}
+_INT_KEYS = {"length"}
 _INT_LIST_KEYS = {"size", "counts", "bound", "witness", "prefix", "cycle"}
 _WORD_LIST_KEYS = {"relations"}
-
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    name: str
-    options: dict
-    line: int
+_CHOICES = {"squares": ("commute", "flip")}
 
 
 @dataclass(frozen=True)
@@ -72,9 +64,7 @@ class Fixture:
     name: str
     graph_kind: str | None
     graph_options: dict
-    system_kind: str | None
-    system_options: dict
-    suites: tuple[SuiteSpec, ...]
+    suites: dict  # suite name -> its options, in declaration order
     bound: tuple[int, ...] | None
     seed: int | None
 
@@ -103,6 +93,10 @@ def _parse_value(key: str, text: str, line: int, col: int):
         return _parse_int_list(text, line, col)
     if key in _WORD_LIST_KEYS:
         return tuple(text.split(","))
+    choices = _CHOICES.get(key)
+    if choices and text not in choices:
+        raise FixtureError(f"{key} must be {' or '.join(choices)}, got {text!r}",
+                           line=line, column=col)
     return text  # word keys keep their raw spelling
 
 
@@ -129,9 +123,7 @@ def parse_fixture_text(text: str, *, name: str = "fixture") -> Fixture:
     label = name
     graph_kind = None
     graph_options: dict = {}
-    system_kind = None
-    system_options: dict = {}
-    suites: list[SuiteSpec] = []
+    suites: dict = {}
     bound = None
     seed = None
     seen = set()
@@ -143,29 +135,34 @@ def parse_fixture_text(text: str, *, name: str = "fixture") -> Fixture:
             continue
         keyword, kw_col = tokens[0]
         rest = tokens[1:]
+        if keyword in seen:
+            raise FixtureError(f"duplicate {keyword} directive", line=lineno, column=kw_col)
+        if keyword != "suite":
+            seen.add(keyword)
 
         if keyword == "name":
             if not rest:
                 raise FixtureError("name needs a value", line=lineno, column=kw_col)
             label = " ".join(t for t, _ in rest)
 
-        elif keyword in ("graph", "system"):
-            if keyword in seen:
-                raise FixtureError(f"duplicate {keyword} directive", line=lineno, column=kw_col)
-            seen.add(keyword)
+        elif keyword == "graph":
             if not rest:
-                raise FixtureError(f"{keyword} needs a kind", line=lineno, column=kw_col)
-            kind, kind_col = rest[0]
-            kinds = GRAPH_KINDS if keyword == "graph" else SYSTEM_KINDS
-            if kind not in kinds:
+                raise FixtureError("graph needs a kind", line=lineno, column=kw_col)
+            graph_kind, kind_col = rest[0]
+            if graph_kind not in GRAPH_KINDS:
                 raise FixtureError(
-                    f"unknown {keyword} kind {kind!r} (known: {', '.join(sorted(kinds))})",
+                    f"unknown graph kind {graph_kind!r} (known: {', '.join(sorted(GRAPH_KINDS))})",
                     line=lineno, column=kind_col)
-            options = _parse_options(rest[1:], kinds[kind], lineno)
-            if keyword == "graph":
-                graph_kind, graph_options = kind, options
-            else:
-                system_kind, system_options = kind, options
+            graph_options = _parse_options(rest[1:], GRAPH_KINDS[graph_kind], lineno)
+            missing = sorted(GRAPH_KINDS[graph_kind] - _OPTIONAL - set(graph_options))
+            if missing:
+                raise FixtureError(f"graph {graph_kind} requires {missing[0]}=",
+                                   line=lineno, column=kind_col)
+            counts = graph_options.get("counts", ())
+            if graph_options.get("squares") == "flip" and len({c for c in counts if c}) > 1:
+                col = next(c for t, c in rest if t.startswith("squares="))
+                raise FixtureError(f"squares=flip needs equal nonzero counts, got {counts}",
+                                   line=lineno, column=col + len("squares="))
 
         elif keyword == "suite":
             if not rest:
@@ -175,45 +172,28 @@ def parse_fixture_text(text: str, *, name: str = "fixture") -> Fixture:
                 raise FixtureError(
                     f"unknown suite {suite_name!r} (known: {', '.join(sorted(SUITE_KINDS))})",
                     line=lineno, column=name_col)
-            if any(s.name == suite_name for s in suites):
+            if suite_name in suites:
                 raise FixtureError(
                     f"suite {suite_name!r} declared twice", line=lineno, column=name_col)
-            options = _parse_options(rest[1:], SUITE_KINDS[suite_name], lineno)
-            suites.append(SuiteSpec(suite_name, options, lineno))
+            suites[suite_name] = _parse_options(rest[1:], SUITE_KINDS[suite_name], lineno)
 
         elif keyword == "bound":
-            if "bound" in seen:
-                raise FixtureError("duplicate bound directive", line=lineno, column=kw_col)
-            seen.add("bound")
             if len(rest) != 1:
                 raise FixtureError("bound takes one comma separated list",
                                    line=lineno, column=kw_col)
             bound = _parse_int_list(rest[0][0], lineno, rest[0][1])
 
         elif keyword == "seed":
-            if "seed" in seen:
-                raise FixtureError("duplicate seed directive", line=lineno, column=kw_col)
-            seen.add("seed")
             if len(rest) != 1:
                 raise FixtureError("seed takes one integer", line=lineno, column=kw_col)
             seed = _parse_int(rest[0][0], lineno, rest[0][1])
 
         else:
             raise FixtureError(
-                f"unknown directive {keyword!r} "
-                "(known: name, graph, system, suite, bound, seed)",
+                f"unknown directive {keyword!r} (known: name, graph, suite, bound, seed)",
                 line=lineno, column=kw_col)
 
-    return Fixture(
-        name=label,
-        graph_kind=graph_kind,
-        graph_options=graph_options,
-        system_kind=system_kind,
-        system_options=system_options,
-        suites=tuple(suites),
-        bound=bound,
-        seed=seed,
-    )
+    return Fixture(label, graph_kind, graph_options, suites, bound, seed)
 
 
 def parse_fixture(path) -> Fixture:
@@ -224,27 +204,11 @@ def parse_fixture(path) -> Fixture:
 # -- materialization -----------------------------------------------------------------
 
 def build_graph(fixture: Fixture) -> KGraph | None:
-    """Instantiate the fixture's declared graph, if any."""
-    kind = fixture.graph_kind
+    """Instantiate the fixture's declared graph, if any; the parser checked its options."""
     opts = fixture.graph_options
-    if kind is None:
-        return None
-    if kind == "grid":
-        if "size" not in opts:
-            raise FixtureError("graph grid requires size=")
+    if fixture.graph_kind == "grid":
         return grid_graph(Shape(opts["size"]), name=fixture.name)
-    if kind == "loops":
-        if "counts" not in opts:
-            raise FixtureError("graph loops requires counts=")
-        squares = opts.get("squares", "commute")
-        if squares not in ("commute", "flip"):
-            raise FixtureError(f"squares must be commute or flip, got {squares!r}")
-        return single_vertex_graph(opts["counts"], squares=squares, name=fixture.name)
-    if kind == "free_abelian":
-        if "rank" not in opts:
-            raise FixtureError("graph free_abelian requires rank=")
-        return one_loop_per_color_graph(opts["rank"], name=fixture.name)
-    if kind == "flip":
-        return flip_graph(name=fixture.name)
-    raise FixtureError(f"unknown graph kind {kind!r}")
-
+    if fixture.graph_kind == "loops":
+        return single_vertex_graph(opts["counts"], squares=opts.get("squares", "commute"),
+                                   name=fixture.name)
+    return None

@@ -55,9 +55,10 @@ class GermElement:
 class FiniteGroupoid:
     """Finite groupoid with an explicit set of distinct elements.
 
-    Subclasses provide the structure maps; the axiom checker and the
-    convolution algebra work uniformly on top of them.  An element's id is
-    its position in elements.
+    An arrow g runs from its source g.y to its range g.x; subclasses
+    provide the unit, inverse and composition maps, and the axiom checker
+    and the convolution algebra work uniformly on top of them.  An
+    element's id is its position in elements.
     """
 
     closed = True  # holds every composite: one outside the element set fails closure
@@ -78,12 +79,6 @@ class FiniteGroupoid:
         return iter(self.elements)
 
     # structure maps ------------------------------------------------------
-    def range_of(self, g):
-        raise NotImplementedError
-
-    def source_of(self, g):
-        raise NotImplementedError
-
     def unit_at(self, point):
         raise NotImplementedError
 
@@ -99,25 +94,24 @@ class FiniteGroupoid:
         return tuple(self.unit_at(p) for p in self.unit_points)
 
     def is_composable(self, g, h) -> bool:
-        return self.source_of(g) == self.range_of(h)
+        return g.y == h.x
 
     @staticmethod
     def _require_meeting(g, h):
         if g.y != h.x:
-            raise NotComposable(f"arrows do not meet: {g!r} ends at {g.y!r}, {h!r} starts at {h.x!r}",
-                                source=g.y, target=h.x)
+            raise NotComposable(f"arrows do not meet: {g!r} ends at {g.y!r}, {h!r} starts at {h.x!r}")
 
     @functools.cached_property
     def _by_range(self) -> dict:
         """Range point -> ids of the elements starting there."""
         by_range: dict = {}
         for j, h in enumerate(self.elements):
-            by_range.setdefault(self.range_of(h), []).append(j)
+            by_range.setdefault(h.x, []).append(j)
         return by_range
 
     def _composable_ids(self):
         for i, g in enumerate(self.elements):
-            for j in self._by_range.get(self.source_of(g), ()):
+            for j in self._by_range.get(g.y, ()):
                 yield i, j
 
     def composable_pairs(self):
@@ -172,26 +166,25 @@ class FiniteGroupoid:
                 closure_witness = (g, h, err)
                 break
             found = operand(gh)
-            if ((self.closed and found[1] is None) or self.range_of(gh) != self.range_of(g)
-                    or self.source_of(gh) != self.source_of(h)):
+            if (self.closed and found[1] is None) or gh.x != g.x or gh.y != h.y:
                 closure_witness = (g, h, gh)
                 break
             table[i, j] = found
         checks.append(Check("closure", closure_witness is None, closure_witness))
 
         bad = next((g for g, i in operands
-                    if not same(times(unit(self.range_of(g)), (g, i)), (g, i))
-                    or not same(times((g, i), unit(self.source_of(g))), (g, i))), None)
+                    if not same(times(unit(g.x), (g, i)), (g, i))
+                    or not same(times((g, i), unit(g.y)), (g, i))), None)
         checks.append(Check("units", bad is None, bad))
 
         bad = next((g for (g, i), inv in zip(operands, map(operand, map(self.inverse, elements)))
-                    if not same(times((g, i), inv), unit(self.range_of(g)))
-                    or not same(times(inv, (g, i)), unit(self.source_of(g)))), None)
+                    if not same(times((g, i), inv), unit(g.x))
+                    or not same(times(inv, (g, i)), unit(g.y))), None)
         checks.append(Check("inverse-law", bad is None, bad))
 
         if closure_witness is None:  # associativity is vacuous when closure already failed
             bad = next(((elements[i], elements[j], elements[k]) for (i, j), gh in table.items()
-                        for k in by_range.get(self.source_of(elements[j]), ())
+                        for k in by_range.get(elements[j].y, ())
                         if not same(times(gh, operands[k]), times(operands[i], table[j, k]))), None)
             checks.append(Check("associativity", bad is None, bad))
 
@@ -209,18 +202,11 @@ class SemidirectGroupoid(FiniteGroupoid):
 
     closed = False
 
-    def __init__(self, system: MGDS, elements, witness_bound: Shape, *, forced: bool = False):
+    def __init__(self, system: MGDS, elements, witness_bound: Shape):
         super().__init__(f"semidirect({system.name})", elements, system.carrier)
         self.system = system
         self.witness_bound = witness_bound
-        self.forced = forced
         self._zero = (0,) * system.rank
-
-    def range_of(self, g):
-        return g.x
-
-    def source_of(self, g):
-        return g.y
 
     @functools.cached_property
     def _units(self) -> dict:
@@ -249,11 +235,11 @@ class SemidirectGroupoid(FiniteGroupoid):
         return next(((m, n) for m, n in witness_pairs(self.witness_bound * 2, z)
                      if self.system.meets(x, y, m, n)), None)
 
-    def _searched(self, x, z, y, left, right, message) -> GroupoidElement:
+    def _searched(self, x, z, y, message) -> GroupoidElement:
         """A fresh arrow witnessed by find_witness, else WitnessError (message formatted on failure)."""
         found = self.find_witness(x, z, y)
         if found is None:
-            raise WitnessError(message.format(x=x, z=z, y=y), left=left, right=right,
+            raise WitnessError(message.format(x=x, z=z, y=y),
                                attempted=z, search_bound=self.witness_bound * 2)
         return GroupoidElement(x, z, y, witness=found)
 
@@ -263,7 +249,7 @@ class SemidirectGroupoid(FiniteGroupoid):
         i = self._element_set.get(GroupoidElement(x, z, y))
         if i is not None:
             return self.elements[i]
-        return self._searched(x, z, y, x, y, "no witness for ({x!r}, {z}, {y!r})")
+        return self._searched(x, z, y, "no witness for ({x!r}, {z}, {y!r})")
 
     def compose(self, g, h) -> GroupoidElement:
         """Concatenate arrows; witnesses are adjusted through a componentwise join.
@@ -285,7 +271,7 @@ class SemidirectGroupoid(FiniteGroupoid):
             mm, nn = Shape._make(tuple(mm)), Shape._make(tuple(nn))
             if self.system.meets(g.x, h.y, mm, nn):
                 return GroupoidElement(g.x, z, h.y, witness=(mm, nn))
-        return self._searched(g.x, z, h.y, g, h, "composite ({x!r}, {z}, {y!r}) admits no witness")
+        return self._searched(g.x, z, h.y, "composite ({x!r}, {z}, {y!r}) admits no witness")
 
 
 def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force: bool = False) -> SemidirectGroupoid:
@@ -325,17 +311,11 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
                     key = (x, z, y)
                     if key not in elements:
                         elements[key] = GroupoidElement(x, z, y, witness=(m, n))
-    return SemidirectGroupoid(system, elements.values(), witness_bound, forced=not dc.ok)
+    return SemidirectGroupoid(system, elements.values(), witness_bound)
 
 
 class GermGroupoid(FiniteGroupoid):
     """Orbit relation of the action: arrows are plain point pairs."""
-
-    def range_of(self, g):
-        return g.x
-
-    def source_of(self, g):
-        return g.y
 
     def unit_at(self, point):
         return GermElement(point, point)
@@ -463,10 +443,10 @@ class ConvolutionElement:
         G = self.groupoid
         by_range: dict = {}
         for h, w in other._coeffs.items():
-            by_range.setdefault(G.range_of(h), []).append((h, w))
+            by_range.setdefault(h.x, []).append((h, w))
         out: dict = {}
         for g, v in self._coeffs.items():
-            for h, w in by_range.get(G.source_of(g), ()):
+            for h, w in by_range.get(g.y, ()):
                 gh = G.compose(g, h)
                 out[gh] = out.get(gh, Fraction(0)) + v * w
         return ConvolutionElement(G, out)
@@ -476,13 +456,12 @@ class ConvolutionElement:
         return ConvolutionElement(G, {G.inverse(g): v for g, v in self._coeffs.items()})
 
     def i_norm(self) -> Fraction:
-        G = self.groupoid
         r_sums: dict = {}
         d_sums: dict = {}
         for g, v in self._coeffs.items():
             a = abs(v)
-            r_sums[G.range_of(g)] = r_sums.get(G.range_of(g), Fraction(0)) + a
-            d_sums[G.source_of(g)] = d_sums.get(G.source_of(g), Fraction(0)) + a
+            r_sums[g.x] = r_sums.get(g.x, Fraction(0)) + a
+            d_sums[g.y] = d_sums.get(g.y, Fraction(0)) + a
         return max(itertools.chain(r_sums.values(), d_sums.values()), default=Fraction(0))
 
     def __repr__(self):
@@ -492,15 +471,16 @@ class ConvolutionElement:
 def check_lifting_hypothesis(G: FiniteGroupoid, pi: dict, H: FiniteGroupoid):
     """Composable images must come only from composable preimages.
 
+    pi maps G into H; an image's endpoints are read off the image itself.
     Returns None when the pushforward is safe, else the first offending pair
     (a, b) in element order.  Each a scans only the b whose image's range is
     the source of pi[a], not all of G.
     """
     by_range: dict = {}
     for b in G.elements:
-        by_range.setdefault(H.range_of(pi[b]), []).append(b)
+        by_range.setdefault(pi[b].x, []).append(b)
     for a in G.elements:
-        for b in by_range.get(H.source_of(pi[a]), ()):
+        for b in by_range.get(pi[a].y, ()):
             if not G.is_composable(a, b):
                 return (a, b)
     return None
@@ -532,13 +512,11 @@ class KernelFiltration:
     agree; see level pairs).
     """
 
-    coords: frozenset
     block: tuple
     labels: dict
     kernel: tuple
     complement_defect: tuple  # kernel arrows where z off-coords differ from exit-time gap
     levels: dict
-    level_bound: tuple
 
 
 def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> KernelFiltration:
@@ -596,7 +574,7 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
             sys.meets(*p, place(t, exits(p[0])), place(t, exits(p[1]))) for t in tops))
         levels[N] = (direct, shifted)
 
-    return KernelFiltration(J, block, labels, kernel, tuple(defect), levels, level_bound)
+    return KernelFiltration(block, labels, kernel, tuple(defect), levels)
 
 
 # -- invariant layers of unit-space subsets -----------------------------------------------
@@ -616,7 +594,7 @@ def invariant_layers(G: FiniteGroupoid, subsets):
         if stray:
             raise ConfigError(f"subset {i} leaves the unit space: {next(iter(stray))!r}")
         for g in G.elements:
-            if (G.range_of(g) in s) != (G.source_of(g) in s):
+            if (g.x in s) != (g.y in s):
                 raise ConfigError(f"subset {i} is not invariant: witness {g!r}")
     stages = build_sequence(IdealTuple(unit, sets))
     return tuple(tuple(x for x in unit if x in s.support) for s in stages)

@@ -48,7 +48,6 @@ class IdealTuple:
 class SequenceStage:
     """One stage of the staged sequence: a support set plus its role."""
 
-    index: int
     support: frozenset
     role: str  # "kernel" | "middle" | "quotient"
 
@@ -70,7 +69,7 @@ def build_sequence(tup: IdealTuple) -> tuple:
         for i in range(1, min(k, r + 1)):  # parts stop at r even though k reaches r+1
             drop |= tup.part(i)
         role = "kernel" if k == 0 else ("quotient" if k == r + 1 else "middle")
-        stages.append(SequenceStage(k, keep - drop, role))
+        stages.append(SequenceStage(keep - drop, role))
     return tuple(stages)
 
 

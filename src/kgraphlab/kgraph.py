@@ -206,8 +206,7 @@ class KGraph:
         for a, b in zip(word, word[1:]):
             if source[a] != target[b]:
                 raise NotComposable(
-                    f"edges {a} and {b} do not chain: source {source[a]} != target {target[b]}",
-                    source=source[a], target=target[b])
+                    f"edges {a} and {b} do not chain: source {source[a]} != target {target[b]}")
 
     def _normal_word(self, word):
         """Sort colors ascending by square rewrites; O(len^2) moves."""
@@ -239,8 +238,7 @@ class KGraph:
             raise GraphError("paths belong to a different graph")
         if p.source != q.target:
             raise NotComposable(
-                f"cannot compose {p!r}·{q!r}: source {p.source} != target {q.target}",
-                source=p.source, target=q.target)
+                f"cannot compose {p!r}·{q!r}: source {p.source} != target {q.target}")
         if not p.word:
             return q
         if not q.word:

@@ -39,8 +39,8 @@ def test_parse_full_fixture():
     assert fx.name == "demo run"
     assert fx.graph_kind == "loops"
     assert fx.graph_options == {"counts": (2, 2), "squares": "flip"}
-    assert [s.name for s in fx.suites] == ["validate", "fock"]
-    assert fx.suites[1].options == {"relations": ("R1", "R3"), "bound": (2, 2)}
+    assert list(fx.suites) == ["validate", "fock"]
+    assert fx.suites["fock"] == {"relations": ("R1", "R3"), "bound": (2, 2)}
     assert fx.bound == (1, 1)
     assert fx.seed == 7
 
@@ -116,7 +116,10 @@ def test_bare_token_where_option_expected():
 
 def test_duplicate_directives_rejected():
     with pytest.raises(FixtureError):
-        parse_fixture_text("graph grid size=1,1\ngraph flip\n")
+        parse_fixture_text("graph grid size=1,1\ngraph loops counts=2,2 squares=flip\n")
+    with pytest.raises(FixtureError) as ei:
+        parse_fixture_text("name a\nname b\n")
+    assert (ei.value.line, ei.value.column) == (2, 1)
     with pytest.raises(FixtureError):
         parse_fixture_text("seed 1\nseed 2\n")
     with pytest.raises(FixtureError):
@@ -126,26 +129,36 @@ def test_duplicate_directives_rejected():
 
 
 def test_comments_and_blanks_ignored():
-    fx = parse_fixture_text("\n# only a comment\n\ngraph flip  # trailing\n")
-    assert fx.graph_kind == "flip" and fx.suites == ()
+    fx = parse_fixture_text("\n# only a comment\n\ngraph loops counts=2,2  # trailing\n")
+    assert fx.graph_kind == "loops" and fx.suites == {}
 
 
 def test_build_graph_kinds():
     assert build_graph(parse_fixture_text("graph grid size=1,1")).rank == 2
     loops = build_graph(parse_fixture_text("graph loops counts=2,1"))
     assert sorted(e.name for e in loops.edges) == ["a0", "a1", "b0"]
-    free = build_graph(parse_fixture_text("graph free_abelian rank=3"))
+    free = build_graph(parse_fixture_text("graph loops counts=1,1,1"))
     assert free.rank == 3 and len(free.edges) == 3
-    flip = build_graph(parse_fixture_text("graph flip"))
+    flip = build_graph(parse_fixture_text("graph loops counts=2,2 squares=flip"))
     assert flip.rank == 2 and len(flip.edges) == 4
+    # flip squares pair only colors that both have loops
+    assert len(build_graph(parse_fixture_text("graph loops counts=2,0,2 squares=flip")).edges) == 4
     assert build_graph(parse_fixture_text("suite validate")) is None
 
 
-def test_build_graph_missing_required_key():
-    with pytest.raises(FixtureError):
-        build_graph(parse_fixture_text("graph grid"))
-    with pytest.raises(FixtureError):
-        build_graph(parse_fixture_text("graph free_abelian"))
+def test_graph_option_errors_have_line_and_column():
+    # the parser rejects them, so build_graph never sees a graph it cannot build
+    cases = [("graph grid", 7, "graph grid requires size="),
+             ("graph loops", 7, "graph loops requires counts="),
+             ("graph loops counts=2,2 squares=flipp", 32,
+              "squares must be commute or flip, got 'flipp'"),
+             ("graph loops counts=2,1 squares=flip", 32,
+              "squares=flip needs equal nonzero counts, got (2, 1)")]
+    for text, column, message in cases:
+        with pytest.raises(FixtureError) as ei:
+            parse_fixture_text(f"seed 0\n{text}\n")
+        assert (ei.value.line, ei.value.column) == (2, column)
+        assert str(ei.value) == f"line 2, column {column}: {message}"
 
 
 # -- witness grammar -----------------------------------------------------------------
@@ -501,7 +514,7 @@ def test_bound_rank_mismatch_exits_two(capsys):
 def test_shape_option_rank_mismatch_exits_two(suite, tmp_path, capsys):
     # a wrong-rank shape option is a fixture error before any check runs
     path = tmp_path / "rank.kgf"
-    path.write_text(f"graph free_abelian rank=2\nsuite {suite}\n")
+    path.write_text(f"graph loops counts=1,1\nsuite {suite}\n")
     assert main([str(path)]) == 2
     captured = capsys.readouterr()
     key = suite.split()[1].split("=")[0]
@@ -518,7 +531,7 @@ def test_suite_needs_graph_exits_two(tmp_path, capsys):
 
 def test_run_fixture_respects_selection_order():
     fx = parse_fixture_text(
-        "graph free_abelian rank=2\nsuite validate\nsuite fock relations=R2\nbound 1,1\n")
+        "graph loops counts=1,1\nsuite validate\nsuite fock relations=R2\nbound 1,1\n")
     rep = run_fixture(fx, suite_names=["fock", "validate"])
     names = [r.name for r in rep.results]
     assert names[0] == "fock.R2" and names[-1] == "validate.morphisms"
@@ -527,6 +540,6 @@ def test_run_fixture_respects_selection_order():
 
 
 def test_run_fixture_without_suites_is_config_error():
-    fx = parse_fixture_text("graph flip\n")
+    fx = parse_fixture_text("graph loops counts=2,2 squares=flip\n")
     with pytest.raises(ConfigError):
         run_fixture(fx)

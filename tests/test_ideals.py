@@ -132,7 +132,7 @@ def test_diagnostics_name_the_stage():
     # hand-build a defective sequence: stage 0 leaks a point past stage 1
     t = IdealTuple(P4, [{1, 2}])
     stages = list(build_sequence(t))
-    broken = stages[0].__class__(0, frozenset({1, 2, 4}), "kernel")
+    broken = stages[0].__class__(frozenset({1, 2, 4}), "kernel")
     report = verify_exactness([broken] + stages[1:])
     assert not report.ok
     names = {c.name for c in report.failing()}

@@ -1,8 +1,9 @@
 """The package's import layering and callers, read from the source with ast.
 
 Every import of a kgraphlab module sits at module level, the graph of
-imports between the package's modules has no cycle, and every definition
-has a caller outside the tests or a listed reason to stay.
+imports between the package's modules has no cycle, every definition has
+a caller outside the tests, and every attribute a class sets has a reader
+outside the tests, or a listed reason to stay.
 """
 
 import ast
@@ -81,6 +82,13 @@ UNCALLED = {
 }
 
 
+def _outside_tests():
+    """The parsed modules of src/ and bench/."""
+    root = PACKAGE.parents[1]
+    paths = [*root.joinpath("src").rglob("*.py"), *root.joinpath("bench").rglob("*.py")]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
 def test_every_definition_has_a_caller(trees):
     """Every function, method and class of the package is named outside tests.
 
@@ -89,10 +97,9 @@ def test_every_definition_has_a_caller(trees):
     The check is by name only: a name shared with another definition hides
     an orphan, so it can miss one, but it never flags a name in use.
     """
-    root = PACKAGE.parents[1]
     named = set()
-    for path in [*root.joinpath("src").rglob("*.py"), *root.joinpath("bench").rglob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _outside_tests():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -103,3 +110,55 @@ def test_every_definition_has_a_caller(trees):
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))}
     assert sorted(defined - named) == sorted(UNCALLED)
+
+
+# attributes no code in src/ or bench/ reads, each with its reason to stay
+UNREAD = {
+    "FixtureError.line": "the message carries the location; tests assert it field by field",
+    "FixtureError.column": "the message carries the location; tests assert it field by field",
+    "DomainError.point": "the point outside the domain, for a caller that catches the error",
+    "DiagonalAlgebra.projections": "each word's fixed set, what the algebra is generated from",
+    "ObstructionReport.left_path": "names the probed mixed projection in the report",
+    "ObstructionReport.right_path": "names the probed mixed projection in the report",
+    "ObstructionReport.caveat": "states on the report that membership is window-only",
+    "KernelFiltration.labels": "the cocycle itself; tests check that it is additive",
+    "SequenceStage.role": "names the stage: kernel, middle or quotient",
+}
+
+
+def _set_attributes(tree):
+    """(class, attribute) for each field and instance attribute a class of the module sets.
+
+    Fields are the annotated names of a class body; instance attributes are
+    the self.x stores and object.__setattr__(self, "x", ...) calls of its
+    methods.
+    """
+    found = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found.add((cls.name, stmt.target.id))
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    found.add((cls.name, node.attr))
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "__setattr__" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    found.add((cls.name, node.args[1].value))
+    return found
+
+
+def test_every_attribute_has_a_reader(trees):
+    """Every attribute a package class sets is read as .name outside tests.
+
+    Like the caller check, this goes by name only: an unread field with a
+    name that other code reads, such as source or coords, passes unseen.
+    """
+    read = {node.attr for tree in _outside_tests() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{cls}.{attr}" for tree in trees.values()
+              for cls, attr in _set_attributes(tree) if attr not in read}
+    assert sorted(unread) == sorted(UNREAD)
