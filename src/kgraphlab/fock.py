@@ -6,10 +6,13 @@ is in one normal form: a partial map (a creation, annihilation, span
 projection, the identity, or a Product of partial maps), or a Sum of
 (int coefficient, partial map) terms.  A partial map sends a basis vector
 to at most one; a sum adds its terms' images with their coefficients.
-Operators are immutable and evaluated lazily, one basis vector at a time.
 Nothing is ever truncated: a shape bound only selects which vectors a
 checker visits, never how an operator acts, so every reported identity is
 exact on the checked vectors.
+
+op.on(window) is op acting on the int ids of a kgraph.PathWindow (the vacuum
+is VAC), which serves one relation report, operators_agree, act or diagonal
+survey and composes and splits each distinct input once.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -18,12 +21,12 @@ p.source == q.target.  Left creation prepends, right creation appends.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .kgraph import KGraph, Path
+from .kgraph import KGraph, Path, PathWindow
 from .reporting import CAP
 from .shapes import Shape, shapes_below
 
@@ -38,6 +41,7 @@ class _Vacuum:
 
 
 VACUUM = _Vacuum()
+VAC = -1  # the vacuum's id in every window; path ids count up from 0
 
 
 def _shape(x) -> Shape:
@@ -54,6 +58,15 @@ def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     return tuple(out)
 
 
+def _as_vector(image) -> dict:
+    """A partial map's image (an id or None) or a sum's {id: coefficient}, as the latter."""
+    return image if isinstance(image, dict) else {} if image is None else {image: 1}
+
+
+def _vector_out(win, image) -> dict:
+    return {VACUUM if i == VAC else win.path(i): c for i, c in _as_vector(image).items()}
+
+
 class FockOperator:
     """Base of the two operator kinds, PartialMap and Sum.
 
@@ -66,6 +79,11 @@ class FockOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("operators are immutable")
+
+    def act(self, b) -> dict:
+        """The image of one basis element as a {basis element: int} vector."""
+        win = PathWindow()
+        return _vector_out(win, self.on(win)(VAC if b is VACUUM else win.intern(b)))
 
     def __mul__(self, other):
         if isinstance(other, FockOperator):
@@ -87,8 +105,8 @@ class FockOperator:
 class PartialMap(FockOperator):
     """An operator sending each basis element to at most one, with coefficient 1.
 
-    Subclasses implement image(b) -> basis element or None, for b a Path of
-    nonzero shape or VACUUM, and adjoint(); act(b) -> dict is derived.
+    on(win) returns a function from an id to the image's id, or None where
+    the map is undefined.  Subclasses also implement adjoint().
     """
 
     __slots__ = ()
@@ -96,10 +114,6 @@ class PartialMap(FockOperator):
     @property
     def terms(self):
         return ((1, self),)
-
-    def act(self, b) -> dict:
-        img = self.image(b)
-        return {} if img is None else {img: 1}
 
     def __mul__(self, other):
         if isinstance(other, PartialMap):
@@ -110,8 +124,8 @@ class PartialMap(FockOperator):
 class Sum(FockOperator):
     """A signed sum of partial maps: terms are (int coefficient, partial map) pairs.
 
-    Zero terms are dropped when the sum is built; act adds each term's image
-    with its coefficient and drops entries that cancel.
+    Zero terms are dropped when the sum is built; on(win) maps an id to the
+    {id: coefficient} vector of its terms' images, dropping entries that cancel.
     """
 
     __slots__ = ("terms",)
@@ -123,17 +137,18 @@ class Sum(FockOperator):
                 raise ConfigError(f"a sum term is an (int, partial map) pair, got {(c, t)!r}")
         object.__setattr__(self, "terms", tuple((c, t) for c, t in terms if c))
 
-    def act(self, b) -> dict:
-        out: dict = {}
-        for c, t in self.terms:
-            img = t.image(b)
-            if img is not None:
-                new = out.get(img, 0) + c
-                if new:
-                    out[img] = new
-                else:
-                    del out[img]  # c != 0, so img was there
-        return out
+    def on(self, win):
+        terms = [(c, t.on(win)) for c, t in self.terms]
+
+        def vector(b):
+            out: dict = {}
+            for c, f in terms:
+                i = f(b)
+                if i is not None:
+                    out[i] = out.get(i, 0) + c
+            return {i: c for i, c in out.items() if c}
+
+        return vector
 
     def adjoint(self):
         return Sum((c, t.adjoint()) for c, t in self.terms)
@@ -145,8 +160,8 @@ class Sum(FockOperator):
 class Identity(PartialMap):
     __slots__ = ()
 
-    def image(self, b):
-        return b
+    def on(self, win):
+        return lambda b: b
 
     def adjoint(self):
         return self
@@ -155,19 +170,10 @@ class Identity(PartialMap):
         return "1"
 
 
-def _chain(maps, b):
-    """b through partial maps in the given order; None once one is undefined."""
-    for f in maps:
-        b = f(b)
-        if b is None:
-            break
-    return b
-
-
 class Product(PartialMap):
     """Composition of partial maps, right to left like written products."""
 
-    __slots__ = ("factors", "image")
+    __slots__ = ("factors",)
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -175,8 +181,18 @@ class Product(PartialMap):
         if bad is not None:
             raise ConfigError(f"a product factor must be a partial map, got {bad!r}")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "image",
-                           functools.partial(_chain, tuple(f.image for f in reversed(factors))))
+
+    def on(self, win):
+        maps = [f.on(win) for f in reversed(self.factors)]
+
+        def image(b):
+            for f in maps:
+                b = f(b)
+                if b is None:
+                    break
+            return b
+
+        return image
 
     def adjoint(self):
         return Product(f.adjoint() for f in reversed(self.factors))
@@ -194,96 +210,77 @@ class PathOperator(PartialMap):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "path", path)
 
+    def adjoint(self):
+        return self.partner(self.graph, self.path)
+
     def __repr__(self):
         return f"{self.symbol}{self.path.display()}"
 
 
-class LeftCreation(PathOperator):
+class _Creation(PathOperator):
+    __slots__ = ()
+
+    def on(self, win):
+        p, compose = win.intern(self.path), win.compose
+        vac = p if win.words[p] else VAC  # a vertex creation is a projection and fixes the vacuum
+        if self.left:
+            return lambda b: vac if b == VAC else compose(p, b)
+        return lambda b: vac if b == VAC else compose(b, p)
+
+
+class _Annihilation(PathOperator):
+    __slots__ = ()
+
+    def on(self, win):
+        p, split, words, coords = win.intern(self.path), win.split, win.words, win.coords
+        m, vac, left = coords[p], None if words[p] else VAC, self.left
+        kept = 0 if left else 1  # b = p·rest on the left, rest·p on the right
+
+        def image(b):
+            if b == VAC:
+                return vac
+            ht = split(b, m if left else tuple(map(operator.sub, coords[b], m)))
+            if ht is None or ht[kept] != p:
+                return None
+            rest = ht[1 - kept]
+            return rest if words[rest] else VAC
+
+        return image
+
+
+class LeftCreation(_Creation):
     """Prepend a fixed path.  A vertex path acts as the matching span projection."""
-
     __slots__ = ()
-    symbol = "l+"
-
-    def image(self, b):
-        p = self.path
-        if b is VACUUM:
-            # a vertex creation is a projection and fixes the vacuum
-            return VACUUM if p.is_vertex else p
-        if p.source != b.target:
-            return None
-        return self.graph.compose(p, b)
-
-    def adjoint(self):
-        return LeftAnnihilation(self.graph, self.path)
+    symbol, left = "l+", True
 
 
-class LeftAnnihilation(PathOperator):
+class LeftAnnihilation(_Annihilation):
     """Strip a fixed left factor; zero where the factorization disagrees."""
-
     __slots__ = ()
-    symbol = "l-"
-
-    def image(self, b):
-        p = self.path
-        if b is VACUUM:
-            return VACUUM if p.is_vertex else None
-        k = p.shape.coords
-        if any(x > y for x, y in zip(k, b.shape.coords)):
-            return None
-        head, tail = self.graph._split(b, k)
-        if head != p:
-            return None
-        return VACUUM if tail.is_vertex else tail
-
-    def adjoint(self):
-        return LeftCreation(self.graph, self.path)
+    symbol, left = "l-", True
 
 
-class RightCreation(PathOperator):
+class RightCreation(_Creation):
     """Append a fixed path.  A vertex path acts as the matching span projection."""
-
     __slots__ = ()
-    symbol = "r+"
-
-    def image(self, b):
-        p = self.path
-        if b is VACUUM:
-            return VACUUM if p.is_vertex else p
-        if b.source != p.target:
-            return None
-        return self.graph.compose(b, p)
-
-    def adjoint(self):
-        return RightAnnihilation(self.graph, self.path)
+    symbol, left = "r+", False
 
 
-class RightAnnihilation(PathOperator):
+class RightAnnihilation(_Annihilation):
     """Strip a fixed right factor; zero where the factorization disagrees."""
-
     __slots__ = ()
-    symbol = "r-"
+    symbol, left = "r-", False
 
-    def image(self, b):
-        p = self.path
-        if b is VACUUM:
-            return VACUUM if p.is_vertex else None
-        k = tuple(y - x for x, y in zip(p.shape.coords, b.shape.coords))
-        if min(k) < 0:
-            return None
-        head, tail = self.graph._split(b, k)
-        if tail != p:
-            return None
-        return VACUUM if head.is_vertex else head
 
-    def adjoint(self):
-        return RightCreation(self.graph, self.path)
+LeftCreation.partner, LeftAnnihilation.partner = LeftAnnihilation, LeftCreation
+RightCreation.partner, RightAnnihilation.partner = RightAnnihilation, RightCreation
 
 
 class SpanProjection(PartialMap):
     """Diagonal projection onto the basis vectors satisfying a predicate.
 
     with_vacuum controls whether the vacuum belongs to the projected span;
-    the predicate itself only ever sees nonzero-shape paths.
+    the predicate(win, i) itself only ever sees ids of nonzero-shape paths.
     """
 
     __slots__ = ("label", "predicate", "with_vacuum")
@@ -293,10 +290,9 @@ class SpanProjection(PartialMap):
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "with_vacuum", bool(with_vacuum))
 
-    def image(self, b):
-        if b is VACUUM:
-            return VACUUM if self.with_vacuum else None
-        return b if self.predicate(b) else None
+    def on(self, win):
+        keep, vac = self.predicate, VAC if self.with_vacuum else None
+        return lambda b: vac if b == VAC else b if keep(win, b) else None
 
     def adjoint(self):
         return self
@@ -328,20 +324,20 @@ def _check_vertex(graph, a):
 def target_projection(graph: KGraph, a) -> FockOperator:
     """Vacuum plus every path whose target is the given vertex."""
     _check_vertex(graph, a)
-    return SpanProjection(f"target={a}", lambda b: b.target == a, with_vacuum=True)
+    return SpanProjection(f"target={a}", lambda win, b: win.targets[b] == a, with_vacuum=True)
 
 
 def source_projection(graph: KGraph, a) -> FockOperator:
     """Vacuum plus every path whose source is the given vertex."""
     _check_vertex(graph, a)
-    return SpanProjection(f"source={a}", lambda b: b.source == a, with_vacuum=True)
+    return SpanProjection(f"source={a}", lambda win, b: win.sources[b] == a, with_vacuum=True)
 
 
 def level_projection(graph: KGraph, j: int) -> FockOperator:
     """Vacuum plus every path with no color-j edge."""
     if not 1 <= j <= graph.rank:
         raise ConfigError(f"color {j} out of range 1..{graph.rank}")
-    return SpanProjection(f"level{j}=0", lambda b: b.shape.coord(j) == 0, with_vacuum=True)
+    return SpanProjection(f"level{j}=0", lambda win, b: not win.coords[b][j - 1], with_vacuum=True)
 
 
 def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
@@ -352,26 +348,30 @@ def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
     if k.is_zero:
         raise ConfigError("shape floor needs a nonzero bound; at zero the "
                           "left and right sums count the vacuum differently")
-    return SpanProjection(f"shape>={tuple(k.coords)}", lambda b: k <= b.shape,
+    return SpanProjection(f"shape>={tuple(k.coords)}",
+                          lambda win, b: all(map(operator.le, k.coords, win.coords[b])),
                           with_vacuum=False)
 
 
 # -- pointwise comparison -----------------------------------------------------------
 
 
-def operators_agree(lhs: FockOperator, rhs: FockOperator, basis):
-    """Compare pointwise up to the CAP+1st failure.  Returns (ok, checked, failures)."""
-    failures = []
-    checked = 0
+def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, window=None):
+    """Compare pointwise up to the CAP+1st failure.  Returns (ok, checked, failures).
+
+    The operators act in window, or in a PathWindow of their own.
+    """
+    win = PathWindow() if window is None else window
+    f, g, intern = lhs.on(win), rhs.on(win), win.intern
+    failures, checked = [], 0
     for b in basis:
         checked += 1
-        lv = lhs.act(b)
-        rv = rhs.act(b)
-        if lv != rv:
-            if len(failures) < CAP:
-                failures.append((b, lv, rv))
-            else:
+        i = VAC if b is VACUUM else intern(b)
+        lv, rv = f(i), g(i)
+        if lv != rv and _as_vector(lv) != _as_vector(rv):  # an id can equal a sum's vector
+            if len(failures) == CAP:
                 break
+            failures.append((b, _vector_out(win, lv), _vector_out(win, rv)))
     return not failures, checked, failures
 
 
@@ -397,18 +397,16 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     """The one runner: check (label, lhs, rhs) instances pointwise on basis.
 
     basis defaults to the window below bound; the first CAP counterexamples
-    over all instances are kept, in order.
+    over all instances are kept, in order.  All instances act in one PathWindow.
     """
     bound = _shape(bound)
     basis = fock_basis(graph, bound) if basis is None else basis
-    checked = 0
-    bad = []
+    win = PathWindow()
+    checked, bad = 0, []
     for label, lhs, rhs in instances:
-        _, n, failures = operators_agree(lhs, rhs, basis)
+        _, n, failures = operators_agree(lhs, rhs, basis, win)
         checked += n
-        for b, lv, rv in failures:
-            if len(bad) < CAP:
-                bad.append((label, b, lv, rv))
+        bad += [(label, *failure) for failure in failures[:CAP - len(bad)]]
     return RelationReport(relation, graph.name, bound, not bad, checked, tuple(bad))
 
 
@@ -598,11 +596,10 @@ class DiagonalAlgebra:
     right_only: FixedSetAlgebra
 
 
-def _atom_actions(graph):
-    """Labelled single-step actions, each a partial injection on basis elements.
+def _atom_actions(graph, win):
+    """Labelled single-step actions on the ids of win, each a partial injection.
 
-    Returned as (label, act) with act the atom's cached image, x -> image or
-    None, since words revisit the same intermediate elements constantly.
+    Returned as (label, image) with image(i) the atom's image id, or None.
     Labels start with l or p for left-side atoms, r or q for right-side ones.
     """
     atoms = []
@@ -610,39 +607,39 @@ def _atom_actions(graph):
         p = graph.path([e.name])
         for cls in (LeftCreation, LeftAnnihilation, RightCreation, RightAnnihilation):
             op = cls(graph, p)
-            atoms.append((repr(op), functools.cache(op.image)))
+            atoms.append((repr(op), op.on(win)))
     for a in sorted(graph.vertices):
-        atoms.append((f"p@{a}", functools.cache(target_projection(graph, a).image)))
-        atoms.append((f"q@{a}", functools.cache(source_projection(graph, a).image)))
+        atoms.append((f"p@{a}", target_projection(graph, a).on(win)))
+        atoms.append((f"q@{a}", source_projection(graph, a).on(win)))
     return atoms
 
 
-def _identity_pool(atoms, word_len, basis):
+def _identity_pool(atoms, word_len, basis, ids):
     """Fixed sets of every partial-identity word of length <= word_len.
 
     Depth-first over words, composing partial injections pointwise over the
-    basis.  States dedupe on the induced map, so distinct words with equal
-    action cost one visit; the all-undefined state prunes its whole subtree.
+    basis ids.  States dedupe on the induced map, so distinct words with
+    equal action cost one visit; the all-undefined state prunes its whole
+    subtree.  Returns {fixed set of basis elements: first word label}.
     """
-    pool: dict = {}
-    seen: dict = {}
+    pool, seen = {}, {}
 
     def visit(state, depth_left, label):
         prev = seen.get(state)
         if prev is not None and prev >= depth_left:
             return
         seen[state] = depth_left
-        if all(img is None or img == b for img, b in zip(state, basis)):
-            fix = frozenset(b for img, b in zip(state, basis) if img is not None)
-            pool.setdefault(fix, label)
+        if all(img is None or img == b for img, b in zip(state, ids)):
+            pool.setdefault(state, label)
         if depth_left == 0 or all(img is None for img in state):
             return
         for alabel, act in atoms:
             nxt = tuple(None if img is None else act(img) for img in state)
             visit(nxt, depth_left - 1, f"{alabel} {label}" if label else alabel)
 
-    visit(tuple(basis), word_len, "")
-    return pool
+    visit(tuple(ids), word_len, "")
+    return {frozenset(b for img, b in zip(state, basis) if img is not None): label
+            for state, label in pool.items()}
 
 
 def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlgebra:
@@ -650,16 +647,18 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
 
     Collects fix(w) for every edge/vertex operator word of length <= word_len
     acting as a partial identity on the basis window, then closes each pool
-    into a Boolean algebra of subsets.
+    into a Boolean algebra of subsets.  The three pools share one PathWindow.
     """
     if word_len < 1:
         raise ConfigError("word_len must be >= 1")
     bound = _shape(bound)
     basis = fock_basis(graph, bound)
-    atoms = _atom_actions(graph)
-    full_pool = _identity_pool(atoms, word_len, basis)
-    left_pool = _identity_pool([a for a in atoms if a[0][0] in "lp"], word_len, basis)
-    right_pool = _identity_pool([a for a in atoms if a[0][0] in "rq"], word_len, basis)
+    win = PathWindow()
+    ids = [VAC if b is VACUUM else win.intern(b) for b in basis]
+    atoms = _atom_actions(graph, win)
+    full_pool = _identity_pool(atoms, word_len, basis, ids)
+    left_pool = _identity_pool([a for a in atoms if a[0][0] in "lp"], word_len, basis, ids)
+    right_pool = _identity_pool([a for a in atoms if a[0][0] in "rq"], word_len, basis, ids)
     projections = {label or "1": fix for fix, label in sorted(
         full_pool.items(), key=lambda kv: (len(kv[0]), kv[1]))}
     return DiagonalAlgebra(

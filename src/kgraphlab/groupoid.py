@@ -125,6 +125,9 @@ class FiniteGroupoid:
         forced builds) are reported as closure failures, witness included;
         so is a composite outside the element set of a closed groupoid, and
         one that does not run from the range of g to the source of h.
+        An inverse must lie in the window and run from g.y to g.x; one that
+        does not is a witness of inverse-closure and of the inverse law,
+        which does not compose it.
 
         The closure pass composes each composable pair once and keeps the
         composite with its id, None when it leaves the window.  The unit,
@@ -154,7 +157,10 @@ class FiniteGroupoid:
 
         checks = []
 
-        bad = next((g for g in elements if self.inverse(g) not in ids), None)
+        inverses = [self.inverse(g) for g in elements]
+        reversed_ok = [inv.x == g.y and inv.y == g.x for g, inv in zip(elements, inverses)]
+        bad = next((g for g, inv, ok in zip(elements, inverses, reversed_ok)
+                    if not ok or inv not in ids), None)
         checks.append(Check("inverse-closure", bad is None, bad))
 
         closure_witness = None
@@ -177,8 +183,8 @@ class FiniteGroupoid:
                     or not same(times((g, i), unit(g.y)), (g, i))), None)
         checks.append(Check("units", bad is None, bad))
 
-        bad = next((g for (g, i), inv in zip(operands, map(operand, map(self.inverse, elements)))
-                    if not same(times((g, i), inv), unit(g.x))
+        bad = next((g for (g, i), inv, ok in zip(operands, map(operand, inverses), reversed_ok)
+                    if not ok or not same(times((g, i), inv), unit(g.x))
                     or not same(times(inv, (g, i)), unit(g.y))), None)
         checks.append(Check("inverse-law", bad is None, bad))
 

@@ -13,6 +13,7 @@ through the square tables.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -278,15 +279,20 @@ class KGraph:
 
     def _split(self, p: Path, coords: tuple) -> tuple[Path, Path]:
         """factorize's body, for coords already known to lie in [0, shape(p)]."""
+        head, rest = self._split_word(p.word, coords)
+        head_path = Path(self, head) if head else Path(self, (), p.target)
+        tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
+        return head_path, tail_path
+
+    def _split_word(self, word, coords: tuple) -> tuple[tuple, tuple]:
+        """_split on a normal word: the (head, rest) words, head of shape coords."""
         head: list[str] = []
-        rest = p.word
+        rest = word
         for j, n in enumerate(coords, 1):
             for _ in range(n):
                 e, rest = self._pull_front(rest, j)
                 head.append(e)
-        head_path = Path(self, tuple(head)) if head else Path(self, (), p.target)
-        tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
-        return head_path, tail_path
+        return tuple(head), rest
 
     # -- enumeration --------------------------------------------------------------
 
@@ -460,6 +466,101 @@ class KGraph:
                 table[(hi2, lo2)] = (lo, hi)
             squares[pair] = table
         return KGraph(self.rank, self.vertices, edges, squares, name=f"op({self.name})")
+
+
+_UNSET = object()  # a window dict's default where None is a stored answer
+
+
+class PathWindow:
+    """Int ids for the paths one check touches, with their compositions and splits.
+
+    A window serves one check and is then dropped; it binds to the graph of
+    the first path it interns and keeps nothing on the graph.  Path id i
+    has the normal word words[i], endpoints sources[i] and targets[i] and
+    shape coordinates coords[i]; a vertex path has the empty word.
+    compose and split run the graph's kernel (_normal_word, _split_word) once
+    per distinct input and keep the answer in dicts keyed by ids.  Unique
+    factorization makes both pure functions of the graph's tables, so a
+    defective table gives the same answer, or raises the same error, every
+    time it is asked.
+    """
+
+    def __init__(self):
+        self.graph = None
+        self._ids: dict = {}  # normal word, or vertex name for a vertex path -> id
+        self.words: list[tuple] = []
+        self.sources: list[str] = []
+        self.targets: list[str] = []
+        self.coords: list[tuple] = []
+        self._composed: dict[tuple, int | None] = {}  # (i, j) -> id of i·j
+        self._normalized: dict[tuple, int] = {}  # concatenated word -> id of its normal form
+        self._splits: dict[tuple, tuple | None] = {}  # (i, grade) -> (head id, tail id)
+
+    def intern(self, p: Path) -> int:
+        i = self._ids.get(p.word or p.base)
+        if i is not None and p.graph is self.graph:
+            return i
+        if self.graph is None:
+            self.graph = p.graph
+        elif p.graph is not self.graph:
+            raise GraphError("paths belong to a different graph")
+        counts = [0] * self.graph.rank
+        for name in p.word:
+            counts[self.graph._color[name] - 1] += 1
+        return self._id(p.word, p.base, tuple(counts))
+
+    def _id(self, word, vertex, coords):
+        """The id of a normal word of shape coords, or of the vertex path at vertex."""
+        key = word or vertex
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.words)
+            self.words.append(word)
+            self.sources.append(self.graph._source[word[-1]] if word else vertex)
+            self.targets.append(self.graph._target[word[0]] if word else vertex)
+            self.coords.append(coords)
+        return i
+
+    def path(self, i) -> Path:
+        word = self.words[i]
+        return Path(self.graph, word) if word else Path(self.graph, (), self.targets[i])
+
+    def compose(self, i, j):
+        """The id of path i · path j, or None when source(i) != target(j)."""
+        key = (i, j)
+        k = self._composed.get(key, _UNSET)
+        if k is not _UNSET:
+            return k
+        if self.sources[i] != self.targets[j]:
+            k = None
+        elif not self.words[i]:
+            k = j
+        elif not self.words[j]:
+            k = i
+        else:
+            word = self.words[i] + self.words[j]
+            k = self._normalized.get(word)
+            if k is None:  # two id pairs can spell the same word; normalize it once
+                k = self._normalized[word] = self._id(
+                    self.graph._normal_word(word), None,
+                    tuple(map(operator.add, self.coords[i], self.coords[j])))
+        self._composed[key] = k
+        return k
+
+    def split(self, i, grade: tuple):
+        """(head id, tail id) of path i with head of shape grade; None unless grade <= shape(i)."""
+        key = (i, grade)
+        out = self._splits.get(key, _UNSET)
+        if out is not _UNSET:
+            return out
+        out = None
+        rest_coords = tuple(map(operator.sub, self.coords[i], grade))
+        if min(grade) >= 0 and min(rest_coords) >= 0:
+            head, rest = self.graph._split_word(self.words[i], grade)
+            h = self._id(head, self.targets[i], grade)
+            out = (h, self._id(rest, self.sources[h], rest_coords))
+        self._splits[key] = out
+        return out
 
 
 # -- module-level op aliases -------------------------------------------------------

@@ -37,7 +37,7 @@ from kgraphlab.fock import (
     verify_shape_floor,
     RELATION_NAMES,
 )
-from kgraphlab.kgraph import KGraph, flip_graph, grid_graph, single_vertex_graph
+from kgraphlab.kgraph import KGraph, Path, flip_graph, grid_graph, single_vertex_graph
 from kgraphlab.shapes import Shape
 
 
@@ -339,25 +339,83 @@ def test_random_expressions_keep_the_normal_form(graph_family):
                 Sum(((Fraction(1, 2), rng.choice(atoms)),))
 
 
-def test_relation_work_counts_are_pinned(monkeypatch):
-    """Normalizations and pulls per relation run, as counted before partial maps.
+def test_window_evaluation_matches_the_reference(graph_family):
+    """Random expressions evaluated over one shared PathWindow match _reference_act.
 
-    Evaluating through image must do the same kernel work as evaluating
-    through vectors did, only cheaper.
+    The reference evaluates each basis vector on its own: products and sums
+    as whole vectors, annihilations through the public factorize, and
+    creations through act, in a window of their own.
+
+    The shared window keeps every composition and split it has made, across
+    all the operators evaluated in it; images whose shape leaves the bound are
+    interned too and must read back as the same paths.  operators_agree
+    keeps its public contract, (ok, checked, [(basis element, vector,
+    vector)]), and no Fock call leaves state on the graph.
+    """
+    rng = random.Random(2014)
+    bound = Shape(2, 2)
+    outside = {}  # graph -> compared images with a path whose shape leaves the bound
+    for g in graph_family:
+        state = dict(vars(g))
+        basis = fock_basis(g, bound)
+        atoms = [op for e in g.edges for create in (left_creation, right_creation)
+                 for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
+        win = fock.PathWindow()
+        ids = [fock.VAC if b is VACUUM else win.intern(b) for b in basis]
+        outside[g.name] = 0
+        for _ in range(30):
+            A = _random_operator(rng, atoms, 3)
+            image = A.on(win)
+            for b, i in zip(basis, ids):
+                want = _reference_act(A, b)
+                assert fock._vector_out(win, image(i)) == want, (g.name, A, b)
+                outside[g.name] += any(x is not VACUUM and not x.shape <= bound for x in want)
+
+        a = g.enumerate_paths(Shape(1, 0))[0]
+        lhs, rhs = left_creation(g, a), right_creation(g, a) - left_creation(g, a)
+        ok, checked, failures = operators_agree(lhs, rhs, basis)
+        assert not ok and type(checked) is int and type(failures) is list
+        assert 0 < len(failures) <= 3 and checked <= len(basis)
+        for b, lv, rv in failures:
+            assert b in basis and all(x is VACUUM or isinstance(x, Path) for x in (*lv, *rv))
+            assert (lv, rv) == (_reference_act(lhs, b), _reference_act(rhs, b))
+        diagonal_algebra(g, 2, Shape(1, 1))
+        assert vars(g) == state, g.name
+    # every path of the 1x1 grid has shape <= (1, 1); the loop graphs leave the bound
+    assert [name for name, n in outside.items() if n] == ["free_abelian_2", "flip2x2"]
+
+
+def test_relation_work_counts_are_pinned(monkeypatch):
+    """Kernel work per relation report: each distinct input once, nothing kept.
+
+    A report evaluates every instance in one PathWindow, so the kernel
+    normalizes each distinct concatenated word once (a vertex operand needs
+    none) and splits each distinct (path, grade) once.  Flip R1 at (2,2)
+    asks for 4,704 compositions and 4,800 splits, 2,400 of each distinct;
+    R4 at (3,3) asks for 47,600 splits of 2,400 distinct (path, grade)
+    pairs: the terms of a range sum split each vector at the same grade.
+    The second, identical round repeats every count, so no work carries
+    over between calls, and the graph gains no state.
     """
     counts = {}
-    for name in ("_normal_word", "_pull_front"):
+    for name in ("_normal_word", "_split_word", "_pull_front"):
         def counted(*args, _name=name, _inner=getattr(KGraph, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _inner(*args)
         monkeypatch.setattr(KGraph, name, counted)
     g = flip_graph()
-    report = verify_identity(g, "R1", (2, 2))
-    assert (report.ok, report.checked, counts) == (
-        True, 4802, {"_pull_front": 13720, "_normal_word": 4608})
-    counts.clear()
-    report = verify_identity(g, "commutation", (2, 2))
-    assert (report.ok, report.checked, counts) == (True, 3136, {"_normal_word": 12416})
+    state = dict(vars(g))
+    expected = [
+        ("R1", (2, 2), 4802, {"_normal_word": 2144, "_split_word": 2400, "_pull_front": 6860}),
+        ("commutation", (2, 2), 3136, {"_normal_word": 3184}),
+        ("R4", (3, 3), 6750, {"_normal_word": 1376, "_split_word": 2400, "_pull_front": 6076}),
+    ]
+    for _ in range(2):
+        for name, bound, checked, work in expected:
+            counts.clear()
+            report = verify_identity(g, name, bound)
+            assert (report.ok, report.checked, counts) == (True, checked, work), name
+    assert vars(g) == state
 
 
 def test_product_applies_right_to_left(n2graph):

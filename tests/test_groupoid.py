@@ -330,6 +330,25 @@ def test_a_composite_with_a_wrong_endpoint_fails_closure():
     }
 
 
+class WrongInverse(GermGroupoid):
+    """The pair groupoid on {0, 1}, whose inverse sends (0, 1) to itself."""
+
+    def inverse(self, g):
+        return g if g == GermElement(0, 1) else super().inverse(g)
+
+
+def test_an_inverse_with_wrong_endpoints_is_a_witness():
+    # inverse((0, 1)) lies in the window but does not run from 1 to 0; the
+    # inverse law reports it instead of composing it, which would raise NotComposable
+    H = WrongInverse("pair", [GermElement(x, y) for x in (0, 1) for y in (0, 1)], [0, 1])
+    rep = H.check_axioms()
+    assert not rep.ok
+    assert {c.name: c.witness for c in rep.failing()} == {
+        "inverse-closure": GermElement(0, 1),
+        "inverse-law": GermElement(0, 1),
+    }
+
+
 def test_axioms_on_path_space_fixtures():
     for g, cap in (
         (grid_graph(Shape(1, 1)), Shape(1, 1)),
