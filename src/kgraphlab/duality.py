@@ -369,23 +369,20 @@ def _apply_word(z: ZPoint, seam: Shape, slide: Shape) -> ZPoint:
     return v_shift(slide, t_shift(seam, z))
 
 
-def lift_fiber(z: ZPoint, target) -> GroupoidElement:
+def lift_fiber(z: ZPoint, target: GroupoidElement) -> GroupoidElement:
     """The unique arrow out of z covering a given arrow out of phi(z).
 
-    ``target`` is an arrow over covering data: a GroupoidElement or a
-    plain (range pair, cocycle, source pair) triple whose source is
+    ``target`` is a GroupoidElement over covering data whose source is
     phi(z) and whose cocycle has one coordinate per seam map followed by
-    one per slide map.  The range point is reconstructed by splitting the
+    one per slide map; an arrow of the paired-point groupoid stands for its
+    image under phi.  The range point is reconstructed by splitting the
     range data, then a witness pair certifying the arrow is found among
     shapes up to 2 in all 2r coordinates.  A valid target always lifts;
     exhausting that bound means a bug or a model gap and raises loudly.
     """
-    if isinstance(target, GroupoidElement):
-        range_pair, cocycle, source_pair = target.x, target.z, target.y
-        if isinstance(range_pair, ZPoint):  # arrow of the paired-point groupoid
-            range_pair, source_pair = phi(range_pair), phi(source_pair)
-    else:
-        range_pair, cocycle, source_pair = target
+    range_pair, cocycle, source_pair = target.x, target.z, target.y
+    if isinstance(range_pair, ZPoint):  # arrow of the paired-point groupoid
+        range_pair, source_pair = phi(range_pair), phi(source_pair)
     rank = z.rank
     if len(cocycle) != 2 * rank:
         raise ConfigError(

@@ -1,18 +1,20 @@
 """Creation operators on the path-space basis of a colored graph.
 
 The basis is a single shared vacuum symbol plus every path of nonzero shape.
-Creations and annihilations are partial injections on it, so every operator
-is in one normal form: a partial map (a creation, annihilation, span
-projection, the identity, or a Product of partial maps), or a Sum of
-(int coefficient, partial map) terms.  A partial map sends a basis vector
-to at most one; a sum adds its terms' images with their coefficients.
+Creations and annihilations are partial injections on it, all four kinds
+one class, PathOperator(path, left, create).  Every operator is in one
+normal form: a partial map (a PathOperator, a span projection, the identity,
+or a Product of partial maps), or a Sum of (int coefficient, partial map)
+terms.  A partial map sends a basis vector to at most one; a sum adds its
+terms' images with their coefficients.
 Nothing is ever truncated: a shape bound only selects which vectors a
 checker visits, never how an operator acts, so every reported identity is
 exact on the checked vectors.
 
 op.on(window) is op acting on the int ids of a kgraph.PathWindow (the vacuum
-is VAC), which serves one relation report, operators_agree, act or diagonal
-survey and composes and splits each distinct input once.
+is VAC).  A window serves one relation report, operators_agree, act,
+diagonal survey or obstruction report: each operator is compiled in it
+once, and each distinct input composed and split once.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -202,41 +204,35 @@ class Product(PartialMap):
 
 
 class PathOperator(PartialMap):
-    """Base of the four creation and annihilation operators by a fixed path."""
+    """Creation (create) or annihilation by a fixed path, on its left or right end.
 
-    __slots__ = ("graph", "path")
+    A creation prepends (left) or appends the path; a vertex creation acts
+    as the matching span projection.  An annihilation strips the path as a
+    left or right factor, zero where the factorization disagrees.  The
+    adjoint flips create.
+    """
 
-    def __init__(self, graph, path):
-        object.__setattr__(self, "graph", graph)
+    __slots__ = ("path", "left", "create")
+
+    def __init__(self, path, left, create):
         object.__setattr__(self, "path", path)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "create", create)
 
     def adjoint(self):
-        return self.partner(self.graph, self.path)
-
-    def __repr__(self):
-        return f"{self.symbol}{self.path.display()}"
-
-
-class _Creation(PathOperator):
-    __slots__ = ()
+        return PathOperator(self.path, self.left, not self.create)
 
     def on(self, win):
-        p, compose = win.intern(self.path), win.compose
-        vac = p if win.words[p] else VAC  # a vertex creation is a projection and fixes the vacuum
-        if self.left:
-            return lambda b: vac if b == VAC else compose(p, b)
-        return lambda b: vac if b == VAC else compose(b, p)
+        p, words, left = win.intern(self.path), win.words, self.left
+        if self.create:
+            compose, vac = win.compose, p if words[p] else VAC  # a vertex fixes the vacuum
+            if left:
+                return lambda b: vac if b == VAC else compose(p, b)
+            return lambda b: vac if b == VAC else compose(b, p)
+        split, coords = win.split, win.coords
+        m, vac, kept = coords[p], None if words[p] else VAC, 0 if left else 1
 
-
-class _Annihilation(PathOperator):
-    __slots__ = ()
-
-    def on(self, win):
-        p, split, words, coords = win.intern(self.path), win.split, win.words, win.coords
-        m, vac, left = coords[p], None if words[p] else VAC, self.left
-        kept = 0 if left else 1  # b = p·rest on the left, rest·p on the right
-
-        def image(b):
+        def image(b):  # b = p·rest on the left, rest·p on the right
             if b == VAC:
                 return vac
             ht = split(b, m if left else tuple(map(operator.sub, coords[b], m)))
@@ -247,33 +243,8 @@ class _Annihilation(PathOperator):
 
         return image
 
-
-class LeftCreation(_Creation):
-    """Prepend a fixed path.  A vertex path acts as the matching span projection."""
-    __slots__ = ()
-    symbol, left = "l+", True
-
-
-class LeftAnnihilation(_Annihilation):
-    """Strip a fixed left factor; zero where the factorization disagrees."""
-    __slots__ = ()
-    symbol, left = "l-", True
-
-
-class RightCreation(_Creation):
-    """Append a fixed path.  A vertex path acts as the matching span projection."""
-    __slots__ = ()
-    symbol, left = "r+", False
-
-
-class RightAnnihilation(_Annihilation):
-    """Strip a fixed right factor; zero where the factorization disagrees."""
-    __slots__ = ()
-    symbol, left = "r-", False
-
-
-LeftCreation.partner, LeftAnnihilation.partner = LeftAnnihilation, LeftCreation
-RightCreation.partner, RightAnnihilation.partner = RightAnnihilation, RightCreation
+    def __repr__(self):
+        return f"{'l' if self.left else 'r'}{'+' if self.create else '-'}{self.path.display()}"
 
 
 class SpanProjection(PartialMap):
@@ -307,13 +278,13 @@ class SpanProjection(PartialMap):
 def left_creation(graph: KGraph, path: Path) -> FockOperator:
     if path.graph is not graph:
         raise ConfigError("path belongs to a different graph")
-    return LeftCreation(graph, path)
+    return PathOperator(path, left=True, create=True)
 
 
 def right_creation(graph: KGraph, path: Path) -> FockOperator:
     if path.graph is not graph:
         raise ConfigError("path belongs to a different graph")
-    return RightCreation(graph, path)
+    return PathOperator(path, left=False, create=True)
 
 
 def _check_vertex(graph, a):
@@ -410,11 +381,11 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     return RelationReport(relation, graph.name, bound, not bad, checked, tuple(bad))
 
 
-def _range_sum(graph, side, paths) -> Sum:
+def _range_sum(side, paths) -> Sum:
     """Sum of the one-sided range projections C(lam) C(lam)* over paths."""
-    C, A = ((LeftCreation, LeftAnnihilation) if side == "left"
-            else (RightCreation, RightAnnihilation))
-    return Sum((1, Product((C(graph, lam), A(graph, lam)))) for lam in paths)
+    left = side == "left"
+    return Sum((1, Product((PathOperator(lam, left, True), PathOperator(lam, left, False))))
+               for lam in paths)
 
 
 def _isometries(graph, bound):
@@ -441,7 +412,7 @@ def _vertex_sums(graph):
                                  ("right", "source", source_projection(graph, a))):
                 edges = graph.enumerate_paths(ej, **{end: a})
                 yield (f"vertex={a},j={j},{side}", P,
-                       _range_sum(graph, side, edges) + Product((level, P)))  # P tests first
+                       _range_sum(side, edges) + Product((level, P)))  # P tests first
 
 
 def _level_complements(graph):
@@ -450,7 +421,7 @@ def _level_complements(graph):
         pj = level_projection(graph, j)
         edges = graph.enumerate_paths(Shape.unit(graph.rank, j))
         for side in ("left", "right"):
-            yield f"j={j},{side}", Identity() - _range_sum(graph, side, edges), pj
+            yield f"j={j},{side}", Identity() - _range_sum(side, edges), pj
 
 
 def _shape_floors(graph, ks):
@@ -459,7 +430,7 @@ def _shape_floors(graph, ks):
         floor = shape_floor_projection(graph, k)
         paths = graph.enumerate_paths(k)
         for side in ("left", "right"):
-            yield f"k={tuple(k.coords)},{side}-vs-floor", _range_sum(graph, side, paths), floor
+            yield f"k={tuple(k.coords)},{side}-vs-floor", _range_sum(side, paths), floor
 
 
 def _commutations(graph, pairs):
@@ -599,18 +570,19 @@ class DiagonalAlgebra:
 def _atom_actions(graph, win):
     """Labelled single-step actions on the ids of win, each a partial injection.
 
-    Returned as (label, image) with image(i) the atom's image id, or None.
-    Labels start with l or p for left-side atoms, r or q for right-side ones.
+    Returned as (label, left, image) with image(i) the atom's image id, or
+    None; left is the side of the atom: a creation's or annihilation's own,
+    the target projections p@ on the left and the source projections q@ on
+    the right.
     """
     atoms = []
     for e in graph.edges:
-        p = graph.path([e.name])
-        for cls in (LeftCreation, LeftAnnihilation, RightCreation, RightAnnihilation):
-            op = cls(graph, p)
-            atoms.append((repr(op), op.on(win)))
+        for left, create in itertools.product((True, False), repeat=2):
+            op = PathOperator(graph.path([e.name]), left, create)
+            atoms.append((repr(op), left, op.on(win)))
     for a in sorted(graph.vertices):
-        atoms.append((f"p@{a}", target_projection(graph, a).on(win)))
-        atoms.append((f"q@{a}", source_projection(graph, a).on(win)))
+        atoms.append((f"p@{a}", True, target_projection(graph, a).on(win)))
+        atoms.append((f"q@{a}", False, source_projection(graph, a).on(win)))
     return atoms
 
 
@@ -633,7 +605,7 @@ def _identity_pool(atoms, word_len, basis, ids):
             pool.setdefault(state, label)
         if depth_left == 0 or all(img is None for img in state):
             return
-        for alabel, act in atoms:
+        for alabel, _, act in atoms:
             nxt = tuple(None if img is None else act(img) for img in state)
             visit(nxt, depth_left - 1, f"{alabel} {label}" if label else alabel)
 
@@ -657,8 +629,8 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
     ids = [VAC if b is VACUUM else win.intern(b) for b in basis]
     atoms = _atom_actions(graph, win)
     full_pool = _identity_pool(atoms, word_len, basis, ids)
-    left_pool = _identity_pool([a for a in atoms if a[0][0] in "lp"], word_len, basis, ids)
-    right_pool = _identity_pool([a for a in atoms if a[0][0] in "rq"], word_len, basis, ids)
+    left_pool = _identity_pool([a for a in atoms if a[1]], word_len, basis, ids)
+    right_pool = _identity_pool([a for a in atoms if not a[1]], word_len, basis, ids)
     projections = {label or "1": fix for fix, label in sorted(
         full_pool.items(), key=lambda kv: (len(kv[0]), kv[1]))}
     return DiagonalAlgebra(
@@ -696,12 +668,16 @@ class ObstructionReport:
 def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
                        algebra: DiagonalAlgebra) -> ObstructionReport:
     """Probe one mixed range projection against a precomputed diagonal_algebra."""
-    op = mixed_range_projection(graph, lam, mu)
-    images = [(b, op.act(b)) for b in algebra.basis]  # one action per basis vector
-    moved = next(((b, out) for b, out in images if out and out != {b: 1}), None)
+    win = PathWindow()
+    image = mixed_range_projection(graph, lam, mu).on(win)  # one compile for every basis id
+    ids = [VAC if b is VACUUM else win.intern(b) for b in algebra.basis]
+    images = [_as_vector(image(i)) for i in ids]
+    moved = next(((b, out) for b, i, out in zip(algebra.basis, ids, images)
+                  if out and out != {i: 1}), None)
     if moved:
-        raise ConfigError(f"mixed projection is not a partial identity: {moved!r}")
-    fix = frozenset(b for b, out in images if out)
+        raise ConfigError("mixed projection is not a partial identity: "
+                          f"{(moved[0], _vector_out(win, moved[1]))!r}")
+    fix = frozenset(b for b, out in zip(algebra.basis, images) if out)
     return ObstructionReport(
         graph=graph.name,
         left_path=lam.display(),

@@ -48,11 +48,7 @@ class Path:
 
     @cached_property
     def shape(self) -> Shape:
-        color = self.graph._color
-        counts = [0] * self.graph.rank
-        for name in self.word:
-            counts[color[name] - 1] += 1
-        return Shape._make(tuple(counts))
+        return Shape._make(self.graph._coords(self.word))
 
     @property
     def is_vertex(self):
@@ -208,6 +204,13 @@ class KGraph:
             if source[a] != target[b]:
                 raise NotComposable(
                     f"edges {a} and {b} do not chain: source {source[a]} != target {target[b]}")
+
+    def _coords(self, word) -> tuple:
+        """The shape coordinates of an edge word: its edge count per color."""
+        color, counts = self._color, [0] * self.rank
+        for name in word:
+            counts[color[name] - 1] += 1
+        return tuple(counts)
 
     def _normal_word(self, word):
         """Sort colors ascending by square rewrites; O(len^2) moves."""
@@ -504,10 +507,7 @@ class PathWindow:
             self.graph = p.graph
         elif p.graph is not self.graph:
             raise GraphError("paths belong to a different graph")
-        counts = [0] * self.graph.rank
-        for name in p.word:
-            counts[self.graph._color[name] - 1] += 1
-        return self._id(p.word, p.base, tuple(counts))
+        return self._id(p.word, p.base, self.graph._coords(p.word))
 
     def _id(self, word, vertex, coords):
         """The id of a normal word of shape coords, or of the vertex path at vertex."""

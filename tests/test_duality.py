@@ -36,7 +36,7 @@ from kgraphlab.errors import (
     ShapeError,
     WitnessError,
 )
-from kgraphlab.groupoid import build_semidirect
+from kgraphlab.groupoid import GroupoidElement, build_semidirect
 from kgraphlab.kgraph import (
     Edge,
     KGraph,
@@ -591,7 +591,7 @@ def test_s_shift_respects_grade(flip22):
 def test_lift_of_zero_target_is_unit(flip22):
     y = boundary_points(flip22)[0]
     z = ZPoint(flip22.path(("a0", "b0")), y)
-    el = lift_fiber(z, (phi(z), (0, 0, 0, 0), phi(z)))
+    el = lift_fiber(z, GroupoidElement(phi(z), (0, 0, 0, 0), phi(z)))
     assert el.x == z and el.y == z
     assert el.witness == (Shape.zero(4), Shape.zero(4))
 
@@ -604,7 +604,7 @@ def test_lift_reconstruction_recipe(n2graph):
     z = ZPoint(n2graph.path(("a0", "b0")), y)
     zprime = ZPoint(n2graph.path(("b0", "b0")), y)
     assert t_shift(Shape((0, 1)), zprime) == t_shift(Shape((1, 0)), z)
-    el = lift_fiber(z, (phi(zprime), (-1, 1, 0, 0), phi(z)))
+    el = lift_fiber(z, GroupoidElement(phi(zprime), (-1, 1, 0, 0), phi(z)))
     assert el.x == zprime and el.y == z
     m, n = el.witness
     left = v_shift(Shape(m.coords[2:]), t_shift(Shape(m.coords[:2]), el.x))
@@ -617,14 +617,14 @@ def test_lift_rejects_wrong_source(n2graph):
     z = ZPoint(n2graph.path(("a0", "b0")), y)
     zprime = ZPoint(n2graph.path(("b0", "b0")), y)
     with pytest.raises(ConfigError):
-        lift_fiber(z, (phi(zprime), (-1, 1, 0, 0), phi(zprime)))
+        lift_fiber(z, GroupoidElement(phi(zprime), (-1, 1, 0, 0), phi(zprime)))
 
 
 def test_lift_failure_is_loud(n2graph):
     y = boundary_points(n2graph)[0]
     z = ZPoint(n2graph.path(("a0", "b0")), y)
     with pytest.raises(WitnessError):
-        lift_fiber(z, (phi(z), (9, 0, 0, 0), phi(z)))
+        lift_fiber(z, GroupoidElement(phi(z), (9, 0, 0, 0), phi(z)))
 
 
 def test_fiber_lift_report_flip(flip22):

@@ -101,15 +101,14 @@ def _reference_act(op, b):
         return vec
     if isinstance(op, Sum):
         return _combine((_reference_act(t, b), c) for c, t in op.terms)
-    left = isinstance(op, fock.LeftAnnihilation)
-    if not left and not isinstance(op, fock.RightAnnihilation):
+    if not isinstance(op, fock.PathOperator) or op.create:
         return op.act(b)
-    p = op.path
+    p, left = op.path, op.left
     if b is VACUUM:
         return {VACUUM: 1} if p.is_vertex else {}
     if not p.shape <= b.shape:
         return {}
-    head, tail = op.graph.factorize(b, p.shape if left else b.shape - p.shape)
+    head, tail = p.graph.factorize(b, p.shape if left else b.shape - p.shape)
     kept, rest = (head, tail) if left else (tail, head)
     if kept != p:
         return {}
@@ -379,7 +378,7 @@ def test_window_evaluation_matches_the_reference(graph_family):
         for b, lv, rv in failures:
             assert b in basis and all(x is VACUUM or isinstance(x, Path) for x in (*lv, *rv))
             assert (lv, rv) == (_reference_act(lhs, b), _reference_act(rhs, b))
-        diagonal_algebra(g, 2, Shape(1, 1))
+        obstruction_report(g, a, a, algebra=diagonal_algebra(g, 2, Shape(1, 1)))
         assert vars(g) == state, g.name
     # every path of the 1x1 grid has shape <= (1, 1); the loop graphs leave the bound
     assert [name for name, n in outside.items() if n] == ["free_abelian_2", "flip2x2"]
@@ -648,12 +647,21 @@ def test_one_sided_pools_keep_their_vertex_projections():
 
 
 def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
+    # one compile of the mixed projection, in one window, then its image of each basis id
     algebra = diagonal_algebra(flip22, 2, Shape(2, 2))
     lam = flip22.enumerate_paths(Shape(1, 2))[0]
-    calls = []
-    act = Product.act
-    monkeypatch.setattr(Product, "act", lambda op, b: calls.append(b) or act(op, b))
+    windows, calls = [], []
+    on = Product.on
+
+    def counted_on(op, win):
+        windows.append(win)
+        image = on(op, win)
+        return lambda i: calls.append(VACUUM if i == fock.VAC else win.path(i)) or image(i)
+
+    monkeypatch.setattr(Product, "on", counted_on)
+    monkeypatch.setattr(Product, "act", lambda op, b: pytest.fail("act per basis vector"))
     report = obstruction_report(flip22, lam, lam, algebra=algebra)
+    assert len(windows) == 1 and isinstance(windows[0], fock.PathWindow)
     assert calls == list(algebra.basis)
     monkeypatch.undo()
     assert report.fixed_set == _fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
