@@ -92,7 +92,7 @@ class MGDS:
     coordinates.
     """
 
-    def __init__(self, name: str, carrier: Iterable, generators, *, check: bool = True):
+    def __init__(self, name: str, carrier: Iterable, generators):
         self.name = name
         self.carrier = tuple(dict.fromkeys(carrier))
         self._carrier_set = frozenset(self.carrier)
@@ -107,13 +107,10 @@ class MGDS:
                 )
         self._powers: dict = {}
         self._exit: dict = {}
-        if check:
-            rep = self.check_commuting()
-            if not rep.ok:
-                i, j, x = rep.witness
-                raise ConfigError(
-                    f"generators {i} and {j} of system {name} do not commute at {x!r}"
-                )
+        rep = self.check_commuting()
+        if not rep.ok:
+            i, j, x = rep.witness
+            raise ConfigError(f"generators {i} and {j} of system {name} do not commute at {x!r}")
 
     @classmethod
     def closure(cls, name: str, seeds: Iterable, maps) -> "MGDS":

@@ -65,6 +65,11 @@ def _as_vector(image) -> dict:
     return image if isinstance(image, dict) else {} if image is None else {image: 1}
 
 
+def _basis_id(win, b) -> int:
+    """A basis element's id in win: VAC for the vacuum, the interned path's id otherwise."""
+    return VAC if b is VACUUM else win.intern(b)
+
+
 def _vector_out(win, image) -> dict:
     return {VACUUM if i == VAC else win.path(i): c for i, c in _as_vector(image).items()}
 
@@ -85,7 +90,7 @@ class FockOperator:
     def act(self, b) -> dict:
         """The image of one basis element as a {basis element: int} vector."""
         win = PathWindow()
-        return _vector_out(win, self.on(win)(VAC if b is VACUUM else win.intern(b)))
+        return _vector_out(win, self.on(win)(_basis_id(win, b)))
 
     def __mul__(self, other):
         if isinstance(other, FockOperator):
@@ -333,11 +338,11 @@ def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, window=None):
     The operators act in window, or in a PathWindow of their own.
     """
     win = PathWindow() if window is None else window
-    f, g, intern = lhs.on(win), rhs.on(win), win.intern
+    f, g = lhs.on(win), rhs.on(win)
     failures, checked = [], 0
     for b in basis:
         checked += 1
-        i = VAC if b is VACUUM else intern(b)
+        i = _basis_id(win, b)
         lv, rv = f(i), g(i)
         if lv != rv and _as_vector(lv) != _as_vector(rv):  # an id can equal a sum's vector
             if len(failures) == CAP:
@@ -626,7 +631,7 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
     bound = _shape(bound)
     basis = fock_basis(graph, bound)
     win = PathWindow()
-    ids = [VAC if b is VACUUM else win.intern(b) for b in basis]
+    ids = [_basis_id(win, b) for b in basis]
     atoms = _atom_actions(graph, win)
     full_pool = _identity_pool(atoms, word_len, basis, ids)
     left_pool = _identity_pool([a for a in atoms if a[1]], word_len, basis, ids)
@@ -670,7 +675,7 @@ def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
     """Probe one mixed range projection against a precomputed diagonal_algebra."""
     win = PathWindow()
     image = mixed_range_projection(graph, lam, mu).on(win)  # one compile for every basis id
-    ids = [VAC if b is VACUUM else win.intern(b) for b in algebra.basis]
+    ids = [_basis_id(win, b) for b in algebra.basis]
     images = [_as_vector(image(i)) for i in ids]
     moved = next(((b, out) for b, i, out in zip(algebra.basis, ids, images)
                   if out and out != {i: 1}), None)

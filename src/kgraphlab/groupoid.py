@@ -89,10 +89,6 @@ class FiniteGroupoid:
         raise NotImplementedError
 
     # derived ----------------------------------------------------------------
-    @property
-    def units(self):
-        return tuple(self.unit_at(p) for p in self.unit_points)
-
     def is_composable(self, g, h) -> bool:
         return g.y == h.x
 
@@ -114,10 +110,6 @@ class FiniteGroupoid:
             for j in self._by_range.get(g.y, ()):
                 yield i, j
 
-    def composable_pairs(self):
-        elements = self.elements
-        return ((elements[i], elements[j]) for i, j in self._composable_ids())
-
     def check_axioms(self) -> Check:
         """Exhaustive closure, unit, inverse and associativity verification.
 
@@ -129,38 +121,38 @@ class FiniteGroupoid:
         does not is a witness of inverse-closure and of the inverse law,
         which does not compose it.
 
-        The closure pass composes each composable pair once and keeps the
-        composite with its id, None when it leaves the window.  The unit,
-        inverse and associativity checks read that table.  A lookup answers
-        what a fresh compose would: an arrow is its triple (x, z, y), never
-        its witness, so the stored operand and a fresh equal one have equal
-        composites.  compose runs again only for a product with an operand
-        outside the window, or for a pair the closure pass did not reach
-        because it failed first.  The table lives for this call only.
+        Every arrow the check meets has one int id: an element its position
+        in elements, any other arrow the next free id when first seen, so an
+        id is outside the window when it is at least len(elements).  Each id
+        pair is composed once, and every law compares ids.  An arrow is its
+        triple (x, z, y), never its witness; where check_dc holds, compose
+        never searches for a witness, so whichever equal arrow an id keeps,
+        its products are the same.  Ids and table live for this call only.
         """
-        elements, ids, by_range = self.elements, self._element_set, self._by_range
-        operands = tuple(zip(elements, range(len(elements))))  # (arrow, id) per element
-        table: dict = {}  # composable id pair -> (composite, its id or None outside the window)
+        elements, by_range, window = self.elements, self._by_range, len(self.elements)
+        ids, arrows = dict(self._element_set), list(elements)  # arrow <-> id
+        table: dict = {}  # id pair -> id of its composite
 
-        def operand(g):
-            return g, ids.get(g)
+        def intern(g):
+            i = ids.get(g)
+            if i is None:
+                i = ids[g] = len(arrows)
+                arrows.append(g)
+            return i
 
-        def unit(point):
-            return operand(self.unit_at(point))
-
-        def times(a, b):
-            found = table.get((a[1], b[1]))
-            return operand(self.compose(a[0], b[0])) if found is None else found
-
-        def same(a, b):  # by id inside the window, by triple outside it
-            return a[1] == b[1] and (a[1] is not None or a[0] == b[0])
+        def times(i, j):
+            k = table.get((i, j))
+            if k is None:
+                k = table[i, j] = intern(self.compose(arrows[i], arrows[j]))
+            return k
 
         checks = []
 
         inverses = [self.inverse(g) for g in elements]
         reversed_ok = [inv.x == g.y and inv.y == g.x for g, inv in zip(elements, inverses)]
-        bad = next((g for g, inv, ok in zip(elements, inverses, reversed_ok)
-                    if not ok or inv not in ids), None)
+        inverse_ids = list(map(intern, inverses))
+        bad = next((g for g, inv, ok in zip(elements, inverse_ids, reversed_ok)
+                    if not ok or inv >= window), None)
         checks.append(Check("inverse-closure", bad is None, bad))
 
         closure_witness = None
@@ -171,27 +163,26 @@ class FiniteGroupoid:
             except WitnessError as err:
                 closure_witness = (g, h, err)
                 break
-            found = operand(gh)
-            if (self.closed and found[1] is None) or gh.x != g.x or gh.y != h.y:
+            k = intern(gh)
+            if (self.closed and k >= window) or gh.x != g.x or gh.y != h.y:
                 closure_witness = (g, h, gh)
                 break
-            table[i, j] = found
+            table[i, j] = k
         checks.append(Check("closure", closure_witness is None, closure_witness))
 
-        bad = next((g for g, i in operands
-                    if not same(times(unit(g.x), (g, i)), (g, i))
-                    or not same(times((g, i), unit(g.y)), (g, i))), None)
+        unit = {p: intern(self.unit_at(p)) for p in self.unit_points}
+        bad = next((g for i, g in enumerate(elements)
+                    if times(unit[g.x], i) != i or times(i, unit[g.y]) != i), None)
         checks.append(Check("units", bad is None, bad))
 
-        bad = next((g for (g, i), inv, ok in zip(operands, map(operand, inverses), reversed_ok)
-                    if not ok or not same(times((g, i), inv), unit(g.x))
-                    or not same(times(inv, (g, i)), unit(g.y))), None)
+        bad = next((g for i, (g, inv, ok) in enumerate(zip(elements, inverse_ids, reversed_ok))
+                    if not ok or times(i, inv) != unit[g.x] or times(inv, i) != unit[g.y]), None)
         checks.append(Check("inverse-law", bad is None, bad))
 
         if closure_witness is None:  # associativity is vacuous when closure already failed
-            bad = next(((elements[i], elements[j], elements[k]) for (i, j), gh in table.items()
+            bad = next(((elements[i], elements[j], elements[k]) for i, j in self._composable_ids()
                         for k in by_range.get(elements[j].y, ())
-                        if not same(times(gh, operands[k]), times(operands[i], table[j, k]))), None)
+                        if times(table[i, j], k) != times(i, table[j, k])), None)
             checks.append(Check("associativity", bad is None, bad))
 
         return Check("axioms", all(c.ok for c in checks), checks=tuple(checks))
@@ -347,14 +338,10 @@ def germ_quotient(G: SemidirectGroupoid):
     On a discrete carrier two arrows have the same germ exactly when they
     share endpoints, so the quotient is the orbit relation.
     """
-    germs: dict = {}
+    germs: dict = {}  # (x, y) -> the one germ of every arrow with these endpoints
     pi = GermMap()
     for g in G.elements:
-        key = (g.x, g.y)
-        germ = germs.get(key)
-        if germ is None:
-            germ = germs[key] = GermElement(g.x, g.y)
-        pi[g] = germ
+        pi[g] = germs.setdefault((g.x, g.y), GermElement(g.x, g.y))
     H = GermGroupoid(f"germ({G.name})", germs.values(), G.unit_points)
     return H, pi
 
@@ -532,13 +519,21 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
     kernel is filtered by how large a shared witness the two points need
     once the finite directions are exhausted.  Levels are computed twice,
     from the raw two-witness description and from the exit-time-shifted one,
-    and both must coincide for compatibility-certified systems.
+    and both must coincide for compatibility-certified systems.  A coordinate
+    outside 1..rank, or a level_bound of another length, is a ConfigError.
     """
     sys = G.system
     r = sys.rank
     J = frozenset(coords)
+    if not J <= frozenset(range(1, r + 1)):
+        raise ConfigError(f"coordinates {tuple(coords)} leave 1..{r}, the system's rank")
     jc = [j for j in range(1, r + 1) if j not in J]
     js = sorted(J)
+    wb = G.witness_bound
+    if level_bound is None:
+        level_bound = tuple(wb.coord(j) for j in js)
+    elif len(level_bound) != len(js):
+        raise ConfigError(f"level_bound {tuple(level_bound)} needs one entry per coordinate of {tuple(js)}")
     block = sys.xj_partition()[J]
     blockset = set(block)
     restricted = [g for g in G.elements if g.x in blockset and g.y in blockset]
@@ -555,10 +550,6 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
         j = next((j for j, a, b in gaps if g.z[j - 1] != a - b), None)
         if j is not None:
             defect.append((g, j))
-
-    if level_bound is None:
-        level_bound = tuple(G.witness_bound.coord(j) for j in js)
-    wb = G.witness_bound
 
     def place(on_j, off_j):
         # exponent: on_j on the filtration coordinates, off_j on the others

@@ -59,6 +59,11 @@ SEED = 20260816
 CYCLE_CHAIN = (["c0", "c1", 0, 1], {"c0": "c1", "c1": "c0", 1: 0})
 
 
+def composable_pairs(G):
+    """The composable element pairs of G, in check_axioms order."""
+    return ((G.elements[i], G.elements[j]) for i, j in G._composable_ids())
+
+
 def _conclude(label, failures):
     print(f"\nacceptance {label}: {'PASS' if not failures else 'FAIL'}")
     assert not failures, failures[:3]
@@ -305,7 +310,7 @@ def test_7_pairing_and_shift_dualities():
     # translation twist against the grid groupoid, exhaustively
     grid = build_semidirect(grid_system(2, 4))
     box = list(itertools.product(range(2), repeat=2))
-    for g, h in grid.composable_pairs():
+    for g, h in composable_pairs(grid):
         gh = grid.compose(g, h)
         for t1, t2 in itertools.product(box, repeat=2):
             twisted = tuple(a + b for a, b in
@@ -342,7 +347,7 @@ def test_8_coordinate_cocycle_filtration():
 
                 # restricted-translation cocycle is additive under composition
                 labeled = set(kf.labels)
-                for g, h in G.composable_pairs():
+                for g, h in composable_pairs(G):
                     if g in labeled and h in labeled:
                         gh = G.compose(g, h)
                         if gh in labeled and kf.labels[gh] != tuple(

@@ -751,14 +751,15 @@ def grid_groupoid(grid11):
 
 
 def test_theta_fixes_units(grid_groupoid):
-    for u in itertools.islice(grid_groupoid.units, 5):
+    for u in itertools.islice(map(grid_groupoid.unit_at, grid_groupoid.unit_points), 5):
         assert theta_twist((3, 4), u) == ((3, 4), u)
 
 
 def test_theta_automorphism_exhaustive(grid_groupoid):
     G = grid_groupoid
     box = list(itertools.product(range(3), repeat=2))
-    for g, h in G.composable_pairs():
+    for i, j in G._composable_ids():
+        g, h = G.elements[i], G.elements[j]
         gh = G.compose(g, h)
         assert gh.z == tuple(a + b for a, b in zip(g.z, h.z))  # b is a cocycle
         for t1, t2 in itertools.product(box[:3], box):

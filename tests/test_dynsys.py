@@ -58,11 +58,8 @@ def test_noncommuting_generators_rejected():
     pts = [0, 1, 2]
     swap = PartialMap("s", {0: 1, 1: 0, 2: 2})
     drop = PartialMap("d", {1: 2, 2: 2, 0: 0})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"generators 1 and 2 of system bad do not commute"):
         MGDS("bad", pts, [swap, drop])
-    sys = MGDS("forced", pts, [swap, drop], check=False)
-    rep = sys.check_commuting()
-    assert not rep.ok and rep.witness[:2] == (1, 2)
 
 
 def test_carrier_containment_enforced():

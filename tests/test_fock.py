@@ -360,7 +360,7 @@ def test_window_evaluation_matches_the_reference(graph_family):
         atoms = [op for e in g.edges for create in (left_creation, right_creation)
                  for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
         win = fock.PathWindow()
-        ids = [fock.VAC if b is VACUUM else win.intern(b) for b in basis]
+        ids = [fock._basis_id(win, b) for b in basis]
         outside[g.name] = 0
         for _ in range(30):
             A = _random_operator(rng, atoms, 3)

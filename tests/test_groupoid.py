@@ -15,6 +15,7 @@ import pytest
 from kgraphlab.duality import path_space_system
 from kgraphlab.dynsys import (
     MGDS,
+    PartialMap,
     free_monoid_system,
     grid_system,
     identity_system,
@@ -46,6 +47,11 @@ TAIL_CYCLE = (["t2", "t1", "c0", "c1", "c2"],
               {"t2": "t1", "t1": "c0", "c0": "c1", "c1": "c2", "c2": "c0"})
 
 
+def composable_pairs(G):
+    """The composable element pairs of G, in check_axioms order."""
+    return ((G.elements[i], G.elements[j]) for i, j in G._composable_ids())
+
+
 @pytest.fixture(scope="module")
 def grid_groupoid():
     return build_semidirect(grid_system(2, 4))
@@ -75,7 +81,7 @@ def test_grid_build_is_the_pair_groupoid(grid_groupoid):
 
 def test_unit_space(grid_groupoid):
     G = grid_groupoid
-    units = G.units
+    units = [G.unit_at(p) for p in G.unit_points]
     assert len(units) == 16
     for u in units:
         assert u.x == u.y and u.z == (0, 0) and u == G.unit_at(u.x)
@@ -168,7 +174,7 @@ def test_compose_requires_meeting_endpoints(grid_groupoid):
 def test_join_formula_witness_is_valid_on_compatible_systems(grid_groupoid):
     # the adjusted witness must validate directly, without fallback search
     G = grid_groupoid
-    for g, h in itertools.islice(G.composable_pairs(), 400):
+    for g, h in itertools.islice(composable_pairs(G), 400):
         m, n = g.witness
         m2, n2 = h.witness
         k = n | m2
@@ -180,7 +186,7 @@ def witness_digest(G):
     h = hashlib.sha256()
     for g in G:
         h.update(f"{g!r} {tuple(map(tuple, g.witness))}\n".encode())
-    for g, k in G.composable_pairs():
+    for g, k in composable_pairs(G):
         gk = G.compose(g, k)
         h.update(f"{g!r} {k!r} {tuple(map(tuple, gk.witness))}\n".encode())
     return h.hexdigest()
@@ -220,26 +226,32 @@ def test_axioms_exhaustive(grid_groupoid, identity_groupoid, mix_groupoid):
 
 
 def test_axiom_compose_work_is_pinned(monkeypatch, grid_groupoid, mix_groupoid):
-    """compose calls per check_axioms: each composable pair once, plus the escaped composites.
+    """compose calls per check_axioms: each composable id pair once, escaped composites included.
 
     The grid window is closed under composition, so its 4,096 composable
     pairs are all the work.  The periodic mix window composes its 3,364
-    pairs, then 56,640 associativity products with an operand outside the
-    window.  Composing afresh for every associativity triple took 136,192
-    and 145,660 calls.
+    pairs, then 12,480 distinct associativity products with an operand
+    outside the window; the 51-arrow system T1 = T2 = {0->2, 2->0} on three
+    points composes its 1,251 pairs and 5,600 such products.  Comparing
+    escaped operands by triple, recomposed at each meeting, took 60,004 and
+    27,651 calls.  All three windows are domain-compatible, so no composite
+    falls back to a witness search.
     """
-    calls = [0]
-
-    def counted(self, g, h, _inner=SemidirectGroupoid.compose):
-        calls[0] += 1
-        return _inner(self, g, h)
-
-    monkeypatch.setattr(SemidirectGroupoid, "compose", counted)
+    calls = {"compose": 0, "find_witness": 0}
+    for name in calls:
+        def counted(self, *args, _inner=getattr(SemidirectGroupoid, name), _name=name):
+            calls[_name] += 1
+            return _inner(self, *args)
+        monkeypatch.setattr(SemidirectGroupoid, name, counted)
+    swap = PartialMap("t", {0: 2, 2: 0})
     found = []
-    for G in (grid_groupoid, mix_groupoid):
-        calls[0] = 0
-        found.append((len(G), sum(1 for _ in G.composable_pairs()), G.check_axioms().ok, calls[0]))
-    assert found == [(256, 4096, True, 4096), (196, 3364, True, 60004)]
+    for G in (grid_groupoid, mix_groupoid, build_semidirect(MGDS("swap", [0, 1, 2], [swap, swap]))):
+        assert G.system.check_dc(G.witness_bound).ok
+        calls.update(compose=0, find_witness=0)
+        found.append((len(G), sum(1 for _ in G._composable_ids()), G.check_axioms().ok,
+                      calls["compose"], calls["find_witness"]))
+    assert found == [(256, 4096, True, 4096, 0), (196, 3364, True, 15844, 0),
+                     (51, 1251, True, 6851, 0)]
 
 
 class MisComposing(FiniteGroupoid):
@@ -297,7 +309,7 @@ def test_composites_may_leave_the_window(mix_groupoid):
     assert gh not in G
     assert (gh.x, gh.z, gh.y) == (("c0", "c0"), (0, -3), ("c0", "c1"))
     assert tuple(map(tuple, gh.witness)) == ((0, 0), (0, 3))
-    assert sum(G.compose(a, b) not in G for a, b in G.composable_pairs()) == 1248
+    assert sum(G.compose(a, b) not in G for a, b in composable_pairs(G)) == 1248
     closure = next(c for c in G.check_axioms().checks if c.name == "closure")
     assert closure.ok
 
@@ -453,7 +465,7 @@ def test_germ_map_is_a_homomorphism(grid_groupoid, identity_groupoid):
     for G in (grid_groupoid, identity_groupoid):
         H, pi = germ_quotient(G)
         assert set(pi.values()) == set(H.elements)
-        for g, h in G.composable_pairs():
+        for g, h in composable_pairs(G):
             assert pi[G.compose(g, h)] == H.compose(pi[g], pi[h])
         assert H.check_axioms().ok
 
@@ -582,7 +594,7 @@ def test_cocycle_additivity(mix_groupoid):
     kf = kernel_filtration(mix_groupoid, (1,))
     labeled = set(kf.labels)
     G = mix_groupoid
-    for g, h in G.composable_pairs():
+    for g, h in composable_pairs(G):
         if g in labeled and h in labeled:
             gh = G.compose(g, h)
             if gh in labeled:
@@ -618,6 +630,17 @@ def test_filtration_levels_agree_and_grow(mix_groupoid):
             if y == y2:
                 assert (x, w) in direct
     assert previous == kernel_pairs  # union over levels exhausts the kernel
+
+
+def test_filtration_coordinates_lie_in_the_rank():
+    with pytest.raises(ConfigError, match=r"coordinates \(3,\) leave 1\.\.2"):
+        kernel_filtration(build_semidirect(grid_system(2, 2)), (3,))
+
+
+def test_filtration_level_bound_has_one_entry_per_coordinate(mix_groupoid):
+    for coords, level_bound in (((1,), (1, 1)), ((1, 2), (1,)), ((1, 1), (1, 1))):
+        with pytest.raises(ConfigError, match=r"level_bound .* one entry per coordinate"):
+            kernel_filtration(mix_groupoid, coords, level_bound=level_bound)
 
 
 def test_full_coordinate_filtration_on_grid(grid_groupoid):

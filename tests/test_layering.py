@@ -75,8 +75,6 @@ UNCALLED = {
     "theta_untwist": _DUALITY,
     "two_sided_cocycle": _DUALITY,
     "fiber_lift_report": _TESTS_ONLY,
-    "composable_pairs": _TESTS_ONLY,
-    "units": _TESTS_ONLY,
     "indicator": _TESTS_ONLY,
     "star": _TESTS_ONLY,
 }
