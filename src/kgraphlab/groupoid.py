@@ -338,10 +338,14 @@ def germ_quotient(G: SemidirectGroupoid):
     On a discrete carrier two arrows have the same germ exactly when they
     share endpoints, so the quotient is the orbit relation.
     """
-    germs: dict = {}  # (x, y) -> the one germ of every arrow with these endpoints
+    germs: dict = {}
     pi = GermMap()
     for g in G.elements:
-        pi[g] = germs.setdefault((g.x, g.y), GermElement(g.x, g.y))
+        key = (g.x, g.y)
+        germ = germs.get(key)
+        if germ is None:
+            germ = germs[key] = GermElement(g.x, g.y)
+        pi[g] = germ
     H = GermGroupoid(f"germ({G.name})", germs.values(), G.unit_points)
     return H, pi
 

@@ -4,6 +4,11 @@ from kgraphlab.shapes import Shape
 from kgraphlab.kgraph import flip_graph, grid_graph, one_loop_per_color_graph
 
 
+def composable_pairs(G):
+    """The composable element pairs of G, in check_axioms order."""
+    return ((G.elements[i], G.elements[j]) for i, j in G._composable_ids())
+
+
 @pytest.fixture(scope="session")
 def grid11():
     return grid_graph(Shape(1, 1))

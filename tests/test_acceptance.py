@@ -54,14 +54,11 @@ from kgraphlab.ideals import all_ideal_tuples, build_sequence, from_mgds, verify
 from kgraphlab.kgraph import flip_graph, grid_graph, one_loop_per_color_graph
 from kgraphlab.shapes import Shape, shapes_below
 
+from conftest import composable_pairs
+
 SEED = 20260816
 
 CYCLE_CHAIN = (["c0", "c1", 0, 1], {"c0": "c1", "c1": "c0", 1: 0})
-
-
-def composable_pairs(G):
-    """The composable element pairs of G, in check_axioms order."""
-    return ((G.elements[i], G.elements[j]) for i, j in G._composable_ids())
 
 
 def _conclude(label, failures):

@@ -48,6 +48,8 @@ from kgraphlab.kgraph import (
 )
 from kgraphlab.shapes import INF, Shape, make_shape, shapes_below
 
+from conftest import composable_pairs
+
 
 @pytest.fixture(scope="module")
 def rank1():
@@ -758,8 +760,7 @@ def test_theta_fixes_units(grid_groupoid):
 def test_theta_automorphism_exhaustive(grid_groupoid):
     G = grid_groupoid
     box = list(itertools.product(range(3), repeat=2))
-    for i, j in G._composable_ids():
-        g, h = G.elements[i], G.elements[j]
+    for g, h in composable_pairs(G):
         gh = G.compose(g, h)
         assert gh.z == tuple(a + b for a, b in zip(g.z, h.z))  # b is a cocycle
         for t1, t2 in itertools.product(box[:3], box):

@@ -41,15 +41,12 @@ from kgraphlab.groupoid import (
 from kgraphlab.kgraph import flip_graph, grid_graph, one_loop_per_color_graph
 from kgraphlab.shapes import Shape, shapes_below
 
+from conftest import composable_pairs
+
 
 CYCLE_CHAIN = (["c0", "c1", 0, 1], {"c0": "c1", "c1": "c0", 1: 0})
 TAIL_CYCLE = (["t2", "t1", "c0", "c1", "c2"],
               {"t2": "t1", "t1": "c0", "c0": "c1", "c1": "c2", "c2": "c0"})
-
-
-def composable_pairs(G):
-    """The composable element pairs of G, in check_axioms order."""
-    return ((G.elements[i], G.elements[j]) for i, j in G._composable_ids())
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +245,7 @@ def test_axiom_compose_work_is_pinned(monkeypatch, grid_groupoid, mix_groupoid):
     for G in (grid_groupoid, mix_groupoid, build_semidirect(MGDS("swap", [0, 1, 2], [swap, swap]))):
         assert G.system.check_dc(G.witness_bound).ok
         calls.update(compose=0, find_witness=0)
-        found.append((len(G), sum(1 for _ in G._composable_ids()), G.check_axioms().ok,
+        found.append((len(G), sum(1 for _ in composable_pairs(G)), G.check_axioms().ok,
                       calls["compose"], calls["find_witness"]))
     assert found == [(256, 4096, True, 4096, 0), (196, 3364, True, 15844, 0),
                      (51, 1251, True, 6851, 0)]
