@@ -164,6 +164,7 @@ class MGDS:
         The table is keyed by coordinate tuple.  Only a miss checks the rank:
         a key in the table has passed that check already.
         """
+        # as_shape's test, spelled inline: every meets inside compose calls power twice
         n = Shape(n) if not isinstance(n, Shape) else n
         cached = self._powers.get(n.coords)
         if cached is None:

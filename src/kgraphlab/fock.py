@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .kgraph import KGraph, Path, PathWindow
 from .reporting import CAP
-from .shapes import Shape, shapes_below
+from .shapes import Shape, as_shape, shapes_below
 
 
 class _Vacuum:
@@ -46,13 +46,9 @@ VACUUM = _Vacuum()
 VAC = -1  # the vacuum's id in every window; path ids count up from 0
 
 
-def _shape(x) -> Shape:
-    return x if isinstance(x, Shape) else Shape(*x)
-
-
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     """The vacuum plus every nonzero-shape path with shape <= bound."""
-    bound = _shape(bound)
+    bound = as_shape(bound)
     out = [VACUUM]
     for n in shapes_below(bound):
         if not n.is_zero:
@@ -318,7 +314,7 @@ def level_projection(graph: KGraph, j: int) -> FockOperator:
 
 def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
     """Paths whose shape dominates k; the vacuum is excluded.  Needs k != 0."""
-    k = _shape(k)
+    k = as_shape(k)
     if len(k) != graph.rank:
         raise ConfigError(f"shape rank {len(k)} != graph rank {graph.rank}")
     if k.is_zero:
@@ -375,7 +371,7 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     basis defaults to the window below bound; the first CAP counterexamples
     over all instances are kept, in order.  All instances act in one PathWindow.
     """
-    bound = _shape(bound)
+    bound = as_shape(bound)
     basis = fock_basis(graph, bound) if basis is None else basis
     win = PathWindow()
     checked, bad = 0, []
@@ -458,7 +454,7 @@ def _unit_box_pairs(graph):
 
 def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
     """R4 at one nonzero shape k."""
-    k = _shape(k)
+    k = as_shape(k)
     return _report(f"R4[k={tuple(k.coords)}]", graph, bound, _shape_floors(graph, (k,)), basis)
 
 
@@ -491,7 +487,7 @@ def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
     """
     if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; known: {', '.join(RELATION_NAMES)}")
-    bound = _shape(bound)
+    bound = as_shape(bound)
     return _report(name, graph, bound, _CATALOG[name](graph, bound))
 
 
@@ -628,7 +624,7 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
     """
     if word_len < 1:
         raise ConfigError("word_len must be >= 1")
-    bound = _shape(bound)
+    bound = as_shape(bound)
     basis = fock_basis(graph, bound)
     win = PathWindow()
     ids = [_basis_id(win, b) for b in basis]

@@ -6,8 +6,11 @@ and "color-i edge then color-j edge" that share outer endpoints.  Words of
 edges are read left to right, the left end carrying the target of the
 composite; two paths compose as p·q exactly when source(p) = target(q).
 Every path is stored in its normal form, the unique word whose colors ascend
-left to right; normalization repeatedly rewrites adjacent out-of-order pairs
-through the square tables.
+left to right.  Normalization and factorization are one square-move sort:
+_sort_word insertion-sorts a word by int keys, rewriting each adjacent
+out-of-order pair through the square tables.  Sorting by color gives the
+normal form; sorting the first edges of each color ahead of the rest splits
+a path into head and tail.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cached_property
 
 from .errors import GraphError, NotComposable, ShapeError
 from .reporting import CAP, Check
-from .shapes import Shape, shapes_below
+from .shapes import Shape, as_shape, shapes_below
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,8 @@ class KGraph:
                 self._by_color_target.setdefault((c, e.target), ())
                 self._by_color_target[(c, e.target)] += (e,)
 
-        # square tables, plus the inverse direction used when pulling an edge
-        # leftward during factorization
+        # square tables, plus the inverse direction _sort_word takes when a
+        # higher color moves left of a lower one
         self._to_normal: dict[tuple[int, int], dict] = {}
         self._to_anti: dict[tuple[int, int], dict] = {}
         squares = squares or {}
@@ -212,26 +215,37 @@ class KGraph:
             counts[color[name] - 1] += 1
         return tuple(counts)
 
-    def _normal_word(self, word):
-        """Sort colors ascending by square rewrites; O(len^2) moves."""
+    def _sort_word(self, word, keys: list) -> tuple:
+        """Insertion-sort word by the int keys of its edges, one square move per swap.
+
+        keys is a fresh list, one key per edge, sorted along in place.  An
+        adjacent pair (a, b) with key(a) > key(b) moves through _to_normal
+        when a has the higher color and through _to_anti when it has the
+        lower one; equal keys never swap.  A missing entry raises GraphError.
+        """
         color = self._color
         w = list(word)
-        c = [color[nm] for nm in w]
-        i, last = 0, len(w) - 1
-        while i < last:
-            ci, cj = c[i], c[i + 1]
-            if ci <= cj:
-                i += 1
-                continue
-            try:
-                w[i], w[i + 1] = self._to_normal[(cj, ci)][(w[i], w[i + 1])]
-            except KeyError:
-                raise GraphError(
-                    f"no square for word {w[i]},{w[i+1]} (colors {ci},{cj})") from None
-            c[i], c[i + 1] = cj, ci
-            if i:
-                i -= 1
-        out = tuple(w)
+        for n in range(1, len(w)):
+            p = n
+            while p and keys[p - 1] > keys[p]:
+                a, b = w[p - 1], w[p]
+                ca, cb = color[a], color[b]
+                try:
+                    if ca > cb:
+                        w[p - 1], w[p] = self._to_normal[(cb, ca)][(a, b)]
+                    else:
+                        w[p - 1], w[p] = self._to_anti[(ca, cb)][(a, b)]
+                except KeyError:
+                    kind = "square" if ca > cb else "inverse square"
+                    raise GraphError(f"no {kind} for word {a},{b} (colors {ca},{cb})") from None
+                keys[p - 1], keys[p] = keys[p], keys[p - 1]
+                p -= 1
+        return tuple(w)
+
+    def _normal_word(self, word):
+        """Sort colors ascending by square moves; O(len^2) moves."""
+        color = self._color
+        out = self._sort_word(word, [color[nm] for nm in word])
         self._check_chain(out)  # a square that breaks outer endpoints breaks the chain
         return out
 
@@ -249,53 +263,38 @@ class KGraph:
             return p
         return Path(self, self._normal_word(p.word + q.word))
 
-    def _pull_front(self, word, j):
-        """Rewrite a normal word so an edge of color j leads; return (edge, rest)."""
-        color = self._color
-        for idx, nm in enumerate(word):
-            if color[nm] == j:
-                break
-        else:
-            raise GraphError(f"word has no color-{j} edge to pull")
-        if not idx:
-            return nm, word[1:]
-        w = list(word[:idx + 1])  # only the part up to the pulled edge is rewritten
-        for p in range(idx, 0, -1):
-            lo_c = color[w[p - 1]]  # < j since the word is normal
-            try:
-                w[p - 1], w[p] = self._to_anti[(lo_c, j)][(w[p - 1], w[p])]
-            except KeyError:
-                raise GraphError(
-                    f"no inverse square for word {w[p-1]},{w[p]} (colors {lo_c},{j})") from None
-        return w[0], tuple(w[1:]) + word[idx + 1:]
-
     def factorize(self, p: Path, k: Shape) -> tuple[Path, Path]:
         """Split p = head·tail with shape(head) = k, a Shape or tuple with 0 <= k <= shape(p)."""
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
-        k = k if isinstance(k, Shape) else Shape(*k)
+        k = as_shape(k)
         if len(k) != self.rank:
             raise ShapeError(f"shape rank {len(k)} != graph rank {self.rank}")
         if not k <= p.shape:
             raise ShapeError(f"cannot factor {p!r} at {k}: not dominated by {p.shape}")
-        return self._split(p, k.coords)
-
-    def _split(self, p: Path, coords: tuple) -> tuple[Path, Path]:
-        """factorize's body, for coords already known to lie in [0, shape(p)]."""
-        head, rest = self._split_word(p.word, coords)
+        head, rest = self._split_word(p.word, k.coords)
         head_path = Path(self, head) if head else Path(self, (), p.target)
         tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
         return head_path, tail_path
 
     def _split_word(self, word, coords: tuple) -> tuple[tuple, tuple]:
-        """_split on a normal word: the (head, rest) words, head of shape coords."""
-        head: list[str] = []
-        rest = word
-        for j, n in enumerate(coords, 1):
-            for _ in range(n):
-                e, rest = self._pull_front(rest, j)
-                head.append(e)
-        return tuple(head), rest
+        """The (head, rest) words of a normal word, head of shape coords <= its shape.
+
+        The first coords[j-1] color-j edges sort by key j, every other edge by
+        j + rank, so one sort moves the head to the front in normal form.
+        """
+        color, rank, left = self._color, self.rank, list(coords)
+        keys = []
+        for nm in word:
+            c = color[nm]
+            if left[c - 1]:
+                left[c - 1] -= 1
+                keys.append(c)
+            else:
+                keys.append(c + rank)
+        w = self._sort_word(word, keys)
+        n = sum(coords)
+        return w[:n], w[n:]
 
     # -- enumeration --------------------------------------------------------------
 
@@ -306,7 +305,7 @@ class KGraph:
         schedule and each next edge must target the current right-end vertex.
         Deterministic order (edges sorted by name, vertices by name).
         """
-        shape = shape if isinstance(shape, Shape) else Shape(*shape)
+        shape = as_shape(shape)
         if len(shape) != self.rank:
             raise ShapeError(f"shape rank {len(shape)} != graph rank {self.rank}")
         if shape.is_zero:
@@ -427,30 +426,27 @@ class KGraph:
         return per_shape, tuple(void)
 
     def _check_cubes(self):
-        """Compare the two square-move routes on every 3-color descending word."""
+        """Compare the two square-move routes on every 3-color descending word.
 
-        def swap(w, p):
-            # the pair at position p must be color-descending (anti-normal)
-            a, b = w[p], w[p + 1]
-            ca, cb = self._color[a], self._color[b]
-            table = self._to_normal[(cb, ca)]
-            if (a, b) not in table:
+        Route a sorts the word whole; route b sorts its last two edges first.
+        A missing square ends a route as None.
+        """
+        color = self._color
+
+        def route(word):
+            try:
+                return self._sort_word(word, [color[nm] for nm in word])
+            except GraphError:
                 return None
-            w = list(w)
-            w[p], w[p + 1] = table[(a, b)]
-            return tuple(w)
 
         for (i, j, k) in itertools.combinations(range(1, self.rank + 1), 3):
             for ek in self._by_color[k]:
                 for ej in self._by_color_target.get((j, ek.source), ()):
                     for ei in self._by_color_target.get((i, ej.source), ()):
                         w = (ek.name, ej.name, ei.name)  # colors k > j > i
-                        a = swap(w, 0)
-                        a = a and swap(a, 1)
-                        a = a and swap(a, 0)
-                        b = swap(w, 1)
-                        b = b and swap(b, 0)
-                        b = b and swap(b, 1)
+                        a = route(w)
+                        b = route(w[1:])
+                        b = b and route(w[:1] + b)
                         if a is None or b is None or a != b:
                             return False, (w, a, b)
         return True, None
@@ -583,7 +579,7 @@ def grid_graph(m, name=None) -> KGraph:
     The edge with name a{j}.{n} runs as a morphism from source n+e_j to target n,
     and every square is the unique filler of its little lattice square.
     """
-    m = m if isinstance(m, Shape) else Shape(*m)
+    m = as_shape(m)
     r = len(m)
 
     def vname(t):

@@ -255,6 +255,11 @@ def make_shape(coords: Iterable) -> ExtendedShape:
     return Shape(*coords)
 
 
+def as_shape(x) -> Shape:
+    """x itself when it is a Shape, else the Shape of its coordinates."""
+    return x if isinstance(x, Shape) else Shape(*x)
+
+
 def shapes_below(bound: Shape):
     """All finite shapes n with 0 <= n <= bound, in lexicographic order."""
     if not bound.is_finite:

@@ -393,21 +393,31 @@ def test_relation_work_counts_are_pinned(monkeypatch):
     asks for 4,704 compositions and 4,800 splits, 2,400 of each distinct;
     R4 at (3,3) asks for 47,600 splits of 2,400 distinct (path, grade)
     pairs: the terms of a range sum split each vector at the same grade.
-    The second, identical round repeats every count, so no work carries
-    over between calls, and the graph gains no state.
+    "moves" counts square-table lookups, one per square move.  The second,
+    identical round repeats every count, so no work carries over between
+    calls, and the graph gains no state.
     """
     counts = {}
-    for name in ("_normal_word", "_split_word", "_pull_front"):
+    for name in ("_normal_word", "_split_word"):
         def counted(*args, _name=name, _inner=getattr(KGraph, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _inner(*args)
         monkeypatch.setattr(KGraph, name, counted)
+
+    class CountedTable(dict):
+        def __getitem__(self, key):
+            counts["moves"] = counts.get("moves", 0) + 1
+            return super().__getitem__(key)
+
     g = flip_graph()
+    for tables in (g._to_normal, g._to_anti):
+        for pair, table in tables.items():
+            tables[pair] = CountedTable(table)
     state = dict(vars(g))
     expected = [
-        ("R1", (2, 2), 4802, {"_normal_word": 2144, "_split_word": 2400, "_pull_front": 6860}),
-        ("commutation", (2, 2), 3136, {"_normal_word": 3184}),
-        ("R4", (3, 3), 6750, {"_normal_word": 1376, "_split_word": 2400, "_pull_front": 6076}),
+        ("R1", (2, 2), 4802, {"_normal_word": 2144, "_split_word": 2400, "moves": 9800}),
+        ("commutation", (2, 2), 3136, {"_normal_word": 3184, "moves": 6084}),
+        ("R4", (3, 3), 6750, {"_normal_word": 1376, "_split_word": 2400, "moves": 7688}),
     ]
     for _ in range(2):
         for name, bound, checked, work in expected:
