@@ -24,7 +24,7 @@ from .errors import ConfigError, DomainError, NotComposable, ShapeError, Witness
 from .groupoid import GroupoidElement
 from .kgraph import Path, compose, factorize
 from .reporting import CAP, Check
-from .shapes import INF, ExtendedShape, Shape, make_shape, shapes_below, witness_pairs
+from .shapes import INF, ExtendedShape, Shape, shapes_below, witness_pairs
 
 __all__ = [
     "RationalInfinitePath",
@@ -145,7 +145,7 @@ class RationalInfinitePath:
 
     @property
     def shape(self) -> ExtendedShape:
-        return make_shape((INF,) * self.rank)
+        return ExtendedShape((INF,) * self.rank)
 
     def unroll(self, bound: Shape) -> Path:
         """Finite path prefix.cycle^n whose shape dominates ``bound``."""
@@ -160,15 +160,9 @@ class RationalInfinitePath:
             word = compose(word, self.cycle)
         return word
 
-    def segment(self, lo: Shape, hi: Shape) -> Path:
-        """The finite block of shape hi - lo sitting between grades lo and hi."""
-        if not lo <= hi:
-            raise ShapeError(f"segment needs lo <= hi, got {lo} and {hi}")
-        head = factorize(self.unroll(hi), hi)[0]
-        return factorize(head, lo)[1]
-
     def head(self, k: Shape) -> Path:
-        return self.segment(Shape.zero(self.rank), k)
+        """The finite head of shape k."""
+        return factorize(self.unroll(k), k)[0]
 
     def __eq__(self, other):
         if not isinstance(other, RationalInfinitePath):

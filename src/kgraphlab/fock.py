@@ -663,7 +663,6 @@ class ObstructionReport:
     bound: Shape
     fixed_set: frozenset
     in_one_sided: bool
-    caveat: str = "membership computed on the finite basis window only"
 
 
 def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,

@@ -343,6 +343,7 @@ class KGraph:
     def validate(self, bound=None) -> Check:
         """Square tables and cubes, plus the census below a bound, as one Check.
 
+        The bound is a Shape or tuple, 2 in every coordinate by default.
         The gating sub-checks are totality, bijectivity and endpoint
         preservation of every square table and, from rank 3, the cube
         comparison.  Two informational sub-checks always pass:
@@ -395,8 +396,7 @@ class KGraph:
             ok, witness = self._check_cubes()
             checks.append(Check("cube", ok, witness=witness))
 
-        if bound is None:
-            bound = Shape(*([2] * self.rank))
+        bound = Shape(*([2] * self.rank)) if bound is None else as_shape(bound)
         per_shape, void = self.census(bound)
         checks.append(Check("factor-nonvoid", True,
                             info=f"bound={tuple(bound.coords)} void={void}"))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shapes import INF, ExtendedShape, Shape
+from .shapes import INF, ExtendedShape
 
 CAP = 3  # offenders a witness lists, counterexamples a report keeps
 
@@ -74,7 +74,7 @@ def normalize_witness(obj) -> object:
         return INF
     if isinstance(obj, int):
         return obj
-    if isinstance(obj, (Shape, ExtendedShape)):
+    if isinstance(obj, ExtendedShape):
         return tuple(normalize_witness(c) for c in obj.coords)
     if isinstance(obj, (tuple, list)):
         return tuple(normalize_witness(v) for v in obj)

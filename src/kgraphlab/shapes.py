@@ -1,21 +1,23 @@
 """Grading vectors for rank-r objects.
 
-A Shape is an element of N^r under the componentwise order; an ExtendedShape
-allows the formal value INF in any coordinate.  Both are immutable and value
-hashable.  Colors and coordinate labels are 1-based throughout the package;
-plain sequence indexing stays 0-based.
+A Shape is an element of N^r under the componentwise order, with the
+monoid and lattice arithmetic the groupoid cocycles and witness searches
+need.  An ExtendedShape allows the marker INF in any coordinate: it is a
+value (exit times, the degree of an infinite path) with no arithmetic, and
+INF has no order or arithmetic either; code tests for it by identity.
+Both are immutable and value hashable.  Colors and coordinate labels are
+1-based throughout the package; plain sequence indexing stays 0-based.
 
-The public constructors (Shape, ExtendedShape, make_shape) validate every
-coordinate.  Arithmetic on valid shapes closes without validating again:
-its results, and those of shapes_below and witness_pairs, are built by the
-trusted constructor _make.
+The public constructors (Shape, ExtendedShape) validate every coordinate.
+Arithmetic takes Shape operands only, so an ExtendedShape operand raises
+ShapeError; its results, and those of shapes_below and witness_pairs, are
+built by the trusted constructor _make without validating again.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable
 
 from .errors import ShapeError
 
@@ -39,43 +41,12 @@ class _Infinity:
     def __hash__(self):
         return hash("_Infinity")
 
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return True
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        # INF - finite stays INF; INF - INF has no consistent value here.
-        if isinstance(other, int):
-            return self
-        raise ShapeError("cannot subtract inf from inf")
-
 
 INF = _Infinity()
 
 
 def _coerce_coord(c, allow_inf):
-    if isinstance(c, _Infinity):
+    if c is INF:
         if not allow_inf:
             raise ShapeError("finite shape cannot hold inf")
         return INF
@@ -87,7 +58,7 @@ def _coerce_coord(c, allow_inf):
 
 
 class ExtendedShape:
-    """Vector in (N ∪ {INF})^r with componentwise algebra."""
+    """Vector in (N ∪ {INF})^r: a value with no arithmetic."""
 
     __slots__ = ("coords",)
     _allow_inf = True
@@ -107,11 +78,6 @@ class ExtendedShape:
         s = object.__new__(cls)
         object.__setattr__(s, "coords", coords)
         return s
-
-    @staticmethod
-    def _closed(coords: tuple):
-        """The result of arithmetic over coords: make_shape's class, unchecked."""
-        return (ExtendedShape if INF in coords else Shape)._make(coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("shapes are immutable")
@@ -148,75 +114,11 @@ class ExtendedShape:
     def __hash__(self):
         return hash(self.coords)
 
-    # -- algebra -------------------------------------------------------------
-
-    def _check_rank(self, other):
-        if not isinstance(other, ExtendedShape):
-            raise ShapeError(f"expected a shape, got {other!r}")
-        if len(self.coords) != len(other.coords):
-            raise ShapeError(f"rank mismatch: {self} vs {other}")
-
-    def __add__(self, other):
-        self._check_rank(other)
-        return self._closed(tuple(map(operator.add, self.coords, other.coords)))
-
-    def __sub__(self, other):
-        """Componentwise difference; requires other <= self and other finite."""
-        self._check_rank(other)
-        if not other.is_finite:
-            raise ShapeError(f"subtrahend must be finite: {other}")
-        if not other <= self:
-            raise ShapeError(f"cannot subtract {other} from {self}: not dominated")
-        return self._closed(tuple(map(operator.sub, self.coords, other.coords)))
-
-    def __mul__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        return self._closed(tuple(c if c is INF else c * k for c in self.coords))
-
-    __rmul__ = __mul__
-
-    def join(self, other):
-        """Componentwise maximum."""
-        self._check_rank(other)
-        return self._closed(tuple(
-            b if b is INF or (a is not INF and a < b) else a
-            for a, b in zip(self.coords, other.coords)
-        ))
-
-    def meet(self, other):
-        """Componentwise minimum."""
-        self._check_rank(other)
-        return self._closed(tuple(
-            a if b is INF or (a is not INF and a <= b) else b
-            for a, b in zip(self.coords, other.coords)
-        ))
-
-    def __or__(self, other):
-        return self.join(other)
-
-    def __and__(self, other):
-        return self.meet(other)
-
-    def __le__(self, other):
-        self._check_rank(other)
-        return all(map(operator.le, self.coords, other.coords))
-
-    def __lt__(self, other):
-        return self <= other and self.coords != other.coords
-
-    def diff(self, other):
-        """self - other as a plain integer tuple; both must be finite, no order assumed."""
-        self._check_rank(other)
-        if not (self.is_finite and other.is_finite):
-            raise ShapeError(f"diff needs finite shapes: {self}, {other}")
-        return tuple(a - b for a, b in zip(self.coords, other.coords))
-
     # -- predicates and projections ------------------------------------------
 
     @property
     def is_finite(self):
-        return not any(isinstance(c, _Infinity) for c in self.coords)
+        return not any(c is INF for c in self.coords)
 
     @property
     def is_zero(self):
@@ -224,11 +126,11 @@ class ExtendedShape:
 
     def infinite_support(self):
         """1-based coordinates holding INF, as a frozenset."""
-        return frozenset(j for j, c in enumerate(self.coords, start=1) if isinstance(c, _Infinity))
+        return frozenset(j for j, c in enumerate(self.coords, start=1) if c is INF)
 
 
 class Shape(ExtendedShape):
-    """Vector in N^r; arithmetic closes back into Shape whenever finite."""
+    """Vector in N^r with componentwise monoid and lattice arithmetic."""
 
     __slots__ = ()
     _allow_inf = False
@@ -246,13 +148,59 @@ class Shape(ExtendedShape):
             raise ShapeError(f"unit index {j} out of range 1..{rank}")
         return cls._make(tuple(1 if i == j else 0 for i in range(1, rank + 1)))
 
+    # -- algebra -------------------------------------------------------------
 
-def make_shape(coords: Iterable) -> ExtendedShape:
-    """Build a Shape when every coordinate is finite, else an ExtendedShape."""
-    coords = tuple(coords)
-    if any(isinstance(c, _Infinity) for c in coords):
-        return ExtendedShape(*coords)
-    return Shape(*coords)
+    def _check_rank(self, other):
+        if not isinstance(other, Shape):
+            raise ShapeError(f"expected a finite shape, got {other!r}")
+        if len(self.coords) != len(other.coords):
+            raise ShapeError(f"rank mismatch: {self} vs {other}")
+
+    def __add__(self, other):
+        self._check_rank(other)
+        return Shape._make(tuple(map(operator.add, self.coords, other.coords)))
+
+    def __sub__(self, other):
+        """Componentwise difference; requires other <= self."""
+        self._check_rank(other)
+        if not other <= self:
+            raise ShapeError(f"cannot subtract {other} from {self}: not dominated")
+        return Shape._make(tuple(map(operator.sub, self.coords, other.coords)))
+
+    def __mul__(self, k):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        return Shape._make(tuple(c * k for c in self.coords))
+
+    __rmul__ = __mul__
+
+    def join(self, other):
+        """Componentwise maximum."""
+        self._check_rank(other)
+        return Shape._make(tuple(map(max, self.coords, other.coords)))
+
+    def meet(self, other):
+        """Componentwise minimum."""
+        self._check_rank(other)
+        return Shape._make(tuple(map(min, self.coords, other.coords)))
+
+    def __or__(self, other):
+        return self.join(other)
+
+    def __and__(self, other):
+        return self.meet(other)
+
+    def __le__(self, other):
+        self._check_rank(other)
+        return all(map(operator.le, self.coords, other.coords))
+
+    def __lt__(self, other):
+        return self <= other and self.coords != other.coords
+
+    def diff(self, other):
+        """self - other as a plain integer tuple; no order assumed."""
+        self._check_rank(other)
+        return tuple(a - b for a, b in zip(self.coords, other.coords))
 
 
 def as_shape(x) -> Shape:
@@ -261,10 +209,8 @@ def as_shape(x) -> Shape:
 
 
 def shapes_below(bound: Shape):
-    """All finite shapes n with 0 <= n <= bound, in lexicographic order."""
-    if not bound.is_finite:
-        raise ShapeError(f"bound must be finite: {bound}")
-    for coords in itertools.product(*(range(c + 1) for c in bound.coords)):
+    """All shapes n with 0 <= n <= bound, in lexicographic order; bound is a Shape or tuple."""
+    for coords in itertools.product(*(range(c + 1) for c in as_shape(bound).coords)):
         yield Shape._make(coords)
 
 

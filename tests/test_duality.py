@@ -46,7 +46,7 @@ from kgraphlab.kgraph import (
     grid_graph,
     single_vertex_graph,
 )
-from kgraphlab.shapes import INF, Shape, make_shape, shapes_below
+from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
 from conftest import composable_pairs
 
@@ -290,15 +290,15 @@ def test_differential_two_vertex_graph_validates():
 def test_segment_and_unroll(n2graph):
     y = rational(n2graph, (), ("a0", "b0"))
     assert y.unroll(Shape((3, 2))).shape >= Shape((3, 2))
-    block = y.segment(Shape((1, 0)), Shape((2, 2)))
+    block = factorize(y.head(Shape((2, 2))), Shape((1, 0)))[1]
     assert block.shape == Shape((1, 2))
     with pytest.raises(ShapeError):
-        y.segment(Shape((2, 0)), Shape((1, 1)))
+        factorize(y.head(Shape((1, 1))), Shape((2, 0)))
 
 
 def test_shape_is_all_infinite(n2graph):
     y = rational(n2graph, (), ("a0", "b0"))
-    assert y.shape == make_shape((INF, INF))
+    assert y.shape == ExtendedShape((INF, INF))
     assert y.shape.infinite_support() == frozenset({1, 2})
 
 
@@ -327,7 +327,7 @@ def test_shift_bookkeeping_example(n2graph):
     # unrolled segments line up exactly
     y = rational(n2graph, (), ("a0", "b0"))
     shifted = shift_infinite(Shape((1, 0)), y)
-    assert shifted.head(Shape((3, 3))) == y.segment(Shape((1, 0)), Shape((4, 3)))
+    assert shifted.head(Shape((3, 3))) == factorize(y.head(Shape((4, 3))), Shape((1, 0)))[1]
 
 
 # -- boundary enumeration -----------------------------------------------------------
@@ -360,7 +360,7 @@ def test_path_space_system_with_boundary(n2graph):
     sys = boundary_subsystem(n2graph)
     assert len(sys.carrier) == 1
     assert sys.check_commuting().ok
-    assert sys.exit_time(sys.carrier[0]) == make_shape((INF, INF))
+    assert sys.exit_time(sys.carrier[0]) == ExtendedShape((INF, INF))
 
 
 def test_path_space_carrier_is_the_window(grid11, n2graph, flip22):
@@ -519,7 +519,7 @@ def test_zpoint_exit_pattern(flip22):
     xs = list(flip22.enumerate_paths(Shape((2, 1))))
     sys = zpoint_system(flip22, [ZPoint(xs[0], ys[0])])
     for z in sys.carrier:
-        expected = make_shape(tuple(z.x.shape.coords) + (INF, INF))
+        expected = ExtendedShape(tuple(z.x.shape.coords) + (INF, INF))
         assert sys.exit_time(z) == expected
 
 
@@ -556,7 +556,7 @@ def test_phi_section_round_trips(flip22):
 def test_phi_section_rejects_infinite_grade(flip22):
     y = boundary_points(flip22)[0]
     with pytest.raises(ConfigError):
-        phi_section((make_shape((INF, 0)), y))
+        phi_section((ExtendedShape((INF, 0)), y))
 
 
 def test_equivariance_seeded(flip22, n2graph, rank1):

@@ -265,6 +265,21 @@ def test_factorize_takes_a_coordinate_tuple(flip22):
                 split(p, bad)
 
 
+def test_bounds_take_a_coordinate_tuple(flip22):
+    def verdicts(check):
+        return [(c.name, c.ok, c.witness, c.info) for c in (check, *check.checks)]
+
+    assert list(shapes_below((1, 2))) == list(shapes_below(Shape(1, 2)))
+    assert flip22.all_paths((1, 1)) == flip22.all_paths(Shape(1, 1))
+    assert flip22.census((1, 1)) == flip22.census(Shape(1, 1))
+    assert verdicts(flip22.validate((1, 1))) == verdicts(flip22.validate(Shape(1, 1)))
+    for bad in (ExtendedShape(INF, 1), (1, -1)):
+        with pytest.raises(ShapeError):
+            list(shapes_below(bad))
+    with pytest.raises(ShapeError):
+        flip22.validate(ExtendedShape(INF, 1))
+
+
 # -- enumeration ---------------------------------------------------------------------------
 
 

@@ -118,7 +118,6 @@ UNREAD = {
     "DiagonalAlgebra.projections": "each word's fixed set, what the algebra is generated from",
     "ObstructionReport.left_path": "names the probed mixed projection in the report",
     "ObstructionReport.right_path": "names the probed mixed projection in the report",
-    "ObstructionReport.caveat": "states on the report that membership is window-only",
     "KernelFiltration.labels": "the cocycle itself; tests check that it is additive",
     "SequenceStage.role": "names the stage: kernel, middle or quotient",
 }
