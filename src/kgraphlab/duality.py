@@ -20,11 +20,11 @@ import functools
 from dataclasses import dataclass
 
 from .dynsys import MGDS
-from .errors import ConfigError, DomainError, NotComposable, ShapeError, WitnessError
+from .errors import ConfigError, DomainError, NotComposable, WitnessError
 from .groupoid import GroupoidElement
 from .kgraph import Path, compose, factorize
 from .reporting import CAP, Check
-from .shapes import INF, ExtendedShape, Shape, shapes_below, witness_pairs
+from .shapes import INF, ExtendedShape, Shape, as_shape, shapes_below, witness_pairs
 
 __all__ = [
     "RationalInfinitePath",
@@ -149,8 +149,7 @@ class RationalInfinitePath:
 
     def unroll(self, bound: Shape) -> Path:
         """Finite path prefix.cycle^n whose shape dominates ``bound``."""
-        if not bound.is_finite:
-            raise ShapeError(f"unroll bound must be finite: {bound}")
+        bound = as_shape(bound)
         copies = 0
         for p, c, b in zip(self.prefix.shape.coords, self.cycle.shape.coords, bound.coords):
             if b > p:
@@ -179,8 +178,7 @@ class RationalInfinitePath:
 
 def shift_infinite(k: Shape, y: RationalInfinitePath) -> RationalInfinitePath:
     """Drop the grade-k head; the shift of every color is total on rational paths."""
-    if not k.is_finite:
-        raise ShapeError(f"shift needs a finite shape, got {k}")
+    k = as_shape(k)
     tail = factorize(y.unroll(k), k)[1]
     return RationalInfinitePath(tail, y.cycle)
 
@@ -293,6 +291,7 @@ class ZPoint:
 
 def t_shift(m: Shape, z: ZPoint) -> ZPoint:
     """Move the grade-m tail of x across the seam onto y; needs sigma(x) >= m."""
+    m = as_shape(m)
     if not m <= z.x.shape:
         raise DomainError(f"no t-shift by {m}: x has shape {z.x.shape}")
     head, tail = factorize(z.x, z.x.shape - m)
@@ -337,13 +336,14 @@ def phi_section(pair) -> ZPoint:
     n, w = pair
     if not n.is_finite:
         raise ConfigError(f"covering data needs a finite grade, got {n}")
-    n = Shape(tuple(n.coords))
+    n = as_shape(n)
     return ZPoint(w.head(n), shift_infinite(n, w))
 
 
 def s_shift(m: Shape, pair) -> tuple:
     """Grade-side shift on covering data: subtract m, keep the path."""
     n, w = pair
+    m = as_shape(m)
     if not m <= n:
         raise DomainError(f"no grade shift by {m} at grade {n}")
     return (n - m, w)
@@ -384,9 +384,6 @@ def lift_fiber(z: ZPoint, target: GroupoidElement) -> GroupoidElement:
         )
     if tuple(source_pair) != phi(z):
         raise ConfigError("target arrow does not start at the covering data of z")
-    n, w = range_pair
-    if not n.is_finite:
-        raise WitnessError(f"no lift: grade {n} is not covering data of any paired point")
     lifted = phi_section(range_pair)
     witness_bound = Shape((2,) * (2 * rank))
     for m, n_wit in witness_pairs(witness_bound, cocycle):

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import ConfigError, DomainError
 from .reporting import CAP, Check
-from .shapes import INF, ExtendedShape, Shape, shapes_below
+from .shapes import INF, ExtendedShape, Shape, as_shape, shapes_below
 
 
 class PartialMap:
@@ -236,8 +236,7 @@ class MGDS:
         dom(T^m) but not in dom(T^(n join m)).  The info string names the
         bound scanned.
         """
-        if bound is None:
-            bound = self.exit_bound()
+        bound = self.exit_bound() if bound is None else as_shape(bound)
         dom = {n: self.domain(n) for n in shapes_below(bound)}
 
         def outside_join(n, m):

@@ -352,11 +352,9 @@ def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, window=None):
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Outcome of one named pointwise identity check over a basis window."""
+    """Outcome of one named pointwise identity check; graph and bound stay with the caller."""
 
     relation: str
-    graph: str
-    bound: Shape
     ok: bool
     checked: int
     counterexamples: tuple  # (instance label, basis element, lhs vec, rhs vec)
@@ -371,7 +369,6 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     basis defaults to the window below bound; the first CAP counterexamples
     over all instances are kept, in order.  All instances act in one PathWindow.
     """
-    bound = as_shape(bound)
     basis = fock_basis(graph, bound) if basis is None else basis
     win = PathWindow()
     checked, bad = 0, []
@@ -379,7 +376,7 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
         _, n, failures = operators_agree(lhs, rhs, basis, win)
         checked += n
         bad += [(label, *failure) for failure in failures[:CAP - len(bad)]]
-    return RelationReport(relation, graph.name, bound, not bad, checked, tuple(bad))
+    return RelationReport(relation, not bad, checked, tuple(bad))
 
 
 def _range_sum(side, paths) -> Sum:
@@ -487,7 +484,6 @@ def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
     """
     if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; known: {', '.join(RELATION_NAMES)}")
-    bound = as_shape(bound)
     return _report(name, graph, bound, _CATALOG[name](graph, bound))
 
 
@@ -512,24 +508,22 @@ def mixed_range_projection(graph: KGraph, lam: Path, mu: Path) -> FockOperator:
 class FixedSetAlgebra:
     """Finite Boolean algebra of subsets generated by a family of fixed-sets.
 
-    Stored as the partition of the universe into membership-signature cells;
-    a subset belongs to the algebra iff it is a union of cells.
+    Stored as its atoms, the membership-signature cells partitioning the
+    universe.  A subset is a member iff it equals the union of the atoms it
+    meets; equality and hashing compare atoms.
     """
 
     def __init__(self, universe, generators):
-        self.universe = tuple(universe)
         gens = tuple(generators)
         cells: dict = {}
-        for x in self.universe:
+        for x in universe:
             key = tuple(x in g for g in gens)
             cells.setdefault(key, []).append(x)
         self.atoms = frozenset(frozenset(c) for c in cells.values())
 
     def __contains__(self, subset):
         s = frozenset(subset)
-        if not s <= frozenset(self.universe):
-            return False
-        return all(a <= s or not (a & s) for a in self.atoms)
+        return s == frozenset().union(*(a for a in self.atoms if a & s))
 
     def __len__(self):
         return 2 ** len(self.atoms)
@@ -537,14 +531,14 @@ class FixedSetAlgebra:
     def __eq__(self, other):
         if not isinstance(other, FixedSetAlgebra):
             return NotImplemented
-        return (frozenset(self.universe) == frozenset(other.universe)
-                and self.atoms == other.atoms)
+        return self.atoms == other.atoms
 
     def __hash__(self):
-        return hash((frozenset(self.universe), self.atoms))
+        return hash(self.atoms)
 
     def __repr__(self):
-        return f"<FixedSetAlgebra: {len(self.atoms)} atoms over {len(self.universe)} points>"
+        points = sum(map(len, self.atoms))
+        return f"<FixedSetAlgebra: {len(self.atoms)} atoms over {points} points>"
 
 
 @dataclass(frozen=True)
@@ -555,11 +549,9 @@ class DiagonalAlgebra:
     found.  full uses every word; left_only and right_only restrict to words
     in one family of creations; one_sided is generated by both one-sided
     pools together and is the reference for mixed-projection membership.
+    The graph, word length and bound stay with the caller.
     """
 
-    graph: str
-    word_len: int
-    bound: Shape
     basis: tuple
     projections: dict
     full: FixedSetAlgebra
@@ -624,7 +616,6 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
     """
     if word_len < 1:
         raise ConfigError("word_len must be >= 1")
-    bound = as_shape(bound)
     basis = fock_basis(graph, bound)
     win = PathWindow()
     ids = [_basis_id(win, b) for b in basis]
@@ -635,9 +626,6 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
     projections = {label or "1": fix for fix, label in sorted(
         full_pool.items(), key=lambda kv: (len(kv[0]), kv[1]))}
     return DiagonalAlgebra(
-        graph=graph.name,
-        word_len=word_len,
-        bound=bound,
         basis=basis,
         projections=projections,
         full=FixedSetAlgebra(basis, full_pool),
@@ -651,16 +639,11 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
 class ObstructionReport:
     """Whether one mixed range projection stays inside the one-sided algebra.
 
-    A pure finite-window computation: membership is decided against the
-    truncated algebra only, so a True here never certifies the untruncated
-    statement and a False only certifies separation at this window.
+    The record keeps the fixed set and its verdict, decided against the
+    truncated algebra only: a True never certifies the untruncated statement
+    and a False only certifies separation at this window.
     """
 
-    graph: str
-    left_path: str
-    right_path: str
-    word_len: int
-    bound: Shape
     fixed_set: frozenset
     in_one_sided: bool
 
@@ -678,12 +661,4 @@ def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
         raise ConfigError("mixed projection is not a partial identity: "
                           f"{(moved[0], _vector_out(win, moved[1]))!r}")
     fix = frozenset(b for b, out in zip(algebra.basis, images) if out)
-    return ObstructionReport(
-        graph=graph.name,
-        left_path=lam.display(),
-        right_path=mu.display(),
-        word_len=algebra.word_len,
-        bound=algebra.bound,
-        fixed_set=fix,
-        in_one_sided=fix in algebra.one_sided,
-    )
+    return ObstructionReport(fixed_set=fix, in_one_sided=fix in algebra.one_sided)

@@ -25,7 +25,7 @@ from .dynsys import MGDS
 from .errors import ConfigError, NotComposable, WitnessError
 from .ideals import IdealTuple, build_sequence, from_mgds
 from .reporting import Check
-from .shapes import Shape, shapes_below, witness_pairs
+from .shapes import Shape, as_shape, shapes_below, witness_pairs
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,7 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
     Refuses systems that fail joint-domain compatibility unless forced; a
     forced build is how the composition counterexample is exhibited.
     """
-    if witness_bound is None:
-        witness_bound = system.exit_bound()
+    witness_bound = system.exit_bound() if witness_bound is None else as_shape(witness_bound)
     dc = system.check_dc(witness_bound)
     if not dc.ok and not force:
         n, m, x = dc.witness

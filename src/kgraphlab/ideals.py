@@ -46,10 +46,9 @@ class IdealTuple:
 
 @dataclass(frozen=True)
 class SequenceStage:
-    """One stage of the staged sequence: a support set plus its role."""
+    """One stage's support set; its position gives its role (kernel first, quotient last)."""
 
     support: frozenset
-    role: str  # "kernel" | "middle" | "quotient"
 
 
 def build_sequence(tup: IdealTuple) -> tuple:
@@ -66,10 +65,9 @@ def build_sequence(tup: IdealTuple) -> tuple:
         for i in range(k + 1, r + 1):
             keep &= tup.part(i)
         drop = frozenset()
-        for i in range(1, min(k, r + 1)):  # parts stop at r even though k reaches r+1
+        for i in range(1, k):
             drop |= tup.part(i)
-        role = "kernel" if k == 0 else ("quotient" if k == r + 1 else "middle")
-        stages.append(SequenceStage(keep - drop, role))
+        stages.append(SequenceStage(keep - drop))
     return tuple(stages)
 
 
@@ -100,7 +98,7 @@ def verify_exactness(stages) -> Check:
     checks.append(Check("last-stage-contained", not bad,
                         ("stage", r + 1, sorted(bad)[:CAP]) if bad else None))
 
-    points = frozenset().union(*y) if y else frozenset()
+    points = frozenset().union(*y)
     off = [x for x in points
            if sum((-1) ** k for k, s in enumerate(y) if x in s) != 0]
     checks.append(Check("alternating-sum", not off,

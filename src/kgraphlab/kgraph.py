@@ -346,9 +346,12 @@ class KGraph:
         The bound is a Shape or tuple, 2 in every coordinate by default.
         The gating sub-checks are totality, bijectivity and endpoint
         preservation of every square table and, from rank 3, the cube
-        comparison.  Two informational sub-checks always pass:
-        factor-nonvoid lists the (shape, vertex, side) triples census
-        finds void, and morphisms carries the path count.
+        comparison.  The constructor admits only chaining words of the
+        pair's colors, so totality's witness is the missing keys, and
+        bijectivity's a collision (key, key, value) or else the uncovered
+        values.  Two informational sub-checks always pass: factor-nonvoid
+        lists the (shape, vertex, side) triples census finds void, and
+        morphisms carries the path count.
         """
         checks = []
 
@@ -365,10 +368,8 @@ class KGraph:
                     normal_pairs.add((lo.name, hi.name))
 
             missing = sorted(anti_pairs - set(table))
-            stray = sorted(set(table) - anti_pairs)
-            checks.append(Check(
-                f"square-totality[{i},{j}]", not missing and not stray,
-                witness=(tuple(missing[:CAP]), tuple(stray[:CAP])) if missing or stray else None))
+            checks.append(Check(f"square-totality[{i},{j}]", not missing,
+                                witness=tuple(missing[:CAP]) or None))
 
             seen: dict[tuple, tuple] = {}
             collision = None
@@ -376,13 +377,10 @@ class KGraph:
                 if val in seen and collision is None:
                     collision = (seen[val], key, val)
                 seen[val] = key
-            values = set(table.values())
-            not_covered = sorted(normal_pairs - values)
-            extra_vals = sorted(values - normal_pairs)
-            ok = collision is None and not not_covered and not extra_vals
+            not_covered = sorted(normal_pairs - set(table.values()))
             checks.append(Check(
-                f"square-bijectivity[{i},{j}]", ok,
-                witness=collision or (tuple(not_covered[:CAP]), tuple(extra_vals[:CAP])) if not ok else None))
+                f"square-bijectivity[{i},{j}]", collision is None and not not_covered,
+                witness=collision or tuple(not_covered[:CAP]) or None))
 
             bad_end = None
             for (hi, lo), (lo2, hi2) in table.items():

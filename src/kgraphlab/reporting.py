@@ -1,17 +1,19 @@
 """The Check record every law check returns, and the renderings of a run.
 
 A run produces a flat list of named checks, each optionally carrying a
-witness (raw evidence, folded into a finite value tree when rendered) and
-a short info string.  Two renderers share that data:
+witness (the raw evidence) and a short info string.  Two renderers share
+that data:
 
 * human lines carry timings and read top to bottom;
 * machine lines are key=value records with no timings, so the same
   fixture and seed always produce byte-identical output.
 
-Witness values use a tiny self-describing grammar (ints, the infinity
-marker, quoted strings, booleans, none, and nested tuples).  Nothing in
-the package reads it back; the CLI tests parse every written witness to
-check that the grammar round-trips.
+Witnesses, and every other value on a machine line, are written in a tiny
+self-describing grammar (ints, the infinity marker, quoted strings,
+booleans, none, and nested tuples) by one writer, serialize_witness, which
+dispatches on the evidence once per value and recurses.  Nothing in the
+package reads the grammar back; the CLI tests parse every written witness
+to check that it round-trips.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class Check:
     Every law check in the package returns this record.  A composite
     verdict (graph validation, groupoid axioms, exactness) carries its
     parts in checks.  The witness stays the raw evidence object; it is
-    folded into the witness grammar only when rendered.
+    written in the witness grammar only when rendered.
     """
 
     name: str
@@ -58,64 +60,41 @@ class RunReport:
         return all(r.ok for r in self.results)
 
 
-# -- witness normalization ----------------------------------------------------------
-
-def normalize_witness(obj) -> object:
-    """Fold arbitrary check evidence into grammar values.
-
-    Grammar values are None, bool, int, str, the INF object, and tuples
-    thereof.  Shapes become coordinate tuples; an INF coordinate stays the
-    INF object here, and the writer prints it as inf.  Exceptions become
-    "Type: message"; anything else is rendered through repr.
-    """
-    if obj is None or isinstance(obj, bool) or isinstance(obj, str):
-        return obj
-    if obj is INF:
-        return INF
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, ExtendedShape):
-        return tuple(normalize_witness(c) for c in obj.coords)
-    if isinstance(obj, (tuple, list)):
-        return tuple(normalize_witness(v) for v in obj)
-    if isinstance(obj, dict):
-        return tuple(
-            (normalize_witness(k), normalize_witness(v))
-            for k, v in sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        )
-    if isinstance(obj, BaseException):
-        return f"{type(obj).__name__}: {obj}"
-    return repr(obj)
-
-
 # -- witness grammar ----------------------------------------------------------------
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
-def serialize_witness(value) -> str:
-    """Render a grammar value as one line of text."""
-    value = normalize_witness(value)
-    return _write(value)
+def serialize_witness(obj) -> str:
+    """Render check evidence as one line of the witness grammar.
 
-
-def _write(value) -> str:
-    if value is None:
+    None, booleans, ints, INF and strings print as themselves.  Shapes
+    print as coordinate tuples and lists as tuples; dicts print as pairs
+    sorted by the repr of the key; exceptions print as "Type: message";
+    anything else prints as its repr string.
+    """
+    if obj is None:
         return "none"
-    if value is True:
+    if obj is True:
         return "true"
-    if value is False:
+    if obj is False:
         return "false"
-    if value is INF:
+    if obj is INF:
         return "inf"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        body = "".join(_ESCAPES.get(ch, ch) for ch in value)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        body = "".join(_ESCAPES.get(ch, ch) for ch in obj)
         return f'"{body}"'
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_write(v) for v in value) + ")"
-    raise ValueError(f"not a grammar value: {value!r}")
+    if isinstance(obj, ExtendedShape):
+        obj = obj.coords
+    if isinstance(obj, dict):
+        obj = sorted(obj.items(), key=lambda kv: repr(kv[0]))
+    if isinstance(obj, (tuple, list)):
+        return "(" + ", ".join(serialize_witness(v) for v in obj) + ")"
+    if isinstance(obj, BaseException):
+        return serialize_witness(f"{type(obj).__name__}: {obj}")
+    return serialize_witness(repr(obj))
 
 
 # -- renderers ----------------------------------------------------------------------
@@ -141,19 +120,19 @@ def machine_lines(report: RunReport) -> list[str]:
     # no timings here: identical fixture + seed must give identical bytes
     lines = [
         "record=run"
-        f" fixture={_write(report.fixture)}"
-        f" seed={_write(report.seed)}"
+        f" fixture={serialize_witness(report.fixture)}"
+        f" seed={serialize_witness(report.seed)}"
         f" checks={len(report.results)}"
     ]
     for r in report.results:
         lines.append(
             "record=check"
-            f" name={_write(r.name)}"
+            f" name={serialize_witness(r.name)}"
             f" status={'pass' if r.ok else 'fail'}"
             f" witness={serialize_witness(r.witness)}"
-            f" info={_write(r.info)}"
+            f" info={serialize_witness(r.info)}"
         )
-    lines.append(f"record=summary ok={_write(report.ok)}")
+    lines.append(f"record=summary ok={serialize_witness(report.ok)}")
     return lines
 
 

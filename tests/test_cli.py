@@ -15,7 +15,6 @@ from kgraphlab.reporting import (
     RunReport,
     human_lines,
     machine_lines,
-    normalize_witness,
     serialize_witness,
 )
 from kgraphlab.shapes import INF, ExtendedShape, Shape
@@ -327,11 +326,14 @@ def test_witness_parse_rejects_garbage():
 
 
 def test_normalize_witness_folds_shapes_and_exceptions():
-    assert normalize_witness(Shape(2, 3)) == (2, 3)
-    assert normalize_witness(ExtendedShape((1, INF))) == (1, INF)
-    assert normalize_witness([1, [2, 3]]) == (1, (2, 3))
-    assert normalize_witness({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
-    assert normalize_witness(ValueError("boom")) == "ValueError: boom"
+    def folded(x):
+        return parse_witness(serialize_witness(x))
+
+    assert folded(Shape(2, 3)) == (2, 3)
+    assert folded(ExtendedShape((1, INF))) == (1, INF)
+    assert folded([1, [2, 3]]) == (1, (2, 3))
+    assert folded({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
+    assert folded(ValueError("boom")) == "ValueError: boom"
 
 
 # -- rendering -----------------------------------------------------------------------

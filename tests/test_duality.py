@@ -28,7 +28,7 @@ from kgraphlab.duality import (
     w_shift,
     zpoint_system,
 )
-from kgraphlab.dynsys import PartialMap
+from kgraphlab.dynsys import PartialMap, grid_system
 from kgraphlab.errors import (
     ConfigError,
     DomainError,
@@ -585,6 +585,26 @@ def test_s_shift_respects_grade(flip22):
     y = boundary_points(flip22)[0]
     with pytest.raises(DomainError):
         s_shift(Shape((1, 0)), (Shape.zero(2), y))
+
+
+def test_shift_arguments_take_a_coordinate_tuple(flip22):
+    grid = grid_system(2, 2)
+    assert grid.check_dc((1, 1)) == grid.check_dc(Shape(1, 1))
+    assert set(build_semidirect(grid, (1, 1))) == set(build_semidirect(grid, Shape(1, 1)))
+    y = boundary_points(flip22)[0]
+    z = ZPoint(flip22.path(("a0", "b0")), y)
+    for k in [(1, 0), (0, 1), (1, 1)]:
+        K = Shape(k)
+        assert y.unroll(k) == y.unroll(K) and y.head(k) == y.head(K)
+        assert shift_infinite(k, y) == shift_infinite(K, y)
+        assert t_shift(k, z) == t_shift(K, z) and v_shift(k, z) == v_shift(K, z)
+        assert s_shift(k, phi(z)) == s_shift(K, phi(z))
+        assert w_shift(k, phi(z)) == w_shift(K, phi(z))
+    for infinite in [(INF, 0), ExtendedShape(INF, 0)]:
+        for call in (y.unroll, y.head, lambda k: shift_infinite(k, y),
+                     lambda k: t_shift(k, z), grid.check_dc):
+            with pytest.raises(ShapeError):
+                call(infinite)
 
 
 # -- fiber lifts ---------------------------------------------------------------------

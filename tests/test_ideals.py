@@ -50,8 +50,7 @@ def test_part_must_be_subset():
 def test_rank1_stages():
     t = IdealTuple(P4, [{1, 2}])
     assert supports(t) == ({1, 2}, P4, {3, 4})
-    roles = [s.role for s in build_sequence(t)]
-    assert roles == ["kernel", "middle", "quotient"]
+    assert len(build_sequence(t)) == t.rank + 2
 
 
 def test_rank2_worked_example():
@@ -132,7 +131,7 @@ def test_diagnostics_name_the_stage():
     # hand-build a defective sequence: stage 0 leaks a point past stage 1
     t = IdealTuple(P4, [{1, 2}])
     stages = list(build_sequence(t))
-    broken = stages[0].__class__(frozenset({1, 2, 4}), "kernel")
+    broken = stages[0].__class__(frozenset({1, 2, 4}))
     report = verify_exactness([broken] + stages[1:])
     assert not report.ok
     names = {c.name for c in report.failing()}

@@ -351,7 +351,7 @@ def test_validate_reports_missing_square():
     g = KGraph(2, ["u"], edges, {(1, 2): {}})
     rep = g.validate()
     tot = next(c for c in rep.checks if c.name == "square-totality[1,2]")
-    assert not tot.ok and ("b0", "a0") in tot.witness[0]
+    assert not tot.ok and ("b0", "a0") in tot.witness
     with pytest.raises(GraphError):
         g.path(["b0", "a0"])
 
@@ -419,6 +419,18 @@ def test_constructor_rejections():
         KGraph(1, ["u"], [Edge("e", 1, "u", "w")])
     with pytest.raises(GraphError):
         single_vertex_graph([2, 3], "flip")
+    # the square-table rejections validate() relies on: every key and value
+    # that gets in is a chaining word of the pair's colors
+    edges = [Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"), Edge("x", 1, "v", "v")]
+    for squares, match in [
+        ({(1, 2): {("b", "zz"): ("a", "b")}}, "unknown edge 'zz'"),
+        ({(2, 1): {}}, "must have 1 <= i < j <= rank"),
+        ({(1, 2): {("a", "b"): ("a", "b")}}, "wrong colors"),
+        ({(1, 2): {("b", "x"): ("a", "b")}}, "square key b,x is not composable"),
+        ({(1, 2): {("b", "a"): ("x", "b")}}, "square value x,b is not composable"),
+    ]:
+        with pytest.raises(GraphError, match=match):
+            KGraph(2, ["u", "v"], edges, squares)
 
 
 # -- opposite ------------------------------------------------------------------------------------

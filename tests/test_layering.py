@@ -116,10 +116,7 @@ UNREAD = {
     "FixtureError.column": "the message carries the location; tests assert it field by field",
     "DomainError.point": "the point outside the domain, for a caller that catches the error",
     "DiagonalAlgebra.projections": "each word's fixed set, what the algebra is generated from",
-    "ObstructionReport.left_path": "names the probed mixed projection in the report",
-    "ObstructionReport.right_path": "names the probed mixed projection in the report",
     "KernelFiltration.labels": "the cocycle itself; tests check that it is additive",
-    "SequenceStage.role": "names the stage: kernel, middle or quotient",
 }
 
 
