@@ -9,9 +9,9 @@ path) data together with constructive fiber lifts, the two-sided shift
 on doubly infinite words, and the lattice-translation twist on groupoid
 elements.
 
-Everything is exact: an infinite path is canonicalized once, at
-construction, so its equality and hash compare two finite paths, and
-every check here is a finite computation.
+Everything is exact: an infinite path is canonicalized once per distinct
+(prefix, cycle) per graph, so its equality and hash compare two finite
+paths, and every check here is a finite computation.
 """
 
 from __future__ import annotations
@@ -126,7 +126,11 @@ class RationalInfinitePath:
             raise ConfigError(
                 f"cycle shape {cycle.shape} must be strictly positive in every color"
             )
-        prefix, cycle = _canonical(prefix, cycle)
+        key = (prefix.word or prefix.base, cycle.word)
+        canon = prefix.graph._canonical_forms.get(key)
+        if canon is None:
+            canon = prefix.graph._canonical_forms[key] = _canonical(prefix, cycle)
+        prefix, cycle = canon
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 
@@ -334,7 +338,7 @@ def phi_section(pair) -> ZPoint:
     rational data.
     """
     n, w = pair
-    if not n.is_finite:
+    if not ExtendedShape(*n).is_finite:
         raise ConfigError(f"covering data needs a finite grade, got {n}")
     n = as_shape(n)
     return ZPoint(w.head(n), shift_infinite(n, w))
@@ -343,7 +347,7 @@ def phi_section(pair) -> ZPoint:
 def s_shift(m: Shape, pair) -> tuple:
     """Grade-side shift on covering data: subtract m, keep the path."""
     n, w = pair
-    m = as_shape(m)
+    m, n = as_shape(m), as_shape(n)
     if not m <= n:
         raise DomainError(f"no grade shift by {m} at grade {n}")
     return (n - m, w)
@@ -352,7 +356,7 @@ def s_shift(m: Shape, pair) -> tuple:
 def w_shift(k: Shape, pair) -> tuple:
     """Path-side shift on covering data: keep the grade, drop the grade-k head."""
     n, w = pair
-    return (n, shift_infinite(k, w))
+    return (as_shape(n), shift_infinite(k, w))
 
 
 def _split(m: Shape, rank: int) -> tuple[Shape, Shape]:

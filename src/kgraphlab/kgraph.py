@@ -10,7 +10,8 @@ left to right.  Normalization and factorization are one square-move sort:
 _sort_word insertion-sorts a word by int keys, rewriting each adjacent
 out-of-order pair through the square tables.  Sorting by color gives the
 normal form; sorting the first edges of each color ahead of the rest splits
-a path into head and tail.
+a path into head and tail.  Each graph answers compose and factorize once
+per distinct input and keeps the answer for its lifetime (see KGraph).
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ class KGraph:
     to existing edges with the right colors and composable endpoints; totality,
     bijectivity, endpoint preservation and the rank>=3 cube comparison are
     validate()'s job, so defective tables stay constructible and reportable.
+
+    The graph memoizes its path questions in dicts that live and die with it:
+    compose keyed by the two words, factorize by the path's word (or vertex)
+    and the grade's coordinates, and _canonical_forms, which only duality
+    fills, by (prefix word or vertex, cycle word).  A miss runs the kernel;
+    an error is raised, never stored.  A Fock check's PathWindow stays its
+    own: keeping every check's paths on the graph would grow peak memory.
     """
 
     def __init__(self, rank, vertices, edges, squares=None, name="graph"):
@@ -163,6 +171,9 @@ class KGraph:
         for pair in itertools.combinations(range(1, rank + 1), 2):
             self._to_normal.setdefault(pair, {})
             self._to_anti.setdefault(pair, {})
+        self._composites: dict[tuple, Path] = {}
+        self._factorizations: dict[tuple, tuple[Path, Path]] = {}
+        self._canonical_forms: dict[tuple, tuple[Path, Path]] = {}
 
     # -- accessors -------------------------------------------------------------
 
@@ -261,13 +272,21 @@ class KGraph:
             return q
         if not q.word:
             return p
-        return Path(self, self._normal_word(p.word + q.word))
+        key = (p.word, q.word)
+        out = self._composites.get(key)
+        if out is None:
+            out = self._composites[key] = Path(self, self._normal_word(p.word + q.word))
+        return out
 
     def factorize(self, p: Path, k: Shape) -> tuple[Path, Path]:
         """Split p = head·tail with shape(head) = k, a Shape or tuple with 0 <= k <= shape(p)."""
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
         k = as_shape(k)
+        key = (p.word or p.base, k.coords)
+        out = self._factorizations.get(key)
+        if out is not None:
+            return out
         if len(k) != self.rank:
             raise ShapeError(f"shape rank {len(k)} != graph rank {self.rank}")
         if not k <= p.shape:
@@ -275,7 +294,8 @@ class KGraph:
         head, rest = self._split_word(p.word, k.coords)
         head_path = Path(self, head) if head else Path(self, (), p.target)
         tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
-        return head_path, tail_path
+        out = self._factorizations[key] = (head_path, tail_path)
+        return out
 
     def _split_word(self, word, coords: tuple) -> tuple[tuple, tuple]:
         """The (head, rest) words of a normal word, head of shape coords <= its shape.

@@ -152,7 +152,7 @@ class Shape(ExtendedShape):
 
     def _check_rank(self, other):
         if not isinstance(other, Shape):
-            raise ShapeError(f"expected a finite shape, got {other!r}")
+            raise ShapeError(f"expected a Shape, got {type(other).__name__} {other!r}")
         if len(self.coords) != len(other.coords):
             raise ShapeError(f"rank mismatch: {self} vs {other}")
 

@@ -1,11 +1,14 @@
 """Rational infinite paths, paired-point shifts, the covering map, and twists."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgraphlab import duality
 from kgraphlab.duality import (
     RationalInfinitePath,
     ZPoint,
@@ -600,11 +603,61 @@ def test_shift_arguments_take_a_coordinate_tuple(flip22):
         assert t_shift(k, z) == t_shift(K, z) and v_shift(k, z) == v_shift(K, z)
         assert s_shift(k, phi(z)) == s_shift(K, phi(z))
         assert w_shift(k, phi(z)) == w_shift(K, phi(z))
+    n, w = phi(z)
+    grade = tuple(n.coords)  # covering data with a coordinate-tuple grade
+    assert phi_section((grade, w)) == phi_section((n, w)) == z
+    for k in [(1, 0), (0, 1), (1, 1)]:
+        assert s_shift(k, (grade, w)) == s_shift(k, (n, w))
+        assert w_shift(k, (grade, w)) == w_shift(k, (n, w))
     for infinite in [(INF, 0), ExtendedShape(INF, 0)]:
         for call in (y.unroll, y.head, lambda k: shift_infinite(k, y),
                      lambda k: t_shift(k, z), grid.check_dc):
             with pytest.raises(ShapeError):
                 call(infinite)
+        with pytest.raises(ConfigError):
+            phi_section((infinite, y))
+
+
+def test_path_memos_die_with_their_graph():
+    g = flip_graph()
+    a, ab = g.path(["a0"]), g.path(["a1", "b0"])
+    y = RationalInfinitePath(a, ab)
+    factorize(compose(a, ab), (1, 0))
+    assert g._composites and g._factorizations and g._canonical_forms
+    ref = weakref.ref(g)
+    del g, a, ab, y
+    gc.collect()
+    assert ref() is None
+
+
+def test_zpoint_closure_work_is_pinned(monkeypatch):
+    """Kernel work of the boundary-pairing closure on a fresh graph, and none on a rerun.
+
+    The graph is built here, since a shared one carries warm memos.  The
+    boundary points and the seed fill part of the memos first, as the
+    set-up does; asking for the closure again on the same graph answers
+    every question from them.
+    """
+    counts = {}
+
+    def counted(name, inner):
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args)
+        return call
+
+    monkeypatch.setattr(duality, "_canonical", counted("_canonical", duality._canonical))
+    for name in ("_normal_word", "_split_word"):
+        monkeypatch.setattr(KGraph, name, counted(name, getattr(KGraph, name)))
+    g = flip_graph()
+    seed = ZPoint(g.path(("a0", "b0")), boundary_points(g)[0])
+    assert counts == {"_canonical": 4, "_normal_word": 5, "_split_word": 12}
+    counts.clear()
+    carrier = zpoint_system(g, [seed]).carrier
+    assert (len(carrier), counts) == (4, {"_canonical": 2, "_normal_word": 10, "_split_word": 12})
+    counts.clear()
+    assert zpoint_system(g, [seed]).carrier == carrier
+    assert counts == {}
 
 
 # -- fiber lifts ---------------------------------------------------------------------

@@ -15,6 +15,7 @@ from kgraphlab.errors import GraphError, NotComposable, ShapeError
 from kgraphlab.kgraph import (
     Edge,
     KGraph,
+    Path,
     compose,
     factorize,
     flip_graph,
@@ -206,6 +207,70 @@ def test_factorize_matches_brute_force_and_is_unique(graph_family):
                 h, t = factorize(p, k)
                 assert h.shape == k and compose(h, t) == p
                 assert brute_factorizations(g, p, k) == [(h, t)]
+
+
+def _kernel_answer(g, kind, p, arg):
+    """compose(p, arg) or factorize(p, arg) built afresh from the kernel."""
+    if kind == "compose":
+        if not (p.word and arg.word):
+            return arg if p.is_vertex else p
+        return Path(g, g._normal_word(p.word + arg.word))
+    head, tail = g._split_word(p.word, arg)
+    head = Path(g, head) if head else g.vertex(p.target)
+    return head, Path(g, tail) if tail else g.vertex(head.source)
+
+
+def test_memoized_answers_are_the_kernel_answers():
+    """Seeded compose and factorize questions, each asked twice in a random order.
+
+    The first answer equals a fresh kernel answer, the second is the same
+    object, and flip and its opposite, asked the same edge words, each
+    answer on their own graph.
+    """
+    rng = random.Random(21)
+    flip = flip_graph()
+    opposite = flip.opposite()
+    for g in (flip, one_loop_per_color_graph(2), grid_graph((1, 1)), opposite):
+        paths = g.all_paths((1, 1) if g.name.startswith("grid") else (2, 2))
+        pairs = [(p, q) for p, q in itertools.product(paths, repeat=2) if p.source == q.target]
+        questions = [("compose", p, q) for p, q in rng.sample(pairs, min(len(pairs), 60))]
+        questions += [("factorize", p, tuple(k.coords)) for p in paths
+                      for k in shapes_below(p.shape)]
+        questions *= 2
+        rng.shuffle(questions)
+        first = {}
+        for kind, p, arg in questions:
+            key = (kind, p.word or p.base, arg if kind == "factorize" else arg.word or arg.base)
+            got = g.compose(p, arg) if kind == "compose" else g.factorize(p, arg)
+            if key in first:
+                assert got is first[key], key
+                continue
+            first[key] = got
+            assert got == _kernel_answer(g, kind, p, arg), key
+    for u, v in itertools.product(["a0", "a1", "b0", "b1"], repeat=2):
+        mine, theirs = flip.path([u]), opposite.path([u])
+        ans = flip.compose(mine, flip.path([v]))
+        op_ans = opposite.compose(theirs, opposite.path([v]))
+        assert ans.graph is flip and op_ans.graph is opposite and ans != op_ans
+        assert ans.word == flip._normal_word((u, v))
+        assert op_ans.word == opposite._normal_word((u, v))
+
+
+def test_memoized_questions_raise_every_time():
+    edges = [Edge("a0", 1, "u", "u"), Edge("b0", 2, "u", "u")]
+    g = KGraph(2, ["u"], edges, {(1, 2): {}})  # the one square entry dropped
+    b, a = g.path(["b0"]), g.path(["a0"])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GraphError) as e:
+            g.compose(b, a)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] and not g._composites
+    p = flip_graph().path(["a0", "a1"])
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="not dominated"):
+            p.graph.factorize(p, (1, 1))
+    assert not p.graph._factorizations
 
 
 def test_rank3_sort_matches_reference_routes():
