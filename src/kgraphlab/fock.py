@@ -11,10 +11,14 @@ Nothing is ever truncated: a shape bound only selects which vectors a
 checker visits, never how an operator acts, so every reported identity is
 exact on the checked vectors.
 
-op.on(window) is op acting on the int ids of a kgraph.PathWindow (the vacuum
-is VAC).  A window serves one relation report, operators_agree, act,
-diagonal survey or obstruction report: each operator is compiled in it
-once, and each distinct input composed and split once.
+op.on(window) is op acting on whole lists of ids of a PathWindow (the
+vacuum is VAC, zero is None): it maps a list of ids to the list of their
+images.  A partial map's image is an id or None.  A sum's is None when it
+is zero, the id itself when it is one id with coefficient 1, and an
+{id: coefficient} dict otherwise, so equal vectors have equal images.  A
+window serves one relation report, operators_agree, act, diagonal survey
+or obstruction report: each operator is compiled in it once, the basis is
+interned once, and each distinct composition and split is made once.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -27,8 +31,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .kgraph import KGraph, Path, PathWindow
+from .errors import ConfigError, GraphError
+from .kgraph import KGraph, Path
 from .reporting import CAP
 from .shapes import Shape, as_shape, shapes_below
 
@@ -44,6 +48,7 @@ class _Vacuum:
 
 VACUUM = _Vacuum()
 VAC = -1  # the vacuum's id in every window; path ids count up from 0
+_UNSET = object()  # a memo's default where None is a stored answer
 
 
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
@@ -56,18 +61,159 @@ def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     return tuple(out)
 
 
-def _as_vector(image) -> dict:
-    """A partial map's image (an id or None) or a sum's {id: coefficient}, as the latter."""
-    return image if isinstance(image, dict) else {} if image is None else {image: 1}
+class PathWindow:
+    """Int ids for the basis vectors one Fock check touches, and the path kernel on id lists.
 
+    A window serves one check and is then dropped; it binds to the graph of
+    the first path it interns, which keeps only the kernel's passes.  The
+    vacuum is VAC; path id i has the graph's normal code word words[i] (see
+    kgraph), endpoints sources[i] and targets[i] and shape coordinates
+    coords[i]; a vertex path, which only an operator's own path can be, has
+    the empty word.  Lists of ids hold VAC, nonzero-shape path ids, and
+    None for zero.
 
-def _basis_id(win, b) -> int:
-    """A basis element's id in win: VAC for the vacuum, the interned path's id otherwise."""
-    return VAC if b is VACUUM else win.intern(b)
+    creations and strips run the graph's kernel (_join, _split) once per
+    distinct composition (i, j) or split (id, head grade) and keep the
+    answer.  Unique factorization makes both pure functions of the graph's
+    tables, so a defective table gives the same answer, or raises the same
+    error, every time it is asked.
+    """
+
+    def __init__(self):
+        self.graph = None
+        self._ids: dict = {}  # normal code word, edge names, or vertex name -> id
+        self.words: list[tuple] = []
+        self.sources: list[str] = []
+        self.targets: list[str] = []
+        self.coords: list[tuple] = []
+        self._basis, self._basis_ids = None, None
+        self._composed: dict[tuple, int | None] = {}  # (i, j) -> id of i·j, or None
+        self._splits: dict[tuple, tuple | None] = {}  # (id, head grade) -> (head, tail) words
+
+    def intern(self, b) -> int:
+        """The id of a basis element: VAC for the vacuum, else the path's id."""
+        if b is VACUUM:
+            return VAC
+        if self.graph is None:
+            self.graph = b.graph
+        elif b.graph is not self.graph:
+            raise GraphError("paths belong to a different graph")
+        key = b.word or b.base  # edge names: a second key beside the code word
+        i = self._ids.get(key)
+        if i is None:
+            if b.word:
+                i = self._ids[key] = self._word_id(self.graph._encode(b.word))
+            else:
+                i = self._id(key, (), key, key, (0,) * self.graph.rank)
+        return i
+
+    def ids(self, basis) -> list:
+        """The ids of a sequence of basis elements; the last sequence asked for is kept."""
+        if basis is not self._basis:
+            self._basis, self._basis_ids = basis, [self.intern(b) for b in basis]
+        return self._basis_ids
+
+    def _id(self, key, word, source, target, coords):
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.words)
+            self.words.append(word)
+            self.sources.append(source)
+            self.targets.append(target)
+            self.coords.append(coords)
+        return i
+
+    def _word_id(self, word):
+        """The id of a nonempty normal code word."""
+        i = self._ids.get(word)
+        if i is None:
+            graph = self.graph
+            i = self._id(word, word, graph._esource[word[-1]], graph._etarget[word[0]],
+                         graph._shape_of(word))
+        return i
+
+    def element(self, i):
+        """The basis element of id i: VACUUM, or a Path in edge names."""
+        if i == VAC:
+            return VACUUM
+        word = self.words[i]
+        return Path(self.graph, self.graph._decode(word)) if word else Path(
+            self.graph, (), self.targets[i])
+
+    def creations(self, p, xs, left) -> list:
+        """The images of ids xs under creation by path p: p·x on the left, x·p on the right.
+
+        None where x is None or the ends differ; a vertex creation is the
+        projection onto the paths that end at it, and fixes the vacuum.
+        """
+        if not self.words[p]:
+            return self._at_vertex(self.targets[p], xs, left)
+        composed, compose, out = self._composed, self._compose, []
+        for x in xs:
+            if x is None:
+                out.append(None)
+            elif x == VAC:
+                out.append(p)
+            else:
+                key = (p, x) if left else (x, p)
+                y = composed.get(key, _UNSET)
+                if y is _UNSET:
+                    y = composed[key] = compose(*key)
+                out.append(y)
+        return out
+
+    def _compose(self, i, j):
+        """The id of path i · path j, or None when source(i) != target(j)."""
+        if self.sources[i] != self.targets[j]:
+            return None
+        word = self.graph._join(self.words[i], self.words[j])
+        self.graph._check_chain(word)
+        return self._word_id(word)
+
+    def strips(self, xs, m, left) -> list:
+        """For each id x, the pair (kept word, rest id) with x = kept·rest on the left or
+        rest·kept on the right and kept of shape m, or None where m does not fit.
+
+        The vacuum and None give None; a rest of shape zero is VAC.
+        """
+        splits, graph, coords, words, out = self._splits, self.graph, self.coords, self.words, []
+        for x in xs:
+            if x is None or x == VAC:
+                out.append(None)
+                continue
+            grade = m if left else tuple(map(operator.sub, coords[x], m))
+            key = (x, grade)  # a left and a right strip can ask for the same split
+            split = splits.get(key, _UNSET)
+            if split is _UNSET:
+                split = splits[key] = graph._split(words[x], coords[x], grade)
+            if split is None:
+                out.append(None)
+            else:
+                kept, other = split if left else split[::-1]
+                out.append((kept, self._word_id(other) if other else VAC))
+        return out
+
+    def annihilations(self, p, xs, left) -> list:
+        """The images of ids xs under stripping path p as a left or right factor.
+
+        Zero where the factorization disagrees; a vertex annihilation is the
+        vertex creation, a projection.
+        """
+        word = self.words[p]
+        if not word:
+            return self._at_vertex(self.targets[p], xs, left)
+        return [None if s is None or s[0] != word else s[1]
+                for s in self.strips(xs, self.coords[p], left)]
+
+    def _at_vertex(self, v, xs, left):
+        ends = self.targets if left else self.sources
+        return [x if x is None or x == VAC or ends[x] == v else None for x in xs]
 
 
 def _vector_out(win, image) -> dict:
-    return {VACUUM if i == VAC else win.path(i): c for i, c in _as_vector(image).items()}
+    """An image as a {basis element: coefficient} vector."""
+    vector = image if isinstance(image, dict) else {} if image is None else {image: 1}
+    return {win.element(i): c for i, c in vector.items()}
 
 
 class FockOperator:
@@ -86,7 +232,7 @@ class FockOperator:
     def act(self, b) -> dict:
         """The image of one basis element as a {basis element: int} vector."""
         win = PathWindow()
-        return _vector_out(win, self.on(win)(_basis_id(win, b)))
+        return _vector_out(win, self.on(win)([win.intern(b)])[0])
 
     def __mul__(self, other):
         if isinstance(other, FockOperator):
@@ -108,8 +254,9 @@ class FockOperator:
 class PartialMap(FockOperator):
     """An operator sending each basis element to at most one, with coefficient 1.
 
-    on(win) returns a function from an id to the image's id, or None where
-    the map is undefined.  Subclasses also implement adjoint().
+    on(win) returns a function from a list of ids to the list of their
+    images' ids, None where the map is undefined.  Subclasses also
+    implement adjoint().
     """
 
     __slots__ = ()
@@ -127,8 +274,11 @@ class PartialMap(FockOperator):
 class Sum(FockOperator):
     """A signed sum of partial maps: terms are (int coefficient, partial map) pairs.
 
-    Zero terms are dropped when the sum is built; on(win) maps an id to the
-    {id: coefficient} vector of its terms' images, dropping entries that cancel.
+    Zero terms are dropped when the sum is built.  on(win) adds the terms'
+    images with their coefficients, dropping entries that cancel.  Two or
+    more terms whose rightmost factors strip paths of one nonzero shape on
+    one side add as one group, at the place of the first: each vector is
+    split once, and only the terms whose path is the stripped factor go on.
     """
 
     __slots__ = ("terms",)
@@ -141,17 +291,26 @@ class Sum(FockOperator):
         object.__setattr__(self, "terms", tuple((c, t) for c, t in terms if c))
 
     def on(self, win):
-        terms = [(c, t.on(win)) for c, t in self.terms]
+        parts, groups = [], {}  # parts: in term order, the terms that add as one
+        for c, t in self.terms:
+            last = t.factors[-1] if isinstance(t, Product) else t
+            if isinstance(last, PathOperator) and not last.create and last.path.word:
+                key = (last.path.shape.coords, last.left)
+                if key not in groups:
+                    parts.append(groups.setdefault(key, []))
+                groups[key].append((c, t))
+            else:
+                parts.append([(c, t)])
+        parts = [_term_adder(win, *terms[0]) if len(terms) == 1 else _group_adder(win, terms)
+                 for terms in parts]
 
-        def vector(b):
-            out: dict = {}
-            for c, f in terms:
-                i = f(b)
-                if i is not None:
-                    out[i] = out.get(i, 0) + c
-            return {i: c for i, c in out.items() if c}
+        def image(xs):
+            out = [None] * len(xs)
+            for add in parts:
+                add(out, xs)
+            return [_reduced(v) if type(v) is dict else v for v in out]
 
-        return vector
+        return image
 
     def adjoint(self):
         return Sum((c, t.adjoint()) for c, t in self.terms)
@@ -160,11 +319,67 @@ class Sum(FockOperator):
         return "(" + " + ".join(f"{c}*{t!r}" for c, t in self.terms) + ")"
 
 
+def _term_adder(win, c, t):
+    image = t.on(win)
+    return lambda out, xs: _add(out, range(len(xs)), image(xs), c)
+
+
+def _group_adder(win, terms):
+    """Terms whose rightmost factors strip paths of one shape on one side, as one adder.
+
+    It strips each id once and hands the rest only to the terms whose path
+    is the kept factor: any other term is zero there.
+    """
+    by_kept: dict[tuple, list] = {}  # kept word -> [(c, image of the factors left of it)]
+    for c, t in terms:
+        *rest, last = t.factors if isinstance(t, Product) else (t,)
+        by_kept.setdefault(win.words[win.intern(last.path)], []).append(
+            (c, Product(rest).on(win)))
+    m, left = last.path.shape.coords, last.left
+
+    def add(out, xs):
+        batches = {word: ([], []) for word in by_kept}  # positions, rest ids
+        for n, s in enumerate(win.strips(xs, m, left)):
+            if s is not None and s[0] in batches:
+                at, rests = batches[s[0]]
+                at.append(n)
+                rests.append(s[1])
+        for word, (at, rests) in batches.items():
+            if at:
+                for c, image in by_kept[word]:
+                    _add(out, at, image(rests), c)
+
+    return add
+
+
+def _add(out, positions, images, c):
+    """Add c times each image id to the entry of out at its position."""
+    for n, y in zip(positions, images):
+        if y is not None:
+            v = out[n]
+            if v is None and c == 1:
+                out[n] = y
+            else:
+                v = {} if v is None else {v: 1} if type(v) is int else v
+                v[y] = v.get(y, 0) + c
+                out[n] = v
+
+
+def _reduced(vector: dict):
+    """A sum's image in canonical form: None, a unit id, or a dict of nonzero entries."""
+    vector = {i: c for i, c in vector.items() if c}
+    if len(vector) == 1:
+        (i, c), = vector.items()
+        if c == 1:
+            return i
+    return vector or None
+
+
 class Identity(PartialMap):
     __slots__ = ()
 
     def on(self, win):
-        return lambda b: b
+        return lambda xs: xs
 
     def adjoint(self):
         return self
@@ -188,12 +403,10 @@ class Product(PartialMap):
     def on(self, win):
         maps = [f.on(win) for f in reversed(self.factors)]
 
-        def image(b):
+        def image(xs):
             for f in maps:
-                b = f(b)
-                if b is None:
-                    break
-            return b
+                xs = f(xs)
+            return xs
 
         return image
 
@@ -224,25 +437,9 @@ class PathOperator(PartialMap):
         return PathOperator(self.path, self.left, not self.create)
 
     def on(self, win):
-        p, words, left = win.intern(self.path), win.words, self.left
-        if self.create:
-            compose, vac = win.compose, p if words[p] else VAC  # a vertex fixes the vacuum
-            if left:
-                return lambda b: vac if b == VAC else compose(p, b)
-            return lambda b: vac if b == VAC else compose(b, p)
-        split, coords = win.split, win.coords
-        m, vac, kept = coords[p], None if words[p] else VAC, 0 if left else 1
-
-        def image(b):  # b = p·rest on the left, rest·p on the right
-            if b == VAC:
-                return vac
-            ht = split(b, m if left else tuple(map(operator.sub, coords[b], m)))
-            if ht is None or ht[kept] != p:
-                return None
-            rest = ht[1 - kept]
-            return rest if words[rest] else VAC
-
-        return image
+        p, left = win.intern(self.path), self.left
+        act = win.creations if self.create else win.annihilations
+        return lambda xs: act(p, xs, left)
 
     def __repr__(self):
         return f"{'l' if self.left else 'r'}{'+' if self.create else '-'}{self.path.display()}"
@@ -264,7 +461,8 @@ class SpanProjection(PartialMap):
 
     def on(self, win):
         keep, vac = self.predicate, VAC if self.with_vacuum else None
-        return lambda b: vac if b == VAC else b if keep(win, b) else None
+        return lambda xs: [vac if x == VAC else x if x is not None and keep(win, x) else None
+                           for x in xs]
 
     def adjoint(self):
         return self
@@ -331,16 +529,27 @@ def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
 def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, window=None):
     """Compare pointwise up to the CAP+1st failure.  Returns (ok, checked, failures).
 
-    The operators act in window, or in a PathWindow of their own.
+    The operators act in window, or in a PathWindow of their own, on the
+    whole list of basis ids at once.  Where that raises (a defective square
+    table), they act one vector at a time, as far as the failures go, so
+    the error is the first failing vector's, as when each vector is checked
+    on its own.
     """
     win = PathWindow() if window is None else window
     f, g = lhs.on(win), rhs.on(win)
+    ids = win.ids(basis)
+    try:
+        lhs_images, rhs_images = f(ids), g(ids)
+    except GraphError:
+        images = ((f([i])[0], g([i])[0]) for i in ids)
+    else:
+        if lhs_images == rhs_images:
+            return True, len(ids), []
+        images = zip(lhs_images, rhs_images)
     failures, checked = [], 0
-    for b in basis:
+    for b, (lv, rv) in zip(basis, images):
         checked += 1
-        i = _basis_id(win, b)
-        lv, rv = f(i), g(i)
-        if lv != rv and _as_vector(lv) != _as_vector(rv):  # an id can equal a sum's vector
+        if lv != rv:
             if len(failures) == CAP:
                 break
             failures.append((b, _vector_out(win, lv), _vector_out(win, rv)))
@@ -367,7 +576,8 @@ def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     """The one runner: check (label, lhs, rhs) instances pointwise on basis.
 
     basis defaults to the window below bound; the first CAP counterexamples
-    over all instances are kept, in order.  All instances act in one PathWindow.
+    over all instances are kept, in order.  All instances act in one
+    PathWindow, which interns the basis once.
     """
     basis = fock_basis(graph, bound) if basis is None else basis
     win = PathWindow()
@@ -561,12 +771,12 @@ class DiagonalAlgebra:
 
 
 def _atom_actions(graph, win):
-    """Labelled single-step actions on the ids of win, each a partial injection.
+    """Labelled single-step actions on id lists of win, each a partial injection.
 
-    Returned as (label, left, image) with image(i) the atom's image id, or
-    None; left is the side of the atom: a creation's or annihilation's own,
-    the target projections p@ on the left and the source projections q@ on
-    the right.
+    Returned as (label, left, image) with image(xs) the atom's images of
+    the ids xs; left is the side of the atom: a creation's or
+    annihilation's own, the target projections p@ on the left and the
+    source projections q@ on the right.
     """
     atoms = []
     for e in graph.edges:
@@ -582,10 +792,10 @@ def _atom_actions(graph, win):
 def _identity_pool(atoms, word_len, basis, ids):
     """Fixed sets of every partial-identity word of length <= word_len.
 
-    Depth-first over words, composing partial injections pointwise over the
-    basis ids.  States dedupe on the induced map, so distinct words with
-    equal action cost one visit; the all-undefined state prunes its whole
-    subtree.  Returns {fixed set of basis elements: first word label}.
+    Depth-first over words, composing partial injections on the whole
+    tuple of basis ids.  States dedupe on the induced map, so distinct
+    words with equal action cost one visit; the all-undefined state prunes
+    its whole subtree.  Returns {fixed set of basis elements: first word label}.
     """
     pool, seen = {}, {}
 
@@ -599,8 +809,7 @@ def _identity_pool(atoms, word_len, basis, ids):
         if depth_left == 0 or all(img is None for img in state):
             return
         for alabel, _, act in atoms:
-            nxt = tuple(None if img is None else act(img) for img in state)
-            visit(nxt, depth_left - 1, f"{alabel} {label}" if label else alabel)
+            visit(tuple(act(state)), depth_left - 1, f"{alabel} {label}" if label else alabel)
 
     visit(tuple(ids), word_len, "")
     return {frozenset(b for img, b in zip(state, basis) if img is not None): label
@@ -618,7 +827,7 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
         raise ConfigError("word_len must be >= 1")
     basis = fock_basis(graph, bound)
     win = PathWindow()
-    ids = [_basis_id(win, b) for b in basis]
+    ids = win.ids(basis)
     atoms = _atom_actions(graph, win)
     full_pool = _identity_pool(atoms, word_len, basis, ids)
     left_pool = _identity_pool([a for a in atoms if a[1]], word_len, basis, ids)
@@ -652,13 +861,12 @@ def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
                        algebra: DiagonalAlgebra) -> ObstructionReport:
     """Probe one mixed range projection against a precomputed diagonal_algebra."""
     win = PathWindow()
-    image = mixed_range_projection(graph, lam, mu).on(win)  # one compile for every basis id
-    ids = [_basis_id(win, b) for b in algebra.basis]
-    images = [_as_vector(image(i)) for i in ids]
+    ids = win.ids(algebra.basis)
+    images = mixed_range_projection(graph, lam, mu).on(win)(ids)
     moved = next(((b, out) for b, i, out in zip(algebra.basis, ids, images)
-                  if out and out != {i: 1}), None)
+                  if out is not None and out != i), None)
     if moved:
         raise ConfigError("mixed projection is not a partial identity: "
                           f"{(moved[0], _vector_out(win, moved[1]))!r}")
-    fix = frozenset(b for b, out in zip(algebra.basis, images) if out)
+    fix = frozenset(b for b, out in zip(algebra.basis, images) if out is not None)
     return ObstructionReport(fixed_set=fix, in_one_sided=fix in algebra.one_sided)

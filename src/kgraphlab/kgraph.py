@@ -6,18 +6,28 @@ and "color-i edge then color-j edge" that share outer endpoints.  Words of
 edges are read left to right, the left end carrying the target of the
 composite; two paths compose as p·q exactly when source(p) = target(q).
 Every path is stored in its normal form, the unique word whose colors ascend
-left to right.  Normalization and factorization are one square-move sort:
-_sort_word insertion-sorts a word by int keys, rewriting each adjacent
-out-of-order pair through the square tables.  Sorting by color gives the
-normal form; sorting the first edges of each color ahead of the rest splits
-a path into head and tail.  Each graph answers compose and factorize once
-per distinct input and keeps the answer for its lifetime (see KGraph).
+left to right.
+
+The kernel works on int-coded words: each graph numbers its edges once, by
+color and then name, and keeps its square tables as one flat map from a
+code pair to the pair it moves to.  One square-move sort, _sort, rewrites
+each adjacent out-of-order pair through that map; _normal sorts a whole word
+by color.  Two normal words join by sorting only where they meet (_join):
+sort(p + q) = p_low + sort(p_high + q_low) + q_high, where p_low is p's
+prefix of colors <= q's lowest and q_high is q's suffix of colors >= p's
+highest.  A split (_split) moves the head's edges of each color, block by
+block, ahead of the tail gathered so far.  Each such pass (left word, right
+word) is sorted once per graph and kept in a table that dies with the
+graph; it makes the same moves in the same order as sorting the whole
+word, so a defective table fails with the same edges named.  Path keeps
+edge names, and each graph answers path, compose and factorize once per
+distinct input (see KGraph).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +62,8 @@ class Path:
 
     @cached_property
     def shape(self) -> Shape:
-        return Shape._make(self.graph._coords(self.word))
+        graph = self.graph
+        return Shape._make(graph._shape_of(graph._encode(self.word)))
 
     @property
     def is_vertex(self):
@@ -95,9 +106,17 @@ class KGraph:
     bijectivity, endpoint preservation and the rank>=3 cube comparison are
     validate()'s job, so defective tables stay constructible and reportable.
 
-    The graph memoizes its path questions in dicts that live and die with it:
-    compose keyed by the two words, factorize by the path's word (or vertex)
-    and the grade's coordinates, and _canonical_forms, which only duality
+    The kernel's edge codes: edge e's code is its index in _names, which
+    lists the edges by color, then name, so the codes of color c run from
+    _starts[c] up to _starts[c + 1].  _moves maps a * E + b, for codes a, b
+    and E edges, to the code pair a square move turns (a, b) into: the
+    table's normal word when a has the higher color, the anti-normal one
+    when it has the lower.
+
+    The graph memoizes its path questions in dicts that live and die with
+    it: path keyed by the edge names, compose by the two words, factorize by
+    the path's word (or vertex) and the grade's coordinates, the kernel's
+    passes by their two code words, and _canonical_forms, which only duality
     fills, by (prefix word or vertex, cycle word).  A miss runs the kernel;
     an error is raised, never stored.  A Fock check's PathWindow stays its
     own: keeping every check's paths on the graph would grow peak memory.
@@ -124,8 +143,7 @@ class KGraph:
             if e.source not in vset or e.target not in vset:
                 raise GraphError(f"edge {e.name!r} has unknown endpoint")
             self._edges[e.name] = e
-        # the path kernel reads these instead of going through edge()
-        self._color = {nm: e.color for nm, e in self._edges.items()}
+        # Path reads these by edge name
         self._source = {nm: e.source for nm, e in self._edges.items()}
         self._target = {nm: e.target for nm, e in self._edges.items()}
 
@@ -140,8 +158,17 @@ class KGraph:
                 self._by_color_target.setdefault((c, e.target), ())
                 self._by_color_target[(c, e.target)] += (e,)
 
-        # square tables, plus the inverse direction _sort_word takes when a
-        # higher color moves left of a lower one
+        # the kernel's edge codes, and what it reads by code
+        coded = [e for c in range(1, rank + 1) for e in self._by_color[c]]
+        self._names = tuple(e.name for e in coded)
+        self._code = {nm: a for a, nm in enumerate(self._names)}
+        self._ecolor = tuple(e.color for e in coded)
+        self._esource = tuple(e.source for e in coded)
+        self._etarget = tuple(e.target for e in coded)
+        self._starts = [bisect_left(self._ecolor, c) for c in range(rank + 2)]
+
+        # square tables, the inverse direction of each, and both as one flat
+        # code map for the kernel
         self._to_normal: dict[tuple[int, int], dict] = {}
         self._to_anti: dict[tuple[int, int], dict] = {}
         squares = squares or {}
@@ -171,8 +198,14 @@ class KGraph:
         for pair in itertools.combinations(range(1, rank + 1), 2):
             self._to_normal.setdefault(pair, {})
             self._to_anti.setdefault(pair, {})
+        code, n_edges = self._code, len(self._names)
+        self._moves = {code[a] * n_edges + code[b]: (code[c], code[d])
+                       for tables in (self._to_normal, self._to_anti)
+                       for table in tables.values() for (a, b), (c, d) in table.items()}
+        self._paths: dict[tuple, Path] = {}
         self._composites: dict[tuple, Path] = {}
         self._factorizations: dict[tuple, tuple[Path, Path]] = {}
+        self._passes: dict[tuple, tuple] = {}
         self._canonical_forms: dict[tuple, tuple[Path, Path]] = {}
 
     # -- accessors -------------------------------------------------------------
@@ -203,62 +236,127 @@ class KGraph:
         return Path(self, (), v)
 
     def path(self, names) -> Path:
-        """Path from an iterable of edge names; checks the chain and normalizes."""
+        """Path from an iterable of edge names; checks the chain and normalizes.
+
+        The same names give the same Path object every time they are asked.
+        """
         word = tuple(names)
-        if not word:
-            raise GraphError("empty edge word; use vertex() for grading-zero paths")
-        for nm in word:
-            self.edge(nm)  # an unknown name fails here, alone or not
-        self._check_chain(word)
-        return Path(self, self._normal_word(word))
+        out = self._paths.get(word)
+        if out is None:
+            if not word:
+                raise GraphError("empty edge word; use vertex() for grading-zero paths")
+            for nm in word:
+                self.edge(nm)  # an unknown name fails here, alone or not
+            self._check_chain(self._encode(word))
+            out = self._paths[word] = Path(self, self._normal_word(word))
+        return out
 
-    def _check_chain(self, word):
-        source, target = self._source, self._target
-        for a, b in zip(word, word[1:]):
-            if source[a] != target[b]:
-                raise NotComposable(
-                    f"edges {a} and {b} do not chain: source {source[a]} != target {target[b]}")
+    # -- the int-coded kernel -----------------------------------------------------
 
-    def _coords(self, word) -> tuple:
-        """The shape coordinates of an edge word: its edge count per color."""
-        color, counts = self._color, [0] * self.rank
-        for name in word:
-            counts[color[name] - 1] += 1
+    def _encode(self, names) -> tuple:
+        return tuple(map(self._code.__getitem__, names))
+
+    def _decode(self, codes) -> tuple:
+        return tuple(map(self._names.__getitem__, codes))
+
+    def _shape_of(self, word) -> tuple:
+        """The shape coordinates of a code word: its edge count per color."""
+        color, counts = self._ecolor, [0] * self.rank
+        for a in word:
+            counts[color[a] - 1] += 1
         return tuple(counts)
 
-    def _sort_word(self, word, keys: list) -> tuple:
-        """Insertion-sort word by the int keys of its edges, one square move per swap.
+    def _check_chain(self, word):
+        """Raise NotComposable at the first adjacent pair of codes that does not chain."""
+        source, target = self._esource, self._etarget
+        for a, b in zip(word, word[1:]):
+            if source[a] != target[b]:
+                na, nb = self._names[a], self._names[b]
+                raise NotComposable(
+                    f"edges {na} and {nb} do not chain: source {source[a]} != target {target[b]}")
 
-        keys is a fresh list, one key per edge, sorted along in place.  An
-        adjacent pair (a, b) with key(a) > key(b) moves through _to_normal
-        when a has the higher color and through _to_anti when it has the
-        lower one; equal keys never swap.  A missing entry raises GraphError.
+    def _sort(self, word, keys: list) -> tuple:
+        """Insertion-sort a code word by int keys, one square move per swap.
+
+        keys is a fresh list, one key per edge, sorted along in place; equal
+        keys never swap.  A missing move raises GraphError naming the edges.
         """
-        color = self._color
-        w = list(word)
+        moves, n_edges, w = self._moves, len(self._names), list(word)
         for n in range(1, len(w)):
             p = n
             while p and keys[p - 1] > keys[p]:
                 a, b = w[p - 1], w[p]
-                ca, cb = color[a], color[b]
                 try:
-                    if ca > cb:
-                        w[p - 1], w[p] = self._to_normal[(cb, ca)][(a, b)]
-                    else:
-                        w[p - 1], w[p] = self._to_anti[(ca, cb)][(a, b)]
+                    w[p - 1], w[p] = moves[a * n_edges + b]
                 except KeyError:
+                    ca, cb = self._ecolor[a], self._ecolor[b]
                     kind = "square" if ca > cb else "inverse square"
-                    raise GraphError(f"no {kind} for word {a},{b} (colors {ca},{cb})") from None
+                    raise GraphError(f"no {kind} for word {self._names[a]},{self._names[b]} "
+                                     f"(colors {ca},{cb})") from None
                 keys[p - 1], keys[p] = keys[p], keys[p - 1]
                 p -= 1
         return tuple(w)
 
-    def _normal_word(self, word):
-        """Sort colors ascending by square moves; O(len^2) moves."""
-        color = self._color
-        out = self._sort_word(word, [color[nm] for nm in word])
-        self._check_chain(out)  # a square that breaks outer endpoints breaks the chain
+    def _pass(self, left, right) -> tuple:
+        """The sort of left + right, two nonempty normal code words, kept per graph.
+
+        When left starts with a higher color than right, this is a compose
+        pass and sorts by color; otherwise it is a split pass, and right's
+        edges move, one by one, ahead of all of left's.  The two kinds never
+        share a key, since their first colors compare the other way.
+        """
+        key = (left, right)
+        out = self._passes.get(key)
+        if out is None:
+            color = self._ecolor
+            if color[left[0]] > color[right[0]]:
+                keys = [color[a] for a in left + right]
+            else:
+                keys = [1] * len(left) + [0] * len(right)
+            out = self._passes[key] = self._sort(left + right, keys)
         return out
+
+    def _join(self, p, q) -> tuple:
+        """The normal form of p + q for normal code words p and q, chain unchecked.
+
+        p's prefix of colors <= q's lowest and q's suffix of colors >= p's
+        highest never move, so only the pass between them is sorted.
+        """
+        color, starts = self._ecolor, self._starts
+        if not (p and q) or color[p[-1]] <= color[q[0]]:
+            return p + q
+        low = bisect_left(p, starts[color[q[0]] + 1])
+        high = bisect_left(q, starts[color[p[-1]]])
+        return p[:low] + self._pass(p[low:], q[:high]) + q[high:]
+
+    def _split(self, word, coords, grade):
+        """(head, tail) of a normal code word of shape coords, the head of shape grade.
+
+        None unless 0 <= grade <= coords.  Color by color, the first grade
+        edges of the color's block pass ahead of the tail gathered so far.
+        """
+        head, tail, pos = (), (), 0
+        for n, k in zip(coords, grade):
+            if not 0 <= k <= n:
+                return None
+            h = word[pos:pos + k]
+            if tail and h:
+                moved = self._pass(tail, h)
+                h, tail = moved[:k], moved[k:]
+            head += h
+            tail += word[pos + k:pos + n]
+            pos += n
+        return head, tail
+
+    def _normal(self, word) -> tuple:
+        """The normal form of a code word, chain unchecked: its edges sorted by color."""
+        return self._sort(word, [self._ecolor[a] for a in word])
+
+    def _normal_word(self, names) -> tuple:
+        """The normal form of an edge-name word, its chain checked."""
+        out = self._normal(self._encode(names))
+        self._check_chain(out)  # a square that breaks outer endpoints breaks the chain
+        return self._decode(out)
 
     # -- composition and factorization ------------------------------------------
 
@@ -298,23 +396,10 @@ class KGraph:
         return out
 
     def _split_word(self, word, coords: tuple) -> tuple[tuple, tuple]:
-        """The (head, rest) words of a normal word, head of shape coords <= its shape.
-
-        The first coords[j-1] color-j edges sort by key j, every other edge by
-        j + rank, so one sort moves the head to the front in normal form.
-        """
-        color, rank, left = self._color, self.rank, list(coords)
-        keys = []
-        for nm in word:
-            c = color[nm]
-            if left[c - 1]:
-                left[c - 1] -= 1
-                keys.append(c)
-            else:
-                keys.append(c + rank)
-        w = self._sort_word(word, keys)
-        n = sum(coords)
-        return w[:n], w[n:]
+        """The (head, rest) edge-name words of a normal word, head of shape coords <= its shape."""
+        codes = self._encode(word)
+        head, rest = self._split(codes, self._shape_of(codes), coords)
+        return self._decode(head), self._decode(rest)
 
     # -- enumeration --------------------------------------------------------------
 
@@ -449,24 +534,23 @@ class KGraph:
         Route a sorts the word whole; route b sorts its last two edges first.
         A missing square ends a route as None.
         """
-        color = self._color
-
         def route(word):
             try:
-                return self._sort_word(word, [color[nm] for nm in word])
+                return self._normal(word)
             except GraphError:
                 return None
 
+        code = self._code
         for (i, j, k) in itertools.combinations(range(1, self.rank + 1), 3):
             for ek in self._by_color[k]:
                 for ej in self._by_color_target.get((j, ek.source), ()):
                     for ei in self._by_color_target.get((i, ej.source), ()):
-                        w = (ek.name, ej.name, ei.name)  # colors k > j > i
+                        w = (code[ek.name], code[ej.name], code[ei.name])  # colors k > j > i
                         a = route(w)
                         b = route(w[1:])
                         b = b and route(w[:1] + b)
                         if a is None or b is None or a != b:
-                            return False, (w, a, b)
+                            return False, tuple(x and self._decode(x) for x in (w, a, b))
         return True, None
 
     # -- opposite -----------------------------------------------------------------
@@ -483,98 +567,6 @@ class KGraph:
                 table[(hi2, lo2)] = (lo, hi)
             squares[pair] = table
         return KGraph(self.rank, self.vertices, edges, squares, name=f"op({self.name})")
-
-
-_UNSET = object()  # a window dict's default where None is a stored answer
-
-
-class PathWindow:
-    """Int ids for the paths one check touches, with their compositions and splits.
-
-    A window serves one check and is then dropped; it binds to the graph of
-    the first path it interns and keeps nothing on the graph.  Path id i
-    has the normal word words[i], endpoints sources[i] and targets[i] and
-    shape coordinates coords[i]; a vertex path has the empty word.
-    compose and split run the graph's kernel (_normal_word, _split_word) once
-    per distinct input and keep the answer in dicts keyed by ids.  Unique
-    factorization makes both pure functions of the graph's tables, so a
-    defective table gives the same answer, or raises the same error, every
-    time it is asked.
-    """
-
-    def __init__(self):
-        self.graph = None
-        self._ids: dict = {}  # normal word, or vertex name for a vertex path -> id
-        self.words: list[tuple] = []
-        self.sources: list[str] = []
-        self.targets: list[str] = []
-        self.coords: list[tuple] = []
-        self._composed: dict[tuple, int | None] = {}  # (i, j) -> id of i·j
-        self._normalized: dict[tuple, int] = {}  # concatenated word -> id of its normal form
-        self._splits: dict[tuple, tuple | None] = {}  # (i, grade) -> (head id, tail id)
-
-    def intern(self, p: Path) -> int:
-        i = self._ids.get(p.word or p.base)
-        if i is not None and p.graph is self.graph:
-            return i
-        if self.graph is None:
-            self.graph = p.graph
-        elif p.graph is not self.graph:
-            raise GraphError("paths belong to a different graph")
-        return self._id(p.word, p.base, self.graph._coords(p.word))
-
-    def _id(self, word, vertex, coords):
-        """The id of a normal word of shape coords, or of the vertex path at vertex."""
-        key = word or vertex
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.words)
-            self.words.append(word)
-            self.sources.append(self.graph._source[word[-1]] if word else vertex)
-            self.targets.append(self.graph._target[word[0]] if word else vertex)
-            self.coords.append(coords)
-        return i
-
-    def path(self, i) -> Path:
-        word = self.words[i]
-        return Path(self.graph, word) if word else Path(self.graph, (), self.targets[i])
-
-    def compose(self, i, j):
-        """The id of path i · path j, or None when source(i) != target(j)."""
-        key = (i, j)
-        k = self._composed.get(key, _UNSET)
-        if k is not _UNSET:
-            return k
-        if self.sources[i] != self.targets[j]:
-            k = None
-        elif not self.words[i]:
-            k = j
-        elif not self.words[j]:
-            k = i
-        else:
-            word = self.words[i] + self.words[j]
-            k = self._normalized.get(word)
-            if k is None:  # two id pairs can spell the same word; normalize it once
-                k = self._normalized[word] = self._id(
-                    self.graph._normal_word(word), None,
-                    tuple(map(operator.add, self.coords[i], self.coords[j])))
-        self._composed[key] = k
-        return k
-
-    def split(self, i, grade: tuple):
-        """(head id, tail id) of path i with head of shape grade; None unless grade <= shape(i)."""
-        key = (i, grade)
-        out = self._splits.get(key, _UNSET)
-        if out is not _UNSET:
-            return out
-        out = None
-        rest_coords = tuple(map(operator.sub, self.coords[i], grade))
-        if min(grade) >= 0 and min(rest_coords) >= 0:
-            head, rest = self.graph._split_word(self.words[i], grade)
-            h = self._id(head, self.targets[i], grade)
-            out = (h, self._id(rest, self.sources[h], rest_coords))
-        self._splits[key] = out
-        return out
 
 
 # -- module-level op aliases -------------------------------------------------------

@@ -346,29 +346,38 @@ def test_window_evaluation_matches_the_reference(graph_family):
     as whole vectors, annihilations through the public factorize, and
     creations through act, in a window of their own.
 
-    The shared window keeps every composition and split it has made, across
-    all the operators evaluated in it; images whose shape leaves the bound are
-    interned too and must read back as the same paths.  operators_agree
-    keeps its public contract, (ok, checked, [(basis element, vector,
-    vector)]), and no Fock call leaves state on the graph.
+    Each operator maps the whole list of basis ids at once, to one image per
+    id: None for zero, an id for a single vector with coefficient 1, and an
+    {id: coefficient} dict otherwise.  The shared window keeps every
+    composition and split it has made, across all the operators evaluated
+    in it; images whose shape leaves the bound are interned too and must
+    read back as the same paths.  operators_agree keeps its public
+    contract, (ok, checked, [(basis element, vector, vector)]), and the
+    graph keeps nothing of a Fock call but its table of kernel passes.
     """
     rng = random.Random(2014)
     bound = Shape(2, 2)
     outside = {}  # graph -> compared images with a path whose shape leaves the bound
     for g in graph_family:
-        state = dict(vars(g))
         basis = fock_basis(g, bound)
         atoms = [op for e in g.edges for create in (left_creation, right_creation)
                  for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
+        # the reference fills the factorize memo; the window fills only the passes
+        state = {name: len(v) if isinstance(v, dict) else v for name, v in vars(g).items()
+                 if name not in ("_passes", "_factorizations")}
         win = fock.PathWindow()
-        ids = [fock._basis_id(win, b) for b in basis]
+        ids = win.ids(basis)
+        assert ids[0] == fock.VAC and win.ids(basis) is ids
         outside[g.name] = 0
         for _ in range(30):
             A = _random_operator(rng, atoms, 3)
-            image = A.on(win)
-            for b, i in zip(basis, ids):
+            images = A.on(win)(ids)
+            assert len(images) == len(basis)
+            for b, image in zip(basis, images):
                 want = _reference_act(A, b)
-                assert fock._vector_out(win, image(i)) == want, (g.name, A, b)
+                assert fock._vector_out(win, image) == want, (g.name, A, b)
+                if isinstance(image, dict):
+                    assert len(want) > 1 or set(want.values()) != {1}, (g.name, A, b)
                 outside[g.name] += any(x is not VACUUM and not x.shape <= bound for x in want)
 
         a = g.enumerate_paths(Shape(1, 0))[0]
@@ -380,52 +389,69 @@ def test_window_evaluation_matches_the_reference(graph_family):
             assert b in basis and all(x is VACUUM or isinstance(x, Path) for x in (*lv, *rv))
             assert (lv, rv) == (_reference_act(lhs, b), _reference_act(rhs, b))
         obstruction_report(g, a, a, algebra=diagonal_algebra(g, 2, Shape(1, 1)))
-        assert vars(g) == state, g.name
+        assert {name: len(v) if isinstance(v, dict) else v for name, v in vars(g).items()
+                if name not in ("_passes", "_factorizations")} == state, g.name
     # every path of the 1x1 grid has shape <= (1, 1); the loop graphs leave the bound
     assert [name for name, n in outside.items() if n] == ["free_abelian_2", "flip2x2"]
 
 
 def test_relation_work_counts_are_pinned(monkeypatch):
-    """Kernel work per relation report: each distinct input once, nothing kept.
+    """Kernel work per relation report: each distinct input once per window, each pass once per graph.
 
     A report evaluates every instance in one PathWindow, so the kernel
-    normalizes each distinct concatenated word once (a vertex operand needs
-    none) and splits each distinct (path, grade) once.  Flip R1 at (2,2)
-    asks for 4,704 compositions and 4,800 splits, 2,400 of each distinct;
-    R4 at (3,3) asks for 47,600 splits of 2,400 distinct (path, grade)
-    pairs: the terms of a range sum split each vector at the same grade.
-    "moves" counts square-table lookups, one per square move.  The second,
-    identical round repeats every count, so no work carries over between
-    calls, and the graph gains no state.
+    joins each distinct (path, path) composition once (a vertex operand
+    needs none) and splits each distinct (path, head grade) once.  Flip R1
+    at (2,2) asks for 4,704 compositions, 2,304 of them distinct and of two
+    edge words, and 4,800 splits, 2,400 distinct: a left strip and a right
+    one can ask for the same split.  R4 at (3,3) asks for 47,600 splits; the
+    terms of a range sum share one per vector, and 4,768 reach the kernel,
+    which answers None where the grade does not fit.  "_sort" counts the passes the graph sorts, and "moves" the
+    square moves they make: the second, identical round repeats every
+    window count, and finds every pass in the graph's table.
     """
     counts = {}
-    for name in ("_normal_word", "_split_word"):
+    for name in ("_join", "_split", "_sort"):
         def counted(*args, _name=name, _inner=getattr(KGraph, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _inner(*args)
         monkeypatch.setattr(KGraph, name, counted)
 
-    class CountedTable(dict):
+    class CountedMoves(dict):
         def __getitem__(self, key):
             counts["moves"] = counts.get("moves", 0) + 1
             return super().__getitem__(key)
 
     g = flip_graph()
-    for tables in (g._to_normal, g._to_anti):
-        for pair, table in tables.items():
-            tables[pair] = CountedTable(table)
-    state = dict(vars(g))
+    g._moves = CountedMoves(g._moves)
     expected = [
-        ("R1", (2, 2), 4802, {"_normal_word": 2144, "_split_word": 2400, "moves": 9800}),
-        ("commutation", (2, 2), 3136, {"_normal_word": 3184, "moves": 6084}),
-        ("R4", (3, 3), 6750, {"_normal_word": 1376, "_split_word": 2400, "moves": 7688}),
+        ("R1", (2, 2), 4802, {"_join": 2304, "_split": 2400}, {"_sort": 72, "moves": 200}),
+        ("commutation", (2, 2), 3136, {"_join": 3520}, {"_sort": 32, "moves": 96}),
+        ("R4", (3, 3), 6750, {"_join": 1952, "_split": 4768}, {"_sort": 288, "moves": 2016}),
     ]
-    for _ in range(2):
-        for name, bound, checked, work in expected:
+    for first in (True, False):
+        for name, bound, checked, work, passes in expected:
             counts.clear()
             report = verify_identity(g, name, bound)
-            assert (report.ok, report.checked, counts) == (True, checked, work), name
-    assert vars(g) == state
+            want = {**work, **passes} if first else work
+            assert (report.ok, report.checked, counts) == (True, checked, want), name
+    assert len(g._passes) == 72 + 32 + 288
+    assert not (g._paths or g._composites or g._factorizations or g._canonical_forms)
+
+
+def test_graph_keeps_only_its_pass_table():
+    """Every flip relation at (3,3) leaves the graph its kernel passes and nothing else.
+
+    The passes are the (left word, right word) pairs a join or a split
+    sorts: 456 of them on flip at (3,3), a few KiB.  Each report's
+    compositions, splits and ids live in its PathWindow and die with it.
+    """
+    g = flip_graph()
+    attributes = set(vars(g))
+    for name in RELATION_NAMES:
+        assert verify_identity(g, name, Shape(3, 3)).ok, name
+    assert set(vars(g)) == attributes
+    assert 0 < len(g._passes) <= 500
+    assert not (g._paths or g._composites or g._factorizations or g._canonical_forms)
 
 
 def test_product_applies_right_to_left(n2graph):
@@ -488,6 +514,28 @@ def test_catalog_failing_reports_are_pinned():
     for name in ("R2", "R3", "R4"):
         with pytest.raises(GraphError, match="no inverse square for word a0,b0"):
             verify_identity(g, name, (2, 2))
+
+
+def test_checks_stop_before_a_raising_vector_past_the_failures():
+    """A vector that raises after the CAP+1st failure is never evaluated.
+
+    On this table (b1,a0 has no square) the isometry of b0 fails at a1, then
+    at a1/b0 and a1/b1 and a fourth vector, and only later reaches a word
+    whose normal form needs the missing square.  Checked vector by vector,
+    the check stops at the fourth failure and reports; the pinned figures
+    are the per-vector answer.
+    """
+    g = single_vertex_graph([2, 2], {(1, 2): {
+        ("b0", "a0"): ("a1", "b0"), ("b0", "a1"): ("a1", "b1"), ("b1", "a1"): ("a1", "b1")}})
+    C = left_creation(g, g.path(["b0"]))
+    ok, checked, failures = operators_agree(
+        C.adjoint() * C, target_projection(g, "u"), fock_basis(g, Shape(2, 2)))
+    assert (ok, checked) == (False, 18)
+    assert [(b.display(), lv, {x.display(): c for x, c in rv.items()})
+            for b, lv, rv in failures] == [
+        ("a1", {}, {"a1": 1}), ("a1/b0", {}, {"a1/b0": 1}), ("a1/b1", {}, {"a1/b1": 1})]
+    with pytest.raises(GraphError, match="no square for word b1,a0"):
+        verify_identity(g, "R1", (2, 2))
 
 
 def test_level_complement_fixed_sets(n2graph):
@@ -660,7 +708,7 @@ def test_one_sided_pools_keep_their_vertex_projections():
 
 
 def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
-    # one compile of the mixed projection, in one window, then its image of each basis id
+    # one compile of the mixed projection, in one window, then its images of all basis ids at once
     algebra = diagonal_algebra(flip22, 2, Shape(2, 2))
     lam = flip22.enumerate_paths(Shape(1, 2))[0]
     windows, calls = [], []
@@ -669,13 +717,13 @@ def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
     def counted_on(op, win):
         windows.append(win)
         image = on(op, win)
-        return lambda i: calls.append(VACUUM if i == fock.VAC else win.path(i)) or image(i)
+        return lambda xs: calls.append([win.element(x) for x in xs]) or image(xs)
 
     monkeypatch.setattr(Product, "on", counted_on)
     monkeypatch.setattr(Product, "act", lambda op, b: pytest.fail("act per basis vector"))
     report = obstruction_report(flip22, lam, lam, algebra=algebra)
     assert len(windows) == 1 and isinstance(windows[0], fock.PathWindow)
-    assert calls == list(algebra.basis)
+    assert calls == [list(algebra.basis)]
     monkeypatch.undo()
     assert report.fixed_set == _fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
     assert sorted(map(repr, report.fixed_set)) == [

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import kgraphlab
+from kgraphlab import fock
 from kgraphlab.errors import GraphError, NotComposable, ShapeError
 from kgraphlab.kgraph import (
     Edge,
@@ -273,11 +274,36 @@ def test_memoized_questions_raise_every_time():
     assert not p.graph._factorizations
 
 
+def test_path_is_memoized_per_graph(monkeypatch):
+    """The same edge names give the same Path, normalized once; a bad word raises every time."""
+    normalized = []
+    inner = KGraph._normal_word
+    monkeypatch.setattr(KGraph, "_normal_word", lambda g, w: normalized.append(w) or inner(g, w))
+    g = flip_graph()
+    p = g.path(["b0", "a1"])
+    assert g.path(("b0", "a1")) is p and g.path(iter(["b0", "a1"])) is p
+    assert p.word == ("a0", "b1") and normalized == [("b0", "a1")]
+    grid = grid_graph((1, 1))
+    for graph, names, error in ((g, ["a0", "zz"], GraphError), (g, [], GraphError),
+                                (grid, ["a1.00", "a1.01"], NotComposable)):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as e:
+                graph.path(names)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+    assert list(g._paths) == [("b0", "a1")] and not grid._paths
+
+
 def test_rank3_sort_matches_reference_routes():
-    """Normalize and split give the reference words, or its error text, on partial tables.
+    """Every kernel route gives the reference words, or its error text, on partial tables.
 
     Seeded random rank-3 tables on one vertex with two loops per color: each
     color pair's squares are a random bijection with some entries dropped.
+    Normalize, KGraph.compose and a PathWindow's creations match the
+    leftmost rewriting of the concatenated words; split, factorize and a
+    window's left and right strips match pulling the head's edges to the
+    front.
     """
     rng = random.Random(17)
     names = {j: [f"{'abc'[j - 1]}{i}" for i in range(2)] for j in (1, 2, 3)}
@@ -295,11 +321,32 @@ def test_rank3_sort_matches_reference_routes():
             got = outcome(g._normal_word, w)
             assert got == outcome(leftmost_normal, g, w), w
             errors += isinstance(got, str)
-        for p in g.all_paths(Shape(1, 2, 1)):
+        paths = g.all_paths(Shape(1, 2, 1))
+        win = fock.PathWindow()
+
+        def word(i):
+            return () if i == fock.VAC else win.element(i).word
+
+        def created(a, b, left):
+            return word(win.creations(win.intern(a), [win.intern(b)], left)[0])
+
+        def stripped(p, m, left):
+            kept, rest = win.strips([win.intern(p)], m, left)[0]
+            return (g._decode(kept), word(rest)) if left else (word(rest), g._decode(kept))
+
+        for p, q in (rng.sample(paths, 2) for _ in range(60)):
+            want = outcome(leftmost_normal, g, p.word + q.word)
+            assert outcome(lambda: g.compose(p, q).word) == want, (p, q)
+            assert outcome(created, p, q, True) == outcome(created, q, p, False) == want, (p, q)
+            errors += isinstance(want, str)
+        for p in paths:
             for k in shapes_below(p.shape):
-                got = outcome(g._split_word, p.word, k.coords)
-                assert got == outcome(pull_split, g, p.word, k.coords), (p, k)
-                errors += isinstance(got, str)
+                want = outcome(pull_split, g, p.word, k.coords)
+                assert outcome(g._split_word, p.word, k.coords) == want, (p, k)
+                assert outcome(lambda: tuple(x.word for x in g.factorize(p, k))) == want, (p, k)
+                assert outcome(stripped, p, k.coords, True) == want, (p, k)
+                assert outcome(stripped, p, tuple(p.shape - k), False) == want, (p, k)
+                errors += isinstance(want, str)
     assert errors  # the dropped entries are met
 
 
