@@ -126,7 +126,7 @@ class RationalInfinitePath:
             raise ConfigError(
                 f"cycle shape {cycle.shape} must be strictly positive in every color"
             )
-        key = (prefix.word or prefix.base, cycle.word)
+        key = (prefix.codes or prefix.base, cycle.codes)
         canon = prefix.graph._canonical_forms.get(key)
         if canon is None:
             canon = prefix.graph._canonical_forms[key] = _canonical(prefix, cycle)
@@ -174,7 +174,7 @@ class RationalInfinitePath:
         return (self.prefix, self.cycle) == (other.prefix, other.cycle)
 
     def __hash__(self):
-        return hash((self.prefix.target, self.prefix.word, self.cycle.word))
+        return hash((self.prefix.target, self.prefix.codes, self.cycle.codes))
 
     def __repr__(self):
         return f"<{self.prefix.display()}|({self.cycle.display()})^inf>"

@@ -69,8 +69,9 @@ class PathWindow:
     vacuum is VAC; path id i has the graph's normal code word words[i] (see
     kgraph), endpoints sources[i] and targets[i] and shape coordinates
     coords[i]; a vertex path, which only an operator's own path can be, has
-    the empty word.  Lists of ids hold VAC, nonzero-shape path ids, and
-    None for zero.
+    the empty word.  A path is interned by its code word (Path.codes), a
+    vertex path by its vertex's name.  Lists of ids hold VAC, nonzero-shape
+    path ids, and None for zero.
 
     creations and strips run the graph's kernel (_join, _split) once per
     distinct composition (i, j) or split (id, head grade) and keep the
@@ -81,7 +82,7 @@ class PathWindow:
 
     def __init__(self):
         self.graph = None
-        self._ids: dict = {}  # normal code word, edge names, or vertex name -> id
+        self._ids: dict = {}  # normal code word, or vertex name -> id
         self.words: list[tuple] = []
         self.sources: list[str] = []
         self.targets: list[str] = []
@@ -98,14 +99,9 @@ class PathWindow:
             self.graph = b.graph
         elif b.graph is not self.graph:
             raise GraphError("paths belong to a different graph")
-        key = b.word or b.base  # edge names: a second key beside the code word
-        i = self._ids.get(key)
-        if i is None:
-            if b.word:
-                i = self._ids[key] = self._word_id(self.graph._encode(b.word))
-            else:
-                i = self._id(key, (), key, key, (0,) * self.graph.rank)
-        return i
+        if b.codes:
+            return self._word_id(b.codes)
+        return self._id(b.base, (), b.base, b.base, (0,) * self.graph.rank)
 
     def ids(self, basis) -> list:
         """The ids of a sequence of basis elements; the last sequence asked for is kept."""
@@ -133,12 +129,11 @@ class PathWindow:
         return i
 
     def element(self, i):
-        """The basis element of id i: VACUUM, or a Path in edge names."""
+        """The basis element of id i: VACUUM, or a Path."""
         if i == VAC:
             return VACUUM
         word = self.words[i]
-        return Path(self.graph, self.graph._decode(word)) if word else Path(
-            self.graph, (), self.targets[i])
+        return Path(self.graph, word) if word else Path(self.graph, (), self.targets[i])
 
     def creations(self, p, xs, left) -> list:
         """The images of ids xs under creation by path p: p·x on the left, x·p on the right.
@@ -166,9 +161,7 @@ class PathWindow:
         """The id of path i · path j, or None when source(i) != target(j)."""
         if self.sources[i] != self.targets[j]:
             return None
-        word = self.graph._join(self.words[i], self.words[j])
-        self.graph._check_chain(word)
-        return self._word_id(word)
+        return self._word_id(self.graph._join(self.words[i], self.words[j]))
 
     def strips(self, xs, m, left) -> list:
         """For each id x, the pair (kept word, rest id) with x = kept·rest on the left or
@@ -294,7 +287,7 @@ class Sum(FockOperator):
         parts, groups = [], {}  # parts: in term order, the terms that add as one
         for c, t in self.terms:
             last = t.factors[-1] if isinstance(t, Product) else t
-            if isinstance(last, PathOperator) and not last.create and last.path.word:
+            if isinstance(last, PathOperator) and not last.create and last.path.codes:
                 key = (last.path.shape.coords, last.left)
                 if key not in groups:
                     parts.append(groups.setdefault(key, []))

@@ -387,10 +387,6 @@ class ConvolutionElement:
                 clean[g] = v
         self._coeffs = clean
 
-    @classmethod
-    def indicator(cls, groupoid, element):
-        return cls(groupoid, {element: 1})
-
     def coeff(self, g) -> Fraction:
         return self._coeffs.get(g, Fraction(0))
 

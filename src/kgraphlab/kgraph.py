@@ -19,9 +19,11 @@ highest.  A split (_split) moves the head's edges of each color, block by
 block, ahead of the tail gathered so far.  Each such pass (left word, right
 word) is sorted once per graph and kept in a table that dies with the
 graph; it makes the same moves in the same order as sorting the whole
-word, so a defective table fails with the same edges named.  Path keeps
-edge names, and each graph answers path, compose and factorize once per
-distinct input (see KGraph).
+word, so a defective table fails with the same edges named.  A Path keeps
+its normal code word, and compose and factorize are _join and _split on
+it; edge names appear only at the edges of the API (KGraph.path,
+Path.word, the texts of errors and witnesses).  Each graph answers path,
+compose and factorize once per distinct input (see KGraph).
 """
 
 from __future__ import annotations
@@ -51,49 +53,57 @@ class Edge:
 class Path:
     """A composable edge word in normal form, or a single vertex (empty word).
 
-    Equality is word equality within the same graph object; the hash leaves
-    the graph out, so it does not depend on memory addresses.  Construct
-    through KGraph.vertex / KGraph.path / compose, never directly.
+    The word is kept as its graph's normal code word; word spells it in
+    edge names.  Equality is code-word equality within the same graph
+    object; the hash leaves the graph out, so it does not depend on memory
+    addresses.  Construct through KGraph.vertex / KGraph.path / compose,
+    never directly.
     """
 
     graph: "KGraph" = field(hash=False)
-    word: tuple[str, ...]
+    codes: tuple[int, ...]
     base: str | None = None  # vertex name, only for the empty word
 
     @cached_property
     def shape(self) -> Shape:
-        graph = self.graph
-        return Shape._make(graph._shape_of(graph._encode(self.word)))
+        return Shape._make(self.graph._shape_of(self.codes))
+
+    @property
+    def word(self) -> tuple[str, ...]:
+        """The edge names of the word, left to right."""
+        return self.graph._decode(self.codes)
 
     @property
     def is_vertex(self):
-        return not self.word
+        return not self.codes
 
     @property
     def target(self):
         """Vertex at the left (grading-zero) end."""
-        if not self.word:
+        if not self.codes:
             return self.base
-        return self.graph._target[self.word[0]]
+        return self.graph._etarget[self.codes[0]]
 
     @property
     def source(self):
         """Vertex at the right end."""
-        if not self.word:
+        if not self.codes:
             return self.base
-        return self.graph._source[self.word[-1]]
+        return self.graph._esource[self.codes[-1]]
 
     def __len__(self):
-        return len(self.word)
+        return len(self.codes)
 
     def display(self):
-        return self.base if not self.word else "/".join(self.word)
+        return self.base if not self.codes else "/".join(self.word)
 
     def __repr__(self):
         return f"<{self.display()}>"
 
     def sort_key(self):
-        return (tuple(self.shape.coords), self.word, self.base or "")
+        # codes number edges by color, then name, so within one shape they
+        # order normal words as their edge names do
+        return (tuple(self.shape.coords), self.codes, self.base or "")
 
 
 class KGraph:
@@ -114,12 +124,13 @@ class KGraph:
     when it has the lower.
 
     The graph memoizes its path questions in dicts that live and die with
-    it: path keyed by the edge names, compose by the two words, factorize by
-    the path's word (or vertex) and the grade's coordinates, the kernel's
-    passes by their two code words, and _canonical_forms, which only duality
-    fills, by (prefix word or vertex, cycle word).  A miss runs the kernel;
-    an error is raised, never stored.  A Fock check's PathWindow stays its
-    own: keeping every check's paths on the graph would grow peak memory.
+    it: path keyed by the edge names it is given, and every other memo by
+    code words: compose by the two words, factorize by the path's word (or
+    vertex) and the grade's coordinates, the kernel's passes by their two
+    words, and _canonical_forms, which only duality fills, by (prefix word
+    or vertex, cycle word).  A miss runs the kernel; an error is raised,
+    never stored.  A Fock check's PathWindow stays its own: keeping every
+    check's paths on the graph would grow peak memory.
     """
 
     def __init__(self, rank, vertices, edges, squares=None, name="graph"):
@@ -143,9 +154,6 @@ class KGraph:
             if e.source not in vset or e.target not in vset:
                 raise GraphError(f"edge {e.name!r} has unknown endpoint")
             self._edges[e.name] = e
-        # Path reads these by edge name
-        self._source = {nm: e.source for nm, e in self._edges.items()}
-        self._target = {nm: e.target for nm, e in self._edges.items()}
 
         self._by_color: dict[int, tuple[Edge, ...]] = {
             c: tuple(sorted((e for e in self._edges.values() if e.color == c),
@@ -247,14 +255,14 @@ class KGraph:
                 raise GraphError("empty edge word; use vertex() for grading-zero paths")
             for nm in word:
                 self.edge(nm)  # an unknown name fails here, alone or not
-            self._check_chain(self._encode(word))
-            out = self._paths[word] = Path(self, self._normal_word(word))
+            codes = tuple(map(self._code.__getitem__, word))
+            self._check_chain(codes)
+            codes = self._normal(codes)
+            self._check_chain(codes)  # a square that breaks outer endpoints breaks the chain
+            out = self._paths[word] = Path(self, codes)
         return out
 
     # -- the int-coded kernel -----------------------------------------------------
-
-    def _encode(self, names) -> tuple:
-        return tuple(map(self._code.__getitem__, names))
 
     def _decode(self, codes) -> tuple:
         return tuple(map(self._names.__getitem__, codes))
@@ -317,17 +325,20 @@ class KGraph:
         return out
 
     def _join(self, p, q) -> tuple:
-        """The normal form of p + q for normal code words p and q, chain unchecked.
+        """The normal form of p + q for normal code words p and q, its chain checked.
 
         p's prefix of colors <= q's lowest and q's suffix of colors >= p's
         highest never move, so only the pass between them is sorted.
         """
         color, starts = self._ecolor, self._starts
         if not (p and q) or color[p[-1]] <= color[q[0]]:
-            return p + q
-        low = bisect_left(p, starts[color[q[0]] + 1])
-        high = bisect_left(q, starts[color[p[-1]]])
-        return p[:low] + self._pass(p[low:], q[:high]) + q[high:]
+            word = p + q
+        else:
+            low = bisect_left(p, starts[color[q[0]] + 1])
+            high = bisect_left(q, starts[color[p[-1]]])
+            word = p[:low] + self._pass(p[low:], q[:high]) + q[high:]
+        self._check_chain(word)  # a square that breaks outer endpoints breaks the chain
+        return word
 
     def _split(self, word, coords, grade):
         """(head, tail) of a normal code word of shape coords, the head of shape grade.
@@ -352,12 +363,6 @@ class KGraph:
         """The normal form of a code word, chain unchecked: its edges sorted by color."""
         return self._sort(word, [self._ecolor[a] for a in word])
 
-    def _normal_word(self, names) -> tuple:
-        """The normal form of an edge-name word, its chain checked."""
-        out = self._normal(self._encode(names))
-        self._check_chain(out)  # a square that breaks outer endpoints breaks the chain
-        return self._decode(out)
-
     # -- composition and factorization ------------------------------------------
 
     def compose(self, p: Path, q: Path) -> Path:
@@ -366,14 +371,14 @@ class KGraph:
         if p.source != q.target:
             raise NotComposable(
                 f"cannot compose {p!r}·{q!r}: source {p.source} != target {q.target}")
-        if not p.word:
+        if not p.codes:
             return q
-        if not q.word:
+        if not q.codes:
             return p
-        key = (p.word, q.word)
+        key = (p.codes, q.codes)
         out = self._composites.get(key)
         if out is None:
-            out = self._composites[key] = Path(self, self._normal_word(p.word + q.word))
+            out = self._composites[key] = Path(self, self._join(*key))
         return out
 
     def factorize(self, p: Path, k: Shape) -> tuple[Path, Path]:
@@ -381,7 +386,7 @@ class KGraph:
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
         k = as_shape(k)
-        key = (p.word or p.base, k.coords)
+        key = (p.codes or p.base, k.coords)
         out = self._factorizations.get(key)
         if out is not None:
             return out
@@ -389,17 +394,11 @@ class KGraph:
             raise ShapeError(f"shape rank {len(k)} != graph rank {self.rank}")
         if not k <= p.shape:
             raise ShapeError(f"cannot factor {p!r} at {k}: not dominated by {p.shape}")
-        head, rest = self._split_word(p.word, k.coords)
+        head, rest = self._split(p.codes, p.shape.coords, k.coords)
         head_path = Path(self, head) if head else Path(self, (), p.target)
         tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
         out = self._factorizations[key] = (head_path, tail_path)
         return out
-
-    def _split_word(self, word, coords: tuple) -> tuple[tuple, tuple]:
-        """The (head, rest) edge-name words of a normal word, head of shape coords <= its shape."""
-        codes = self._encode(word)
-        head, rest = self._split(codes, self._shape_of(codes), coords)
-        return self._decode(head), self._decode(rest)
 
     # -- enumeration --------------------------------------------------------------
 
@@ -417,7 +416,7 @@ class KGraph:
             return [self.vertex(v) for v in sorted(self.vertices)
                     if (source is None or v == source) and (target is None or v == target)]
         schedule = [c for c in range(1, self.rank + 1) for _ in range(shape.coord(c))]
-        out: list[Path] = []
+        code, out = self._code, []
 
         def extend(word, cur):
             pos = len(word)
@@ -432,7 +431,7 @@ class KGraph:
                 anchor = cur if pos else target
                 candidates = self._by_color_target.get((color, anchor), ())
             for e in candidates:
-                word.append(e.name)
+                word.append(code[e.name])
                 extend(word, e.source)
                 word.pop()
 
@@ -489,8 +488,8 @@ class KGraph:
 
             bad_end = None
             for (hi, lo), (lo2, hi2) in table.items():
-                if (self._target[hi] != self._target[lo2]
-                        or self._source[lo] != self._source[hi2]):
+                eh, el, el2, eh2 = (self._edges[n] for n in (hi, lo, lo2, hi2))
+                if eh.target != el2.target or el.source != eh2.source:
                     bad_end = ((hi, lo), (lo2, hi2))
                     break
             checks.append(Check(f"square-endpoints[{i},{j}]", bad_end is None, witness=bad_end))

@@ -647,14 +647,14 @@ def test_zpoint_closure_work_is_pinned(monkeypatch):
         return call
 
     monkeypatch.setattr(duality, "_canonical", counted("_canonical", duality._canonical))
-    for name in ("_normal_word", "_split_word"):
+    for name in ("_normal", "_join", "_split"):
         monkeypatch.setattr(KGraph, name, counted(name, getattr(KGraph, name)))
     g = flip_graph()
     seed = ZPoint(g.path(("a0", "b0")), boundary_points(g)[0])
-    assert counts == {"_canonical": 4, "_normal_word": 5, "_split_word": 12}
+    assert counts == {"_canonical": 4, "_normal": 1, "_join": 4, "_split": 12}
     counts.clear()
     carrier = zpoint_system(g, [seed]).carrier
-    assert (len(carrier), counts) == (4, {"_canonical": 2, "_normal_word": 10, "_split_word": 12})
+    assert (len(carrier), counts) == (4, {"_canonical": 2, "_join": 10, "_split": 12})
     counts.clear()
     assert zpoint_system(g, [seed]).carrier == carrier
     assert counts == {}

@@ -497,17 +497,17 @@ def test_convolution_reproduces_matrix_multiplication():
         return tuple(tuple(f.coeff(elem[(i, j)]) for j in pts) for i in pts)
 
     for (a, b), (c, d) in itertools.product(elem, repeat=2):
-        f = ConvolutionElement.indicator(G, elem[(a, b)])
-        g = ConvolutionElement.indicator(G, elem[(c, d)])
+        f = ConvolutionElement(G, {elem[(a, b)]: 1})
+        g = ConvolutionElement(G, {elem[(c, d)]: 1})
         assert to_matrix(f * g) == matrix_oracle(unit_matrix(a, b), unit_matrix(c, d))
 
 
 def test_indicator_times_inverse_indicator(grid_groupoid):
     G = grid_groupoid
     g = G.element((2, 1), (2, 0), (0, 1))
-    f = ConvolutionElement.indicator(G, g)
-    finv = ConvolutionElement.indicator(G, G.inverse(g))
-    assert f * finv == ConvolutionElement.indicator(G, G.unit_at((2, 1)))
+    f = ConvolutionElement(G, {g: 1})
+    finv = ConvolutionElement(G, {G.inverse(g): 1})
+    assert f * finv == ConvolutionElement(G, {G.unit_at((2, 1)): 1})
     assert f.i_norm() == 1
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import kgraphlab
 from kgraphlab import fock
+from kgraphlab.duality import RationalInfinitePath, boundary_points
 from kgraphlab.errors import GraphError, NotComposable, ShapeError
 from kgraphlab.kgraph import (
     Edge,
@@ -140,7 +141,7 @@ def test_normal_form_confluence_flip(flip22, length):
         cls = rewrite_closure(flip22, w)
         normals = sorted_members(flip22, cls)
         assert len(normals) == 1
-        assert flip22._normal_word(w) == next(iter(normals))
+        assert flip22.path(w).word == next(iter(normals))
 
 
 @pytest.mark.parametrize("length", [2, 3, 4])
@@ -150,15 +151,15 @@ def test_normal_form_confluence_grid3(length):
         cls = rewrite_closure(g, w)
         normals = sorted_members(g, cls)
         assert len(normals) == 1
-        assert g._normal_word(w) == next(iter(normals))
+        assert g.path(w).word == next(iter(normals))
 
 
 def test_normal_form_idempotent_and_ascending(flip22):
     for w in all_raw_words(flip22, 3):
-        n = flip22._normal_word(w)
-        cols = [flip22.edge(x).color for x in n]
+        n = flip22.path(w)
+        cols = [flip22.edge(x).color for x in n.word]
         assert cols == sorted(cols)
-        assert flip22._normal_word(n) == n
+        assert flip22.path(n.word) == n
 
 
 # -- composition -----------------------------------------------------------------------
@@ -211,12 +212,12 @@ def test_factorize_matches_brute_force_and_is_unique(graph_family):
 
 
 def _kernel_answer(g, kind, p, arg):
-    """compose(p, arg) or factorize(p, arg) built afresh from the kernel."""
+    """compose(p, arg) by a whole-word sort, or factorize(p, arg) by a fresh split."""
     if kind == "compose":
-        if not (p.word and arg.word):
+        if not (p.codes and arg.codes):
             return arg if p.is_vertex else p
-        return Path(g, g._normal_word(p.word + arg.word))
-    head, tail = g._split_word(p.word, arg)
+        return Path(g, g._normal(p.codes + arg.codes))
+    head, tail = g._split(p.codes, p.shape.coords, arg)
     head = Path(g, head) if head else g.vertex(p.target)
     return head, Path(g, tail) if tail else g.vertex(head.source)
 
@@ -253,8 +254,7 @@ def test_memoized_answers_are_the_kernel_answers():
         ans = flip.compose(mine, flip.path([v]))
         op_ans = opposite.compose(theirs, opposite.path([v]))
         assert ans.graph is flip and op_ans.graph is opposite and ans != op_ans
-        assert ans.word == flip._normal_word((u, v))
-        assert op_ans.word == opposite._normal_word((u, v))
+        assert ans == flip.path((u, v)) and op_ans == opposite.path((u, v))
 
 
 def test_memoized_questions_raise_every_time():
@@ -277,8 +277,9 @@ def test_memoized_questions_raise_every_time():
 def test_path_is_memoized_per_graph(monkeypatch):
     """The same edge names give the same Path, normalized once; a bad word raises every time."""
     normalized = []
-    inner = KGraph._normal_word
-    monkeypatch.setattr(KGraph, "_normal_word", lambda g, w: normalized.append(w) or inner(g, w))
+    inner = KGraph._normal
+    monkeypatch.setattr(KGraph, "_normal",
+                        lambda g, w: normalized.append(g._decode(w)) or inner(g, w))
     g = flip_graph()
     p = g.path(["b0", "a1"])
     assert g.path(("b0", "a1")) is p and g.path(iter(["b0", "a1"])) is p
@@ -300,7 +301,7 @@ def test_rank3_sort_matches_reference_routes():
 
     Seeded random rank-3 tables on one vertex with two loops per color: each
     color pair's squares are a random bijection with some entries dropped.
-    Normalize, KGraph.compose and a PathWindow's creations match the
+    KGraph.path, KGraph.compose and a PathWindow's creations match the
     leftmost rewriting of the concatenated words; split, factorize and a
     window's left and right strips match pulling the head's edges to the
     front.
@@ -318,7 +319,7 @@ def test_rank3_sort_matches_reference_routes():
             tables[(i, j)] = {k: v for k, v in zip(anti, normal) if rng.random() > 0.15}
         g = KGraph(3, ["u"], edges, tables)
         for w in rng.sample(all_raw_words(g, 4), 60):
-            got = outcome(g._normal_word, w)
+            got = outcome(lambda: g.path(w).word)
             assert got == outcome(leftmost_normal, g, w), w
             errors += isinstance(got, str)
         paths = g.all_paths(Shape(1, 2, 1))
@@ -329,6 +330,9 @@ def test_rank3_sort_matches_reference_routes():
 
         def created(a, b, left):
             return word(win.creations(win.intern(a), [win.intern(b)], left)[0])
+
+        def split(p, grade):
+            return tuple(map(g._decode, g._split(p.codes, p.shape.coords, grade)))
 
         def stripped(p, m, left):
             kept, rest = win.strips([win.intern(p)], m, left)[0]
@@ -342,7 +346,7 @@ def test_rank3_sort_matches_reference_routes():
         for p in paths:
             for k in shapes_below(p.shape):
                 want = outcome(pull_split, g, p.word, k.coords)
-                assert outcome(g._split_word, p.word, k.coords) == want, (p, k)
+                assert outcome(split, p, k.coords) == want, (p, k)
                 assert outcome(lambda: tuple(x.word for x in g.factorize(p, k))) == want, (p, k)
                 assert outcome(stripped, p, k.coords, True) == want, (p, k)
                 assert outcome(stripped, p, tuple(p.shape - k), False) == want, (p, k)
@@ -585,6 +589,39 @@ def test_path_value_semantics(flip22):
     # ... while the hash leaves the graph out, so it is address independent
     assert hash(other.path(["a0"])) == hash(flip22.path(["a0"]))
     assert hash(other.vertex("u")) == hash(flip22.vertex("u"))
+
+
+def _names_by_key(p):
+    """The order the edge-name spelling gives a path: shape, then names, then vertex."""
+    return (tuple(p.shape.coords), p.word, p.base or "")
+
+
+def test_code_order_is_name_order(grid11, n2graph, flip22):
+    """Paths keep code words, but sort, compare and hash as their edge names do.
+
+    The first graph names its edges against their colors: color-1 loops
+    z0, z1 and color-2 loops a0, a1, with flip squares.
+    """
+    edges = [Edge(f"{c}{i}", color, "u", "u") for c, color in (("z", 1), ("a", 2))
+             for i in range(2)]
+    squares = {(1, 2): {(f"a{q}", f"z{p}"): (f"z{q}", f"a{p}")
+                        for q in range(2) for p in range(2)}}
+    names_against_colors = KGraph(2, ["u"], edges, squares, name="zflip")
+    for g in (names_against_colors, flip22, n2graph, grid11):
+        paths = g.all_paths((1, 1) if g is grid11 else (2, 2))
+        assert sorted(paths, key=Path.sort_key) == sorted(paths, key=_names_by_key), g.name
+        for p, q in itertools.product(paths, repeat=2):
+            assert (p == q) == (_names_by_key(p) == _names_by_key(q)), (p, q)
+        for p in paths:
+            again = g.path(p.word) if p.word else g.vertex(p.base)
+            assert again == p and hash(again) == hash(p), p
+        ys = boundary_points(g, prefix_cap=(1, 1), cycle_cap=(2, 1))
+        assert ys == sorted(ys, key=lambda y: (_names_by_key(y.prefix), _names_by_key(y.cycle)))
+        for y in ys:
+            prefix = g.path(y.prefix.word) if y.prefix.word else g.vertex(y.prefix.base)
+            again = RationalInfinitePath(prefix, g.path(y.cycle.word))
+            assert again == y and hash(again) == hash(y), y
+        assert bool(ys) != (g is grid11)
 
 
 def test_path_rejects_unknown_edge_names(flip22):

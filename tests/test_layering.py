@@ -66,6 +66,15 @@ def test_module_imports_have_no_cycle(trees):
             visit(name)
 
 
+def test_only_kgraph_converts_between_names_and_codes(trees):
+    """Edge names and code words meet in kgraph alone: no other module reads its conversions."""
+    conversions = {"_decode", "_code", "_names"}
+    readers = sorted((name, node.lineno) for name, tree in trees.items() if name != "kgraph"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr in conversions)
+    assert readers == []
+
+
 # definitions no code in src/ or bench/ names, each with its reason to stay
 _TESTS_ONLY = "only tests call it; give it a caller or drop it (ROADMAP: one record, no orphan code)"
 _DUALITY = "for the Λ/Λᵒᵖ duality groupoid's checks (ROADMAP); it goes if they never land"
@@ -75,7 +84,6 @@ UNCALLED = {
     "theta_untwist": _DUALITY,
     "two_sided_cocycle": _DUALITY,
     "fiber_lift_report": _TESTS_ONLY,
-    "indicator": _TESTS_ONLY,
     "star": _TESTS_ONLY,
 }
 
