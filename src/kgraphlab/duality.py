@@ -250,7 +250,7 @@ def boundary_subsystem(graph, prefix_cap: Shape | None = None, cycle_cap: Shape 
     """
     for v in graph.vertices:
         for j in range(1, graph.rank + 1):
-            if not graph.edges_into(v, j):
+            if not graph.enumerate_paths(Shape.unit(graph.rank, j), target=v):
                 raise ConfigError(f"vertex {v} of {graph.name} receives no color-{j} edge; "
                                   "its boundary would contain finite paths")
     pts = boundary_points(graph, prefix_cap=prefix_cap, cycle_cap=cycle_cap)

@@ -402,26 +402,12 @@ class ConvolutionElement:
             return NotImplemented
         return self.groupoid is other.groupoid and self._coeffs == other._coeffs
 
-    def _merge(self, other, sign):
-        out = dict(self._coeffs)
-        for g, v in other._coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + sign * v
-        return ConvolutionElement(self.groupoid, out)
-
     def __add__(self, other):
         self._same_groupoid(other)
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        self._same_groupoid(other)
-        return self._merge(other, -1)
-
-    def scale(self, q) -> "ConvolutionElement":
-        q = Fraction(q)
-        return ConvolutionElement(self.groupoid, {g: q * v for g, v in self._coeffs.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
+        out = dict(self._coeffs)
+        for g, v in other._coeffs.items():
+            out[g] = out.get(g, Fraction(0)) + v
+        return ConvolutionElement(self.groupoid, out)
 
     def _same_groupoid(self, other):
         if not isinstance(other, ConvolutionElement) or other.groupoid is not self.groupoid:

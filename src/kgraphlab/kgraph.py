@@ -9,10 +9,12 @@ Every path is stored in its normal form, the unique word whose colors ascend
 left to right.
 
 The kernel works on int-coded words: each graph numbers its edges once, by
-color and then name, and keeps its square tables as one flat map from a
-code pair to the pair it moves to.  One square-move sort, _sort, rewrites
-each adjacent out-of-order pair through that map; _normal sorts a whole word
-by color.  Two normal words join by sorting only where they meet (_join):
+color and then name, and its working copy of the edges and squares is in
+code form: per-code endpoints, the codes into each (color, vertex), and one
+flat map from a code pair to the pair a square moves it to.  One
+square-move sort, _sort, rewrites each adjacent out-of-order pair through
+that map, and a move must keep the pair's outer endpoints, so a chain stays
+a chain; _normal sorts a whole word by color.  Two normal words join by sorting only where they meet (_join):
 sort(p + q) = p_low + sort(p_high + q_low) + q_high, where p_low is p's
 prefix of colors <= q's lowest and q_high is q's suffix of colors >= p's
 highest.  A split (_split) moves the head's edges of each color, block by
@@ -118,10 +120,13 @@ class KGraph:
 
     The kernel's edge codes: edge e's code is its index in _names, which
     lists the edges by color, then name, so the codes of color c run from
-    _starts[c] up to _starts[c + 1].  _moves maps a * E + b, for codes a, b
-    and E edges, to the code pair a square move turns (a, b) into: the
-    table's normal word when a has the higher color, the anti-normal one
-    when it has the lower.
+    _starts[c] up to _starts[c + 1], and _into maps (color, vertex) to the
+    ascending codes of that color with that target.  _moves maps a * E + b,
+    for codes a, b and E edges, to the code pair a square move turns (a, b)
+    into: the table's normal word when a has the higher color, the
+    anti-normal one when it has the lower.  The kernel, enumeration and
+    validate's census read these; _to_normal keeps the tables as given, by
+    edge name, for validate's witnesses and opposite.
 
     The graph memoizes its path questions in dicts that live and die with
     it: path keyed by the edge names it is given, and every other memo by
@@ -155,36 +160,24 @@ class KGraph:
                 raise GraphError(f"edge {e.name!r} has unknown endpoint")
             self._edges[e.name] = e
 
-        self._by_color: dict[int, tuple[Edge, ...]] = {
-            c: tuple(sorted((e for e in self._edges.values() if e.color == c),
-                            key=lambda e: e.name))
-            for c in range(1, rank + 1)
-        }
-        self._by_color_target: dict[tuple[int, str], tuple[Edge, ...]] = {}
-        for c in range(1, rank + 1):
-            for e in self._by_color[c]:
-                self._by_color_target.setdefault((c, e.target), ())
-                self._by_color_target[(c, e.target)] += (e,)
-
         # the kernel's edge codes, and what it reads by code
-        coded = [e for c in range(1, rank + 1) for e in self._by_color[c]]
+        coded = sorted(self._edges.values(), key=lambda e: (e.color, e.name))
         self._names = tuple(e.name for e in coded)
         self._code = {nm: a for a, nm in enumerate(self._names)}
         self._ecolor = tuple(e.color for e in coded)
         self._esource = tuple(e.source for e in coded)
         self._etarget = tuple(e.target for e in coded)
         self._starts = [bisect_left(self._ecolor, c) for c in range(rank + 2)]
+        self._into: dict[tuple[int, str], list[int]] = {}
+        for a, key in enumerate(zip(self._ecolor, self._etarget)):
+            self._into.setdefault(key, []).append(a)
 
-        # square tables, the inverse direction of each, and both as one flat
-        # code map for the kernel
-        self._to_normal: dict[tuple[int, int], dict] = {}
-        self._to_anti: dict[tuple[int, int], dict] = {}
-        squares = squares or {}
-        for pair, table in squares.items():
+        self._to_normal: dict[tuple[int, int], dict] = {
+            pair: {} for pair in itertools.combinations(range(1, rank + 1), 2)}
+        for pair, table in (squares or {}).items():
             i, j = pair
             if not (1 <= i < j <= rank):
                 raise GraphError(f"square table pair {pair!r} must have 1 <= i < j <= rank")
-            fwd, inv = {}, {}
             for (hi, lo), (lo2, hi2) in table.items():
                 for nm in (hi, lo, lo2, hi2):
                     if nm not in self._edges:
@@ -197,19 +190,13 @@ class KGraph:
                     raise GraphError(f"square key {hi},{lo} is not composable")
                 if el2.source != eh2.target:
                     raise GraphError(f"square value {lo2},{hi2} is not composable")
-                fwd[(hi, lo)] = (lo2, hi2)
-                # collisions land in inv as overwrites; validate() reports them
-                inv[(lo2, hi2)] = (hi, lo)
-            self._to_normal[pair] = fwd
-            self._to_anti[pair] = inv
-
-        for pair in itertools.combinations(range(1, rank + 1), 2):
-            self._to_normal.setdefault(pair, {})
-            self._to_anti.setdefault(pair, {})
+            self._to_normal[pair] = dict(table)
+        # both directions of every square as one flat code map; when two keys
+        # share a value, the later one's inverse overwrites (validate() reports it)
         code, n_edges = self._code, len(self._names)
         self._moves = {code[a] * n_edges + code[b]: (code[c], code[d])
-                       for tables in (self._to_normal, self._to_anti)
-                       for table in tables.values() for (a, b), (c, d) in table.items()}
+                       for table in self._to_normal.values() for key, val in table.items()
+                       for (a, b), (c, d) in ((key, val), (val, key))}
         self._paths: dict[tuple, Path] = {}
         self._composites: dict[tuple, Path] = {}
         self._factorizations: dict[tuple, tuple[Path, Path]] = {}
@@ -227,10 +214,6 @@ class KGraph:
     @property
     def edges(self):
         return tuple(self._edges.values())
-
-    def edges_into(self, vertex, color):
-        """Edges of the given color whose target is vertex."""
-        return self._by_color_target.get((color, vertex), ())
 
     def __repr__(self):
         return (f"KGraph({self.name}: rank {self.rank}, {len(self.vertices)} vertices, "
@@ -257,9 +240,7 @@ class KGraph:
                 self.edge(nm)  # an unknown name fails here, alone or not
             codes = tuple(map(self._code.__getitem__, word))
             self._check_chain(codes)
-            codes = self._normal(codes)
-            self._check_chain(codes)  # a square that breaks outer endpoints breaks the chain
-            out = self._paths[word] = Path(self, codes)
+            out = self._paths[word] = Path(self, self._normal(codes))
         return out
 
     # -- the int-coded kernel -----------------------------------------------------
@@ -287,23 +268,40 @@ class KGraph:
         """Insertion-sort a code word by int keys, one square move per swap.
 
         keys is a fresh list, one key per edge, sorted along in place; equal
-        keys never swap.  A missing move raises GraphError naming the edges.
+        keys never swap.  A move (a, b) -> (c, d) must keep the pair's outer
+        endpoints: target(c) = target(a) and source(d) = source(b).  The
+        constructor admits only squares whose two sides chain, so every move
+        that keeps them turns a chain into a chain.  A missing move raises
+        GraphError naming the edges, one that moves an endpoint
+        NotComposable naming the square.
         """
         moves, n_edges, w = self._moves, len(self._names), list(word)
+        source, target = self._esource, self._etarget
         for n in range(1, len(w)):
             p = n
             while p and keys[p - 1] > keys[p]:
                 a, b = w[p - 1], w[p]
                 try:
-                    w[p - 1], w[p] = moves[a * n_edges + b]
+                    move = moves[a * n_edges + b]
                 except KeyError:
-                    ca, cb = self._ecolor[a], self._ecolor[b]
-                    kind = "square" if ca > cb else "inverse square"
-                    raise GraphError(f"no {kind} for word {self._names[a]},{self._names[b]} "
-                                     f"(colors {ca},{cb})") from None
+                    raise self._bad_move(a, b, None) from None
+                if target[move[0]] != target[a] or source[move[1]] != source[b]:
+                    raise self._bad_move(a, b, move)
+                w[p - 1], w[p] = move
                 keys[p - 1], keys[p] = keys[p], keys[p - 1]
                 p -= 1
         return tuple(w)
+
+    def _bad_move(self, a, b, move) -> GraphError:
+        """The error for the move of codes a, b: missing (move None), or moving an endpoint."""
+        names, ca, cb = self._names, self._ecolor[a], self._ecolor[b]
+        kind = "square" if ca > cb else "inverse square"
+        if move is None:
+            return GraphError(f"no {kind} for word {names[a]},{names[b]} (colors {ca},{cb})")
+        c, d = move
+        return NotComposable(
+            f"{kind} {names[a]},{names[b]} -> {names[c]},{names[d]} moves the outer endpoints "
+            f"{self._etarget[a]},{self._esource[b]} to {self._etarget[c]},{self._esource[d]}")
 
     def _pass(self, left, right) -> tuple:
         """The sort of left + right, two nonempty normal code words, kept per graph.
@@ -325,20 +323,18 @@ class KGraph:
         return out
 
     def _join(self, p, q) -> tuple:
-        """The normal form of p + q for normal code words p and q, its chain checked.
+        """The normal form of p + q for normal code words p and q that chain.
 
         p's prefix of colors <= q's lowest and q's suffix of colors >= p's
-        highest never move, so only the pass between them is sorted.
+        highest never move, so only the pass between them is sorted; its
+        moves keep their outer endpoints (_sort), so the result chains.
         """
         color, starts = self._ecolor, self._starts
         if not (p and q) or color[p[-1]] <= color[q[0]]:
-            word = p + q
-        else:
-            low = bisect_left(p, starts[color[q[0]] + 1])
-            high = bisect_left(q, starts[color[p[-1]]])
-            word = p[:low] + self._pass(p[low:], q[:high]) + q[high:]
-        self._check_chain(word)  # a square that breaks outer endpoints breaks the chain
-        return word
+            return p + q
+        low = bisect_left(p, starts[color[q[0]] + 1])
+        high = bisect_left(q, starts[color[p[-1]]])
+        return p[:low] + self._pass(p[low:], q[:high]) + q[high:]
 
     def _split(self, word, coords, grade):
         """(head, tail) of a normal code word of shape coords, the head of shape grade.
@@ -407,7 +403,8 @@ class KGraph:
 
         Normal words are generated directly: colors ascend along a fixed
         schedule and each next edge must target the current right-end vertex.
-        Deterministic order (edges sorted by name, vertices by name).
+        Deterministic order (edges by code, that is by name within a color;
+        vertices by name).
         """
         shape = as_shape(shape)
         if len(shape) != self.rank:
@@ -416,26 +413,21 @@ class KGraph:
             return [self.vertex(v) for v in sorted(self.vertices)
                     if (source is None or v == source) and (target is None or v == target)]
         schedule = [c for c in range(1, self.rank + 1) for _ in range(shape.coord(c))]
-        code, out = self._code, []
+        starts, into, esource, out = self._starts, self._into, self._esource, []
 
-        def extend(word, cur):
-            pos = len(word)
-            if pos == len(schedule):
-                if source is None or cur == source:
+        def extend(word, candidates):
+            pos = len(word) + 1
+            for a in candidates:
+                word.append(a)
+                if pos < len(schedule):
+                    extend(word, into.get((schedule[pos], esource[a]), ()))
+                elif source is None or esource[a] == source:
                     out.append(Path(self, tuple(word)))
-                return
-            color = schedule[pos]
-            if pos == 0 and target is None:
-                candidates = self._by_color[color]
-            else:
-                anchor = cur if pos else target
-                candidates = self._by_color_target.get((color, anchor), ())
-            for e in candidates:
-                word.append(code[e.name])
-                extend(word, e.source)
                 word.pop()
 
-        extend([], None)
+        first = schedule[0]
+        extend([], range(starts[first], starts[first + 1]) if target is None
+               else into.get((first, target), ()))
         return out
 
     def all_paths(self, bound: Shape) -> list[Path]:
@@ -458,20 +450,21 @@ class KGraph:
         morphisms carries the path count.
         """
         checks = []
+        starts, into, esource = self._starts, self._into, self._esource
+        moves, n_edges = self._moves, len(self._names)
 
         # square totality / bijectivity / endpoint preservation per color pair
         for (i, j) in itertools.combinations(range(1, self.rank + 1), 2):
             table = self._to_normal[(i, j)]
-            anti_pairs = set()
-            for hi in self._by_color[j]:
-                for lo in self._by_color_target.get((i, hi.source), ()):
-                    anti_pairs.add((hi.name, lo.name))
-            normal_pairs = set()
-            for lo in self._by_color[i]:
-                for hi in self._by_color_target.get((j, lo.source), ()):
-                    normal_pairs.add((lo.name, hi.name))
+            anti_pairs = [(hi, lo) for hi in range(starts[j], starts[j + 1])
+                          for lo in into.get((i, esource[hi]), ())]
+            normal_pairs = [(lo, hi) for lo in range(starts[i], starts[i + 1])
+                            for hi in into.get((j, esource[lo]), ())]
 
-            missing = sorted(anti_pairs - set(table))
+            # an anti-normal pair is a key of the table, a normal pair a value,
+            # exactly when it has a move
+            missing = sorted(self._decode(w) for w in anti_pairs
+                             if w[0] * n_edges + w[1] not in moves)
             checks.append(Check(f"square-totality[{i},{j}]", not missing,
                                 witness=tuple(missing[:CAP]) or None))
 
@@ -481,7 +474,8 @@ class KGraph:
                 if val in seen and collision is None:
                     collision = (seen[val], key, val)
                 seen[val] = key
-            not_covered = sorted(normal_pairs - set(table.values()))
+            not_covered = sorted(self._decode(w) for w in normal_pairs
+                                 if w[0] * n_edges + w[1] not in moves)
             checks.append(Check(
                 f"square-bijectivity[{i},{j}]", collision is None and not not_covered,
                 witness=collision or tuple(not_covered[:CAP]) or None))
@@ -531,7 +525,8 @@ class KGraph:
         """Compare the two square-move routes on every 3-color descending word.
 
         Route a sorts the word whole; route b sorts its last two edges first.
-        A missing square ends a route as None.
+        A missing square, or one that moves its pair's outer endpoints, ends a
+        route as None.
         """
         def route(word):
             try:
@@ -539,12 +534,12 @@ class KGraph:
             except GraphError:
                 return None
 
-        code = self._code
+        starts, into, esource = self._starts, self._into, self._esource
         for (i, j, k) in itertools.combinations(range(1, self.rank + 1), 3):
-            for ek in self._by_color[k]:
-                for ej in self._by_color_target.get((j, ek.source), ()):
-                    for ei in self._by_color_target.get((i, ej.source), ()):
-                        w = (code[ek.name], code[ej.name], code[ei.name])  # colors k > j > i
+            for ek in range(starts[k], starts[k + 1]):
+                for ej in into.get((j, esource[ek]), ()):
+                    for ei in into.get((i, esource[ej]), ()):
+                        w = (ek, ej, ei)  # colors k > j > i
                         a = route(w)
                         b = route(w[1:])
                         b = b and route(w[:1] + b)
@@ -557,14 +552,10 @@ class KGraph:
     def opposite(self) -> "KGraph":
         """Edge-reversed graph; same names, transported squares.  Involutive."""
         edges = [Edge(e.name, e.color, e.target, e.source) for e in self._edges.values()]
-        squares = {}
-        for pair, inv in self._to_anti.items():
-            table = {}
-            for (lo2, hi2), (hi, lo) in inv.items():
-                # in the reversed graph the word (hi2, lo2) is anti-normal and
-                # equals (lo, hi) there
-                table[(hi2, lo2)] = (lo, hi)
-            squares[pair] = table
+        # in the reversed graph the word (hi2, lo2) is anti-normal and equals
+        # (lo, hi) there; when two keys share a value, the later one wins
+        squares = {pair: {(hi2, lo2): (lo, hi) for (hi, lo), (lo2, hi2) in table.items()}
+                   for pair, table in self._to_normal.items()}
         return KGraph(self.rank, self.vertices, edges, squares, name=f"op({self.name})")
 
 

@@ -106,6 +106,13 @@ def test_element_returns_the_stored_arrow(identity_groupoid):
         assert found is g and found.witness == g.witness
 
 
+def test_element_outside_the_window_gets_a_searched_witness():
+    G = build_semidirect(grid_system(1, 5), Shape(1))
+    g = G.element((3,), (2,), (1,))
+    assert g not in G.elements and (g.x, g.z, g.y) == ((3,), (2,), (1,))
+    assert g.witness == (Shape(2), Shape(0))  # T^2 3 = 1 = T^0 1, past the bound 1
+
+
 def raw_power(system, m, x):
     """T^m x by stepping the generator tables one at a time; None where undefined."""
     for T, count in zip(system.generators, m):

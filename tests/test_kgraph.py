@@ -31,6 +31,11 @@ from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 # -- independent oracles -----------------------------------------------------------
 
 
+def inverse(table):
+    """A square table read backwards; when two keys share a value, the later one wins."""
+    return {val: key for key, val in table.items()}
+
+
 def rewrite_closure(g, word):
     """All edge words reachable from `word` by square moves, by brute-force BFS."""
     seen = {tuple(word)}
@@ -42,7 +47,7 @@ def rewrite_closure(g, word):
             if ca > cb:
                 table = g._to_normal[(cb, ca)]
             elif ca < cb:
-                table = g._to_anti[(ca, cb)]
+                table = inverse(g._to_normal[(ca, cb)])
             else:
                 continue
             if (w[p], w[p + 1]) not in table:
@@ -82,8 +87,17 @@ def all_raw_words(g, length):
     return out
 
 
-def leftmost_normal(g, word):
-    """Reference normal form: rewrite the leftmost color-descending pair until none is left."""
+def moves_endpoints(g, before, after):
+    """Whether a square move from the pair before to the pair after moves its outer endpoints."""
+    return (g.edge(before[0]).target, g.edge(before[1]).source) != \
+        (g.edge(after[0]).target, g.edge(after[1]).source)
+
+
+def leftmost_normal(g, word, broke=None):
+    """Reference normal form: rewrite the leftmost color-descending pair until none is left.
+
+    Appends to broke, when given, each move that moves its pair's outer endpoints.
+    """
     w = list(word)
     while True:
         cols = [g.edge(nm).color for nm in w]
@@ -93,21 +107,29 @@ def leftmost_normal(g, word):
         table = g._to_normal[(cols[p + 1], cols[p])]
         if (w[p], w[p + 1]) not in table:
             raise GraphError(f"no square for word {w[p]},{w[p+1]} (colors {cols[p]},{cols[p+1]})")
+        if broke is not None and moves_endpoints(g, w[p:p + 2], table[(w[p], w[p + 1])]):
+            broke.append((w[p], w[p + 1]))
         w[p], w[p + 1] = table[(w[p], w[p + 1])]
 
 
-def pull_split(g, word, coords):
-    """Reference split of a normal word: pull each head edge to the front, lowest color first."""
+def pull_split(g, word, coords, broke=None):
+    """Reference split of a normal word: pull each head edge to the front, lowest color first.
+
+    Appends to broke, when given, each move that moves its pair's outer endpoints.
+    """
     head, rest = [], list(word)
     for j, n in enumerate(coords, 1):
         for _ in range(n):
             idx = next(idx for idx, nm in enumerate(rest) if g.edge(nm).color == j)
             for p in range(idx, 0, -1):
                 lo_c = g.edge(rest[p - 1]).color
-                table = g._to_anti[(lo_c, j)]
+                table = inverse(g._to_normal[(lo_c, j)])
                 if (rest[p - 1], rest[p]) not in table:
                     raise GraphError(
                         f"no inverse square for word {rest[p-1]},{rest[p]} (colors {lo_c},{j})")
+                if broke is not None and moves_endpoints(g, rest[p - 1:p + 1],
+                                                         table[(rest[p - 1], rest[p])]):
+                    broke.append((rest[p - 1], rest[p]))
                 rest[p - 1], rest[p] = table[(rest[p - 1], rest[p])]
             head.append(rest.pop(0))
     return tuple(head), tuple(rest)
@@ -473,15 +495,101 @@ def test_validate_reports_missing_square():
 
 
 def test_square_breaking_outer_endpoints_is_caught_when_normalizing():
-    # b.a at u is sent to c.d at v: each side chains, the outer endpoints do not,
-    # so a word through the square normalizes to one that does not chain
+    # b.a at u is sent to c.d at v: each side chains, the outer endpoints do
+    # not, so the move that would take x.b.a to x.c.d raises
     edges = [Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"), Edge("c", 1, "v", "v"),
              Edge("d", 2, "v", "v"), Edge("x", 1, "u", "v")]
     g = KGraph(2, ["u", "v"], edges, {(1, 2): {("b", "a"): ("c", "d")}})
     ends = next(c for c in g.validate().checks if c.name == "square-endpoints[1,2]")
     assert not ends.ok and ends.witness == (("b", "a"), ("c", "d"))
-    with pytest.raises(NotComposable, match="edges x and c do not chain"):
+    with pytest.raises(NotComposable,
+                       match="^square b,a -> c,d moves the outer endpoints u,u to v,v$"):
         g.path(["x", "b", "a"])
+
+
+def test_squares_that_move_endpoints_raise_at_the_move():
+    """Loops a, b at u and c, d at v, with squares b.a -> c.d and d.c -> a.b.
+
+    Every route through either square raises NotComposable naming it:
+    compose, path, factorize and a PathWindow's creations and strips.
+    """
+    edges = [Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"),
+             Edge("c", 1, "v", "v"), Edge("d", 2, "v", "v")]
+    g = KGraph(2, ["u", "v"], edges, {(1, 2): {("b", "a"): ("c", "d"), ("d", "c"): ("a", "b")}})
+    a, b, ab = g.path(["a"]), g.path(["b"]), g.path(["a", "b"])
+    square = "^square b,a -> c,d moves the outer endpoints u,u to v,v$"
+    inverse_square = "^inverse square a,b -> d,c moves the outer endpoints u,u to v,v$"
+    win = fock.PathWindow()
+    for route, message in [
+        (lambda: g.compose(b, a), square),
+        (lambda: g.path(("b", "a")), square),
+        (lambda: g.factorize(ab, (0, 1)), inverse_square),
+        (lambda: win.creations(win.intern(b), [win.intern(a)], True), square),
+        (lambda: win.creations(win.intern(a), [win.intern(b)], False), square),
+        (lambda: win.strips([win.intern(ab)], (0, 1), True), inverse_square),
+        (lambda: win.strips([win.intern(ab)], (1, 0), False), inverse_square),
+    ]:
+        with pytest.raises(NotComposable, match=message):
+            route()
+    assert g.factorize(ab, (1, 0)) == (a, b)  # no move, so no error
+
+
+def kernel_against_reference(kernel, reference, *args):
+    """Whether the reference made a move that moves its pair's outer endpoints.
+
+    The kernel must raise NotComposable naming the first such move exactly
+    when there was one, and give the reference's word or error text otherwise.
+    """
+    broke = []
+    want = outcome(reference, *args, broke)
+    if not broke:
+        assert outcome(kernel) == want, args
+        return False
+    with pytest.raises(NotComposable, match=f"square {broke[0][0]},{broke[0][1]} -> "):
+        kernel()
+    return True
+
+
+def test_endpoint_moves_raise_exactly_when_the_reference_makes_one():
+    """Seeded random rank-2 tables on two vertices, with squares that move endpoints.
+
+    Three edges per color get random endpoints in u, v; each chaining
+    anti-normal word is paired with a distinct chaining normal word, one
+    that keeps its outer endpoints when the draw says so and one is left,
+    so some entries move endpoints and some are missing.  KGraph.path,
+    compose and factorize raise NotComposable exactly when the leftmost
+    rewriting or the pull-front split makes an endpoint-moving move.
+    """
+    rng = random.Random(24)
+    seen = {False: 0, True: 0}
+    for _ in range(30):
+        edges = [Edge(f"{'ab'[j - 1]}{i}", j, rng.choice("uv"), rng.choice("uv"))
+                 for j in (1, 2) for i in range(3)]
+        g = KGraph(2, ["u", "v"], edges)
+        words = all_raw_words(g, 2)
+        anti = [w for w in words if g.edge(w[0]).color == 2 and g.edge(w[1]).color == 1]
+        normal = [w for w in words if g.edge(w[0]).color == 1 and g.edge(w[1]).color == 2]
+        rng.shuffle(normal)
+        table = {}
+        for key in anti:
+            keep = [w for w in normal if not moves_endpoints(g, key, w)]
+            pool = keep if keep and rng.random() < 0.7 else normal
+            if pool:
+                table[key] = pool[0]
+                normal.remove(pool[0])
+        g = KGraph(2, ["u", "v"], edges, {(1, 2): table})
+        for w in rng.sample(all_raw_words(g, 3), min(30, len(all_raw_words(g, 3)))):
+            seen[kernel_against_reference(lambda: g.path(w).word, leftmost_normal, g, w)] += 1
+        paths = g.all_paths(Shape(2, 2))
+        for p, q in itertools.product(paths, repeat=2):
+            if p.source == q.target and len(p) + len(q) <= 4:
+                seen[kernel_against_reference(lambda: g.compose(p, q).word,
+                                              leftmost_normal, g, p.word + q.word)] += 1
+        for p in paths:
+            for k in shapes_below(p.shape):
+                seen[kernel_against_reference(lambda: tuple(x.word for x in g.factorize(p, k)),
+                                              pull_split, g, p.word, k.coords)] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_validate_cube_failure():
@@ -508,6 +616,15 @@ def test_validate_cube_failure():
     for c in rep.checks:
         if c.name.startswith("square-"):
             assert c.ok
+
+
+def test_validate_cube_with_a_missing_square():
+    # (2,3) lacks c0.b0, so both routes of c0.b0.a0 end at the missing square
+    tables = {(1, 2): {("b0", "a0"): ("a0", "b0")}, (1, 3): {("c0", "a0"): ("a0", "c0")},
+              (2, 3): {}}
+    rep = single_vertex_graph([1, 1, 1], tables).validate()
+    cube = next(c for c in rep.checks if c.name == "cube")
+    assert not cube.ok and cube.witness == (("c0", "b0", "a0"), None, None)
 
 
 def test_validate_condition_f_is_informational(grid11):
