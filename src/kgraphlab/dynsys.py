@@ -33,10 +33,6 @@ class PartialMap:
         self.name = name
         self._table = dict(table)
 
-    @classmethod
-    def identity(cls, points: Iterable):
-        return cls("id", {x: x for x in points})
-
     def defined_at(self, x) -> bool:
         return x in self._table
 
@@ -48,6 +44,10 @@ class PartialMap:
 
     def domain(self) -> frozenset:
         return frozenset(self._table)
+
+    def items(self):
+        """(point, image) pairs over the domain, in table order."""
+        return self._table.items()
 
     def codomain_points(self) -> frozenset:
         return frozenset(self._table.values())
@@ -105,7 +105,8 @@ class MGDS:
                 raise ConfigError(
                     f"map {T.name} of system {name} leaves the carrier: {sorted(map(repr, stray))[:CAP]}"
                 )
-        self._powers: dict = {}
+        zero = (0,) * self.rank
+        self._powers: dict = {zero: PartialMap(f"T^{zero}", {x: x for x in self.carrier})}
         self._exit: dict = {}
         rep = self.check_commuting()
         if not rep.ok:
@@ -162,20 +163,29 @@ class MGDS:
         """The composite map indexed by a shape or its coordinates; T^0 is the identity.
 
         The table is keyed by coordinate tuple.  Only a miss checks the rank:
-        a key in the table has passed that check already.
+        a key in the table has passed that check already.  A miss walks down
+        one generator at a time to a tabled power, at best in one step, then
+        composes back up by T^n = T_j T^(n - e_j), tabling each step.  The
+        generators commute as partial maps, so every route gives the same
+        table, keyed in carrier order like the identity T^0.
         """
         # as_shape's test, spelled inline: every meets inside compose calls power twice
         n = Shape(n) if not isinstance(n, Shape) else n
-        cached = self._powers.get(n.coords)
+        powers = self._powers
+        cached = powers.get(n.coords)
         if cached is None:
             if n.rank != self.rank:
                 raise ConfigError(f"shape rank {n.rank} does not match system rank {self.rank}")
-            cur = PartialMap.identity(self.carrier)
-            for j, count in enumerate(n, start=1):
-                for _ in range(count):
-                    cur = self.generators[j - 1].compose(cur)
-            cur.name = f"T^{n.coords}"
-            cached = self._powers[n.coords] = cur
+            steps, key = [], n.coords
+            while key not in powers:  # T^0 is tabled from the start
+                below = [(j, key[:j] + (c - 1,) + key[j + 1:]) for j, c in enumerate(key) if c]
+                j, lower = next((s for s in below if s[1] in powers), below[-1])
+                steps.append((j, key))
+                key = lower
+            cached = powers[key]
+            for j, key in reversed(steps):
+                cached = powers[key] = self.generators[j].compose(cached)
+                cached.name = f"T^{key}"
         return cached
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:

@@ -6,11 +6,13 @@ but never takes part in identity.  A semidirect build is a finite window
 onto an infinite groupoid: it holds every arrow with a witness pair below
 its bound.  Composites may leave the window, and closure fails only on a
 composite that has no witness at all.  The germ quotient collapses the
-translation part, leaving the orbit relation of the action.  The rational
-convolution algebra, its involution and fiberwise norm, the pushforward
-along the quotient, and the coordinate-projection cocycle filtration used
-to stratify the kernel all operate on these finite groupoids exactly, with
-no floating point.
+translation part, leaving the orbit relation of the action.  Each kind
+embeds injectively in an associative ambient groupoid (X x Z^r x X, or the
+pair groupoid X x X), so the axiom check proves associativity from
+O(distinct products) comparisons.  The rational convolution algebra, its
+involution and fiberwise norm, the pushforward along the quotient, and the
+coordinate-projection cocycle filtration used to stratify the kernel all
+operate on these finite groupoids exactly, with no floating point.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class FiniteGroupoid:
     """
 
     closed = True  # holds every composite: one outside the element set fails closure
+    # an injective arrow -> key map into an associative groupoid, whose product of
+    # the keys of composable arrows is ambient_product; see check_axioms
+    ambient_key = None
 
     def __init__(self, name: str, elements, unit_points):
         self.name = name
@@ -128,10 +133,24 @@ class FiniteGroupoid:
         triple (x, z, y), never its witness; where check_dc holds, compose
         never searches for a witness, so whichever equal arrow an id keeps,
         its products are the same.  Ids and table live for this call only.
+
+        Associativity: ambient_key maps arrows injectively into an
+        associative groupoid with product ambient_product.  If key(gh) =
+        key(g)key(h) for each window pair, and for each composite outside
+        the window times each window arrow on either side, then every window
+        triple has key((gh)k) = key(g)key(h)key(k) = key(g(hk)), so
+        (gh)k = g(hk).  These are the distinct products a loop over all
+        triples composes, compared in O(products), not O(triples).  Left to
+        prove is that each product exists; under check_dc the join formula
+        witnesses it with no fallback search.  On a mismatch or WitnessError,
+        and always without a key, the triple loop runs: it reports the first
+        (g, h, k) in element order that does not associate, or (g, h, err)
+        for a product with no witness.
         """
         elements, by_range, window = self.elements, self._by_range, len(self.elements)
         ids, arrows = dict(self._element_set), list(elements)  # arrow <-> id
         table: dict = {}  # id pair -> id of its composite
+        pending = None  # the id pair being composed: a WitnessError's operands
 
         def intern(g):
             i = ids.get(g)
@@ -141,8 +160,10 @@ class FiniteGroupoid:
             return i
 
         def times(i, j):
+            nonlocal pending
             k = table.get((i, j))
             if k is None:
+                pending = i, j
                 k = table[i, j] = intern(self.compose(arrows[i], arrows[j]))
             return k
 
@@ -178,10 +199,31 @@ class FiniteGroupoid:
                     if not ok or times(i, inv) != unit[g.x] or times(inv, i) != unit[g.y]), None)
         checks.append(Check("inverse-law", bad is None, bad))
 
+        def embedded():
+            # whether each product the triple loop composes is multiplicative under the key;
+            # a composite inside the window makes only window pairs
+            key, product, by_source = self.ambient_key, self.ambient_product, {}
+            for i, g in enumerate(elements):
+                by_source.setdefault(g.y, []).append(i)
+            escaped = dict.fromkeys(c for c in map(table.__getitem__, self._composable_ids()) if c >= window)
+            pairs = itertools.chain(
+                self._composable_ids(),
+                ((c, k) for c in escaped for k in by_range.get(arrows[c].y, ())),
+                ((i, c) for c in escaped for i in by_source.get(arrows[c].x, ())))
+            keys = list(map(key, arrows))  # every operand below has its id already
+            try:
+                return all(key(arrows[times(i, j)]) == product(keys[i], keys[j]) for i, j in pairs)
+            except WitnessError:
+                return False
+
         if closure_witness is None:  # associativity is vacuous when closure already failed
-            bad = next(((elements[i], elements[j], elements[k]) for i, j in self._composable_ids()
-                        for k in by_range.get(elements[j].y, ())
-                        if times(table[i, j], k) != times(i, table[j, k])), None)
+            try:  # embedded() catches its own WitnessError: one here comes from the triple loop
+                bad = None if self.ambient_key is not None and embedded() else next(
+                    ((elements[i], elements[j], elements[k]) for i, j in self._composable_ids()
+                     for k in by_range.get(elements[j].y, ())
+                     if times(table[i, j], k) != times(i, table[j, k])), None)
+            except WitnessError as err:
+                bad = (arrows[pending[0]], arrows[pending[1]], err)
             checks.append(Check("associativity", bad is None, bad))
 
         return Check("axioms", all(c.ok for c in checks), checks=tuple(checks))
@@ -208,6 +250,10 @@ class SemidirectGroupoid(FiniteGroupoid):
     def _units(self) -> dict:
         """Carrier point x -> the stored unit arrow (x, 0, x); a build holds every one."""
         return {x: self.element(x, self._zero, x) for x in self.system.carrier}
+
+    # the arrow's triple in X x Z^r x X, whose product adds translations
+    ambient_key = staticmethod(lambda g: (g.x, g.z, g.y))
+    ambient_product = staticmethod(lambda a, b: (a[0], tuple(map(operator.add, a[1], b[1])), b[2]))
 
     def unit_at(self, point):
         unit = self._units.get(point)
@@ -274,35 +320,32 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
     """The window: all arrows (x, m-n, y) with witnesses below the bound, deduplicated by triple.
 
     Refuses systems that fail joint-domain compatibility unless forced; a
-    forced build is how the composition counterexample is exhibited.
+    forced build is how the composition counterexample is exhibited, and it
+    runs no compatibility scan, since only the refusal reads its verdict.
+    Each shape's power table is read once, as (point, image) pairs.
     """
     witness_bound = system.exit_bound() if witness_bound is None else as_shape(witness_bound)
-    dc = system.check_dc(witness_bound)
-    if not dc.ok and not force:
-        n, m, x = dc.witness
-        raise ConfigError(
-            f"{system.name} fails joint-domain compatibility at (n={tuple(n)}, m={tuple(m)}, "
-            f"x={x!r}); pass force=True to build anyway"
-        )
+    if not force:
+        dc = system.check_dc(witness_bound)
+        if not dc.ok:
+            n, m, x = dc.witness
+            raise ConfigError(
+                f"{system.name} fails joint-domain compatibility at (n={tuple(n)}, m={tuple(m)}, "
+                f"x={x!r}); pass force=True to build anyway"
+            )
     shapes = list(shapes_below(witness_bound))
-    reachers: dict = {}  # shape n -> value -> points y with T^n y = value
+    reachers = {n: {} for n in shapes}  # shape n -> value -> points y with T^n y = value
     for n in shapes:
-        pw = system.power(n)
-        vmap: dict = {}
-        for y in system.carrier:
-            if pw.defined_at(y):
-                vmap.setdefault(pw(y), []).append(y)
-        reachers[n] = vmap
+        for y, v in system.power(n).items():  # (point, image) pairs in carrier order
+            reachers[n].setdefault(v, []).append(y)
     elements: dict = {}
     for m in shapes:
-        pm = system.power(m)
+        table = system.power(m).items()
         for n in shapes:
             vmap = reachers[n]
             z = m.diff(n)
-            for x in system.carrier:
-                if not pm.defined_at(x):
-                    continue
-                for y in vmap.get(pm(x), ()):
+            for x, v in table:
+                for y in vmap.get(v, ()):
                     key = (x, z, y)
                     if key not in elements:
                         elements[key] = GroupoidElement(x, z, y, witness=(m, n))
@@ -311,6 +354,10 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
 
 class GermGroupoid(FiniteGroupoid):
     """Orbit relation of the action: arrows are plain point pairs."""
+
+    # the arrow's pair in the pair groupoid X x X
+    ambient_key = staticmethod(lambda g: (g.x, g.y))
+    ambient_product = staticmethod(lambda a, b: (a[0], b[1]))
 
     def unit_at(self, point):
         return GermElement(point, point)
@@ -336,16 +383,8 @@ def germ_quotient(G: SemidirectGroupoid):
     On a discrete carrier two arrows have the same germ exactly when they
     share endpoints, so the quotient is the orbit relation.
     """
-    germs: dict = {}
-    pi = GermMap()
-    for g in G.elements:
-        key = (g.x, g.y)
-        germ = germs.get(key)
-        if germ is None:
-            germ = germs[key] = GermElement(g.x, g.y)
-        pi[g] = germ
-    H = GermGroupoid(f"germ({G.name})", germs.values(), G.unit_points)
-    return H, pi
+    pi = GermMap((g, GermElement(g.x, g.y)) for g in G.elements)
+    return GermGroupoid(f"germ({G.name})", dict.fromkeys(pi.values()), G.unit_points), pi
 
 
 def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
@@ -353,13 +392,10 @@ def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
 
     The witness is (n, m, x) with n != m but T^n x = T^m x.
     """
-    if bound is None:
-        bound = system.exit_bound()
-
     def agree(n, m):
         return {x for x in system.carrier if system.meets(x, x, n, m)}
 
-    witness = system.first_pair_offence(bound, agree)
+    witness = system.first_pair_offence(system.exit_bound() if bound is None else bound, agree)
     return Check("essentially-free", witness is None, witness)
 
 
@@ -372,7 +408,9 @@ class ConvolutionElement:
     Multiplication is convolution over factorizations, the involution flips
     arrows (values are rational, so conjugation is trivial), and the norm is
     the larger of the two fiberwise absolute-sum maxima.  All arithmetic is
-    exact.
+    exact.  Coefficients come as a mapping or as (arrow, value) pairs; each
+    is stored as a Fraction (a value of another type is converted once), and
+    zeros are dropped, so a sum or product whose terms cancel loses the key.
     """
 
     __slots__ = ("groupoid", "_coeffs")
@@ -380,12 +418,8 @@ class ConvolutionElement:
     def __init__(self, groupoid: FiniteGroupoid, coeffs=None):
         # support may leave the finite build window: any valid arrow is a key
         self.groupoid = groupoid
-        clean = {}
-        for g, v in dict(coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                clean[g] = v
-        self._coeffs = clean
+        values = ((g, v if type(v) is Fraction else Fraction(v)) for g, v in dict(coeffs or {}).items())
+        self._coeffs = {g: v for g, v in values if v}
 
     def coeff(self, g) -> Fraction:
         return self._coeffs.get(g, Fraction(0))
@@ -406,7 +440,7 @@ class ConvolutionElement:
         self._same_groupoid(other)
         out = dict(self._coeffs)
         for g, v in other._coeffs.items():
-            out[g] = out.get(g, Fraction(0)) + v
+            out[g] = out[g] + v if g in out else v
         return ConvolutionElement(self.groupoid, out)
 
     def _same_groupoid(self, other):
@@ -425,7 +459,7 @@ class ConvolutionElement:
         for g, v in self._coeffs.items():
             for h, w in by_range.get(g.y, ()):
                 gh = G.compose(g, h)
-                out[gh] = out.get(gh, Fraction(0)) + v * w
+                out[gh] = out[gh] + v * w if gh in out else v * w
         return ConvolutionElement(G, out)
 
     def star(self) -> "ConvolutionElement":
@@ -437,8 +471,8 @@ class ConvolutionElement:
         d_sums: dict = {}
         for g, v in self._coeffs.items():
             a = abs(v)
-            r_sums[g.x] = r_sums.get(g.x, Fraction(0)) + a
-            d_sums[g.y] = d_sums.get(g.y, Fraction(0)) + a
+            r_sums[g.x] = r_sums[g.x] + a if g.x in r_sums else a
+            d_sums[g.y] = d_sums[g.y] + a if g.y in d_sums else a
         return max(itertools.chain(r_sums.values(), d_sums.values()), default=Fraction(0))
 
     def __repr__(self):
@@ -456,11 +490,8 @@ def check_lifting_hypothesis(G: FiniteGroupoid, pi: dict, H: FiniteGroupoid):
     by_range: dict = {}
     for b in G.elements:
         by_range.setdefault(pi[b].x, []).append(b)
-    for a in G.elements:
-        for b in by_range.get(pi[a].y, ()):
-            if not G.is_composable(a, b):
-                return (a, b)
-    return None
+    return next(((a, b) for a in G.elements for b in by_range.get(pi[a].y, ())
+                 if not G.is_composable(a, b)), None)
 
 
 def pushforward(f: ConvolutionElement, pi: dict, H: FiniteGroupoid) -> ConvolutionElement:
@@ -472,7 +503,7 @@ def pushforward(f: ConvolutionElement, pi: dict, H: FiniteGroupoid) -> Convoluti
     out: dict = {}
     for g, v in f._coeffs.items():
         k = pi[g]
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out[k] + v if k in out else v
     return ConvolutionElement(H, out)
 
 
@@ -524,23 +555,19 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
     labels = {g: tuple(g.z[j - 1] for j in js) for g in restricted}
     kernel = tuple(g for g in restricted if not any(labels[g]))
 
-    def exits(x):
-        s = sys.exit_time(x)
-        return [s.coord(j) for j in jc]
+    exits = {x: [sys.exit_time(x).coord(j) for j in jc] for x in block}  # finite off J, by the block
 
-    defect = []
-    for g in kernel:
-        gaps = zip(jc, exits(g.x), exits(g.y))
-        j = next((j for j, a, b in gaps if g.z[j - 1] != a - b), None)
-        if j is not None:
-            defect.append((g, j))
+    # each kernel arrow's first off coordinate whose translation is not the exit-time gap
+    firsts = ((g, next((j for j, a, b in zip(jc, exits[g.x], exits[g.y]) if g.z[j - 1] != a - b), None))
+              for g in kernel)
+    defect = tuple((g, j) for g, j in firsts if j is not None)
 
     def place(on_j, off_j):
         # exponent: on_j on the filtration coordinates, off_j on the others
         full = [0] * r
         for j, c in itertools.chain(zip(js, on_j), zip(jc, off_j)):
             full[j - 1] = c
-        return Shape(full)
+        return Shape._make(tuple(full))
 
     kernel_pairs = {(g.x, g.y) for g in kernel}
     free = list(itertools.product(*[range(wb.coord(j) + 1) for j in jc]))
@@ -548,14 +575,15 @@ def kernel_filtration(G: SemidirectGroupoid, coords, level_bound=None) -> Kernel
     for N in itertools.product(*[range(b + 1) for b in level_bound]):
         tops = list(itertools.product(*[range(c + 1) for c in N]))
         # raw form: two witnesses agreeing (and bounded by N) on the filtration coords
-        raw = [(place(t, a), place(t, b)) for t, a, b in itertools.product(tops, free, free)]
+        raw = [pair for t in tops for pair in itertools.product([place(t, a) for a in free], repeat=2)]
         direct = frozenset(p for p in kernel_pairs if any(sys.meets(*p, m, n) for m, n in raw))
         # shifted form: exit times fill the other coords on both sides
-        shifted = frozenset(p for p in kernel_pairs if any(
-            sys.meets(*p, place(t, exits(p[0])), place(t, exits(p[1]))) for t in tops))
+        at = {x: [place(t, e) for t in tops] for x, e in exits.items()}
+        shifted = frozenset((x, y) for x, y in kernel_pairs if any(
+            sys.meets(x, y, m, n) for m, n in zip(at[x], at[y])))
         levels[N] = (direct, shifted)
 
-    return KernelFiltration(block, labels, kernel, tuple(defect), levels)
+    return KernelFiltration(block, labels, kernel, defect, levels)
 
 
 # -- invariant layers of unit-space subsets -----------------------------------------------

@@ -450,8 +450,8 @@ class KGraph:
         morphisms carries the path count.
         """
         checks = []
-        starts, into, esource = self._starts, self._into, self._esource
-        moves, n_edges = self._moves, len(self._names)
+        starts, into, esource, etarget = self._starts, self._into, self._esource, self._etarget
+        moves, n_edges, code = self._moves, len(self._names), self._code
 
         # square totality / bijectivity / endpoint preservation per color pair
         for (i, j) in itertools.combinations(range(1, self.rank + 1), 2):
@@ -480,10 +480,9 @@ class KGraph:
                 f"square-bijectivity[{i},{j}]", collision is None and not not_covered,
                 witness=collision or tuple(not_covered[:CAP]) or None))
 
-            bad_end = None
+            bad_end = None  # the rule _sort applies at each move, read off the codes
             for (hi, lo), (lo2, hi2) in table.items():
-                eh, el, el2, eh2 = (self._edges[n] for n in (hi, lo, lo2, hi2))
-                if eh.target != el2.target or el.source != eh2.source:
+                if etarget[code[hi]] != etarget[code[lo2]] or esource[code[lo]] != esource[code[hi2]]:
                     bad_end = ((hi, lo), (lo2, hi2))
                     break
             checks.append(Check(f"square-endpoints[{i},{j}]", bad_end is None, witness=bad_end))

@@ -119,6 +119,62 @@ def test_power_table_is_keyed_by_coordinates():
     assert system.meets((0, 0), (1, 0), (0, 0), Shape(1, 0)) is True
 
 
+def composed_from_identity(system, n):
+    """T^n as generators composed onto the identity, in coordinate order, one at a time."""
+    cur = PartialMap("id", {x: x for x in system.carrier})
+    for T, count in zip(system.generators, n):
+        for _ in range(count):
+            cur = T.compose(cur)
+    return cur
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid_system(2, 4),
+    lambda: free_monoid_system("ab", 3),
+    lambda: identity_system([0, 1, 2], 2),
+    lambda: product_system("mix", [(["c0", "c1", 0, 1], {"c0": "c1", "c1": "c0", 1: 0}),
+                                   (["t", "c0", "c1"], {"t": "c0", "c0": "c1", "c1": "c0"})]),
+], ids=["grid", "word", "identity", "product"])
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_power_grown_from_cached_powers_matches_composing_from_the_identity(make, order):
+    # a miss composes one generator onto a smaller tabled power; whatever was
+    # tabled before, each table equals the route from the identity, key order included
+    system = make()
+    shapes = list(shapes_below(Shape(3, 3)))
+    for n in shapes if order == "ascending" else reversed(shapes):
+        want = composed_from_identity(system, n)
+        assert list(system.power(n).items()) == list(want.items())
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """A list that gains one entry per PartialMap.compose call."""
+    calls = []
+
+    def counted(self, other, _inner=PartialMap.compose):
+        calls.append(1)
+        return _inner(self, other)
+
+    monkeypatch.setattr(PartialMap, "compose", counted)
+    return calls
+
+
+def test_dc_scan_composes_once_per_nonzero_shape(compose_calls):
+    system = grid_system(2, 4)
+    compose_calls.clear()  # the constructor's commutation check composes too
+    assert system.check_dc().ok and system.exit_bound() == Shape(3, 3)
+    assert len(compose_calls) == 15
+
+
+def test_a_power_miss_steps_onto_a_tabled_neighbour(compose_calls):
+    system = grid_system(2, 4)
+    compose_calls.clear()
+    system.power((0, 3))  # T^(0,1), T^(0,2), T^(0,3) from T^0
+    assert len(compose_calls) == 3
+    system.power((1, 3))  # one generator onto T^(0,3), not three onto T^(1,0)
+    assert len(compose_calls) == 4
+
+
 def test_power_zero_is_identity(grid24):
     p = grid24.power(Shape.zero(2))
     assert p.domain() == frozenset(grid24.carrier)

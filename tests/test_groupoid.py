@@ -7,6 +7,7 @@ with the library.
 
 import hashlib
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -152,6 +153,13 @@ def test_build_refuses_incompatible_domains():
         build_semidirect(free_monoid_system("ab", 3))
 
 
+def test_a_forced_build_runs_no_compatibility_scan(monkeypatch):
+    scans = []
+    monkeypatch.setattr(MGDS, "check_dc", lambda self, bound=None: scans.append(bound))
+    G = build_semidirect(free_monoid_system("ab", 3), force=True)
+    assert len(G) == 1245 and scans == []
+
+
 # -- composition -----------------------------------------------------------------------
 
 
@@ -186,12 +194,19 @@ def test_join_formula_witness_is_valid_on_compatible_systems(grid_groupoid):
 
 
 def witness_digest(G):
-    """sha256 over the element order with witnesses, then every composite in composable-pair order."""
+    """sha256 over the element order with witnesses, then every composite in composable-pair order.
+
+    A composite with no witness adds its WitnessError's message instead.
+    """
     h = hashlib.sha256()
     for g in G:
         h.update(f"{g!r} {tuple(map(tuple, g.witness))}\n".encode())
     for g, k in composable_pairs(G):
-        gk = G.compose(g, k)
+        try:
+            gk = G.compose(g, k)
+        except WitnessError as err:
+            h.update(f"{g!r} {k!r} {err}\n".encode())
+            continue
         h.update(f"{g!r} {k!r} {tuple(map(tuple, gk.witness))}\n".encode())
     return h.hexdigest()
 
@@ -203,6 +218,9 @@ def test_witnesses_are_pinned(mix_groupoid):
         "dab8f5690bb5c765390188d2b1573b624843ebafdc1ccac258878697581f3a88"
     assert witness_digest(mix_groupoid) == \
         "b1cd1c252fe3daa4cea18f8af9cab8bcda83f0555ccb37662c8ed9328e7cdc8e"
+    # a forced build: no compatibility scan, the same window and searched witnesses
+    assert witness_digest(build_semidirect(free_monoid_system("ab", 3), force=True)) == \
+        "bad7bc1b3a798bd225938cb04283f0d29440689ebd39064f3b2960aa268aba14"
 
 
 def test_translation_length_must_match_rank():
@@ -302,6 +320,94 @@ def test_failing_laws_keep_their_first_witness(wrong, n, held, failing):
     rep = MisComposing(wrong, n, held).check_axioms()
     assert not rep.ok
     assert {c.name: c.witness for c in rep.checks if not c.ok} == arrows
+
+
+class Planted(SemidirectGroupoid):
+    """A copy of a window whose compose is wrong on one product: it returns
+    the planted arrow there, or raises WitnessError where that is None."""
+
+    def __init__(self, G, g, h, gh):
+        super().__init__(G.system, G.elements, G.witness_bound)
+        self.planted, self.gh = (g, h), gh
+
+    def compose(self, g, h):
+        if (g, h) != self.planted:
+            return super().compose(g, h)
+        if self.gh is None:
+            raise WitnessError("planted", attempted=tuple(map(operator.add, g.z, h.z)))
+        return self.gh
+
+
+def escaped_product(G, side):
+    """The first composite c outside the window, with the first window arrow
+    that is no unit on the given side of it: the pair (c, k) or (i, c)."""
+    c = next(gh for gh in itertools.starmap(G.compose, composable_pairs(G)) if gh not in G)
+    if side == "right":
+        return c, next(k for k in G if k.x == c.y and any(k.z))
+    return next(i for i in G if i.y == c.x and any(i.z)), c
+
+
+def axiom_verdicts(G):
+    """(name, ok, witness) per law, a WitnessError in a witness spelled by its type and message."""
+    def plain(w):
+        if isinstance(w, WitnessError):
+            return type(w).__name__, str(w), w.attempted
+        return tuple(map(plain, w)) if isinstance(w, tuple) else w
+    return [(c.name, c.ok, plain(c.witness)) for c in G.check_axioms().checks]
+
+
+def keyless(G):
+    """G with its ambient key switched off on the instance: associativity loops over triples."""
+    G.ambient_key = None
+    return G
+
+
+def test_an_associativity_product_without_witness_is_the_witness(mix_groupoid):
+    # the product of an escaped composite with a window arrow raises: the
+    # check reports that pair and the error, as closure does, by either route
+    g, h = escaped_product(mix_groupoid, "right")
+    for G in (Planted(mix_groupoid, g, h, None), keyless(Planted(mix_groupoid, g, h, None))):
+        assoc = G.check_axioms().checks[-1]
+        assert assoc.name == "associativity" and not assoc.ok
+        assert assoc.witness[:2] == (g, h)
+        assert isinstance(assoc.witness[2], WitnessError) and str(assoc.witness[2]) == "planted"
+
+
+@pytest.mark.parametrize("side, first", [
+    ("right", [(("c0", "c0"), (0, -1), ("c0", "c1")), (("c0", "c1"), (0, -2), ("c0", "c1")),
+               (("c0", "c1"), (0, -1), ("c0", "c0"))]),
+    ("left", [(("c0", "c1"), (0, -1), ("c0", "c0")), (("c0", "c0"), (0, -1), ("c0", "c1")),
+              (("c0", "c1"), (0, -2), ("c0", "c1"))]),
+])
+def test_a_wrong_escaped_product_keeps_its_first_witness(mix_groupoid, side, first):
+    # a wrong translation on one product of an escaped composite: the key
+    # comparison finds it, and the loop over triples names the first triple
+    # in element order, as it did before the key
+    g, h = escaped_product(mix_groupoid, side)
+    wrong = GroupoidElement(g.x, (g.z[0] + h.z[0] + 1, g.z[1] + h.z[1]), h.y)
+    found = [axiom_verdicts(G) for G in (Planted(mix_groupoid, g, h, wrong),
+                                         keyless(Planted(mix_groupoid, g, h, wrong)))]
+    assert found[0] == found[1]
+    assert [v for v in found[0] if not v[1]] == [
+        ("associativity", False, tuple(GroupoidElement(*t) for t in first))]
+
+
+def test_ambient_key_route_matches_the_triple_loop_on_two_points():
+    # every commuting pair of partial maps on {0, 1}: the same verdicts and
+    # witnesses with the ambient key and with the loop over triples
+    maps = [{x: v for x, v in zip((0, 1), images) if v is not None}
+            for images in itertools.product((None, 0, 1), repeat=2)]
+    systems = []
+    for t1, t2 in itertools.product(maps, repeat=2):
+        try:
+            systems.append(MGDS("two", [0, 1], [PartialMap("T1", t1), PartialMap("T2", t2)]))
+        except ConfigError:
+            continue
+    forced = [not s.check_dc().ok for s in systems]
+    assert (len(systems), sum(forced)) == (41, 2)
+    for system, force in zip(systems, forced):
+        verdicts = axiom_verdicts(build_semidirect(system, force=force))
+        assert verdicts == axiom_verdicts(keyless(build_semidirect(system, force=force)))
 
 
 def test_composites_may_leave_the_window(mix_groupoid):
@@ -507,6 +613,35 @@ def test_convolution_reproduces_matrix_multiplication():
         f = ConvolutionElement(G, {elem[(a, b)]: 1})
         g = ConvolutionElement(G, {elem[(c, d)]: 1})
         assert to_matrix(f * g) == matrix_oracle(unit_matrix(a, b), unit_matrix(c, d))
+
+
+def test_coefficients_are_stored_as_fractions_without_zeros(grid_groupoid):
+    g, h, k, u = grid_groupoid.elements[:4]
+    given = {g: 3, h: "3/4", k: 0.75, u: Fraction(-1, 2)}
+    for coeffs in (given, list(given.items())):
+        f = ConvolutionElement(grid_groupoid, coeffs)
+        assert [(a, f.coeff(a)) for a in f.support] == [
+            (g, Fraction(3)), (h, Fraction(3, 4)), (k, Fraction(3, 4)), (u, Fraction(-1, 2))]
+        assert all(type(f.coeff(a)) is Fraction for a in f.support)
+    zeros = ConvolutionElement(grid_groupoid, {g: 0, h: "0", k: 0.0, u: Fraction(0)})
+    assert zeros.support == () and not zeros
+    assert type(zeros.coeff(g)) is Fraction
+
+
+def test_cancelling_terms_drop_their_key(grid_groupoid):
+    G = grid_groupoid
+    g = G.element((2, 1), (2, 0), (0, 1))
+    f = ConvolutionElement(G, {g: Fraction(1, 3), G.unit_at((0, 0)): 1})
+    assert (f + ConvolutionElement(G, {g: Fraction(-1, 3)})).support == (G.unit_at((0, 0)),)
+    # u_x g and g u_y are both g, with coefficients 1 and -1; u_y u_y survives
+    ux, uy = G.unit_at(g.x), G.unit_at(g.y)
+    product = ConvolutionElement(G, {ux: 1, g: 1, uy: 2}) * ConvolutionElement(G, {g: 1, uy: -1})
+    assert product == ConvolutionElement(G, {uy: -2}) and product.support == (uy,)
+
+
+def test_zero_element_has_norm_zero(grid_groupoid):
+    norm = ConvolutionElement(grid_groupoid).i_norm()
+    assert norm == 0 and type(norm) is Fraction
 
 
 def test_indicator_times_inverse_indicator(grid_groupoid):
