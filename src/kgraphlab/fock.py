@@ -1,15 +1,15 @@
 """Creation operators on the path-space basis of a colored graph.
 
 The basis is a single shared vacuum symbol plus every path of nonzero shape.
-Creations and annihilations are partial injections on it, all four kinds
-one class, PathOperator(path, left, create).  Every operator is in one
-normal form: a partial map (a PathOperator, a span projection, the identity,
-or a Product of partial maps), or a Sum of (int coefficient, partial map)
-terms.  A partial map sends a basis vector to at most one; a sum adds its
-terms' images with their coefficients.
-Nothing is ever truncated: a shape bound only selects which vectors a
-checker visits, never how an operator acts, so every reported identity is
-exact on the checked vectors.
+Creations and annihilations by nonzero-shape paths are partial injections on
+it, all four kinds one class, PathOperator(path, left, create); a creation
+by a vertex is its span projection.  Every operator is in one normal form: a
+partial map (a PathOperator, a span projection, the identity, or a Product
+of partial maps), or a Sum of (int coefficient, partial map) terms.  A
+partial map sends a basis vector to at most one; a sum adds its terms'
+images with their coefficients.  Nothing is ever truncated: a shape bound
+only selects which vectors a checker visits, never how an operator acts, so
+every reported identity is exact on the checked vectors.
 
 op.on(window) is op acting on whole lists of ids of a PathWindow (the
 vacuum is VAC, zero is None): it maps a list of ids to the list of their
@@ -68,10 +68,9 @@ class PathWindow:
     the first path it interns, which keeps only the kernel's passes.  The
     vacuum is VAC; path id i has the graph's normal code word words[i] (see
     kgraph), endpoints sources[i] and targets[i] and shape coordinates
-    coords[i]; a vertex path, which only an operator's own path can be, has
-    the empty word.  A path is interned by its code word (Path.codes), a
-    vertex path by its vertex's name.  Lists of ids hold VAC, nonzero-shape
-    path ids, and None for zero.
+    coords[i].  A path is interned by its code word (Path.codes), a vertex
+    path, which only an input can be, never an operator's path, by its
+    vertex's name.  Lists of ids hold VAC, path ids, and None for zero.
 
     creations and strips run the graph's kernel (_join, _split) once per
     distinct composition (i, j) or split (id, head grade) and keep the
@@ -138,11 +137,8 @@ class PathWindow:
     def creations(self, p, xs, left) -> list:
         """The images of ids xs under creation by path p: p·x on the left, x·p on the right.
 
-        None where x is None or the ends differ; a vertex creation is the
-        projection onto the paths that end at it, and fixes the vacuum.
+        None where x is None or the ends differ.
         """
-        if not self.words[p]:
-            return self._at_vertex(self.targets[p], xs, left)
         composed, compose, out = self._composed, self._compose, []
         for x in xs:
             if x is None:
@@ -185,22 +181,6 @@ class PathWindow:
                 kept, other = split if left else split[::-1]
                 out.append((kept, self._word_id(other) if other else VAC))
         return out
-
-    def annihilations(self, p, xs, left) -> list:
-        """The images of ids xs under stripping path p as a left or right factor.
-
-        Zero where the factorization disagrees; a vertex annihilation is the
-        vertex creation, a projection.
-        """
-        word = self.words[p]
-        if not word:
-            return self._at_vertex(self.targets[p], xs, left)
-        return [None if s is None or s[0] != word else s[1]
-                for s in self.strips(xs, self.coords[p], left)]
-
-    def _at_vertex(self, v, xs, left):
-        ends = self.targets if left else self.sources
-        return [x if x is None or x == VAC or ends[x] == v else None for x in xs]
 
 
 def _vector_out(win, image) -> dict:
@@ -287,7 +267,7 @@ class Sum(FockOperator):
         parts, groups = [], {}  # parts: in term order, the terms that add as one
         for c, t in self.terms:
             last = t.factors[-1] if isinstance(t, Product) else t
-            if isinstance(last, PathOperator) and not last.create and last.path.codes:
+            if isinstance(last, PathOperator) and not last.create:
                 key = (last.path.shape.coords, last.left)
                 if key not in groups:
                     parts.append(groups.setdefault(key, []))
@@ -411,11 +391,11 @@ class Product(PartialMap):
 
 
 class PathOperator(PartialMap):
-    """Creation (create) or annihilation by a fixed path, on its left or right end.
+    """Creation (create) or annihilation by a nonzero-shape path, on its left or right end.
 
-    A creation prepends (left) or appends the path; a vertex creation acts
-    as the matching span projection.  An annihilation strips the path as a
-    left or right factor, zero where the factorization disagrees.  The
+    A creation prepends (left) or appends the path; a vertex's creation is a
+    span projection instead (see left_creation).  An annihilation strips the path
+    as a left or right factor, zero where it is not the factor there.  The
     adjoint flips create.
     """
 
@@ -431,8 +411,11 @@ class PathOperator(PartialMap):
 
     def on(self, win):
         p, left = win.intern(self.path), self.left
-        act = win.creations if self.create else win.annihilations
-        return lambda xs: act(p, xs, left)
+        if self.create:
+            return lambda xs: win.creations(p, xs, left)
+        word, m = self.path.codes, self.path.shape.coords
+        return lambda xs: [None if s is None or s[0] != word else s[1]
+                           for s in win.strips(xs, m, left)]
 
     def __repr__(self):
         return f"{'l' if self.left else 'r'}{'+' if self.create else '-'}{self.path.display()}"
@@ -442,7 +425,7 @@ class SpanProjection(PartialMap):
     """Diagonal projection onto the basis vectors satisfying a predicate.
 
     with_vacuum controls whether the vacuum belongs to the projected span;
-    the predicate(win, i) itself only ever sees ids of nonzero-shape paths.
+    the predicate(win, i) itself only ever sees path ids, never VAC.
     """
 
     __slots__ = ("label", "predicate", "with_vacuum")
@@ -468,15 +451,19 @@ class SpanProjection(PartialMap):
 
 
 def left_creation(graph: KGraph, path: Path) -> FockOperator:
-    if path.graph is not graph:
-        raise ConfigError("path belongs to a different graph")
-    return PathOperator(path, left=True, create=True)
+    return _creation(graph, path, left=True)
 
 
 def right_creation(graph: KGraph, path: Path) -> FockOperator:
+    return _creation(graph, path, left=False)
+
+
+def _creation(graph, path, left):
     if path.graph is not graph:
         raise ConfigError("path belongs to a different graph")
-    return PathOperator(path, left=False, create=True)
+    if path.codes:
+        return PathOperator(path, left, create=True)
+    return (target_projection if left else source_projection)(graph, path.base)
 
 
 def _check_vertex(graph, a):

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dynsys import MGDS
-from .errors import ConfigError, NotComposable, WitnessError
+from .errors import ConfigError, DomainError, NotComposable, WitnessError
 from .ideals import IdealTuple, build_sequence, from_mgds
 from .reporting import Check
-from .shapes import Shape, as_shape, shapes_below, witness_pairs
+from .shapes import INF, Shape, as_shape, shapes_below, witness_pairs
 
 
 @dataclass(frozen=True)
@@ -270,12 +270,26 @@ class SemidirectGroupoid(FiniteGroupoid):
 
         n is determined by m and z.  The build already holds every arrow with
         a witness below witness_bound; this is the fallback of element and compose.
+        It searches only where both powers can be defined: m_j <= exit_time(x)_j
+        and n_j <= exit_time(y)_j wherever those are finite.  No witness is lost,
+        as the generators commute as partial maps, domains included (MGDS checks
+        this): T^m = T^(m - m_j e_j) T_j^(m_j), so T^m x defined implies
+        T_j^(m_j) x defined, and the same for n and y.  Candidates keep their
+        order.  An empty box, or a point off the carrier, calls no meets.
         """
-        z = tuple(z)
-        if len(z) != self.system.rank:
-            raise ConfigError(f"translation {z} has length {len(z)}, not the system rank {self.system.rank}")
-        return next(((m, n) for m, n in witness_pairs(self.witness_bound * 2, z)
-                     if self.system.meets(x, y, m, n)), None)
+        z, system = tuple(z), self.system
+        if len(z) != system.rank:
+            raise ConfigError(f"translation {z} has length {len(z)}, not the system rank {system.rank}")
+        try:
+            ends = zip((self.witness_bound * 2).coords, system.exit_time(x).coords,
+                       system.exit_time(y).coords, z)
+        except DomainError:
+            return None
+        box = tuple(min(b, b if ex is INF else ex, b if ey is INF else ey + c) for b, ex, ey, c in ends)
+        if min(box) < 0:
+            return None
+        return next(((m, n) for m, n in witness_pairs(Shape._make(box), z)
+                     if system.meets(x, y, m, n)), None)
 
     def _searched(self, x, z, y, message) -> GroupoidElement:
         """A fresh arrow witnessed by find_witness, else WitnessError (message formatted on failure)."""

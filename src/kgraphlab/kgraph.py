@@ -9,23 +9,22 @@ Every path is stored in its normal form, the unique word whose colors ascend
 left to right.
 
 The kernel works on int-coded words: each graph numbers its edges once, by
-color and then name, and its working copy of the edges and squares is in
-code form: per-code endpoints, the codes into each (color, vertex), and one
-flat map from a code pair to the pair a square moves it to.  One
-square-move sort, _sort, rewrites each adjacent out-of-order pair through
-that map, and a move must keep the pair's outer endpoints, so a chain stays
-a chain; _normal sorts a whole word by color.  Two normal words join by sorting only where they meet (_join):
+color and then name, and keeps its edges only in that code form (see
+KGraph).  One square-move sort, _sort, rewrites each adjacent out-of-order
+pair through the graph's code map of squares, and a move must keep the
+pair's outer endpoints, so a chain stays a chain; _normal sorts a whole word
+by color.  Two normal words join by sorting only where they meet (_join):
 sort(p + q) = p_low + sort(p_high + q_low) + q_high, where p_low is p's
 prefix of colors <= q's lowest and q_high is q's suffix of colors >= p's
 highest.  A split (_split) moves the head's edges of each color, block by
 block, ahead of the tail gathered so far.  Each such pass (left word, right
-word) is sorted once per graph and kept in a table that dies with the
-graph; it makes the same moves in the same order as sorting the whole
-word, so a defective table fails with the same edges named.  A Path keeps
-its normal code word, and compose and factorize are _join and _split on
-it; edge names appear only at the edges of the API (KGraph.path,
-Path.word, the texts of errors and witnesses).  Each graph answers path,
-compose and factorize once per distinct input (see KGraph).
+word) is sorted once per graph and kept in a table that dies with the graph;
+it makes the same moves in the same order as sorting the whole word, so a
+defective table fails with the same edges named.  A Path keeps its normal
+code word, and compose and factorize are _join and _split on it; edge names
+appear only at the edges of the API (KGraph.path, Path.word, the texts of
+errors and witnesses).  Each graph answers path, compose and factorize once
+per distinct input (see KGraph).
 """
 
 from __future__ import annotations
@@ -118,15 +117,15 @@ class KGraph:
     bijectivity, endpoint preservation and the rank>=3 cube comparison are
     validate()'s job, so defective tables stay constructible and reportable.
 
-    The kernel's edge codes: edge e's code is its index in _names, which
-    lists the edges by color, then name, so the codes of color c run from
-    _starts[c] up to _starts[c + 1], and _into maps (color, vertex) to the
-    ascending codes of that color with that target.  _moves maps a * E + b,
-    for codes a, b and E edges, to the code pair a square move turns (a, b)
+    Edges live only as codes: e's code is its index in _names (by color, then
+    name), and _ecolor, _esource and _etarget hold its color and endpoints;
+    edge() and edges (in code order) build Edges from them.  Color c's codes
+    run from _starts[c] up to _starts[c + 1]; _into maps (color, vertex) to
+    the ascending codes of that color with that target.  _moves maps a * E +
+    b, for codes a, b and E edges, to the pair a square move turns (a, b)
     into: the table's normal word when a has the higher color, the
-    anti-normal one when it has the lower.  The kernel, enumeration and
-    validate's census read these; _to_normal keeps the tables as given, by
-    edge name, for validate's witnesses and opposite.
+    anti-normal one when it has the lower.  _to_normal, the one table keyed
+    by edge name, keeps the squares as given, for validate and opposite.
 
     The graph memoizes its path questions in dicts that live and die with
     it: path keyed by the edge names it is given, and every other memo by
@@ -149,27 +148,26 @@ class KGraph:
             raise GraphError("duplicate vertex name")
         if not self.vertices:
             raise GraphError("graph needs at least one vertex")
-        vset = set(self.vertices)
-        self._edges: dict[str, Edge] = {}
+        vset, named = set(self.vertices), {}
         for e in edges:
-            if e.name in self._edges:
+            if e.name in named:
                 raise GraphError(f"duplicate edge name {e.name!r}")
             if not 1 <= e.color <= rank:
                 raise GraphError(f"edge {e.name!r} has color {e.color}, rank is {rank}")
             if e.source not in vset or e.target not in vset:
                 raise GraphError(f"edge {e.name!r} has unknown endpoint")
-            self._edges[e.name] = e
+            named[e.name] = e
 
-        # the kernel's edge codes, and what it reads by code
-        coded = sorted(self._edges.values(), key=lambda e: (e.color, e.name))
+        # the edges, kept only as the kernel's codes
+        coded = sorted(named.values(), key=lambda e: (e.color, e.name))
         self._names = tuple(e.name for e in coded)
-        self._code = {nm: a for a, nm in enumerate(self._names)}
-        self._ecolor = tuple(e.color for e in coded)
-        self._esource = tuple(e.source for e in coded)
-        self._etarget = tuple(e.target for e in coded)
-        self._starts = [bisect_left(self._ecolor, c) for c in range(rank + 2)]
+        self._code = code = {nm: a for a, nm in enumerate(self._names)}
+        self._ecolor = color = tuple(e.color for e in coded)
+        self._esource = source = tuple(e.source for e in coded)
+        self._etarget = target = tuple(e.target for e in coded)
+        self._starts = [bisect_left(color, c) for c in range(rank + 2)]
         self._into: dict[tuple[int, str], list[int]] = {}
-        for a, key in enumerate(zip(self._ecolor, self._etarget)):
+        for a, key in enumerate(zip(color, target)):
             self._into.setdefault(key, []).append(a)
 
         self._to_normal: dict[tuple[int, int], dict] = {
@@ -180,20 +178,20 @@ class KGraph:
                 raise GraphError(f"square table pair {pair!r} must have 1 <= i < j <= rank")
             for (hi, lo), (lo2, hi2) in table.items():
                 for nm in (hi, lo, lo2, hi2):
-                    if nm not in self._edges:
+                    if nm not in code:
                         raise GraphError(f"square entry refers to unknown edge {nm!r}")
-                eh, el, el2, eh2 = (self._edges[n] for n in (hi, lo, lo2, hi2))
-                if (eh.color, el.color) != (j, i) or (el2.color, eh2.color) != (i, j):
+                eh, el, el2, eh2 = map(code.__getitem__, (hi, lo, lo2, hi2))
+                if (color[eh], color[el]) != (j, i) or (color[el2], color[eh2]) != (i, j):
                     raise GraphError(
                         f"square entry {hi},{lo} -> {lo2},{hi2} has wrong colors for pair {pair}")
-                if eh.source != el.target:
+                if source[eh] != target[el]:
                     raise GraphError(f"square key {hi},{lo} is not composable")
-                if el2.source != eh2.target:
+                if source[el2] != target[eh2]:
                     raise GraphError(f"square value {lo2},{hi2} is not composable")
             self._to_normal[pair] = dict(table)
         # both directions of every square as one flat code map; when two keys
         # share a value, the later one's inverse overwrites (validate() reports it)
-        code, n_edges = self._code, len(self._names)
+        n_edges = len(self._names)
         self._moves = {code[a] * n_edges + code[b]: (code[c], code[d])
                        for table in self._to_normal.values() for key, val in table.items()
                        for (a, b), (c, d) in ((key, val), (val, key))}
@@ -206,18 +204,18 @@ class KGraph:
     # -- accessors -------------------------------------------------------------
 
     def edge(self, name) -> Edge:
-        try:
-            return self._edges[name]
-        except KeyError:
-            raise GraphError(f"unknown edge {name!r}") from None
+        a = self._code.get(name)
+        if a is None:
+            raise GraphError(f"unknown edge {name!r}")
+        return Edge(name, self._ecolor[a], self._esource[a], self._etarget[a])
 
     @property
     def edges(self):
-        return tuple(self._edges.values())
+        return tuple(map(self.edge, self._names))
 
     def __repr__(self):
         return (f"KGraph({self.name}: rank {self.rank}, {len(self.vertices)} vertices, "
-                f"{len(self._edges)} edges)")
+                f"{len(self._names)} edges)")
 
     # -- path construction ------------------------------------------------------
 
@@ -236,9 +234,9 @@ class KGraph:
         if out is None:
             if not word:
                 raise GraphError("empty edge word; use vertex() for grading-zero paths")
-            for nm in word:
-                self.edge(nm)  # an unknown name fails here, alone or not
-            codes = tuple(map(self._code.__getitem__, word))
+            codes = tuple(map(self._code.get, word))
+            if None in codes:  # the first unknown name, alone or not
+                raise GraphError(f"unknown edge {word[codes.index(None)]!r}")
             self._check_chain(codes)
             out = self._paths[word] = Path(self, self._normal(codes))
         return out
@@ -550,7 +548,7 @@ class KGraph:
 
     def opposite(self) -> "KGraph":
         """Edge-reversed graph; same names, transported squares.  Involutive."""
-        edges = [Edge(e.name, e.color, e.target, e.source) for e in self._edges.values()]
+        edges = map(Edge, self._names, self._ecolor, self._etarget, self._esource)
         # in the reversed graph the word (hi2, lo2) is anti-normal and equals
         # (lo, hi) there; when two keys share a value, the later one wins
         squares = {pair: {(hi2, lo2): (lo, hi) for (hi, lo), (lo2, hi2) in table.items()}

@@ -31,7 +31,7 @@ from kgraphlab.duality import (
     w_shift,
     zpoint_system,
 )
-from kgraphlab.dynsys import PartialMap, grid_system
+from kgraphlab.dynsys import MGDS, PartialMap, grid_system
 from kgraphlab.errors import (
     ConfigError,
     DomainError,
@@ -47,6 +47,7 @@ from kgraphlab.kgraph import (
     factorize,
     flip_graph,
     grid_graph,
+    one_loop_per_color_graph,
     single_vertex_graph,
 )
 from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
@@ -387,6 +388,105 @@ def test_boundary_subsystem_flip(flip22):
 def test_boundary_subsystem_rejects_grid(grid11):
     with pytest.raises(ConfigError):
         boundary_subsystem(grid11)
+
+
+# -- the boundary shift's groupoid is the Kumjian-Pask groupoid ---------------------
+
+
+def kumjian_pask_window(system, bound):
+    """The triples (lam.w, d(lam) - d(mu), mu.w) with d(lam), d(mu) <= bound, both ends in the carrier.
+
+    Points are carrier indices, translations coordinate tuples.  lam.w is
+    built one edge at a time, e.x being the rational path with prefix
+    e.prefix(x) and cycle cycle(x), so the oracle composes paths and never
+    shifts one.  No step leaves the carrier: each partial product is a
+    shift of lam.w, and the carrier is closed under the shifts.  Returned as
+    a dict of triples, in build order.
+    """
+    points, graph = system.carrier, system.carrier[0].graph
+    index = {x: i for i, x in enumerate(points)}
+    prepend = []  # per point x: (e.x, d(e)) for the edges e with e.x in the carrier
+    for x in points:
+        steps = []
+        for j in range(1, graph.rank + 1):
+            for e in graph.enumerate_paths(Shape.unit(graph.rank, j), source=x.target):
+                ex = index.get(RationalInfinitePath(compose(e, x.prefix), x.cycle))
+                if ex is not None:
+                    steps.append((ex, e.shape.coords))
+        prepend.append(steps)
+    window = {}
+    for w in range(len(points)):
+        ends = {(w, (0,) * graph.rank)}  # (lam.w, d(lam)) for every lam that lands in the carrier
+        todo = list(ends)
+        while todo:
+            x, m = todo.pop()
+            for ex, d in prepend[x]:
+                end = (ex, tuple(a + b for a, b in zip(m, d)))
+                if end not in ends and all(a <= b for a, b in zip(end[1], bound.coords)):
+                    ends.add(end)
+                    todo.append(end)
+        for (x, m), (y, n) in itertools.product(sorted(ends), repeat=2):
+            window[x, tuple(a - b for a, b in zip(m, n)), y] = True
+    return window
+
+
+def first_difference(triples, window):
+    """The first of triples outside window, else the first of window outside triples."""
+    return (next((t for t in triples if t not in window), None)
+            or next((t for t in window if t not in triples), None))
+
+
+def test_boundary_groupoid_is_the_kumjian_pask_window():
+    """build_semidirect of the boundary shifts equals the Kumjian-Pask window, arrow by arrow.
+
+    An arrow (x, m - n, y) with witness (m, n) is (lam.w, d(lam) - d(mu), mu.w)
+    for w = T^m x = T^n y, lam = x(0, m) and mu = y(0, n); conversely a
+    Kumjian-Pask triple has witness (d(lam), d(mu)).  So below a witness bound
+    the two windows hold the same triples, and with them the same cocycle
+    d(lam) - d(mu).  inverse swaps lam and mu, and compose is the
+    Kumjian-Pask product (x, k, y)(y, l, z) = (x, k + l, z): on every
+    composable pair of a window under 500 arrows, and from every 50th arrow
+    of a larger one.
+
+    Swapping the two shifts must break the equality on the aperiodic
+    single-vertex graphs, with the first differing triple as the witness.
+    On flip it changes nothing: flip is periodic, and its two unit shifts
+    agree on every boundary point.
+    """
+    graphs = [flip_graph(), one_loop_per_color_graph(2), single_vertex_graph([2]),
+              single_vertex_graph([2, 2]), single_vertex_graph([2, 3])]
+    graphs += [g.opposite() for g in graphs]
+    sizes, swapped_differs = {}, {}  # by graph name: arrows, first triple a swapped window gets wrong
+    for graph in graphs:
+        one, bound = Shape((1,) * graph.rank), Shape((2,) * graph.rank)
+        system = boundary_subsystem(graph, prefix_cap=one, cycle_cap=one)
+        index = {x: i for i, x in enumerate(system.carrier)}
+
+        def triples(G):
+            return {(index[g.x], g.z, index[g.y]): True for g in G}
+
+        G = build_semidirect(system, witness_bound=bound)
+        window = kumjian_pask_window(system, bound)
+        assert first_difference(triples(G), window) is None, graph.name
+        sizes[graph.name] = len(G)
+        for g in G:
+            assert g.z == g.witness[0].diff(g.witness[1])  # d(lam) - d(mu)
+            inv = G.inverse(g)
+            assert (inv.x, inv.z, inv.y) == (g.y, tuple(-c for c in g.z), g.x) and inv in G
+        for g in G.elements if len(G) < 500 else G.elements[::50]:
+            for j in G._by_range.get(g.y, ()):
+                h = G.elements[j]
+                gh = G.compose(g, h)
+                assert (gh.x, gh.z, gh.y) == (g.x, tuple(a + b for a, b in zip(g.z, h.z)), h.y)
+        if graph.name in ("flip2x2", "single2x2", "single2x3"):
+            swapped = MGDS("swapped", system.carrier, system.generators[::-1])
+            swapped_differs[graph.name] = first_difference(
+                triples(build_semidirect(swapped, witness_bound=bound)), window)
+    assert sizes == {"flip2x2": 1376, "free_abelian_2": 25, "single2": 32, "single2x2": 1024,
+                     "single2x3": 3168, "op(flip2x2)": 1376, "op(free_abelian_2)": 25,
+                     "op(single2)": 32, "op(single2x2)": 1024, "op(single2x3)": 3168}
+    assert [name for name, t in swapped_differs.items() if t is not None] == [
+        "single2x2", "single2x3"], swapped_differs
 
 
 # -- paired points and the two shift families ---------------------------------------

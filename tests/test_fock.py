@@ -165,6 +165,19 @@ def test_vertex_creation_acts_as_projection(grid11):
         assert L.adjoint().act(b) == P.act(b)
 
 
+def test_vertex_creation_is_its_span_projection(grid11):
+    # prepending a vertex keeps the paths with that target, appending it those
+    # with that source; each is a SpanProjection and its own adjoint
+    basis = fock_basis(grid11, Shape(1, 1)) + tuple(map(grid11.vertex, grid11.vertices))
+    for v in grid11.vertices:
+        for create, project, end in ((left_creation, target_projection, "target"),
+                                     (right_creation, source_projection, "source")):
+            C = create(grid11, grid11.vertex(v))
+            assert isinstance(C, fock.SpanProjection) and C.adjoint() is C
+            assert repr(C) == f"proj[{end}={v}]"
+            assert [C.act(b) for b in basis] == [project(grid11, v).act(b) for b in basis]
+
+
 def test_two_sided_concatenation_on_n2(n2graph):
     # appending the vertical loop and prepending the horizontal one lands on
     # the unique path one step up in both coordinates

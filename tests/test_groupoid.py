@@ -392,9 +392,8 @@ def test_a_wrong_escaped_product_keeps_its_first_witness(mix_groupoid, side, fir
         ("associativity", False, tuple(GroupoidElement(*t) for t in first))]
 
 
-def test_ambient_key_route_matches_the_triple_loop_on_two_points():
-    # every commuting pair of partial maps on {0, 1}: the same verdicts and
-    # witnesses with the ambient key and with the loop over triples
+def two_point_systems():
+    """Every commuting pair of partial maps on {0, 1}, as a system: 41 of the 81 pairs."""
     maps = [{x: v for x, v in zip((0, 1), images) if v is not None}
             for images in itertools.product((None, 0, 1), repeat=2)]
     systems = []
@@ -403,11 +402,42 @@ def test_ambient_key_route_matches_the_triple_loop_on_two_points():
             systems.append(MGDS("two", [0, 1], [PartialMap("T1", t1), PartialMap("T2", t2)]))
         except ConfigError:
             continue
+    return systems
+
+
+def test_ambient_key_route_matches_the_triple_loop_on_two_points():
+    # every commuting pair of partial maps on {0, 1}: the same verdicts and
+    # witnesses with the ambient key and with the loop over triples
+    systems = two_point_systems()
     forced = [not s.check_dc().ok for s in systems]
     assert (len(systems), sum(forced)) == (41, 2)
     for system, force in zip(systems, forced):
         verdicts = axiom_verdicts(build_semidirect(system, force=force))
         assert verdicts == axiom_verdicts(keyless(build_semidirect(system, force=force)))
+
+
+def test_find_witness_matches_a_scan_of_the_whole_box():
+    """find_witness searches only where both powers can be defined, and loses nothing.
+
+    Reference: every m <= 2 * witness_bound in shapes_below order, with
+    n = m - z >= 0, the first (m, n) with T^m x = T^n y.  Checked on forced
+    builds of every commuting pair of partial maps on two points, for x and
+    y in the carrier and every |z_j| <= 3; a point outside the carrier has
+    no witness.
+    """
+    found = 0
+    for system in two_point_systems():
+        G = build_semidirect(system, force=True)
+        box = list(shapes_below(G.witness_bound * 2))
+        for x, y in itertools.product(system.carrier, repeat=2):
+            for z in itertools.product(range(-3, 4), repeat=2):
+                pairs = ((m, tuple(map(operator.sub, m.coords, z))) for m in box)
+                want = next(((m, Shape(n)) for m, n in pairs
+                             if min(n) >= 0 and system.meets(x, y, m, Shape(n))), None)
+                assert G.find_witness(x, z, y) == want, (system.generators, x, z, y)
+                found += want is not None
+        assert G.find_witness(2, (0, 0), 0) is None
+    assert found == 1990
 
 
 def test_composites_may_leave_the_window(mix_groupoid):
@@ -512,6 +542,17 @@ def test_forced_build_failure_shape_scales_with_word_length():
         with pytest.raises(WitnessError):
             F.compose(gamma, eta)
         assert F.find_witness(x, (len(x) + len(y), -len(y)), "") is None
+
+
+def test_an_empty_search_box_calls_no_meets(monkeypatch):
+    # the counterexample composite (a, (2, -1), ''): exit_time('') = (0, 0) puts
+    # m_2 <= -1, so the search box is empty and no power is compared
+    F = build_semidirect(free_monoid_system("ab", 3), force=True)
+    calls = []
+    monkeypatch.setattr(MGDS, "meets", lambda self, *args: calls.append(args))
+    assert F.find_witness("a", (2, -1), "") is None
+    assert F.find_witness("c", (0, 0), "") is None  # outside the carrier: no DomainError
+    assert calls == []
 
 
 # -- essential freeness and the germ quotient ------------------------------------------------

@@ -666,6 +666,56 @@ def test_constructor_rejections():
             KGraph(2, ["u", "v"], edges, squares)
 
 
+def test_the_first_fault_in_input_order_is_reported():
+    # each input holds two faults; the constructor names the first, edges in
+    # input order before squares, square entries in table order
+    a, b, x = Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"), Edge("x", 1, "v", "v")
+    red, stray = Edge("c", 3, "u", "u"), Edge("w", 1, "u", "zz")
+    for edges, squares, message in [
+        ([a, a, red], {}, "duplicate edge name 'a'"),
+        ([a, red, a], {}, "edge 'c' has color 3, rank is 2"),
+        ([stray, a, a], {}, "edge 'w' has unknown endpoint"),
+        ([a, b, a], {(1, 2): {("b", "zz"): ("a", "b")}}, "duplicate edge name 'a'"),
+        ([a, b, x], {(1, 2): {("b", "zz"): ("a", "b"), ("a", "b"): ("a", "b")}},
+         "square entry refers to unknown edge 'zz'"),
+        ([a, b, x], {(1, 2): {("a", "b"): ("a", "b"), ("b", "zz"): ("a", "b")}},
+         "square entry a,b -> a,b has wrong colors for pair (1, 2)"),
+        ([a, b, x], {(1, 2): {("b", "x"): ("a", "b"), ("b", "a"): ("x", "b")}},
+         "square key b,x is not composable"),
+        ([a, b, x], {(1, 2): {("b", "a"): ("x", "b"), ("b", "x"): ("a", "b")}},
+         "square value x,b is not composable"),
+        ([a, b, x], {(1, 2): {("x", "zz"): ("a", "b")}}, "square entry refers to unknown edge 'zz'"),
+    ]:
+        with pytest.raises(GraphError) as err:
+            KGraph(2, ["u", "v"], edges, squares)
+        assert str(err.value) == message
+
+
+def test_edges_are_listed_by_color_then_name():
+    g = grid_graph((1, 1))
+    assert [e.name for e in g.edges] == ["a1.00", "a1.01", "a2.00", "a2.10"]
+    assert [(e.color, e.source, e.target) for e in g.edges] == [
+        (1, "v10", "v00"), (1, "v11", "v01"), (2, "v01", "v00"), (2, "v11", "v10")]
+    assert g.edges == tuple(map(g.edge, g._names))
+
+
+def test_a_graph_holds_no_edge_record(graph_family):
+    # edges live only as codes; edge() and edges build Edge records on demand
+    def edges_in(value):
+        if isinstance(value, Edge):
+            return 1
+        if isinstance(value, dict):
+            return sum(edges_in(k) + edges_in(v) for k, v in value.items())
+        if isinstance(value, (tuple, list, set, frozenset)):
+            return sum(map(edges_in, value))
+        return 0
+
+    for g in (*graph_family, single_vertex_graph([2, 3]).opposite()):
+        g.all_paths(Shape(1, 1))
+        assert len(g.edges) == len(g._names) and not hasattr(g, "_edges")
+        assert {name: edges_in(value) for name, value in vars(g).items() if edges_in(value)} == {}
+
+
 # -- opposite ------------------------------------------------------------------------------------
 
 
