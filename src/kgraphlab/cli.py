@@ -7,6 +7,9 @@ Exit codes keep configuration problems apart from genuine check failures:
     2  fixture could not be read, parsed, or resolved into runnable checks
     3  internal error: an exception outside the package's own error types
        escaped, so the run says nothing about the checks
+
+Options are resolved before any check body runs, so a bad option exits 2;
+a package error raised inside a check body is a failed check.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from .shapes import INF, Shape
 
 
 def _timed(name: str, fn) -> Check:
-    """Run one check body and return its Check under the given name, timed."""
-    # configuration problems are caught before any check runs; once checks
-    # are running, anything a check body raises is a failed check, not exit 2
+    """Run one check body, timed, as a Check of that name; a package error it raises fails it."""
     t0 = time.perf_counter()
     try:
         check = fn()
@@ -71,42 +72,37 @@ def _require_graph(graph, suite: str):
 # -- suites ---------------------------------------------------------------------------
 #
 # Each suite returns its checks named without the suite prefix; run_fixture
-# adds it.
+# adds it, and flattens each composite check into its sub-checks.
 
 
 def suite_validate(fixture: Fixture, graph, options: dict) -> list[Check]:
     graph = _require_graph(graph, "validate")
     bound = _resolve_bound(options, fixture, graph.rank)
-    return _parts(_timed("validate", lambda: graph.validate(bound)))
+    return [_timed("validate", lambda: graph.validate(bound))]
 
 
 def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
-    letters = options.get("letters", "ab")
-    system = free_monoid_system(letters, options.get("length", 3))
-
-    def dc_fails():
-        rep = system.check_dc()
-        # this suite passes when the expected defect shows up
-        return replace(rep, ok=not rep.ok and rep.witness is not None)
+    system = free_monoid_system(options.get("letters", "ab"), options.get("length", 3))
+    # this suite passes when the expected defect shows up
+    dc = _timed("domain-compat-fails", lambda: replace(rep := system.check_dc(), ok=not rep.ok))
 
     def composite_has_no_witness():
-        if len(letters) < 2:
-            raise ConfigError("two distinct letters needed to stage the composite")
+        # DC fails at (n, m, x): x is in dom T^n and dom T^m, not in dom T^(n join m).
+        # g = (x, n, T^n x) and h = (x, m, T^m x) lie in the forced window, as n, m <=
+        # exit_bound(), its witness bound.  g^-1 h = (T^n x, m - n, T^m x) has no witness
+        # (p, q) at any bound: T^p T^n x = T^q T^m x with p - q = m - n gives p + n = q + m
+        # >= n join m, and T^(p+n) x defined puts x in dom T^(n join m).
+        n, m, x = dc.witness
         forced = build_semidirect(system, force=True)
-        x, y = letters[0], letters[1]
-        gamma = forced.element(x, (len(x), -len(y)), y)
-        eta = forced.element(y, (len(y), 0), "")
+        g, h = (forced.element(x, k.coords, system.power(k)(x)) for k in (n, m))
         try:
-            forced.compose(gamma, eta)
+            forced.compose(forced.inverse(g), h)
         except WitnessError as err:
             return Check("composite-without-witness", True,
                          (err.attempted, err.search_bound), "composite rejected")
         return Check("composite-without-witness", False, None, "composite unexpectedly accepted")
 
-    return [
-        _timed("domain-compat-fails", dc_fails),
-        _timed("composite-without-witness", composite_has_no_witness),
-    ]
+    return [dc, _timed("composite-without-witness", composite_has_no_witness)]
 
 
 def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
@@ -148,7 +144,7 @@ def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[Check]:
         census = Check("census", True, info=f"elements={len(G)}")
         return replace(rep, checks=rep.checks + (census,))
 
-    return [dc, *_parts(_timed("build", axioms))]
+    return [dc, _timed("build", axioms)]
 
 
 def suite_boundary(fixture: Fixture, graph, options: dict) -> list[Check]:
@@ -226,8 +222,8 @@ def run_fixture(fixture: Fixture, *, suite_names=None, bound=None,
             options["bound"] = bound
         if relations is not None and name == "fock":
             options["relations"] = relations
-        results.extend(replace(c, name=f"{name}.{c.name}")
-                       for c in SUITES[name](fixture, graph, options))
+        results.extend(replace(part, name=f"{name}.{part.name}")
+                       for c in SUITES[name](fixture, graph, options) for part in _parts(c))
 
     return RunReport(fixture=fixture.name,
                      seed=seed if seed is not None else fixture.seed,

@@ -9,6 +9,7 @@ from kgraphlab import cli
 from kgraphlab.cli import main, run_fixture
 from kgraphlab.errors import ConfigError, FixtureError
 from kgraphlab.fixtures import build_graph, parse_fixture_text
+from kgraphlab.groupoid import SemidirectGroupoid
 from kgraphlab.kgraph import Edge, KGraph
 from kgraphlab.reporting import (
     Check,
@@ -387,7 +388,7 @@ def test_free_monoid_fixture_shows_both_defects(capsys):
     out = capsys.readouterr().out
     assert 'witness: ((1, 0), (0, 1), "a")' in out
     assert "PASS  counterexample.composite-without-witness" in out
-    assert "witness: ((2, -1), (6, 6))" in out
+    assert "witness: ((-1, 1), (6, 6))" in out
 
 
 def test_fock_relations_flag_on_free_abelian(capsys):
@@ -424,17 +425,19 @@ def test_both_format_emits_each_section(capsys):
     assert "record=summary ok=true" in out
 
 
-def test_failing_check_exits_one(tmp_path, capsys):
-    path = tmp_path / "one_letter.kgf"
-    path.write_text("suite counterexample letters=a\n")
-    assert main([str(path)]) == 1
+def test_failing_check_exits_one(monkeypatch, capsys):
+    # a compose that accepts the composite without a witness fails the check
+    monkeypatch.setattr(SemidirectGroupoid, "compose", lambda self, g, h: g)
+    assert main([str(FIXTURES / "free_monoid.kgf")]) == 1
     out = capsys.readouterr().out
-    assert "FAIL  counterexample.composite-without-witness" in out
+    assert "FAIL  counterexample.composite-without-witness  (" in out
+    assert "composite unexpectedly accepted" in out
     assert "result: 1/2 checks passed" in out
 
 
-# every shipped fixture passes; one_letter is written inline and fails one check
-GOLDEN_CASES = [(p.stem, 0) for p in sorted(FIXTURES.glob("*.kgf"))] + [("one_letter", 1)]
+# every shipped fixture passes; one_letter is written inline, and its one-letter
+# word system shows both defects too
+GOLDEN_CASES = [(p.stem, 0) for p in sorted(FIXTURES.glob("*.kgf"))] + [("one_letter", 0)]
 
 
 def test_every_golden_file_has_a_source():
@@ -545,3 +548,103 @@ def test_run_fixture_without_suites_is_config_error():
     fx = parse_fixture_text("graph loops counts=2,2 squares=flip\n")
     with pytest.raises(ConfigError):
         run_fixture(fx)
+
+
+# -- the exit-code contract under generated fixtures ---------------------------------
+
+def _int_list(rng, rank):
+    # entries 0 or 1 keep every run small; about 3% are negative, which the parser rejects
+    return ",".join(str(-1 if rng.random() < 0.03 else rng.randint(0, 1)) for _ in range(rank))
+
+
+def _generated_fixture(rng):
+    """A fixture over a random graph with random suites, options and bounds, lines shuffled."""
+    rank = rng.randint(1, 3)
+    lines = [f"name generated {rng.randint(0, 99)}"]
+    if rng.random() < 0.45:
+        lines.append(f"graph grid size={_int_list(rng, rank)}")
+    elif rng.random() < 0.9:
+        top = 2 if rank < 3 else 1
+        squares = rng.choice(["", " squares=commute", " squares=flip"])
+        same = rng.randint(1, top)  # flip squares need equal nonzero counts
+        counts = [same if squares.endswith("flip") else rng.randint(0, top) for _ in range(rank)]
+        lines.append(f"graph loops counts={','.join(map(str, counts))}{squares}")
+
+    def shape():  # of the graph's rank, or one coordinate off
+        return _int_list(rng, rank + (rng.choice((-1, 1)) if rng.random() < 0.15 else 0))
+
+    options = {
+        "validate": lambda: {"bound": shape()},
+        "counterexample": lambda: {"letters": rng.choice(["a", "ab", "ba", "aab"]),
+                                   "length": rng.randint(-1, 3)},
+        "fock": lambda: {"relations": ",".join(rng.sample(
+                             ["R1", "R2", "R3", "R4", "commutation", "R9"], rng.randint(1, 3))),
+                         "bound": shape()},
+        "groupoid": lambda: {"bound": shape(), "witness": shape()},
+        "boundary": lambda: {"prefix": shape(), "cycle": shape()},
+    }
+    for suite in rng.sample(sorted(options), rng.randint(1, 3)):
+        chosen = [f"{k}={v}" for k, v in options[suite]().items() if rng.random() < 0.6]
+        lines.append(" ".join(["suite", suite, *chosen]))
+    if rng.random() < 0.5:
+        lines.append(f"bound {shape()}")
+    if rng.random() < 0.5:
+        lines.append(f"seed {rng.randint(-3, 9)}")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+_RETYPED = ["1", "1,1", "0,1,1", "-1", "x", "a=b", "bound=1,1", "suite", "graph", "letters=a",
+            "length=2", "=", "R1"]
+
+
+def _mutant(rng, text):
+    """The text with one token deleted, repeated, swapped with another, or retyped."""
+    rows = [line.split() for line in text.splitlines()]
+    slots = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    i, j = rng.choice(slots)
+    op = rng.choice(["delete", "repeat", "swap", "retype"])
+    if op == "delete":
+        del rows[i][j]
+    elif op == "repeat":
+        rows[i].insert(j, rows[i][j])
+    elif op == "swap":
+        k, m = rng.choice(slots)
+        rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+    else:
+        rows[i][j] = rng.choice(_RETYPED)
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+def test_exit_codes_keep_their_contract_on_generated_fixtures(tmp_path, capsys):
+    """300 generated fixtures, one in four a token mutant of a shipped one, bounds cut to 1.
+
+    Every run exits 0, 1 or 2, and exits 1 exactly when a machine record
+    fails.  No option a suite reads fails inside a check body.  A fixture
+    the parser rejects exits 2, its message opening with the line and
+    column.  Two runs print the same bytes.
+    """
+    rng = random.Random(20261020)
+    shipped = [p.read_text(encoding="utf-8").replace("bound=2,2", "bound=1,1")
+               .replace("bound 2,2", "bound 1,1") for p in sorted(FIXTURES.glob("*.kgf"))]
+    path = tmp_path / "generated.kgf"
+    codes = []
+    for k in range(300):
+        text = _mutant(rng, rng.choice(shipped)) if k % 4 == 3 else _generated_fixture(rng)
+        path.write_text(text, encoding="utf-8")
+        runs = []
+        for _ in range(2):
+            code = main([str(path), "--format", "machine"])
+            runs.append((code, *capsys.readouterr()))
+        code, out, err = runs[0]
+        assert runs[1] == runs[0], text
+        assert code in (0, 1, 2), (text, err)
+        assert (code == 1) == ("status=fail" in out), text
+        assert "check raised ConfigError" not in out, text  # options resolve before checks run
+        try:
+            parse_fixture_text(text)
+        except FixtureError as fault:
+            assert code == 2 and err == f"error: {fault}\n", text
+            assert str(fault).startswith(f"line {fault.line}, column {fault.column}: ")
+        codes.append(code)
+    assert {0, 2} <= set(codes)

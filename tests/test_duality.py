@@ -449,7 +449,9 @@ def test_boundary_groupoid_is_the_kumjian_pask_window():
     of a larger one.
 
     Swapping the two shifts must break the equality on the aperiodic
-    single-vertex graphs, with the first differing triple as the witness.
+    single-vertex graphs, with the first differing triple as the witness,
+    and so must a wrong-block shift: sigma^(e1 + e2) in place of either
+    unit shift.
     On flip it changes nothing: flip is periodic, and its two unit shifts
     agree on every boundary point.
     """
@@ -457,6 +459,7 @@ def test_boundary_groupoid_is_the_kumjian_pask_window():
               single_vertex_graph([2, 2]), single_vertex_graph([2, 3])]
     graphs += [g.opposite() for g in graphs]
     sizes, swapped_differs = {}, {}  # by graph name: arrows, first triple a swapped window gets wrong
+    wrong_block_differs = {}  # by graph name and replaced shift: the first triple it gets wrong
     for graph in graphs:
         one, bound = Shape((1,) * graph.rank), Shape((2,) * graph.rank)
         system = boundary_subsystem(graph, prefix_cap=one, cycle_cap=one)
@@ -482,11 +485,20 @@ def test_boundary_groupoid_is_the_kumjian_pask_window():
             swapped = MGDS("swapped", system.carrier, system.generators[::-1])
             swapped_differs[graph.name] = first_difference(
                 triples(build_semidirect(swapped, witness_bound=bound)), window)
+        if graph.name in ("single2x2", "single2x3"):
+            T1, T2 = system.generators  # sigma^(e1 + e2) in place of sigma^(e2), or of sigma^(e1)
+            for j, gens in ((2, (T1, T1.compose(T2))), (1, (T1.compose(T2), T2))):
+                mutant = MGDS("wrong-block", system.carrier, gens)
+                wrong_block_differs[graph.name, j] = first_difference(
+                    triples(build_semidirect(mutant, witness_bound=bound)), window)
     assert sizes == {"flip2x2": 1376, "free_abelian_2": 25, "single2": 32, "single2x2": 1024,
                      "single2x3": 3168, "op(flip2x2)": 1376, "op(free_abelian_2)": 25,
                      "op(single2)": 32, "op(single2x2)": 1024, "op(single2x3)": 3168}
     assert [name for name, t in swapped_differs.items() if t is not None] == [
         "single2x2", "single2x3"], swapped_differs
+    assert wrong_block_differs == {
+        ("single2x2", 2): (5, (-2, 1), 2), ("single2x2", 1): (0, (-1, 2), 7),
+        ("single2x3", 2): (8, (-2, 1), 3), ("single2x3", 1): (0, (-1, 2), 11)}
 
 
 # -- paired points and the two shift families ---------------------------------------

@@ -392,14 +392,18 @@ def test_a_wrong_escaped_product_keeps_its_first_witness(mix_groupoid, side, fir
         ("associativity", False, tuple(GroupoidElement(*t) for t in first))]
 
 
-def two_point_systems():
-    """Every commuting pair of partial maps on {0, 1}, as a system: 41 of the 81 pairs."""
-    maps = [{x: v for x, v in zip((0, 1), images) if v is not None}
-            for images in itertools.product((None, 0, 1), repeat=2)]
+def point_systems(size):
+    """Every commuting pair of partial maps on {0, .., size - 1}, as a system.
+
+    41 of the 81 pairs on two points commute, and 640 of the 4,096 on three.
+    """
+    points = range(size)
+    maps = [{x: v for x, v in zip(points, images) if v is not None}
+            for images in itertools.product((None, *points), repeat=size)]
     systems = []
     for t1, t2 in itertools.product(maps, repeat=2):
         try:
-            systems.append(MGDS("two", [0, 1], [PartialMap("T1", t1), PartialMap("T2", t2)]))
+            systems.append(MGDS("points", points, [PartialMap("T1", t1), PartialMap("T2", t2)]))
         except ConfigError:
             continue
     return systems
@@ -408,12 +412,37 @@ def two_point_systems():
 def test_ambient_key_route_matches_the_triple_loop_on_two_points():
     # every commuting pair of partial maps on {0, 1}: the same verdicts and
     # witnesses with the ambient key and with the loop over triples
-    systems = two_point_systems()
+    systems = point_systems(2)
     forced = [not s.check_dc().ok for s in systems]
     assert (len(systems), sum(forced)) == (41, 2)
     for system, force in zip(systems, forced):
         verdicts = axiom_verdicts(build_semidirect(system, force=force))
         assert verdicts == axiom_verdicts(keyless(build_semidirect(system, force=force)))
+
+
+def test_the_dc_witness_derives_a_composite_without_witness():
+    """Where check_dc fails at (n, m, x), the composite g^-1 h has no witness at any bound.
+
+    g = (x, n, T^n x) and h = (x, m, T^m x) lie in the forced window.  A
+    witness (p, q) of g^-1 h = (T^n x, m - n, T^m x) would give p + n = q + m
+    >= n join m with T^(p+n) x defined, putting x in dom T^(n join m).  On
+    every DC-failing commuting system on two and three points, and on four
+    word systems, compose raises WitnessError and a brute scan of every
+    p <= 4 * exit_bound() + 4 meets nowhere.
+    """
+    systems = [s for s in (*point_systems(2), *point_systems(3)) if not s.check_dc().ok]
+    assert len(systems) == 2 + 81
+    systems += [free_monoid_system(a, k) for a, k in (("ab", 3), ("a", 3), ("abc", 2), ("ab", 1))]
+    for system in systems:
+        n, m, x = system.check_dc().witness
+        G = build_semidirect(system, force=True)
+        g, h = (G.element(x, k.coords, system.power(k)(x)) for k in (n, m))
+        with pytest.raises(WitnessError):
+            G.compose(G.inverse(g), h)
+        u, v, z = system.power(n)(x), system.power(m)(x), m.diff(n)
+        for p in shapes_below(system.exit_bound() * 4 + Shape((4,) * system.rank)):
+            q = tuple(map(operator.sub, p.coords, z))
+            assert min(q) < 0 or not system.meets(u, v, p, Shape(q)), (system.generators, p)
 
 
 def test_find_witness_matches_a_scan_of_the_whole_box():
@@ -426,7 +455,7 @@ def test_find_witness_matches_a_scan_of_the_whole_box():
     no witness.
     """
     found = 0
-    for system in two_point_systems():
+    for system in point_systems(2):
         G = build_semidirect(system, force=True)
         box = list(shapes_below(G.witness_bound * 2))
         for x, y in itertools.product(system.carrier, repeat=2):

@@ -80,6 +80,8 @@ _TESTS_ONLY = "only tests call it; give it a caller or drop it (ROADMAP: one rec
 _DUALITY = "for the Λ/Λᵒᵖ duality groupoid's checks (ROADMAP); it goes if they never land"
 UNCALLED = {
     "coeff": "the only public reader of a convolution element's values",
+    "act": "the public reader of an operator's image on one basis vector, as coeff is for a "
+           "convolution element",
     "theta_twist": _DUALITY,
     "theta_untwist": _DUALITY,
     "two_sided_cocycle": _DUALITY,
@@ -95,27 +97,79 @@ def _outside_tests():
     return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _body(fn) -> list:
+    return fn.body if isinstance(fn.body, list) else [fn.body]  # a lambda's is one expression
+
+
+def _locals(fn):
+    """A function's parameters and the names its own body assigns, less global or nonlocal ones."""
+    args = fn.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a}
+    declared, todo = set(), list(_body(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):  # nested scopes keep their own
+            todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _spelled(tree) -> set:
+    """The names a module spells as an attribute, an import, or a bare name of no function's.
+
+    A bare name that is a parameter or local of an enclosing function names
+    that variable, so it calls nothing.
+    """
+    named = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, ast.Name) and node.id not in shadowed:
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+        inner, body = shadowed, ()
+        if isinstance(node, _FUNCTIONS):
+            inner, body = shadowed | _locals(node), _body(node)
+        for child in ast.iter_child_nodes(node):  # decorators and defaults run outside
+            visit(child, inner if child in body else shadowed)
+
+    visit(tree, frozenset())
+    return named
+
+
 def test_every_definition_has_a_caller(trees):
     """Every function, method and class of the package is named outside tests.
 
-    A definition counts as called when some Name, Attribute or import in
-    src/ or bench/ spells its name (dunders are called by the language).
-    The check is by name only: a name shared with another definition hides
-    an orphan, so it can miss one, but it never flags a name in use.
+    A definition counts as called when some Attribute or import in src/ or
+    bench/ spells its name, or some bare Name that is no parameter or local
+    of an enclosing function (dunders are called by the language).  The
+    check is by name only: a name shared with another definition hides an
+    orphan, so it can miss one, but it never flags a name in use.
     """
-    named = set()
-    for tree in _outside_tests():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name.rpartition(".")[2])
+    named = set().union(*map(_spelled, _outside_tests()))
     defined = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and not (node.name.startswith("__") and node.name.endswith("__"))}
     assert sorted(defined - named) == sorted(UNCALLED)
+
+
+def test_a_local_of_the_same_name_is_no_caller():
+    # a loop variable, parameter or assignment shadows the definition inside its function
+    orphan = "def act(): pass\n"
+    for body in ("for act in atoms:\n        act()", "act = atoms[0]\n    act()"):
+        assert "act" not in _spelled(ast.parse(f"{orphan}def pool(atoms):\n    {body}\n"))
+    assert "act" not in _spelled(ast.parse(f"{orphan}pool = lambda act: act()\n"))
+    assert "act" in _spelled(ast.parse(f"{orphan}def pool(atoms):\n    act()\n"))
+    assert "act" in _spelled(ast.parse(f"{orphan}def pool(atoms, f=act):\n    f()\n"))
 
 
 # attributes no code in src/ or bench/ reads, each with its reason to stay
