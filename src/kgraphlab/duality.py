@@ -5,9 +5,9 @@ infinite paths in a diagonal canonical form, the unit-shift systems on
 path spaces and boundaries, the paired points (finite path, infinite
 continuation) carrying two commuting families of shifts (all three
 systems built by MGDS.closure), the covering map onto (shape, infinite
-path) data together with constructive fiber lifts, the two-sided shift
-on doubly infinite words, and the lattice-translation twist on groupoid
-elements.
+path) data with its inverse phi_section, so that fiber lifts are unique
+and built constructively, the two-sided shift on doubly infinite words,
+and the lattice-translation twist on groupoid elements.
 
 Everything is exact: an infinite path is canonicalized once per distinct
 (prefix, cycle) per graph, so its equality and hash compare two finite
@@ -23,7 +23,6 @@ from .dynsys import MGDS
 from .errors import ConfigError, DomainError, NotComposable, WitnessError
 from .groupoid import GroupoidElement
 from .kgraph import Path, compose, factorize
-from .reporting import CAP, Check
 from .shapes import INF, ExtendedShape, Shape, as_shape, shapes_below, witness_pairs
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "s_shift",
     "w_shift",
     "lift_fiber",
-    "fiber_lift_report",
     "two_sided_shift",
     "two_sided_shift_inverse",
     "two_sided_cocycle",
@@ -277,10 +275,6 @@ class ZPoint:
             )
 
     @property
-    def graph(self):
-        return self.x.graph
-
-    @property
     def rank(self) -> int:
         return self.x.graph.rank
 
@@ -333,13 +327,12 @@ def phi(z: ZPoint) -> tuple:
 def phi_section(pair) -> ZPoint:
     """The unique paired point with the given covering data.
 
-    Splits the infinite path at the recorded grade; phi_section(phi(z)) == z
-    and phi(phi_section(p)) == p, so the covering map is a bijection on
+    Splits the infinite path at the recorded grade, a Shape or coordinate
+    tuple (an INF entry raises ShapeError); phi_section(phi(z)) == z and
+    phi(phi_section(p)) == p, so the covering map is a bijection on
     rational data.
     """
     n, w = pair
-    if not ExtendedShape(*n).is_finite:
-        raise ConfigError(f"covering data needs a finite grade, got {n}")
     n = as_shape(n)
     return ZPoint(w.head(n), shift_infinite(n, w))
 
@@ -359,12 +352,8 @@ def w_shift(k: Shape, pair) -> tuple:
     return (as_shape(n), shift_infinite(k, w))
 
 
-def _split(m: Shape, rank: int) -> tuple[Shape, Shape]:
-    return Shape(m.coords[:rank]), Shape(m.coords[rank:])
-
-
-def _apply_word(z: ZPoint, seam: Shape, slide: Shape) -> ZPoint:
-    return v_shift(slide, t_shift(seam, z))
+def _apply_word(z: ZPoint, m: Shape, rank: int) -> ZPoint:
+    return v_shift(Shape(m.coords[rank:]), t_shift(Shape(m.coords[:rank]), z))
 
 
 def lift_fiber(z: ZPoint, target: GroupoidElement) -> GroupoidElement:
@@ -377,6 +366,12 @@ def lift_fiber(z: ZPoint, target: GroupoidElement) -> GroupoidElement:
     range data, then a witness pair certifying the arrow is found among
     shapes up to 2 in all 2r coordinates.  A valid target always lifts;
     exhausting that bound means a bug or a model gap and raises loudly.
+
+    The lift is unique because phi is injective, so a window needs no
+    uniqueness check.  Say arrows g = (x, z, y) and g' = (x', z', y') of a
+    paired-point window cover one arrow: then z = z', phi(x) = phi(x') and
+    phi(y) = phi(y').  Since phi_section(phi(p)) == p, x = x' and y = y'.
+    An arrow is its triple, and the build keeps each triple once, so g = g'.
     """
     range_pair, cocycle, source_pair = target.x, target.z, target.y
     if isinstance(range_pair, ZPoint):  # arrow of the paired-point groupoid
@@ -392,8 +387,8 @@ def lift_fiber(z: ZPoint, target: GroupoidElement) -> GroupoidElement:
     witness_bound = Shape((2,) * (2 * rank))
     for m, n_wit in witness_pairs(witness_bound, cocycle):
         try:
-            left = _apply_word(lifted, *_split(m, rank))
-            right = _apply_word(z, *_split(n_wit, rank))
+            left = _apply_word(lifted, m, rank)
+            right = _apply_word(z, n_wit, rank)
         except DomainError:
             continue
         if left == right:
@@ -402,22 +397,6 @@ def lift_fiber(z: ZPoint, target: GroupoidElement) -> GroupoidElement:
         f"no lift of cocycle {cocycle} over the covering data of {z!r} "
         f"within witness bound {witness_bound}: bug or model gap"
     )
-
-
-def fiber_lift_report(groupoid) -> Check:
-    """Check every arrow of a paired-point groupoid is alone over its image.
-
-    Buckets arrows by (source point, covered arrow); two arrows in one
-    bucket would be distinct lifts of a single covering arrow out of the
-    same point.  The witness holds the first CAP such buckets; the info
-    string counts the arrows checked.
-    """
-    buckets: dict = {}
-    for g in groupoid:
-        key = (g.y, (phi(g.x), g.z, phi(g.y)))
-        buckets.setdefault(key, []).append(g)
-    defects = tuple(tuple(v) for v in buckets.values() if len(v) > 1)[:CAP]
-    return Check("fiber-lift", not defects, defects or None, f"checked={len(groupoid)}")
 
 
 # -- two-sided words and the lattice twist ----------------------------------------

@@ -64,9 +64,6 @@ class PartialMap:
             return NotImplemented
         return self._table == other._table
 
-    def __len__(self):
-        return len(self._table)
-
     def __repr__(self):
         return f"PartialMap({self.name}: {len(self._table)} points)"
 

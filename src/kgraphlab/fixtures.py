@@ -21,9 +21,10 @@ Directives, each at most once except suite (once per suite name):
     seed  <int>
 
 Unknown directives, kinds and option keys, repeated directives, a missing
-required graph option, a value outside its choices, flip squares over
-unequal loop counts and malformed values are all rejected with the line and column of the offending token, so a
-parsed fixture always builds its graph.
+required graph option, a value outside its choices, a length below 1, a
+comma in letters (one word, not a list), flip squares over unequal loop
+counts and malformed values are all rejected with the line and column of
+the offending token, so a parsed fixture always builds its graph.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ SUITE_KINDS = {
 }
 
 # option value syntax, shared across directives
-_INT_KEYS = {"length"}
+_POSITIVE_INT_KEYS = {"length"}
 _INT_LIST_KEYS = {"size", "counts", "bound", "witness", "prefix", "cycle"}
 _WORD_LIST_KEYS = {"relations"}
 _CHOICES = {"squares": ("commute", "flip")}
@@ -87,8 +88,10 @@ def _parse_int_list(text: str, line: int, col: int) -> tuple[int, ...]:
 
 
 def _parse_value(key: str, text: str, line: int, col: int):
-    if key in _INT_KEYS:
-        return _parse_int(text, line, col)
+    if key in _POSITIVE_INT_KEYS:
+        if (value := _parse_int(text, line, col)) < 1:
+            raise FixtureError(f"{key} must be positive, got {text!r}", line=line, column=col)
+        return value
     if key in _INT_LIST_KEYS:
         return _parse_int_list(text, line, col)
     if key in _WORD_LIST_KEYS:
@@ -97,6 +100,9 @@ def _parse_value(key: str, text: str, line: int, col: int):
     if choices and text not in choices:
         raise FixtureError(f"{key} must be {' or '.join(choices)}, got {text!r}",
                            line=line, column=col)
+    if "," in text:
+        raise FixtureError(f"{key} takes one word, not a list: got {text!r}",
+                           line=line, column=col + text.index(","))
     return text  # word keys keep their raw spelling
 
 

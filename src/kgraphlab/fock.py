@@ -4,12 +4,13 @@ The basis is a single shared vacuum symbol plus every path of nonzero shape.
 Creations and annihilations by nonzero-shape paths are partial injections on
 it, all four kinds one class, PathOperator(path, left, create); a creation
 by a vertex is its span projection.  Every operator is in one normal form: a
-partial map (a PathOperator, a span projection, the identity, or a Product
-of partial maps), or a Sum of (int coefficient, partial map) terms.  A
-partial map sends a basis vector to at most one; a sum adds its terms'
-images with their coefficients.  Nothing is ever truncated: a shape bound
-only selects which vectors a checker visits, never how an operator acts, so
-every reported identity is exact on the checked vectors.
+partial map (a PathOperator, a span projection, or a Product of partial
+maps, the empty one being the identity), or a Sum of (int coefficient,
+partial map) terms.  A partial map sends a basis vector to at most one; a
+sum adds its terms' images with their coefficients.  Nothing is ever
+truncated: a shape bound only selects which vectors a checker visits, never
+how an operator acts, so every reported identity is exact on the checked
+vectors.
 
 op.on(window) is op acting on whole lists of ids of a PathWindow (the
 vacuum is VAC, zero is None): it maps a list of ids to the list of their
@@ -266,7 +267,7 @@ class Sum(FockOperator):
     def on(self, win):
         parts, groups = [], {}  # parts: in term order, the terms that add as one
         for c, t in self.terms:
-            last = t.factors[-1] if isinstance(t, Product) else t
+            last = t.factors[-1] if isinstance(t, Product) and t.factors else t
             if isinstance(last, PathOperator) and not last.create:
                 key = (last.path.shape.coords, last.left)
                 if key not in groups:
@@ -348,21 +349,8 @@ def _reduced(vector: dict):
     return vector or None
 
 
-class Identity(PartialMap):
-    __slots__ = ()
-
-    def on(self, win):
-        return lambda xs: xs
-
-    def adjoint(self):
-        return self
-
-    def __repr__(self):
-        return "1"
-
-
 class Product(PartialMap):
-    """Composition of partial maps, right to left like written products."""
+    """Composition of partial maps, right to left as written; Product(()) is the identity."""
 
     __slots__ = ("factors",)
 
@@ -609,7 +597,7 @@ def _level_complements(graph):
         pj = level_projection(graph, j)
         edges = graph.enumerate_paths(Shape.unit(graph.rank, j))
         for side in ("left", "right"):
-            yield f"j={j},{side}", Identity() - _range_sum(side, edges), pj
+            yield f"j={j},{side}", Product(()) - _range_sum(side, edges), pj
 
 
 def _shape_floors(graph, ks):

@@ -58,7 +58,7 @@ class FiniteGroupoid:
     """Finite groupoid with an explicit set of distinct elements.
 
     An arrow g runs from its source g.y to its range g.x; subclasses
-    provide the unit, inverse and composition maps, and the axiom checker
+    provide the maps unit_at, inverse and compose, and the axiom checker
     and the convolution algebra work uniformly on top of them.  An
     element's id is its position in elements.
     """
@@ -82,16 +82,6 @@ class FiniteGroupoid:
 
     def __iter__(self):
         return iter(self.elements)
-
-    # structure maps ------------------------------------------------------
-    def unit_at(self, point):
-        raise NotImplementedError
-
-    def inverse(self, g):
-        raise NotImplementedError
-
-    def compose(self, g, h):
-        raise NotImplementedError
 
     # derived ----------------------------------------------------------------
     def is_composable(self, g, h) -> bool:
@@ -404,7 +394,12 @@ def germ_quotient(G: SemidirectGroupoid):
 def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
     """Look for distinct powers agreeing somewhere; singletons count as open sets.
 
-    The witness is (n, m, x) with n != m but T^n x = T^m x.
+    The witness is (n, m, x) with n != m but T^n x = T^m x.  On a finite
+    discrete carrier a pass proves that no two distinct powers below the
+    bound agree at any point, and nothing about whether the graph is
+    aperiodic: path-space windows always pass, since a shift shrinks a
+    finite path's shape, and boundary windows always fail, since every
+    orbit of a finite carrier is eventually periodic.
     """
     def agree(n, m):
         return {x for x in system.carrier if system.meets(x, x, n, m)}

@@ -117,10 +117,6 @@ class ExtendedShape:
     # -- predicates and projections ------------------------------------------
 
     @property
-    def is_finite(self):
-        return not any(c is INF for c in self.coords)
-
-    @property
     def is_zero(self):
         return all(c == 0 for c in self.coords)
 

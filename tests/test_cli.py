@@ -161,6 +161,18 @@ def test_graph_option_errors_have_line_and_column():
         assert str(ei.value) == f"line 2, column {column}: {message}"
 
 
+@pytest.mark.parametrize("text, column, message", [
+    ("suite counterexample length=-1", 29, "length must be positive, got '-1'"),
+    ("suite counterexample length=0", 29, "length must be positive, got '0'"),
+    ("suite counterexample letters=a,b", 31, "letters takes one word, not a list: got 'a,b'"),
+], ids=["negative-length", "zero-length", "comma-in-letters"])
+def test_counterexample_option_errors_have_line_and_column(text, column, message):
+    # the parser refuses them, so free_monoid_system never sees a value it cannot use as meant
+    with pytest.raises(FixtureError) as ei:
+        parse_fixture_text(f"{text}\n")
+    assert str(ei.value) == f"line 1, column {column}: {message}"
+
+
 # -- witness grammar -----------------------------------------------------------------
 
 # The package only writes witnesses; this parser is the round-trip oracle

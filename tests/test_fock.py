@@ -18,7 +18,6 @@ from kgraphlab.fock import (
     VACUUM,
     DiagonalAlgebra,
     FixedSetAlgebra,
-    Identity,
     PartialMap,
     Product,
     Sum,
@@ -209,7 +208,7 @@ def test_operators_are_immutable(n2graph):
     lam = unique_path(n2graph, (1, 0))
     L = left_creation(n2graph, lam)
     for op in (L, L.adjoint(), right_creation(n2graph, lam), 2 * L, L + L, L * L,
-               level_projection(n2graph, 1), Identity()):
+               level_projection(n2graph, 1), Product(())):
         assert not hasattr(op, "__dict__")
         with pytest.raises(AttributeError):
             op.path = lam
@@ -281,7 +280,7 @@ def test_catalog_instances_match_the_reference_evaluation(graph_family):
         a = g.enumerate_paths(Shape(1, 0))[0]
         L, R = left_creation(g, a), right_creation(g, a)
         mixed = [("mixed", (L - 2 * R) * L.adjoint(),
-                  R.adjoint() * (Identity() - L * L.adjoint()))]
+                  R.adjoint() * (Product(()) - L * L.adjoint()))]
         for name in RELATION_NAMES:
             for label, lhs, rhs in [*fock._CATALOG[name](g, Shape(2, 2)), *mixed]:
                 for b in basis:
@@ -292,7 +291,7 @@ def test_catalog_instances_match_the_reference_evaluation(graph_family):
 def test_products_are_partial_maps_exactly_when_their_factors_are(n2graph):
     lam = unique_path(n2graph, (1, 0))
     L, R = left_creation(n2graph, lam), right_creation(n2graph, lam)
-    assert isinstance(Product((L.adjoint(), target_projection(n2graph, "u"), R, Identity())),
+    assert isinstance(Product((L.adjoint(), target_projection(n2graph, "u"), R, Product(()))),
                       PartialMap)
     assert isinstance(Product((L, Product((R, R.adjoint())))), PartialMap)
     for factor in (L + R, 2 * R, 1 * R):
@@ -785,7 +784,10 @@ def test_obstruction_report_fields(flip22, flip_algebra):
 
 
 def test_identity_operator_everywhere(graph_family):
-    one = Identity()
+    one = Product(())
     for g in graph_family:
         for b in fock_basis(g, Shape(1, 1)):
-            assert one.act(b) == {b: 1}
+            assert one.act(b) == one.adjoint().act(b) == {b: 1}
+        win = fock.PathWindow()
+        ids = [win.intern(b) for b in fock_basis(g, Shape(2, 2))]
+        assert one.on(win)(ids) == one.adjoint().on(win)(ids) == ids

@@ -76,7 +76,6 @@ def test_only_kgraph_converts_between_names_and_codes(trees):
 
 
 # definitions no code in src/ or bench/ names, each with its reason to stay
-_TESTS_ONLY = "only tests call it; give it a caller or drop it (ROADMAP: one record, no orphan code)"
 _DUALITY = "for the Λ/Λᵒᵖ duality groupoid's checks (ROADMAP); it goes if they never land"
 UNCALLED = {
     "coeff": "the only public reader of a convolution element's values",
@@ -85,8 +84,8 @@ UNCALLED = {
     "theta_twist": _DUALITY,
     "theta_untwist": _DUALITY,
     "two_sided_cocycle": _DUALITY,
-    "fiber_lift_report": _TESTS_ONLY,
-    "star": _TESTS_ONLY,
+    "star": "the involution that the Cuntz-like relation S₁*S₂ = S₂S₁* needs (ROADMAP item "
+            "20); it goes if that item never lands",
 }
 
 

@@ -51,7 +51,7 @@ def test_basic_algebra():
 def test_infinite_coordinates():
     s = ExtendedShape(INF, 2)
     assert s.infinite_support() == frozenset({1})
-    assert not s.is_finite and Shape(1, 1).is_finite and ExtendedShape(1, 2).is_finite
+    assert Shape(1, 1).infinite_support() == ExtendedShape(1, 2).infinite_support() == frozenset()
     assert s == ExtendedShape(INF, 2) and hash(s) == hash(ExtendedShape(INF, 2)) and s != Shape(0, 2)
     assert repr(s) == "(inf,2)"
     with pytest.raises(ShapeError):
