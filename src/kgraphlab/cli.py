@@ -15,6 +15,7 @@ a package error raised inside a check body is a failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -24,8 +25,8 @@ from .duality import boundary_subsystem, path_space_system
 from .dynsys import free_monoid_system
 from .errors import ConfigError, FixtureError, KGraphLabError, WitnessError
 from .fixtures import SUITE_KINDS, Fixture, build_graph, parse_fixture
-from .fock import RELATION_NAMES, verify_identity
-from .groupoid import build_semidirect
+from .fock import RELATION_NAMES, PathWindow, fock_basis, verify_identity
+from .groupoid import GroupoidElement, SemidirectGroupoid, build_semidirect
 from .reporting import Check, RunReport, render
 from .shapes import INF, Shape
 
@@ -82,21 +83,25 @@ def suite_validate(fixture: Fixture, graph, options: dict) -> list[Check]:
 
 
 def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
+    """The word system's two defects, read off the DC witness with no groupoid window built."""
     system = free_monoid_system(options.get("letters", "ab"), options.get("length", 3))
     # this suite passes when the expected defect shows up
     dc = _timed("domain-compat-fails", lambda: replace(rep := system.check_dc(), ok=not rep.ok))
 
     def composite_has_no_witness():
         # DC fails at (n, m, x): x is in dom T^n and dom T^m, not in dom T^(n join m).
-        # g = (x, n, T^n x) and h = (x, m, T^m x) lie in the forced window, as n, m <=
-        # exit_bound(), its witness bound.  g^-1 h = (T^n x, m - n, T^m x) has no witness
-        # (p, q) at any bound: T^p T^n x = T^q T^m x with p - q = m - n gives p + n = q + m
-        # >= n join m, and T^(p+n) x defined puts x in dom T^(n join m).
+        # g = (x, n, T^n x) and h = (x, m, T^m x) are arrows with the evident witnesses
+        # (n, 0) and (m, 0).  g^-1 h = (T^n x, m - n, T^m x) has no witness (p, q) at any
+        # bound: T^p T^n x = T^q T^m x with p - q = m - n gives p + n = q + m >= n join m,
+        # and T^(p+n) x defined puts x in dom T^(n join m).  So they compose in an empty
+        # window whose witness bound is a default build's, exit_bound(), which the
+        # WitnessError reports as its search bound.
         n, m, x = dc.witness
-        forced = build_semidirect(system, force=True)
-        g, h = (forced.element(x, k.coords, system.power(k)(x)) for k in (n, m))
+        zero = Shape.zero(system.rank)
+        g, h = (GroupoidElement(x, k.coords, system.power(k)(x), witness=(k, zero)) for k in (n, m))
+        empty = SemidirectGroupoid(system, (), system.exit_bound())
         try:
-            forced.compose(forced.inverse(g), h)
+            empty.compose(empty.inverse(g), h)
         except WitnessError as err:
             return Check("composite-without-witness", True,
                          (err.attempted, err.search_bound), "composite rejected")
@@ -106,6 +111,7 @@ def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
 
 
 def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
+    """Each selected relation, timed on its own, on one basis and in one PathWindow."""
     graph = _require_graph(graph, "fock")
     bound = _resolve_bound(options, fixture, graph.rank)
     relations = options.get("relations", RELATION_NAMES)
@@ -114,8 +120,13 @@ def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
             raise ConfigError(
                 f"unknown relation {rel!r} (known: {', '.join(RELATION_NAMES)})")
 
+    # Every relation reuses the splits and compositions of the ones before it.  The basis
+    # is built inside the first timed relation; an error building it is not cached, so
+    # it fails every relation, as when each built its own.
+    basis, window = functools.cache(lambda: fock_basis(graph, bound)), PathWindow()
+
     def relation(rel):
-        rep = verify_identity(graph, rel, bound)
+        rep = verify_identity(graph, rel, bound, basis(), window)
         # witness: the first counterexample's instance label and basis element
         witness = rep.counterexamples[0][:2] if rep.counterexamples else None
         return Check(rel, rep.ok, witness, f"checked={rep.checked}")
@@ -139,7 +150,8 @@ def suite_groupoid(fixture: Fixture, graph, options: dict) -> list[Check]:
         return [dc, Check("axioms", False, None, "skipped: domain compatibility failed")]
 
     def axioms():
-        G = build_semidirect(system, witness_bound=witness_bound)
+        # at the default bound, exit_bound(), domain_compat's scan has passed: skip the repeat
+        G = build_semidirect(system, witness_bound=witness_bound, force=witness_bound is None)
         rep = G.check_axioms()
         census = Check("census", True, info=f"elements={len(G)}")
         return replace(rep, checks=rep.checks + (census,))

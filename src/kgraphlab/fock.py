@@ -18,7 +18,8 @@ images.  A partial map's image is an id or None.  A sum's is None when it
 is zero, the id itself when it is one id with coefficient 1, and an
 {id: coefficient} dict otherwise, so equal vectors have equal images.  A
 window serves one relation report, operators_agree, act, diagonal survey
-or obstruction report: each operator is compiled in it once, the basis is
+or obstruction report, or the relations of one fock suite run, which hand
+it to verify_identity: each operator is compiled in it once, the basis is
 interned once, and each distinct composition and split is made once.
 
 Conventions match the path calculus in kgraph: a path runs from its source
@@ -540,15 +541,15 @@ class RelationReport:
         return self.ok
 
 
-def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
+def _report(relation, graph, bound, instances, basis=None, window=None) -> RelationReport:
     """The one runner: check (label, lhs, rhs) instances pointwise on basis.
 
     basis defaults to the window below bound; the first CAP counterexamples
     over all instances are kept, in order.  All instances act in one
-    PathWindow, which interns the basis once.
+    PathWindow, window or a new one, which interns the basis once.
     """
     basis = fock_basis(graph, bound) if basis is None else basis
-    win = PathWindow()
+    win = PathWindow() if window is None else window
     checked, bad = 0, []
     for label, lhs, rhs in instances:
         _, n, failures = operators_agree(lhs, rhs, basis, win)
@@ -652,17 +653,18 @@ _CATALOG = {
 RELATION_NAMES = tuple(_CATALOG)
 
 
-def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
+def verify_identity(graph: KGraph, name: str, bound: Shape, basis=None, window=None) -> RelationReport:
     """Check one named relation everywhere it applies below the bound.
 
     The name selects an instance generator in _CATALOG: R1 runs over every
     path below the bound, R2 and R3 over every color, R4 over every nonzero
     shape k <= bound, commutation over path pairs below the unit box.  All
-    instances go through _report once, into one report.
+    instances go through _report once, into one report; the relations of one
+    fock suite run pass it one basis and one window.
     """
     if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; known: {', '.join(RELATION_NAMES)}")
-    return _report(name, graph, bound, _CATALOG[name](graph, bound))
+    return _report(name, graph, bound, _CATALOG[name](graph, bound), basis, window)
 
 
 # -- mixed projections -----------------------------------------------------------

@@ -324,8 +324,8 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
     """The window: all arrows (x, m-n, y) with witnesses below the bound, deduplicated by triple.
 
     Refuses systems that fail joint-domain compatibility unless forced; a
-    forced build is how the composition counterexample is exhibited, and it
-    runs no compatibility scan, since only the refusal reads its verdict.
+    forced build runs no compatibility scan, since only the refusal reads
+    its verdict, so a caller whose own scan at this bound passed forces it.
     Each shape's power table is read once, as (point, image) pairs.
     """
     witness_bound = system.exit_bound() if witness_bound is None else as_shape(witness_bound)

@@ -133,8 +133,9 @@ class KGraph:
     vertex) and the grade's coordinates, the kernel's passes by their two
     words, and _canonical_forms, which only duality fills, by (prefix word
     or vertex, cycle word).  A miss runs the kernel; an error is raised,
-    never stored.  A Fock check's PathWindow stays its own: keeping every
-    check's paths on the graph would grow peak memory.
+    never stored.  A PathWindow serves one Fock report, or one fock suite
+    run, and dies with it: keeping every check's paths on the graph would
+    grow peak memory.
     """
 
     def __init__(self, rank, vertices, edges, squares=None, name="graph"):

@@ -6,7 +6,8 @@ need.  An ExtendedShape allows the marker INF in any coordinate: it is a
 value (exit times, the degree of an infinite path) with no arithmetic, and
 INF has no order or arithmetic either; code tests for it by identity.
 Both are immutable and value hashable.  Colors and coordinate labels are
-1-based throughout the package; plain sequence indexing stays 0-based.
+1-based throughout the package; indexing coords stays 0-based, and a shape
+itself takes no subscript.
 
 The public constructors (Shape, ExtendedShape) validate every coordinate.
 Arithmetic takes Shape operands only, so an ExtendedShape operand raises
@@ -93,9 +94,6 @@ class ExtendedShape:
 
     def __iter__(self):
         return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
 
     def coord(self, j):
         """Coordinate at 1-based position j."""

@@ -7,10 +7,19 @@ import pytest
 
 from kgraphlab import cli
 from kgraphlab.cli import main, run_fixture
-from kgraphlab.errors import ConfigError, FixtureError
-from kgraphlab.fixtures import build_graph, parse_fixture_text
+from kgraphlab.dynsys import MGDS
+from kgraphlab.errors import ConfigError, FixtureError, KGraphLabError
+from kgraphlab.fixtures import build_graph, parse_fixture, parse_fixture_text
+from kgraphlab.fock import RELATION_NAMES, verify_identity
 from kgraphlab.groupoid import SemidirectGroupoid
-from kgraphlab.kgraph import Edge, KGraph
+from kgraphlab.kgraph import (
+    Edge,
+    KGraph,
+    flip_graph,
+    grid_graph,
+    one_loop_per_color_graph,
+    single_vertex_graph,
+)
 from kgraphlab.reporting import (
     Check,
     RunReport,
@@ -377,6 +386,12 @@ def test_machine_lines_have_no_timings():
     assert not any("0.2" in ln or "0.5" in ln for ln in lines)
 
 
+def test_a_check_is_true_exactly_when_it_passes():
+    assert bool(Check("pass", True)) is True
+    assert bool(Check("fail", False, (1, "x"), "info", checks=(Check("part", True),))) is False
+    assert bool(Check("composite", True, checks=(Check("part", False),))) is True
+
+
 def test_machine_witness_fields_reparse():
     report = _report()
     for row, line in zip(report.results, machine_lines(report)[1:]):
@@ -485,6 +500,126 @@ def test_groupoid_suite_reports_an_invalid_graph_as_a_failed_check(monkeypatch, 
         'info="skipped: domain compatibility failed"',
         "record=summary ok=false",
     ]
+
+
+def test_counterexample_suite_builds_no_window(monkeypatch, tmp_path, capsys):
+    # g and h carry their evident witnesses, and their composite is refused in an
+    # empty window with the build's witness bound: no semidirect build runs
+    def no_build(*args, **kwargs):
+        raise AssertionError("the counterexample suite built a window")
+
+    monkeypatch.setattr(cli, "build_semidirect", no_build)
+    dc, composite = cli.suite_counterexample(parse_fixture_text("suite counterexample\n"), None, {})
+    assert (dc.ok, composite.ok, composite.witness) == (True, True, ((-1, 1), Shape(6, 6)))
+    path = tmp_path / "one_letter.kgf"
+    path.write_text("suite counterexample letters=a\n")
+    assert main([str(path), "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "one_letter.machine").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text, scans", [
+    ("graph grid size=1,1\nsuite groupoid\n", 1),
+    ("graph grid size=1,1\nsuite groupoid witness=1,1\n", 2),
+])
+def test_groupoid_suite_scans_domain_compatibility_once(monkeypatch, text, scans):
+    # at the default witness bound the build trusts the suite's own passed scan;
+    # a witness option has the build scan at its own bound
+    calls = []
+    check_dc = MGDS.check_dc
+    monkeypatch.setattr(MGDS, "check_dc", lambda self, *a: calls.append(a) or check_dc(self, *a))
+    assert run_fixture(parse_fixture_text(text)).ok
+    assert len(calls) == scans
+
+
+def _mutated_flip():
+    """The flip table with one entry changed: R1 fails, R2-R4 raise, commutation passes."""
+    table = {(f"b{q}", f"a{p}"): (f"a{q}", f"b{p}") for q in (0, 1) for p in (0, 1)}
+    table[("b0", "a0")] = ("a1", "b0")
+    return single_vertex_graph([2, 2], {(1, 2): table}, name="mutated_flip")
+
+
+def _endpoint_moving():
+    """Squares b.a -> c.d and d.c -> a.b move outer endpoints: every relation raises."""
+    edges = [Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"),
+             Edge("c", 1, "v", "v"), Edge("d", 2, "v", "v")]
+    return KGraph(2, ["u", "v"], edges, {(1, 2): {("b", "a"): ("c", "d"), ("d", "c"): ("a", "b")}})
+
+
+FOCK_SUITE_CASES = [
+    (flip_graph, (2, 2)),
+    (one_loop_per_color_graph, (2, 2)),
+    (lambda: grid_graph((1, 1)), (1, 1)),
+    (lambda: single_vertex_graph([2, 2]), (2, 2)),
+    (_mutated_flip, (2, 2)),
+    (_endpoint_moving, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("make, bound", FOCK_SUITE_CASES, ids=[
+    "flip", "n2", "grid11", "single2x2", "mutated_flip", "endpoint_moving"])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_fock_suite_shares_one_window_without_changing_a_report(monkeypatch, make, bound, order):
+    """Relations sharing the suite's basis and window report as each does alone.
+
+    Each record is (ok, checked, every counterexample in order), or the
+    error's type and text where the relation raises; both orders run.
+    """
+    def alone(graph, rel):
+        try:
+            rep = verify_identity(graph, rel, bound)
+        except KGraphLabError as err:
+            return type(err).__name__, str(err)
+        return rep.ok, rep.checked, rep.counterexamples
+
+    shared = {}
+
+    def recorded(graph, rel, bound, basis, window):
+        shared[rel] = verify_identity(graph, rel, bound, basis, window)
+        return shared[rel]
+
+    monkeypatch.setattr(cli, "verify_identity", recorded)
+    graph, relations = make(), RELATION_NAMES[::order]
+    checks = cli.suite_fock(parse_fixture_text("suite fock\n"), graph,
+                            {"bound": bound, "relations": relations})
+    got = []
+    for check in checks:
+        rep = shared.get(check.name)
+        if rep is None:
+            assert check.info == f"check raised {type(check.witness).__name__}"
+            got.append((type(check.witness).__name__, str(check.witness)))
+        else:
+            assert (check.ok, check.info) == (rep.ok, f"checked={rep.checked}")
+            got.append((rep.ok, rep.checked, rep.counterexamples))
+    assert [c.name for c in checks] == list(relations)
+    assert got == [alone(graph, rel) for rel in relations]
+    if make is _endpoint_moving:
+        assert all(record[0] == "NotComposable" for record in got)
+
+
+def test_fock_suite_work_counts_are_pinned(monkeypatch):
+    """One basis and one window per fock suite run: each distinct kernel call once per run.
+
+    Flip at (2,2) enumerates the 8 nonzero shapes once for the basis, and the
+    relations' own instances ask for 36 more; five windows, one per
+    relation, made 6,304 joins, 3,328 splits and 76 enumerations.
+    """
+    counts = {}
+    for name in ("_join", "_split", "enumerate_paths"):
+        def counted(*args, _name=name, _inner=getattr(KGraph, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(KGraph, name, counted)
+
+    def work(stem, keys, **selection):
+        counts.clear()
+        assert run_fixture(parse_fixture(FIXTURES / f"{stem}.kgf"), **selection).ok
+        return {k: counts.get(k, 0) for k in keys}
+
+    assert work("flip", ("_join", "_split"), suite_names=["fock"], bound=(1, 1)) == {
+        "_join": 704, "_split": 96}
+    assert work("flip", ("_join", "_split", "enumerate_paths"), suite_names=["fock"]) == {
+        "_join": 5120, "_split": 2688, "enumerate_paths": 44}
+    assert work("n2", ("_join", "_split")) == {"_join": 111, "_split": 161}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

@@ -78,6 +78,17 @@ def test_coord_is_one_based():
         s.coord(0)
 
 
+@pytest.mark.parametrize("s", [Shape(1, 2), ExtendedShape(INF, 0)])
+def test_shapes_are_immutable_and_take_no_subscript(s):
+    # coordinates are read through coords, coord(j) or iteration
+    for name in ("coords", "other"):
+        with pytest.raises(AttributeError, match="^shapes are immutable$"):
+            setattr(s, name, (0, 0))
+    with pytest.raises(TypeError):
+        s[0]
+    assert tuple(s) == s.coords
+
+
 def test_shapes_below_order_and_count():
     got = list(shapes_below(Shape(1, 2)))
     assert got[0] == Shape(0, 0) and got[-1] == Shape(1, 2)
