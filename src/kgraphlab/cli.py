@@ -15,7 +15,6 @@ a package error raised inside a check body is a failed check.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 import traceback
@@ -25,7 +24,7 @@ from .duality import boundary_subsystem, path_space_system
 from .dynsys import free_monoid_system
 from .errors import ConfigError, FixtureError, KGraphLabError, WitnessError
 from .fixtures import SUITE_KINDS, Fixture, build_graph, parse_fixture
-from .fock import RELATION_NAMES, PathWindow, fock_basis, verify_identity
+from .fock import RELATION_NAMES, verify_identity
 from .groupoid import GroupoidElement, SemidirectGroupoid, build_semidirect
 from .reporting import Check, RunReport, render
 from .shapes import INF, Shape
@@ -111,7 +110,7 @@ def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
 
 
 def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
-    """Each selected relation, timed on its own, on one basis and in one PathWindow."""
+    """Each selected relation, timed on its own; all share the graph's Fock window."""
     graph = _require_graph(graph, "fock")
     bound = _resolve_bound(options, fixture, graph.rank)
     relations = options.get("relations", RELATION_NAMES)
@@ -120,13 +119,8 @@ def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
             raise ConfigError(
                 f"unknown relation {rel!r} (known: {', '.join(RELATION_NAMES)})")
 
-    # Every relation reuses the splits and compositions of the ones before it.  The basis
-    # is built inside the first timed relation; an error building it is not cached, so
-    # it fails every relation, as when each built its own.
-    basis, window = functools.cache(lambda: fock_basis(graph, bound)), PathWindow()
-
     def relation(rel):
-        rep = verify_identity(graph, rel, bound, basis(), window)
+        rep = verify_identity(graph, rel, bound)
         # witness: the first counterexample's instance label and basis element
         witness = rep.counterexamples[0][:2] if rep.counterexamples else None
         return Check(rel, rep.ok, witness, f"checked={rep.checked}")

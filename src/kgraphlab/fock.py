@@ -16,11 +16,13 @@ op.on(window) is op acting on whole lists of ids of a PathWindow (the
 vacuum is VAC, zero is None): it maps a list of ids to the list of their
 images.  A partial map's image is an id or None.  A sum's is None when it
 is zero, the id itself when it is one id with coefficient 1, and an
-{id: coefficient} dict otherwise, so equal vectors have equal images.  A
-window serves one relation report, operators_agree, act, diagonal survey
-or obstruction report, or the relations of one fock suite run, which hand
-it to verify_identity: each operator is compiled in it once, the basis is
-interned once, and each distinct composition and split is made once.
+{id: coefficient} dict otherwise, so equal vectors have equal images.
+Each graph owns one window, which dies with it: fock_basis builds each
+basis there once per bound, and every evaluation on such a basis (a
+relation report, diagonal_algebra) runs there, so the reports on a graph
+share their bases, compositions and splits.  An evaluation on a basis or
+element the caller supplies (operators_agree, a report given basis=, act,
+obstruction_report) runs in a window of its own, which dies with it.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -33,7 +35,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import ConfigError, GraphError
+from .errors import ConfigError, GraphError, ShapeError
 from .kgraph import KGraph, Path
 from .reporting import CAP
 from .shapes import Shape, as_shape, shapes_below
@@ -54,43 +56,51 @@ _UNSET = object()  # a memo's default where None is a stored answer
 
 
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
-    """The vacuum plus every nonzero-shape path with shape <= bound."""
+    """The vacuum plus every nonzero-shape path with shape <= bound, built once per bound
+    in the graph's window, which the graph keeps only once it holds a basis."""
+    win = graph._window or PathWindow(graph)
+    basis = win.basis(bound)
+    graph._window = win
+    return basis
+
+
+def _checked_bound(graph, bound) -> Shape:
+    """bound as a Shape of the graph's rank; ShapeError for another rank or an INF coordinate."""
     bound = as_shape(bound)
-    out = [VACUUM]
-    for n in shapes_below(bound):
-        if not n.is_zero:
-            out.extend(graph.enumerate_paths(n))
-    return tuple(out)
+    if len(bound) != graph.rank:
+        raise ShapeError(f"shape rank {len(bound)} != graph rank {graph.rank}")
+    return bound
 
 
 class PathWindow:
-    """Int ids for the basis vectors one Fock check touches, and the path kernel on id lists.
+    """Int ids for basis vectors, and the path kernel on lists of ids.
 
-    A window serves one check and is then dropped; it binds to the graph of
-    the first path it interns, which keeps only the kernel's passes.  The
-    vacuum is VAC; path id i has the graph's normal code word words[i] (see
-    kgraph), endpoints sources[i] and targets[i] and shape coordinates
-    coords[i].  A path is interned by its code word (Path.codes), a vertex
-    path, which only an input can be, never an operator's path, by its
-    vertex's name.  Lists of ids hold VAC, path ids, and None for zero.
+    A window binds to its graph, given or else the graph of the first path
+    it interns.  The vacuum is VAC; path id i has the graph's normal code
+    word words[i] (see kgraph), endpoints sources[i] and targets[i] and
+    shape coordinates coords[i], one tuple per shape.  A path is interned by
+    its code word (Path.codes), a vertex path, which only an input can be,
+    never an operator's path, by its vertex's name.  Lists of ids hold VAC,
+    path ids, and None for zero.
 
+    paths and basis enumerate each shape and build each basis once;
     creations and strips run the graph's kernel (_join, _split) once per
-    distinct composition (i, j) or split (id, head grade) and keep the
-    answer.  Unique factorization makes both pure functions of the graph's
-    tables, so a defective table gives the same answer, or raises the same
-    error, every time it is asked.
+    distinct composition or split.  Unique factorization makes both pure
+    functions of the graph's tables, so a defective table gives the same
+    answer, or raises the same error, every time it is asked; an error is
+    never kept.
     """
 
-    def __init__(self):
-        self.graph = None
+    def __init__(self, graph=None):
+        self.graph = graph
         self._ids: dict = {}  # normal code word, or vertex name -> id
-        self.words: list[tuple] = []
-        self.sources: list[str] = []
-        self.targets: list[str] = []
-        self.coords: list[tuple] = []
+        self.words, self.sources, self.targets, self.coords = [], [], [], []  # by id
+        self._shapes: dict[tuple, tuple] = {}  # shape coordinates, one tuple per shape
+        self._composed: list = []  # by id i, None until asked: {id j: id of i·j, or None}
+        self._splits: list = []  # by id, None until asked: {head grade: (head id, tail id) or None}
+        self._paths: dict[tuple, list] = {}  # shape coordinates -> the graph's paths of it
+        self._bases: dict[tuple, tuple] = {}  # bound coordinates -> (basis, its ids)
         self._basis, self._basis_ids = None, None
-        self._composed: dict[tuple, int | None] = {}  # (i, j) -> id of i·j, or None
-        self._splits: dict[tuple, tuple | None] = {}  # (id, head grade) -> (head, tail) words
 
     def intern(self, b) -> int:
         """The id of a basis element: VAC for the vacuum, else the path's id."""
@@ -110,6 +120,25 @@ class PathWindow:
             self._basis, self._basis_ids = basis, [self.intern(b) for b in basis]
         return self._basis_ids
 
+    def paths(self, shape: Shape) -> list:
+        """The graph's paths of one shape, a Shape or tuple, enumerated once per window."""
+        shape = as_shape(shape)
+        out = self._paths.get(shape.coords)
+        if out is None:
+            out = self._paths[shape.coords] = self.graph.enumerate_paths(shape)
+        return out
+
+    def basis(self, bound: Shape) -> tuple:
+        """fock_basis, built and interned once per bound; ids(basis) then returns its ids."""
+        bound = _checked_bound(self.graph, bound)
+        entry = self._bases.get(bound.coords)
+        if entry is None:
+            basis = (VACUUM, *(p for n in shapes_below(bound) if not n.is_zero
+                               for p in self.paths(n)))
+            entry = self._bases[bound.coords] = (basis, [self.intern(b) for b in basis])
+        self._basis, self._basis_ids = entry
+        return entry[0]
+
     def _id(self, key, word, source, target, coords):
         i = self._ids.get(key)
         if i is None:
@@ -117,7 +146,9 @@ class PathWindow:
             self.words.append(word)
             self.sources.append(source)
             self.targets.append(target)
-            self.coords.append(coords)
+            self.coords.append(self._shapes.setdefault(coords, coords))
+            self._composed.append(None)
+            self._splits.append(None)
         return i
 
     def _word_id(self, word):
@@ -139,49 +170,46 @@ class PathWindow:
     def creations(self, p, xs, left) -> list:
         """The images of ids xs under creation by path p: p·x on the left, x·p on the right.
 
-        None where x is None or the ends differ.
+        None where x is None or the ends differ.  Left creation by p on x and
+        right creation by x on p share one entry.
         """
-        composed, compose, out = self._composed, self._compose, []
+        composed, words, out = self._composed, self.words, []
         for x in xs:
-            if x is None:
-                out.append(None)
-            elif x == VAC:
-                out.append(p)
-            else:
-                key = (p, x) if left else (x, p)
-                y = composed.get(key, _UNSET)
-                if y is _UNSET:
-                    y = composed[key] = compose(*key)
-                out.append(y)
+            if x is None or x == VAC:
+                out.append(None if x is None else p)
+                continue
+            i, j = (p, x) if left else (x, p)
+            row = composed[i]
+            if row is None:
+                row = composed[i] = {}
+            y = row.get(j, _UNSET)
+            if y is _UNSET:
+                y = row[j] = (self._word_id(self.graph._join(words[i], words[j]))
+                              if self.sources[i] == self.targets[j] else None)
+            out.append(y)
         return out
 
-    def _compose(self, i, j):
-        """The id of path i · path j, or None when source(i) != target(j)."""
-        if self.sources[i] != self.targets[j]:
-            return None
-        return self._word_id(self.graph._join(self.words[i], self.words[j]))
-
     def strips(self, xs, m, left) -> list:
-        """For each id x, the pair (kept word, rest id) with x = kept·rest on the left or
+        """For each id x, the pair (kept id, rest id) with x = kept·rest on the left or
         rest·kept on the right and kept of shape m, or None where m does not fit.
 
-        The vacuum and None give None; a rest of shape zero is VAC.
+        The vacuum and None give None; an empty kept or rest is VAC.
         """
-        splits, graph, coords, words, out = self._splits, self.graph, self.coords, self.words, []
+        splits, coords, out = self._splits, self.coords, []
         for x in xs:
             if x is None or x == VAC:
                 out.append(None)
                 continue
             grade = m if left else tuple(map(operator.sub, coords[x], m))
-            key = (x, grade)  # a left and a right strip can ask for the same split
-            split = splits.get(key, _UNSET)
+            row = splits[x]  # a left and a right strip can ask for the same split
+            if row is None:
+                row = splits[x] = {}
+            split = row.get(grade, _UNSET)
             if split is _UNSET:
-                split = splits[key] = graph._split(words[x], coords[x], grade)
-            if split is None:
-                out.append(None)
-            else:
-                kept, other = split if left else split[::-1]
-                out.append((kept, self._word_id(other) if other else VAC))
+                split = self.graph._split(self.words[x], coords[x], grade)
+                split = row[self._shapes.setdefault(grade, grade)] = split and tuple(
+                    self._word_id(w) if w else VAC for w in split)
+            out.append(split[::-1] if split and not left else split)
         return out
 
 
@@ -305,23 +333,22 @@ def _group_adder(win, terms):
     It strips each id once and hands the rest only to the terms whose path
     is the kept factor: any other term is zero there.
     """
-    by_kept: dict[tuple, list] = {}  # kept word -> [(c, image of the factors left of it)]
+    by_kept: dict[int, list] = {}  # kept id -> [(c, image of the factors left of it)]
     for c, t in terms:
         *rest, last = t.factors if isinstance(t, Product) else (t,)
-        by_kept.setdefault(win.words[win.intern(last.path)], []).append(
-            (c, Product(rest).on(win)))
+        by_kept.setdefault(win.intern(last.path), []).append((c, Product(rest).on(win)))
     m, left = last.path.shape.coords, last.left
 
     def add(out, xs):
-        batches = {word: ([], []) for word in by_kept}  # positions, rest ids
+        batches = {kept: ([], []) for kept in by_kept}  # positions, rest ids
         for n, s in enumerate(win.strips(xs, m, left)):
             if s is not None and s[0] in batches:
                 at, rests = batches[s[0]]
                 at.append(n)
                 rests.append(s[1])
-        for word, (at, rests) in batches.items():
+        for kept, (at, rests) in batches.items():
             if at:
-                for c, image in by_kept[word]:
+                for c, image in by_kept[kept]:
                     _add(out, at, image(rests), c)
 
     return add
@@ -402,8 +429,8 @@ class PathOperator(PartialMap):
         p, left = win.intern(self.path), self.left
         if self.create:
             return lambda xs: win.creations(p, xs, left)
-        word, m = self.path.codes, self.path.shape.coords
-        return lambda xs: [None if s is None or s[0] != word else s[1]
+        m = self.path.shape.coords
+        return lambda xs: [None if s is None or s[0] != p else s[1]
                            for s in win.strips(xs, m, left)]
 
     def __repr__(self):
@@ -541,17 +568,20 @@ class RelationReport:
         return self.ok
 
 
-def _report(relation, graph, bound, instances, basis=None, window=None) -> RelationReport:
-    """The one runner: check (label, lhs, rhs) instances pointwise on basis.
+def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
+    """The one runner: check the (label, lhs, rhs) instances(win, bound) pointwise on basis.
 
-    basis defaults to the window below bound; the first CAP counterexamples
-    over all instances are kept, in order.  All instances act in one
-    PathWindow, window or a new one, which interns the basis once.
+    With no basis, they act in the graph's window on fock_basis; a caller's
+    basis gets a PathWindow of its own.  The first CAP counterexamples over
+    all instances are kept, in order.
     """
-    basis = fock_basis(graph, bound) if basis is None else basis
-    win = PathWindow() if window is None else window
+    if basis is None:
+        basis, win = fock_basis(graph, bound), graph._window
+    else:
+        _checked_bound(graph, bound)  # a caller's basis ignores it, yet a bad one raises
+        win = PathWindow(graph)
     checked, bad = 0, []
-    for label, lhs, rhs in instances:
+    for label, lhs, rhs in instances(win, bound):
         _, n, failures = operators_agree(lhs, rhs, basis, win)
         checked += n
         bad += [(label, *failure) for failure in failures[:CAP - len(bad)]]
@@ -565,47 +595,49 @@ def _range_sum(side, paths) -> Sum:
                for lam in paths)
 
 
-def _isometries(graph, bound):
+def _isometries(win, bound):
     """R1: creating then stripping a path projects onto the spans it can attach to.
 
     Left side, prepending mu: onto spans with target mu.source; then right
     side, appending mu: onto spans with source mu.target.
     """
-    for side in ("left", "right"):
-        for mu in graph.all_paths(bound):
-            if side == "left":
-                C, P = left_creation(graph, mu), target_projection(graph, mu.source)
-            else:
-                C, P = right_creation(graph, mu), source_projection(graph, mu.target)
+    graph = win.graph
+    paths = [*map(graph.vertex, sorted(graph.vertices)), *win.basis(bound)[1:]]
+    for left in (True, False):
+        for mu in paths:
+            C = _creation(graph, mu, left)
+            P = target_projection(graph, mu.source) if left else source_projection(graph, mu.target)
             yield f"mu={mu.display()}", Product((C.adjoint(), C)), P
 
 
-def _vertex_sums(graph):
+def _vertex_sums(win, bound):
     """R2: a vertex projection splits into color-j edge ranges plus its level part."""
+    graph = win.graph
     for j in range(1, graph.rank + 1):
         ej, level = Shape.unit(graph.rank, j), level_projection(graph, j)
         for a in sorted(graph.vertices):
             for side, end, P in (("left", "target", target_projection(graph, a)),
                                  ("right", "source", source_projection(graph, a))):
-                edges = graph.enumerate_paths(ej, **{end: a})
+                edges = [e for e in win.paths(ej) if getattr(e, end) == a]
                 yield (f"vertex={a},j={j},{side}", P,
                        _range_sum(side, edges) + Product((level, P)))  # P tests first
 
 
-def _level_complements(graph):
+def _level_complements(win, bound):
     """R3: both one-sided color-j range sums have the same complement, the level span."""
+    graph = win.graph
     for j in range(1, graph.rank + 1):
         pj = level_projection(graph, j)
-        edges = graph.enumerate_paths(Shape.unit(graph.rank, j))
+        edges = win.paths(Shape.unit(graph.rank, j))
         for side in ("left", "right"):
             yield f"j={j},{side}", Product(()) - _range_sum(side, edges), pj
 
 
-def _shape_floors(graph, ks):
+def _shape_floors(win, ks):
     """R4: left and right range sums at a fixed nonzero shape k equal the floor span."""
     for k in ks:
-        floor = shape_floor_projection(graph, k)
-        paths = graph.enumerate_paths(k)
+        floor = shape_floor_projection(win.graph, k)
+        paths = win.paths(k)
         for side in ("left", "right"):
             yield f"k={tuple(k.coords)},{side}-vs-floor", _range_sum(side, paths), floor
 
@@ -622,49 +654,51 @@ def _commutations(graph, pairs):
         yield f"lam={lam.display()},mu={mu.display()}", Product((L, R)), Product((R, L))
 
 
-def _unit_box_pairs(graph):
+def _unit_box_pairs(win):
     """Every pair of nonzero-shape paths below the unit box, lam-major."""
-    paths = [p for p in graph.all_paths(Shape(*([1] * graph.rank))) if not p.shape.is_zero]
+    paths = [p for n in shapes_below((1,) * win.graph.rank) if not n.is_zero
+             for p in win.paths(n)]
     return itertools.product(paths, repeat=2)
 
 
 def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
     """R4 at one nonzero shape k."""
     k = as_shape(k)
-    return _report(f"R4[k={tuple(k.coords)}]", graph, bound, _shape_floors(graph, (k,)), basis)
+    return _report(f"R4[k={tuple(k.coords)}]", graph, bound,
+                   lambda win, bound: _shape_floors(win, (k,)), basis)
 
 
 def creation_commutation(graph: KGraph, lam: Path, mu: Path, bound: Shape,
                          basis=None) -> RelationReport:
     """Commutation of one pair of nonzero-shape paths."""
-    return _report("commutation", graph, bound, _commutations(graph, [(lam, mu)]), basis)
+    return _report("commutation", graph, bound,
+                   lambda win, bound: _commutations(graph, [(lam, mu)]), basis)
 
 
-# relation name -> (graph, bound) -> every instance of the relation below bound
+# relation name -> (window, bound) -> every instance of the relation below bound
 _CATALOG = {
     "R1": _isometries,
-    "R2": lambda graph, bound: _vertex_sums(graph),
-    "R3": lambda graph, bound: _level_complements(graph),
-    "R4": lambda graph, bound: _shape_floors(
-        graph, [k for k in shapes_below(bound) if not k.is_zero]),
-    "commutation": lambda graph, bound: _commutations(graph, _unit_box_pairs(graph)),
+    "R2": _vertex_sums,
+    "R3": _level_complements,
+    "R4": lambda win, bound: _shape_floors(
+        win, [k for k in shapes_below(bound) if not k.is_zero]),
+    "commutation": lambda win, bound: _commutations(win.graph, _unit_box_pairs(win)),
 }
 
 RELATION_NAMES = tuple(_CATALOG)
 
 
-def verify_identity(graph: KGraph, name: str, bound: Shape, basis=None, window=None) -> RelationReport:
+def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
     """Check one named relation everywhere it applies below the bound.
 
     The name selects an instance generator in _CATALOG: R1 runs over every
     path below the bound, R2 and R3 over every color, R4 over every nonzero
     shape k <= bound, commutation over path pairs below the unit box.  All
-    instances go through _report once, into one report; the relations of one
-    fock suite run pass it one basis and one window.
+    instances go through _report once, into one report, in the graph's window.
     """
     if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; known: {', '.join(RELATION_NAMES)}")
-    return _report(name, graph, bound, _CATALOG[name](graph, bound), basis, window)
+    return _report(name, graph, bound, _CATALOG[name])
 
 
 # -- mixed projections -----------------------------------------------------------
@@ -791,12 +825,12 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
 
     Collects fix(w) for every edge/vertex operator word of length <= word_len
     acting as a partial identity on the basis window, then closes each pool
-    into a Boolean algebra of subsets.  The three pools share one PathWindow.
+    into a Boolean algebra of subsets.  The three pools act in the graph's window.
     """
     if word_len < 1:
         raise ConfigError("word_len must be >= 1")
     basis = fock_basis(graph, bound)
-    win = PathWindow()
+    win = graph._window
     ids = win.ids(basis)
     atoms = _atom_actions(graph, win)
     full_pool = _identity_pool(atoms, word_len, basis, ids)

@@ -133,9 +133,9 @@ class KGraph:
     vertex) and the grade's coordinates, the kernel's passes by their two
     words, and _canonical_forms, which only duality fills, by (prefix word
     or vertex, cycle word).  A miss runs the kernel; an error is raised,
-    never stored.  A PathWindow serves one Fock report, or one fock suite
-    run, and dies with it: keeping every check's paths on the graph would
-    grow peak memory.
+    never stored.  _window holds the Fock layer's PathWindow for the graph,
+    made by fock on first use: the reports that build their basis from the
+    graph and a bound share its bases, compositions and splits.
     """
 
     def __init__(self, rank, vertices, edges, squares=None, name="graph"):
@@ -201,6 +201,7 @@ class KGraph:
         self._factorizations: dict[tuple, tuple[Path, Path]] = {}
         self._passes: dict[tuple, tuple] = {}
         self._canonical_forms: dict[tuple, tuple[Path, Path]] = {}
+        self._window = None  # the graph's fock.PathWindow, made on first use
 
     # -- accessors -------------------------------------------------------------
 

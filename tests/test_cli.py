@@ -8,7 +8,7 @@ import pytest
 from kgraphlab import cli
 from kgraphlab.cli import main, run_fixture
 from kgraphlab.dynsys import MGDS
-from kgraphlab.errors import ConfigError, FixtureError, KGraphLabError
+from kgraphlab.errors import ConfigError, FixtureError, GraphError, KGraphLabError
 from kgraphlab.fixtures import build_graph, parse_fixture, parse_fixture_text
 from kgraphlab.fock import RELATION_NAMES, verify_identity
 from kgraphlab.groupoid import SemidirectGroupoid
@@ -559,22 +559,30 @@ FOCK_SUITE_CASES = [
     "flip", "n2", "grid11", "single2x2", "mutated_flip", "endpoint_moving"])
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
 def test_fock_suite_shares_one_window_without_changing_a_report(monkeypatch, make, bound, order):
-    """Relations sharing the suite's basis and window report as each does alone.
+    """Relations sharing the graph's basis and window report as each does alone.
 
     Each record is (ok, checked, every counterexample in order), or the
-    error's type and text where the relation raises; both orders run.
+    error's type and text where the relation raises; both orders run, and
+    each relation alone runs on a fresh graph, so basis elements compare
+    by their reprs.
     """
-    def alone(graph, rel):
+    def as_record(rep):
+        def vec(v):
+            return {repr(b): c for b, c in v.items()}
+        return rep.ok, rep.checked, [(label, repr(b), vec(lv), vec(rv))
+                                     for label, b, lv, rv in rep.counterexamples]
+
+    def alone(rel):
         try:
-            rep = verify_identity(graph, rel, bound)
+            rep = verify_identity(make(), rel, bound)
         except KGraphLabError as err:
             return type(err).__name__, str(err)
-        return rep.ok, rep.checked, rep.counterexamples
+        return as_record(rep)
 
     shared = {}
 
-    def recorded(graph, rel, bound, basis, window):
-        shared[rel] = verify_identity(graph, rel, bound, basis, window)
+    def recorded(graph, rel, bound):
+        shared[rel] = verify_identity(graph, rel, bound)
         return shared[rel]
 
     monkeypatch.setattr(cli, "verify_identity", recorded)
@@ -589,19 +597,37 @@ def test_fock_suite_shares_one_window_without_changing_a_report(monkeypatch, mak
             got.append((type(check.witness).__name__, str(check.witness)))
         else:
             assert (check.ok, check.info) == (rep.ok, f"checked={rep.checked}")
-            got.append((rep.ok, rep.checked, rep.counterexamples))
+            got.append(as_record(rep))
     assert [c.name for c in checks] == list(relations)
-    assert got == [alone(graph, rel) for rel in relations]
+    assert got == [alone(rel) for rel in relations]
+    assert list(graph._window._bases) == [bound]
     if make is _endpoint_moving:
         assert all(record[0] == "NotComposable" for record in got)
 
 
-def test_fock_suite_work_counts_are_pinned(monkeypatch):
-    """One basis and one window per fock suite run: each distinct kernel call once per run.
+def test_fock_suite_basis_error_fails_every_relation(monkeypatch):
+    """An error building the basis is never kept: each relation builds it again and fails."""
+    calls = []
 
-    Flip at (2,2) enumerates the 8 nonzero shapes once for the basis, and the
-    relations' own instances ask for 36 more; five windows, one per
-    relation, made 6,304 joins, 3,328 splits and 76 enumerations.
+    def broken(graph, shape, **kwargs):
+        calls.append(tuple(shape.coords))
+        raise GraphError("enumeration broke")
+
+    monkeypatch.setattr(KGraph, "enumerate_paths", broken)
+    graph = flip_graph()
+    checks = cli.suite_fock(parse_fixture_text("suite fock\n"), graph, {"bound": (1, 1)})
+    assert [(c.name, c.ok, c.info, str(c.witness)) for c in checks] == [
+        (rel, False, "check raised GraphError", "enumeration broke") for rel in RELATION_NAMES]
+    assert calls == [(0, 1)] * len(RELATION_NAMES) and graph._window is None
+
+
+def test_fock_suite_work_counts_are_pinned(monkeypatch):
+    """One basis in one window per graph: each distinct kernel call once per run.
+
+    Flip at (2,2) enumerates its 8 nonzero shapes once, for the basis, and
+    the relations' instances take their paths from the window: they asked
+    for 36 more enumerations when each enumerated its own.  Five windows,
+    one per relation, made 6,304 joins, 3,328 splits and 76 enumerations.
     """
     counts = {}
     for name in ("_join", "_split", "enumerate_paths"):
@@ -618,7 +644,7 @@ def test_fock_suite_work_counts_are_pinned(monkeypatch):
     assert work("flip", ("_join", "_split"), suite_names=["fock"], bound=(1, 1)) == {
         "_join": 704, "_split": 96}
     assert work("flip", ("_join", "_split", "enumerate_paths"), suite_names=["fock"]) == {
-        "_join": 5120, "_split": 2688, "enumerate_paths": 44}
+        "_join": 5120, "_split": 2688, "enumerate_paths": 8}
     assert work("n2", ("_join", "_split")) == {"_join": 111, "_split": 161}
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from kgraphlab import fock
-from kgraphlab.errors import ConfigError, GraphError
+from kgraphlab.errors import ConfigError, GraphError, ShapeError
 from kgraphlab.fock import (
     VACUUM,
     DiagonalAlgebra,
@@ -38,7 +38,7 @@ from kgraphlab.fock import (
     RELATION_NAMES,
 )
 from kgraphlab.kgraph import KGraph, Path, flip_graph, grid_graph, single_vertex_graph
-from kgraphlab.shapes import Shape
+from kgraphlab.shapes import INF, ExtendedShape, Shape
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +281,10 @@ def test_catalog_instances_match_the_reference_evaluation(graph_family):
         L, R = left_creation(g, a), right_creation(g, a)
         mixed = [("mixed", (L - 2 * R) * L.adjoint(),
                   R.adjoint() * (Product(()) - L * L.adjoint()))]
+        fock_basis(g, Shape(2, 2))
+        win = g._window
         for name in RELATION_NAMES:
-            for label, lhs, rhs in [*fock._CATALOG[name](g, Shape(2, 2)), *mixed]:
+            for label, lhs, rhs in [*fock._CATALOG[name](win, Shape(2, 2)), *mixed]:
                 for b in basis:
                     assert lhs.act(b) == _reference_act(lhs, b), (g.name, name, label, b)
                     assert rhs.act(b) == _reference_act(rhs, b), (g.name, name, label, b)
@@ -351,6 +353,20 @@ def test_random_expressions_keep_the_normal_form(graph_family):
                 Sum(((Fraction(1, 2), rng.choice(atoms)),))
 
 
+def _window_state(win):
+    """What a window keeps: ids, composition entries, splits, enumerated shapes and bases."""
+    return (len(win.words), *(sum(len(row) for row in rows if row)
+                              for rows in (win._composed, win._splits)),
+            len(win._paths), len(win._bases))
+
+
+def _graph_state(g):
+    """What a graph keeps, its kernel passes and factorizations left out."""
+    return {name: len(v) if isinstance(v, dict) else _window_state(v)
+            if isinstance(v, fock.PathWindow) else v
+            for name, v in vars(g).items() if name not in ("_passes", "_factorizations")}
+
+
 def test_window_evaluation_matches_the_reference(graph_family):
     """Random expressions evaluated over one shared PathWindow match _reference_act.
 
@@ -364,8 +380,9 @@ def test_window_evaluation_matches_the_reference(graph_family):
     composition and split it has made, across all the operators evaluated
     in it; images whose shape leaves the bound are interned too and must
     read back as the same paths.  operators_agree keeps its public
-    contract, (ok, checked, [(basis element, vector, vector)]), and the
-    graph keeps nothing of a Fock call but its table of kernel passes.
+    contract, (ok, checked, [(basis element, vector, vector)]), and an
+    evaluation on a basis the caller supplies leaves the graph nothing but
+    its table of kernel passes: its own window is as it was.
     """
     rng = random.Random(2014)
     bound = Shape(2, 2)
@@ -374,9 +391,9 @@ def test_window_evaluation_matches_the_reference(graph_family):
         basis = fock_basis(g, bound)
         atoms = [op for e in g.edges for create in (left_creation, right_creation)
                  for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
+        algebra = diagonal_algebra(g, 2, Shape(1, 1))  # built in the graph's window
         # the reference fills the factorize memo; the window fills only the passes
-        state = {name: len(v) if isinstance(v, dict) else v for name, v in vars(g).items()
-                 if name not in ("_passes", "_factorizations")}
+        state = _graph_state(g)
         win = fock.PathWindow()
         ids = win.ids(basis)
         assert ids[0] == fock.VAC and win.ids(basis) is ids
@@ -400,26 +417,27 @@ def test_window_evaluation_matches_the_reference(graph_family):
         for b, lv, rv in failures:
             assert b in basis and all(x is VACUUM or isinstance(x, Path) for x in (*lv, *rv))
             assert (lv, rv) == (_reference_act(lhs, b), _reference_act(rhs, b))
-        obstruction_report(g, a, a, algebra=diagonal_algebra(g, 2, Shape(1, 1)))
-        assert {name: len(v) if isinstance(v, dict) else v for name, v in vars(g).items()
-                if name not in ("_passes", "_factorizations")} == state, g.name
+        obstruction_report(g, a, a, algebra=algebra)
+        assert _graph_state(g) == state, g.name
     # every path of the 1x1 grid has shape <= (1, 1); the loop graphs leave the bound
     assert [name for name, n in outside.items() if n] == ["free_abelian_2", "flip2x2"]
 
 
 def test_relation_work_counts_are_pinned(monkeypatch):
-    """Kernel work per relation report: each distinct input once per window, each pass once per graph.
+    """Kernel work per relation report: each distinct input once per graph.
 
-    A report evaluates every instance in one PathWindow, so the kernel
-    joins each distinct (path, path) composition once (a vertex operand
-    needs none) and splits each distinct (path, head grade) once.  Flip R1
-    at (2,2) asks for 4,704 compositions, 2,304 of them distinct and of two
-    edge words, and 4,800 splits, 2,400 distinct: a left strip and a right
-    one can ask for the same split.  R4 at (3,3) asks for 47,600 splits; the
-    terms of a range sum share one per vector, and 4,768 reach the kernel,
-    which answers None where the grade does not fit.  "_sort" counts the passes the graph sorts, and "moves" the
-    square moves they make: the second, identical round repeats every
-    window count, and finds every pass in the graph's table.
+    A report joins each distinct (path, path) composition once (a vertex
+    operand needs none) and splits each distinct (path, head grade) once.
+    On a fresh flip graph, R1 at (2,2) asks for 4,704 compositions, 2,304
+    of them distinct and of two edge words, and 4,800 splits, 2,400
+    distinct: a left strip and a right one can ask for the same split.  R4
+    at (3,3) asks for 47,600 splits; the terms of a range sum share one per
+    vector, and 4,768 reach the kernel, which answers None where the grade
+    does not fit.  The reports on one graph share its window: after R1,
+    commutation makes 2,816 of its 3,520 joins, and after both R4 makes 512
+    joins and 3,680 splits; a second, identical round makes none.  "_sort"
+    counts the passes the graph sorts, and "moves" the square moves they
+    make.
     """
     counts = {}
     for name in ("_join", "_split", "_sort"):
@@ -433,37 +451,132 @@ def test_relation_work_counts_are_pinned(monkeypatch):
             counts["moves"] = counts.get("moves", 0) + 1
             return super().__getitem__(key)
 
-    g = flip_graph()
-    g._moves = CountedMoves(g._moves)
+    def counted_flip():
+        g = flip_graph()
+        g._moves = CountedMoves(g._moves)
+        return g
+
+    # relation, bound, checked, work on a fresh graph, work in the shared first round
     expected = [
-        ("R1", (2, 2), 4802, {"_join": 2304, "_split": 2400}, {"_sort": 72, "moves": 200}),
-        ("commutation", (2, 2), 3136, {"_join": 3520}, {"_sort": 32, "moves": 96}),
-        ("R4", (3, 3), 6750, {"_join": 1952, "_split": 4768}, {"_sort": 288, "moves": 2016}),
+        ("R1", (2, 2), 4802, {"_join": 2304, "_split": 2400, "_sort": 72, "moves": 200},
+         {"_join": 2304, "_split": 2400, "_sort": 72, "moves": 200}),
+        ("commutation", (2, 2), 3136, {"_join": 3520, "_sort": 52, "moves": 132},
+         {"_join": 2816, "_sort": 32, "moves": 96}),
+        ("R4", (3, 3), 6750, {"_join": 1952, "_split": 4768, "_sort": 392, "moves": 2312},
+         {"_join": 512, "_split": 3680, "_sort": 288, "moves": 2016}),
     ]
+    for name, bound, checked, fresh, _ in expected:
+        counts.clear()
+        report = verify_identity(counted_flip(), name, bound)
+        assert (report.ok, report.checked, counts) == (True, checked, fresh), name
+    g = counted_flip()
     for first in (True, False):
-        for name, bound, checked, work, passes in expected:
+        for name, bound, checked, _, shared in expected:
             counts.clear()
             report = verify_identity(g, name, bound)
-            want = {**work, **passes} if first else work
-            assert (report.ok, report.checked, counts) == (True, checked, want), name
+            assert (report.ok, report.checked, counts) == (True, checked, shared if first else {})
     assert len(g._passes) == 72 + 32 + 288
     assert not (g._paths or g._composites or g._factorizations or g._canonical_forms)
 
 
-def test_graph_keeps_only_its_pass_table():
-    """Every flip relation at (3,3) leaves the graph its kernel passes and nothing else.
+def test_graph_keeps_its_passes_and_one_window():
+    """Every flip relation at (3,3) leaves the graph its kernel passes and one PathWindow.
 
     The passes are the (left word, right word) pairs a join or a split
-    sorts: 456 of them on flip at (3,3), a few KiB.  Each report's
-    compositions, splits and ids live in its PathWindow and die with it.
+    sorts: 456 of them on flip at (3,3), a few KiB.  The window holds the
+    reports' one basis, its 15 enumerated nonzero shapes, and the ids,
+    compositions and splits they made: 16,128 ids, most of them R1's
+    composites of shape up to (6,6), 61,952 compositions and 52,992 splits.
     """
     g = flip_graph()
     attributes = set(vars(g))
     for name in RELATION_NAMES:
         assert verify_identity(g, name, Shape(3, 3)).ok, name
     assert set(vars(g)) == attributes
-    assert 0 < len(g._passes) <= 500
+    assert isinstance(g._window, fock.PathWindow) and g._window.graph is g
+    assert _window_state(g._window) == (16128, 61952, 52992, 15, 1)
+    assert len(g._passes) == 456
     assert not (g._paths or g._composites or g._factorizations or g._canonical_forms)
+
+
+def test_the_graphs_window_serves_only_the_bases_it_builds():
+    """Evaluations on a basis or element the caller supplies leave the graph's window as it is.
+
+    A report given basis=, operators_agree, act and obstruction_report each
+    act in a window of their own; the same reports without a basis build
+    their basis from (graph, bound) and run in the graph's window, with the
+    same answers.
+    """
+    g = flip_graph()
+    a0, b1 = g.path(["a0"]), g.path(["b1"])
+    algebra = diagonal_algebra(g, 2, Shape(1, 1))
+    basis = fock_basis(g, (2, 2))
+    assert fock_basis(g, Shape(2, 2)) is basis
+    before = _window_state(g._window)
+    supplied = (verify_shape_floor(g, (1, 1), (2, 2), basis),
+                creation_commutation(g, a0, b1, (2, 2), basis))
+    assert all(supplied)
+    assert operators_agree(left_creation(g, a0), left_creation(g, a0), basis)[0]
+    assert left_creation(g, a0).act(b1) == {g.path(["a0", "b1"]): 1}
+    assert obstruction_report(g, a0, a0, algebra=algebra).in_one_sided
+    assert _window_state(g._window) == before
+    built = (verify_shape_floor(g, (1, 1), (2, 2)), creation_commutation(g, a0, b1, (2, 2)))
+    assert built == supplied and _window_state(g._window) != before
+
+
+def test_shape_arguments_take_a_coordinate_tuple():
+    """Every shape-taking name of fock gives one answer for a Shape and for its coordinates.
+
+    A Shape bound and a tuple bound share one basis in the graph's window.
+    """
+    g = flip_graph()
+    lam = g.path(["a0"])
+    for name in RELATION_NAMES:
+        assert verify_identity(g, name, (2, 1)) == verify_identity(g, name, Shape(2, 1)), name
+    assert list(g._window._bases) == [(2, 1)]
+    assert fock_basis(g, (2, 1)) is fock_basis(g, Shape(2, 1))
+    assert (verify_shape_floor(g, (1, 1), (2, 1))
+            == verify_shape_floor(g, Shape(1, 1), Shape(2, 1)))
+    assert (creation_commutation(g, lam, lam, (2, 1))
+            == creation_commutation(g, lam, lam, Shape(2, 1)))
+    assert diagonal_algebra(g, 2, (1, 1)) == diagonal_algebra(g, 2, Shape(1, 1))
+    assert list(g._window._bases) == [(2, 1), (1, 1)]
+    basis = fock_basis(g, (2, 1))
+    assert ([shape_floor_projection(g, (1, 1)).act(b) for b in basis]
+            == [shape_floor_projection(g, Shape(1, 1)).act(b) for b in basis])
+
+
+@pytest.mark.parametrize("bad", [(INF, 1), ExtendedShape(1, INF), (1,), (0,), (1, 1, 1)],
+                         ids=["inf", "extended-inf", "rank-1", "rank-1-zero", "rank-3"])
+def test_bad_bounds_raise_shape_error_and_keep_nothing(bad):
+    """An INF or wrong-rank bound raises ShapeError on every call, before anything is kept.
+
+    It raises with a basis supplied too, which the bound would not select;
+    a fresh graph gets no window, and a used one keeps what it held.  An
+    INF shape floor raises ShapeError as well.
+    """
+    fresh, used = flip_graph(), flip_graph()
+    basis = fock_basis(used, (1, 1))
+    held = _window_state(used._window)
+    for g in (fresh, used):
+        a0 = g.path(["a0"])
+        calls = [lambda name=name: verify_identity(g, name, bad) for name in RELATION_NAMES]
+        calls += [
+            lambda: fock_basis(g, bad),
+            lambda: diagonal_algebra(g, 1, bad),
+            lambda: verify_shape_floor(g, (1, 0), bad),
+            lambda: verify_shape_floor(g, (1, 0), bad, basis),
+            lambda: creation_commutation(g, a0, a0, bad),
+            lambda: creation_commutation(g, a0, a0, bad, basis),
+        ]
+        if INF in tuple(bad):
+            calls += [lambda: shape_floor_projection(g, bad),
+                      lambda: verify_shape_floor(g, bad, (1, 1))]
+        for call in calls * 2:
+            with pytest.raises(ShapeError):
+                call()
+    assert fresh._window is None
+    assert _window_state(used._window) == held
 
 
 def test_product_applies_right_to_left(n2graph):
