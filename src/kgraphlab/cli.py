@@ -110,7 +110,7 @@ def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
 
 
 def suite_fock(fixture: Fixture, graph, options: dict) -> list[Check]:
-    """Each selected relation, timed on its own; all share the graph's Fock window."""
+    """Each selected relation, timed on its own; all share the graph's path table and basis."""
     graph = _require_graph(graph, "fock")
     bound = _resolve_bound(options, fixture, graph.rank)
     relations = options.get("relations", RELATION_NAMES)

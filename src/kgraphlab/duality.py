@@ -124,10 +124,11 @@ class RationalInfinitePath:
             raise ConfigError(
                 f"cycle shape {cycle.shape} must be strictly positive in every color"
             )
-        key = (prefix.codes or prefix.base, cycle.codes)
-        canon = prefix.graph._canonical_forms.get(key)
-        if canon is None:
-            canon = prefix.graph._canonical_forms[key] = _canonical(prefix, cycle)
+        table = prefix.graph._table
+        key = (prefix._id, cycle._id)
+        canon = table.canonical.get(key)
+        if canon is None:  # the table's own Paths, so equal forms compare by identity
+            canon = table.canonical[key] = tuple(table.path(p._id) for p in _canonical(prefix, cycle))
         prefix, cycle = canon
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)

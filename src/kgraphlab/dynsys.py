@@ -181,8 +181,8 @@ class MGDS:
                 key = lower
             cached = powers[key]
             for j, key in reversed(steps):
-                cached = powers[key] = self.generators[j].compose(cached)
-                cached.name = f"T^{key}"
+                step = self.generators[j].compose(cached)
+                cached = powers[key] = PartialMap(f"T^{key}", step._table)
         return cached
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:

@@ -12,17 +12,18 @@ truncated: a shape bound only selects which vectors a checker visits, never
 how an operator acts, so every reported identity is exact on the checked
 vectors.
 
-op.on(window) is op acting on whole lists of ids of a PathWindow (the
-vacuum is VAC, zero is None): it maps a list of ids to the list of their
-images.  A partial map's image is an id or None.  A sum's is None when it
-is zero, the id itself when it is one id with coefficient 1, and an
-{id: coefficient} dict otherwise, so equal vectors have equal images.
-Each graph owns one window, which dies with it: fock_basis builds each
-basis there once per bound, and every evaluation on such a basis (a
-relation report, diagonal_algebra) runs there, so the reports on a graph
-share their bases, compositions and splits.  An evaluation on a basis or
-element the caller supplies (operators_agree, a report given basis=, act,
-obstruction_report) runs in a window of its own, which dies with it.
+op.on(table) is op acting on whole lists of ids of a kgraph.PathTable
+(the vacuum is VAC, zero is None): it maps a list of ids to the list of
+their images.  A partial map's image is an id or None.  A sum's is None
+when it is zero, the id itself when it is one id with coefficient 1, and
+an {id: coefficient} dict otherwise, so equal vectors have equal images.
+Creations and strips read the table's composition and split rows, so the
+reports on a graph share its compositions and splits with each other and
+with the path layer.  fock_basis keeps each basis in the graph's table,
+once per bound, and every evaluation on such a basis (a relation report,
+diagonal_algebra) runs there.  An evaluation on a basis or element the
+caller supplies (operators_agree, a report given basis=, act,
+obstruction_report) runs in a throwaway PathTable, which dies with it.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError, GraphError, ShapeError
-from .kgraph import KGraph, Path
+from .kgraph import EMPTY, KGraph, Path, PathTable
 from .reporting import CAP
 from .shapes import Shape, as_shape, shapes_below
 
@@ -51,17 +52,22 @@ class _Vacuum:
 
 
 VACUUM = _Vacuum()
-VAC = -1  # the vacuum's id in every window; path ids count up from 0
-_UNSET = object()  # a memo's default where None is a stored answer
+VAC = EMPTY  # the vacuum's id in every table: a split's empty side, no vertex's
 
 
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
-    """The vacuum plus every nonzero-shape path with shape <= bound, built once per bound
-    in the graph's window, which the graph keeps only once it holds a basis."""
-    win = graph._window or PathWindow(graph)
-    basis = win.basis(bound)
-    graph._window = win
+    """The vacuum plus every nonzero-shape path with shape <= bound, kept in the graph's
+    table once built."""
+    bound, table = _checked_bound(graph, bound), graph._table
+    basis = table.bases.get(bound.coords)
+    if basis is None:
+        basis = table.bases[bound.coords] = (VACUUM, *_nonzero_paths(table, bound))
     return basis
+
+
+def _nonzero_paths(table, bound) -> list:
+    """The graph's paths of every nonzero shape <= bound, shapes in lex order."""
+    return [p for n in shapes_below(bound) if not n.is_zero for p in table.paths(n)]
 
 
 def _checked_bound(graph, bound) -> Shape:
@@ -72,151 +78,45 @@ def _checked_bound(graph, bound) -> Shape:
     return bound
 
 
-class PathWindow:
-    """Int ids for basis vectors, and the path kernel on lists of ids.
+def _ids(table, basis) -> list:
+    """The ids of a sequence of basis elements in table."""
+    return [VAC if b is VACUUM else table.id_of(b) for b in basis]
 
-    A window binds to its graph, given or else the graph of the first path
-    it interns.  The vacuum is VAC; path id i has the graph's normal code
-    word words[i] (see kgraph), endpoints sources[i] and targets[i] and
-    shape coordinates coords[i], one tuple per shape.  A path is interned by
-    its code word (Path.codes), a vertex path, which only an input can be,
-    never an operator's path, by its vertex's name.  Lists of ids hold VAC,
-    path ids, and None for zero.
 
-    paths and basis enumerate each shape and build each basis once;
-    creations and strips run the graph's kernel (_join, _split) once per
-    distinct composition or split.  Unique factorization makes both pure
-    functions of the graph's tables, so a defective table gives the same
-    answer, or raises the same error, every time it is asked; an error is
-    never kept.
+def _creations(table, p, xs, left) -> list:
+    """The images of ids xs under creation by path p: p·x on the left, x·p on the right,
+    None where x is None or the ends differ."""
+    composite, out = table.composite, []
+    for x in xs:
+        if x is None or x == VAC:
+            out.append(None if x is None else p)
+        else:
+            out.append(composite(p, x) if left else composite(x, p))
+    return out
+
+
+def _strips(table, xs, m, left) -> list:
+    """For each id x, the pair (kept id, rest id) with x = kept·rest on the left or
+    rest·kept on the right and kept of shape m, or None where m does not fit.
+
+    The vacuum and None give None; an empty kept or rest is VAC.
     """
-
-    def __init__(self, graph=None):
-        self.graph = graph
-        self._ids: dict = {}  # normal code word, or vertex name -> id
-        self.words, self.sources, self.targets, self.coords = [], [], [], []  # by id
-        self._shapes: dict[tuple, tuple] = {}  # shape coordinates, one tuple per shape
-        self._composed: list = []  # by id i, None until asked: {id j: id of i·j, or None}
-        self._splits: list = []  # by id, None until asked: {head grade: (head id, tail id) or None}
-        self._paths: dict[tuple, list] = {}  # shape coordinates -> the graph's paths of it
-        self._bases: dict[tuple, tuple] = {}  # bound coordinates -> (basis, its ids)
-        self._basis, self._basis_ids = None, None
-
-    def intern(self, b) -> int:
-        """The id of a basis element: VAC for the vacuum, else the path's id."""
-        if b is VACUUM:
-            return VAC
-        if self.graph is None:
-            self.graph = b.graph
-        elif b.graph is not self.graph:
-            raise GraphError("paths belong to a different graph")
-        if b.codes:
-            return self._word_id(b.codes)
-        return self._id(b.base, (), b.base, b.base, (0,) * self.graph.rank)
-
-    def ids(self, basis) -> list:
-        """The ids of a sequence of basis elements; the last sequence asked for is kept."""
-        if basis is not self._basis:
-            self._basis, self._basis_ids = basis, [self.intern(b) for b in basis]
-        return self._basis_ids
-
-    def paths(self, shape: Shape) -> list:
-        """The graph's paths of one shape, a Shape or tuple, enumerated once per window."""
-        shape = as_shape(shape)
-        out = self._paths.get(shape.coords)
-        if out is None:
-            out = self._paths[shape.coords] = self.graph.enumerate_paths(shape)
-        return out
-
-    def basis(self, bound: Shape) -> tuple:
-        """fock_basis, built and interned once per bound; ids(basis) then returns its ids."""
-        bound = _checked_bound(self.graph, bound)
-        entry = self._bases.get(bound.coords)
-        if entry is None:
-            basis = (VACUUM, *(p for n in shapes_below(bound) if not n.is_zero
-                               for p in self.paths(n)))
-            entry = self._bases[bound.coords] = (basis, [self.intern(b) for b in basis])
-        self._basis, self._basis_ids = entry
-        return entry[0]
-
-    def _id(self, key, word, source, target, coords):
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.words)
-            self.words.append(word)
-            self.sources.append(source)
-            self.targets.append(target)
-            self.coords.append(self._shapes.setdefault(coords, coords))
-            self._composed.append(None)
-            self._splits.append(None)
-        return i
-
-    def _word_id(self, word):
-        """The id of a nonempty normal code word."""
-        i = self._ids.get(word)
-        if i is None:
-            graph = self.graph
-            i = self._id(word, word, graph._esource[word[-1]], graph._etarget[word[0]],
-                         graph._shape_of(word))
-        return i
-
-    def element(self, i):
-        """The basis element of id i: VACUUM, or a Path."""
-        if i == VAC:
-            return VACUUM
-        word = self.words[i]
-        return Path(self.graph, word) if word else Path(self.graph, (), self.targets[i])
-
-    def creations(self, p, xs, left) -> list:
-        """The images of ids xs under creation by path p: p·x on the left, x·p on the right.
-
-        None where x is None or the ends differ.  Left creation by p on x and
-        right creation by x on p share one entry.
-        """
-        composed, words, out = self._composed, self.words, []
-        for x in xs:
-            if x is None or x == VAC:
-                out.append(None if x is None else p)
-                continue
-            i, j = (p, x) if left else (x, p)
-            row = composed[i]
-            if row is None:
-                row = composed[i] = {}
-            y = row.get(j, _UNSET)
-            if y is _UNSET:
-                y = row[j] = (self._word_id(self.graph._join(words[i], words[j]))
-                              if self.sources[i] == self.targets[j] else None)
-            out.append(y)
-        return out
-
-    def strips(self, xs, m, left) -> list:
-        """For each id x, the pair (kept id, rest id) with x = kept·rest on the left or
-        rest·kept on the right and kept of shape m, or None where m does not fit.
-
-        The vacuum and None give None; an empty kept or rest is VAC.
-        """
-        splits, coords, out = self._splits, self.coords, []
-        for x in xs:
-            if x is None or x == VAC:
-                out.append(None)
-                continue
-            grade = m if left else tuple(map(operator.sub, coords[x], m))
-            row = splits[x]  # a left and a right strip can ask for the same split
-            if row is None:
-                row = splits[x] = {}
-            split = row.get(grade, _UNSET)
-            if split is _UNSET:
-                split = self.graph._split(self.words[x], coords[x], grade)
-                split = row[self._shapes.setdefault(grade, grade)] = split and tuple(
-                    self._word_id(w) if w else VAC for w in split)
-            out.append(split[::-1] if split and not left else split)
-        return out
+    split, coords, out = table.split, table.coords, []
+    for x in xs:
+        if x is None or x == VAC:
+            out.append(None)
+        elif left:
+            out.append(split(x, m))
+        else:  # a left and a right strip can ask for the same split
+            s = split(x, tuple(map(operator.sub, coords[x], m)))
+            out.append(s and s[::-1])
+    return out
 
 
-def _vector_out(win, image) -> dict:
+def _vector_out(table, image) -> dict:
     """An image as a {basis element: coefficient} vector."""
     vector = image if isinstance(image, dict) else {} if image is None else {image: 1}
-    return {win.element(i): c for i, c in vector.items()}
+    return {VACUUM if i == VAC else table.path(i): c for i, c in vector.items()}
 
 
 class FockOperator:
@@ -234,8 +134,8 @@ class FockOperator:
 
     def act(self, b) -> dict:
         """The image of one basis element as a {basis element: int} vector."""
-        win = PathWindow()
-        return _vector_out(win, self.on(win)([win.intern(b)])[0])
+        table = PathTable()
+        return _vector_out(table, self.on(table)(_ids(table, [b]))[0])
 
     def __mul__(self, other):
         if isinstance(other, FockOperator):
@@ -257,7 +157,7 @@ class FockOperator:
 class PartialMap(FockOperator):
     """An operator sending each basis element to at most one, with coefficient 1.
 
-    on(win) returns a function from a list of ids to the list of their
+    on(table) returns a function from a list of ids to the list of their
     images' ids, None where the map is undefined.  Subclasses also
     implement adjoint().
     """
@@ -277,7 +177,7 @@ class PartialMap(FockOperator):
 class Sum(FockOperator):
     """A signed sum of partial maps: terms are (int coefficient, partial map) pairs.
 
-    Zero terms are dropped when the sum is built.  on(win) adds the terms'
+    Zero terms are dropped when the sum is built.  on(table) adds the terms'
     images with their coefficients, dropping entries that cancel.  Two or
     more terms whose rightmost factors strip paths of one nonzero shape on
     one side add as one group, at the place of the first: each vector is
@@ -293,7 +193,7 @@ class Sum(FockOperator):
                 raise ConfigError(f"a sum term is an (int, partial map) pair, got {(c, t)!r}")
         object.__setattr__(self, "terms", tuple((c, t) for c, t in terms if c))
 
-    def on(self, win):
+    def on(self, table):
         parts, groups = [], {}  # parts: in term order, the terms that add as one
         for c, t in self.terms:
             last = t.factors[-1] if isinstance(t, Product) and t.factors else t
@@ -304,7 +204,7 @@ class Sum(FockOperator):
                 groups[key].append((c, t))
             else:
                 parts.append([(c, t)])
-        parts = [_term_adder(win, *terms[0]) if len(terms) == 1 else _group_adder(win, terms)
+        parts = [_term_adder(table, *terms[0]) if len(terms) == 1 else _group_adder(table, terms)
                  for terms in parts]
 
         def image(xs):
@@ -322,12 +222,12 @@ class Sum(FockOperator):
         return "(" + " + ".join(f"{c}*{t!r}" for c, t in self.terms) + ")"
 
 
-def _term_adder(win, c, t):
-    image = t.on(win)
+def _term_adder(table, c, t):
+    image = t.on(table)
     return lambda out, xs: _add(out, range(len(xs)), image(xs), c)
 
 
-def _group_adder(win, terms):
+def _group_adder(table, terms):
     """Terms whose rightmost factors strip paths of one shape on one side, as one adder.
 
     It strips each id once and hands the rest only to the terms whose path
@@ -336,12 +236,12 @@ def _group_adder(win, terms):
     by_kept: dict[int, list] = {}  # kept id -> [(c, image of the factors left of it)]
     for c, t in terms:
         *rest, last = t.factors if isinstance(t, Product) else (t,)
-        by_kept.setdefault(win.intern(last.path), []).append((c, Product(rest).on(win)))
+        by_kept.setdefault(table.id_of(last.path), []).append((c, Product(rest).on(table)))
     m, left = last.path.shape.coords, last.left
 
     def add(out, xs):
         batches = {kept: ([], []) for kept in by_kept}  # positions, rest ids
-        for n, s in enumerate(win.strips(xs, m, left)):
+        for n, s in enumerate(_strips(table, xs, m, left)):
             if s is not None and s[0] in batches:
                 at, rests = batches[s[0]]
                 at.append(n)
@@ -389,8 +289,8 @@ class Product(PartialMap):
             raise ConfigError(f"a product factor must be a partial map, got {bad!r}")
         object.__setattr__(self, "factors", factors)
 
-    def on(self, win):
-        maps = [f.on(win) for f in reversed(self.factors)]
+    def on(self, table):
+        maps = [f.on(table) for f in reversed(self.factors)]
 
         def image(xs):
             for f in maps:
@@ -425,13 +325,13 @@ class PathOperator(PartialMap):
     def adjoint(self):
         return PathOperator(self.path, self.left, not self.create)
 
-    def on(self, win):
-        p, left = win.intern(self.path), self.left
+    def on(self, table):
+        p, left = table.id_of(self.path), self.left
         if self.create:
-            return lambda xs: win.creations(p, xs, left)
+            return lambda xs: _creations(table, p, xs, left)
         m = self.path.shape.coords
         return lambda xs: [None if s is None or s[0] != p else s[1]
-                           for s in win.strips(xs, m, left)]
+                           for s in _strips(table, xs, m, left)]
 
     def __repr__(self):
         return f"{'l' if self.left else 'r'}{'+' if self.create else '-'}{self.path.display()}"
@@ -441,7 +341,7 @@ class SpanProjection(PartialMap):
     """Diagonal projection onto the basis vectors satisfying a predicate.
 
     with_vacuum controls whether the vacuum belongs to the projected span;
-    the predicate(win, i) itself only ever sees path ids, never VAC.
+    the predicate(table, i) itself only ever sees path ids, never VAC.
     """
 
     __slots__ = ("label", "predicate", "with_vacuum")
@@ -451,9 +351,9 @@ class SpanProjection(PartialMap):
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "with_vacuum", bool(with_vacuum))
 
-    def on(self, win):
+    def on(self, table):
         keep, vac = self.predicate, VAC if self.with_vacuum else None
-        return lambda xs: [vac if x == VAC else x if x is not None and keep(win, x) else None
+        return lambda xs: [vac if x == VAC else x if x is not None and keep(table, x) else None
                            for x in xs]
 
     def adjoint(self):
@@ -490,50 +390,55 @@ def _check_vertex(graph, a):
 def target_projection(graph: KGraph, a) -> FockOperator:
     """Vacuum plus every path whose target is the given vertex."""
     _check_vertex(graph, a)
-    return SpanProjection(f"target={a}", lambda win, b: win.targets[b] == a, with_vacuum=True)
+    return SpanProjection(f"target={a}", lambda table, b: table.targets[b] == a, with_vacuum=True)
 
 
 def source_projection(graph: KGraph, a) -> FockOperator:
     """Vacuum plus every path whose source is the given vertex."""
     _check_vertex(graph, a)
-    return SpanProjection(f"source={a}", lambda win, b: win.sources[b] == a, with_vacuum=True)
+    return SpanProjection(f"source={a}", lambda table, b: table.sources[b] == a, with_vacuum=True)
 
 
 def level_projection(graph: KGraph, j: int) -> FockOperator:
     """Vacuum plus every path with no color-j edge."""
     if not 1 <= j <= graph.rank:
         raise ConfigError(f"color {j} out of range 1..{graph.rank}")
-    return SpanProjection(f"level{j}=0", lambda win, b: not win.coords[b][j - 1], with_vacuum=True)
+    return SpanProjection(f"level{j}=0", lambda table, b: not table.coords[b][j - 1],
+                          with_vacuum=True)
 
 
 def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
     """Paths whose shape dominates k; the vacuum is excluded.  Needs k != 0."""
-    k = as_shape(k)
-    if len(k) != graph.rank:
-        raise ConfigError(f"shape rank {len(k)} != graph rank {graph.rank}")
+    k = _checked_bound(graph, k)
     if k.is_zero:
         raise ConfigError("shape floor needs a nonzero bound; at zero the "
                           "left and right sums count the vacuum differently")
     return SpanProjection(f"shape>={tuple(k.coords)}",
-                          lambda win, b: all(map(operator.le, k.coords, win.coords[b])),
+                          lambda table, b: all(map(operator.le, k.coords, table.coords[b])),
                           with_vacuum=False)
 
 
 # -- pointwise comparison -----------------------------------------------------------
 
 
-def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, window=None):
+def operators_agree(lhs: FockOperator, rhs: FockOperator, basis):
     """Compare pointwise up to the CAP+1st failure.  Returns (ok, checked, failures).
 
-    The operators act in window, or in a PathWindow of their own, on the
-    whole list of basis ids at once.  Where that raises (a defective square
-    table), they act one vector at a time, as far as the failures go, so
-    the error is the first failing vector's, as when each vector is checked
-    on its own.
+    The operators act in a PathTable of their own.
     """
-    win = PathWindow() if window is None else window
-    f, g = lhs.on(win), rhs.on(win)
-    ids = win.ids(basis)
+    table = PathTable()
+    return _agree(lhs, rhs, basis, _ids(table, basis), table)
+
+
+def _agree(lhs, rhs, basis, ids, table):
+    """operators_agree in table, where basis has the ids ids.
+
+    The operators act on the whole list of ids at once.  Where that raises
+    (a defective square table), they act one vector at a time, as far as
+    the failures go, so the error is the first failing vector's, as when
+    each vector is checked on its own.
+    """
+    f, g = lhs.on(table), rhs.on(table)
     try:
         lhs_images, rhs_images = f(ids), g(ids)
     except GraphError:
@@ -548,7 +453,7 @@ def operators_agree(lhs: FockOperator, rhs: FockOperator, basis, window=None):
         if lv != rv:
             if len(failures) == CAP:
                 break
-            failures.append((b, _vector_out(win, lv), _vector_out(win, rv)))
+            failures.append((b, _vector_out(table, lv), _vector_out(table, rv)))
     return not failures, checked, failures
 
 
@@ -569,20 +474,20 @@ class RelationReport:
 
 
 def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
-    """The one runner: check the (label, lhs, rhs) instances(win, bound) pointwise on basis.
+    """The one runner: check the (label, lhs, rhs) instances(table, bound) pointwise on basis.
 
-    With no basis, they act in the graph's window on fock_basis; a caller's
-    basis gets a PathWindow of its own.  The first CAP counterexamples over
+    With no basis, they act in the graph's table on fock_basis; a caller's
+    basis gets a throwaway PathTable.  The first CAP counterexamples over
     all instances are kept, in order.
     """
     if basis is None:
-        basis, win = fock_basis(graph, bound), graph._window
+        table, basis = graph._table, fock_basis(graph, bound)
     else:
         _checked_bound(graph, bound)  # a caller's basis ignores it, yet a bad one raises
-        win = PathWindow(graph)
-    checked, bad = 0, []
-    for label, lhs, rhs in instances(win, bound):
-        _, n, failures = operators_agree(lhs, rhs, basis, win)
+        table = PathTable(graph)
+    checked, bad, ids = 0, [], _ids(table, basis)
+    for label, lhs, rhs in instances(table, bound):
+        _, n, failures = _agree(lhs, rhs, basis, ids, table)
         checked += n
         bad += [(label, *failure) for failure in failures[:CAP - len(bad)]]
     return RelationReport(relation, not bad, checked, tuple(bad))
@@ -595,14 +500,14 @@ def _range_sum(side, paths) -> Sum:
                for lam in paths)
 
 
-def _isometries(win, bound):
+def _isometries(table, bound):
     """R1: creating then stripping a path projects onto the spans it can attach to.
 
     Left side, prepending mu: onto spans with target mu.source; then right
     side, appending mu: onto spans with source mu.target.
     """
-    graph = win.graph
-    paths = [*map(graph.vertex, sorted(graph.vertices)), *win.basis(bound)[1:]]
+    graph = table.graph
+    paths = [*map(graph.vertex, sorted(graph.vertices)), *_nonzero_paths(table, bound)]
     for left in (True, False):
         for mu in paths:
             C = _creation(graph, mu, left)
@@ -610,34 +515,34 @@ def _isometries(win, bound):
             yield f"mu={mu.display()}", Product((C.adjoint(), C)), P
 
 
-def _vertex_sums(win, bound):
+def _vertex_sums(table, bound):
     """R2: a vertex projection splits into color-j edge ranges plus its level part."""
-    graph = win.graph
+    graph = table.graph
     for j in range(1, graph.rank + 1):
         ej, level = Shape.unit(graph.rank, j), level_projection(graph, j)
         for a in sorted(graph.vertices):
             for side, end, P in (("left", "target", target_projection(graph, a)),
                                  ("right", "source", source_projection(graph, a))):
-                edges = [e for e in win.paths(ej) if getattr(e, end) == a]
+                edges = [e for e in table.paths(ej) if getattr(e, end) == a]
                 yield (f"vertex={a},j={j},{side}", P,
                        _range_sum(side, edges) + Product((level, P)))  # P tests first
 
 
-def _level_complements(win, bound):
+def _level_complements(table, bound):
     """R3: both one-sided color-j range sums have the same complement, the level span."""
-    graph = win.graph
+    graph = table.graph
     for j in range(1, graph.rank + 1):
         pj = level_projection(graph, j)
-        edges = win.paths(Shape.unit(graph.rank, j))
+        edges = table.paths(Shape.unit(graph.rank, j))
         for side in ("left", "right"):
             yield f"j={j},{side}", Product(()) - _range_sum(side, edges), pj
 
 
-def _shape_floors(win, ks):
+def _shape_floors(table, ks):
     """R4: left and right range sums at a fixed nonzero shape k equal the floor span."""
     for k in ks:
-        floor = shape_floor_projection(win.graph, k)
-        paths = win.paths(k)
+        floor = shape_floor_projection(table.graph, k)
+        paths = table.paths(k)
         for side in ("left", "right"):
             yield f"k={tuple(k.coords)},{side}-vs-floor", _range_sum(side, paths), floor
 
@@ -654,35 +559,29 @@ def _commutations(graph, pairs):
         yield f"lam={lam.display()},mu={mu.display()}", Product((L, R)), Product((R, L))
 
 
-def _unit_box_pairs(win):
-    """Every pair of nonzero-shape paths below the unit box, lam-major."""
-    paths = [p for n in shapes_below((1,) * win.graph.rank) if not n.is_zero
-             for p in win.paths(n)]
-    return itertools.product(paths, repeat=2)
-
-
 def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
     """R4 at one nonzero shape k."""
-    k = as_shape(k)
+    k = _checked_bound(graph, k)
     return _report(f"R4[k={tuple(k.coords)}]", graph, bound,
-                   lambda win, bound: _shape_floors(win, (k,)), basis)
+                   lambda table, bound: _shape_floors(table, (k,)), basis)
 
 
 def creation_commutation(graph: KGraph, lam: Path, mu: Path, bound: Shape,
                          basis=None) -> RelationReport:
     """Commutation of one pair of nonzero-shape paths."""
     return _report("commutation", graph, bound,
-                   lambda win, bound: _commutations(graph, [(lam, mu)]), basis)
+                   lambda table, bound: _commutations(graph, [(lam, mu)]), basis)
 
 
-# relation name -> (window, bound) -> every instance of the relation below bound
+# relation name -> (table, bound) -> every instance of the relation below bound
 _CATALOG = {
     "R1": _isometries,
     "R2": _vertex_sums,
     "R3": _level_complements,
-    "R4": lambda win, bound: _shape_floors(
-        win, [k for k in shapes_below(bound) if not k.is_zero]),
-    "commutation": lambda win, bound: _commutations(win.graph, _unit_box_pairs(win)),
+    "R4": lambda table, bound: _shape_floors(
+        table, [k for k in shapes_below(bound) if not k.is_zero]),
+    "commutation": lambda table, bound: _commutations(table.graph, itertools.product(
+        _nonzero_paths(table, (1,) * table.graph.rank), repeat=2)),  # lam-major
 }
 
 RELATION_NAMES = tuple(_CATALOG)
@@ -694,7 +593,7 @@ def verify_identity(graph: KGraph, name: str, bound: Shape) -> RelationReport:
     The name selects an instance generator in _CATALOG: R1 runs over every
     path below the bound, R2 and R3 over every color, R4 over every nonzero
     shape k <= bound, commutation over path pairs below the unit box.  All
-    instances go through _report once, into one report, in the graph's window.
+    instances go through _report once, into one report, in the graph's table.
     """
     if name not in _CATALOG:
         raise ConfigError(f"unknown relation {name!r}; known: {', '.join(RELATION_NAMES)}")
@@ -774,8 +673,8 @@ class DiagonalAlgebra:
     right_only: FixedSetAlgebra
 
 
-def _atom_actions(graph, win):
-    """Labelled single-step actions on id lists of win, each a partial injection.
+def _atom_actions(graph, table):
+    """Labelled single-step actions on id lists of table, each a partial injection.
 
     Returned as (label, left, image) with image(xs) the atom's images of
     the ids xs; left is the side of the atom: a creation's or
@@ -786,10 +685,10 @@ def _atom_actions(graph, win):
     for e in graph.edges:
         for left, create in itertools.product((True, False), repeat=2):
             op = PathOperator(graph.path([e.name]), left, create)
-            atoms.append((repr(op), left, op.on(win)))
+            atoms.append((repr(op), left, op.on(table)))
     for a in sorted(graph.vertices):
-        atoms.append((f"p@{a}", True, target_projection(graph, a).on(win)))
-        atoms.append((f"q@{a}", False, source_projection(graph, a).on(win)))
+        atoms.append((f"p@{a}", True, target_projection(graph, a).on(table)))
+        atoms.append((f"q@{a}", False, source_projection(graph, a).on(table)))
     return atoms
 
 
@@ -825,14 +724,13 @@ def diagonal_algebra(graph: KGraph, word_len: int, bound: Shape) -> DiagonalAlge
 
     Collects fix(w) for every edge/vertex operator word of length <= word_len
     acting as a partial identity on the basis window, then closes each pool
-    into a Boolean algebra of subsets.  The three pools act in the graph's window.
+    into a Boolean algebra of subsets.  The three pools act in the graph's table.
     """
     if word_len < 1:
         raise ConfigError("word_len must be >= 1")
-    basis = fock_basis(graph, bound)
-    win = graph._window
-    ids = win.ids(basis)
-    atoms = _atom_actions(graph, win)
+    basis, table = fock_basis(graph, bound), graph._table
+    ids = _ids(table, basis)
+    atoms = _atom_actions(graph, table)
     full_pool = _identity_pool(atoms, word_len, basis, ids)
     left_pool = _identity_pool([a for a in atoms if a[1]], word_len, basis, ids)
     right_pool = _identity_pool([a for a in atoms if not a[1]], word_len, basis, ids)
@@ -864,13 +762,13 @@ class ObstructionReport:
 def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
                        algebra: DiagonalAlgebra) -> ObstructionReport:
     """Probe one mixed range projection against a precomputed diagonal_algebra."""
-    win = PathWindow()
-    ids = win.ids(algebra.basis)
-    images = mixed_range_projection(graph, lam, mu).on(win)(ids)
+    table = PathTable(graph)
+    ids = _ids(table, algebra.basis)
+    images = mixed_range_projection(graph, lam, mu).on(table)(ids)
     moved = next(((b, out) for b, i, out in zip(algebra.basis, ids, images)
                   if out is not None and out != i), None)
     if moved:
         raise ConfigError("mixed projection is not a partial identity: "
-                          f"{(moved[0], _vector_out(win, moved[1]))!r}")
+                          f"{(moved[0], _vector_out(table, moved[1]))!r}")
     fix = frozenset(b for b, out in zip(algebra.basis, images) if out is not None)
     return ObstructionReport(fixed_set=fix, in_one_sided=fix in algebra.one_sided)

@@ -23,8 +23,9 @@ it makes the same moves in the same order as sorting the whole word, so a
 defective table fails with the same edges named.  A Path keeps its normal
 code word, and compose and factorize are _join and _split on it; edge names
 appear only at the edges of the API (KGraph.path, Path.word, the texts of
-errors and witnesses).  Each graph answers path, compose and factorize once
-per distinct input (see KGraph).
+errors and witnesses).  Each graph keeps its paths in one PathTable: int ids
+for normal code words and vertices, with each id's composites and splits,
+so path, compose and factorize run the kernel once per distinct input.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class Path:
     def shape(self) -> Shape:
         return Shape._make(self.graph._shape_of(self.codes))
 
+    @cached_property
+    def _id(self) -> int:
+        """The path's id in its graph's PathTable."""
+        return self.graph._table.id_of(self)
+
     @property
     def word(self) -> tuple[str, ...]:
         """The edge names of the word, left to right."""
@@ -107,6 +113,109 @@ class Path:
         return (tuple(self.shape.coords), self.codes, self.base or "")
 
 
+EMPTY = -1  # a split's empty side, in every table; path ids count up from 0
+_UNSET = object()  # a row's default where None is a stored answer
+
+
+class PathTable:
+    """Int ids for the paths of one graph, and the kernel's answers on them.
+
+    Path id i has the normal code word words[i] (a vertex's is empty),
+    endpoints sources[i] and targets[i] and shape coordinates coords[i].
+    composite and split run the kernel (_join, _split) once per distinct
+    question and keep the answer as ids, in a composition row and a split
+    row per id; an error is never kept.  paths enumerates each shape once,
+    and path makes an id's Path only when a caller asks, once per id.
+
+    Each KGraph owns one table, which dies with it; duality keeps its
+    canonical forms there and fock its bases.  A table made without a
+    graph takes the graph of the first path it meets: fock evaluates a
+    caller's basis or element in such a throwaway table.
+    """
+
+    def __init__(self, graph=None):
+        self.graph = graph
+        self._ids: dict = {}  # normal code word, vertex name, or names path() normalized -> id
+        self.words, self.sources, self.targets, self.coords = [], [], [], []  # by id
+        self._shapes: dict[tuple, tuple] = {}  # shape coordinates, one tuple per shape
+        self._composed: list = []  # by id, None until asked: the composition row
+        self._splits: list = []  # by id, None until asked: the split row
+        self._paths: dict[tuple, list] = {}  # shape coordinates -> the graph's paths of it
+        self._objects: dict[int, Path] = {}  # id -> its Path, once a caller asked for it
+        self.canonical: dict[tuple, tuple] = {}  # duality's canonical forms, by id pair
+        self.bases: dict[tuple, tuple] = {}  # fock's bases, by bound coordinates
+
+    def _id(self, key, word) -> int:
+        """The id of a nonempty normal code word (key and word alike), or of a vertex: key
+        its name, word ()."""
+        i = self._ids.get(key)
+        if i is None:
+            graph, coords = self.graph, self.graph._shape_of(word)
+            i = self._ids[key] = len(self.words)
+            self.words.append(word)
+            self.sources.append(graph._esource[word[-1]] if word else key)
+            self.targets.append(graph._etarget[word[0]] if word else key)
+            self.coords.append(self._shapes.setdefault(coords, coords))
+            self._composed.append(None)
+            self._splits.append(None)
+        return i
+
+    def id_of(self, p: Path) -> int:
+        """The id of a Path: of its code word, or of its vertex."""
+        if p.graph is not self.graph:
+            if self.graph is not None:
+                raise GraphError("paths belong to a different graph")
+            self.graph = p.graph
+        return self._id(p.codes or p.base, p.codes)
+
+    def path(self, i) -> Path:
+        """The Path of id i, the same object every time."""
+        p = self._objects.get(i)
+        if p is None:
+            word = self.words[i]
+            p = self._objects[i] = (Path(self.graph, word) if word
+                                    else Path(self.graph, (), self.targets[i]))
+        return p
+
+    def paths(self, shape) -> list:
+        """The graph's paths of one shape, a Shape or tuple, enumerated once."""
+        shape = as_shape(shape)
+        out = self._paths.get(shape.coords)
+        if out is None:
+            out = self._paths[shape.coords] = self.graph.enumerate_paths(shape)
+        return out
+
+    def composite(self, i, j):
+        """The id of path i · path j, or None where i's source is not j's target."""
+        row = self._composed[i]
+        if row is None:
+            row = self._composed[i] = {}
+        out = row.get(j, _UNSET)
+        if out is _UNSET:
+            out = None
+            if self.sources[i] == self.targets[j]:
+                word = self.graph._join(self.words[i], self.words[j])
+                out = self._id(word, word)
+            row[j] = out
+        return out
+
+    def split(self, i, grade):
+        """(head id, tail id) of path i with the head of shape grade, a coordinate tuple;
+        EMPTY for an empty side, None unless 0 <= grade <= the path's shape.  ShapeError for
+        a grade of another rank."""
+        row = self._splits[i]
+        if row is None:
+            row = self._splits[i] = {}
+        out = row.get(grade, _UNSET)
+        if out is _UNSET:
+            if len(grade) != self.graph.rank:
+                raise ShapeError(f"shape rank {len(grade)} != graph rank {self.graph.rank}")
+            out = self.graph._split(self.words[i], self.coords[i], grade)
+            out = row[self._shapes.setdefault(grade, grade)] = out and tuple(
+                self._id(w, w) if w else EMPTY for w in out)
+        return out
+
+
 class KGraph:
     """Finite rank-r colored graph with square tables.
 
@@ -127,15 +236,13 @@ class KGraph:
     anti-normal one when it has the lower.  _to_normal, the one table keyed
     by edge name, keeps the squares as given, for validate and opposite.
 
-    The graph memoizes its path questions in dicts that live and die with
-    it: path keyed by the edge names it is given, and every other memo by
-    code words: compose by the two words, factorize by the path's word (or
-    vertex) and the grade's coordinates, the kernel's passes by their two
-    words, and _canonical_forms, which only duality fills, by (prefix word
-    or vertex, cycle word).  A miss runs the kernel; an error is raised,
-    never stored.  _window holds the Fock layer's PathWindow for the graph,
-    made by fock on first use: the reports that build their basis from the
-    graph and a bound share its bases, compositions and splits.
+    The graph keeps its paths in one store, _table, a PathTable that lives
+    and dies with it: path, compose and factorize answer from its ids and
+    rows, and path also keys the edge names it normalized, so the same
+    names are normalized once; duality keeps its canonical forms there and
+    fock its bases.  _passes, keyed by the pass's two words, is the
+    kernel's table of sub-word sorts.  A miss runs the kernel; an error
+    is raised, never stored.
     """
 
     def __init__(self, rank, vertices, edges, squares=None, name="graph"):
@@ -196,12 +303,8 @@ class KGraph:
         self._moves = {code[a] * n_edges + code[b]: (code[c], code[d])
                        for table in self._to_normal.values() for key, val in table.items()
                        for (a, b), (c, d) in ((key, val), (val, key))}
-        self._paths: dict[tuple, Path] = {}
-        self._composites: dict[tuple, Path] = {}
-        self._factorizations: dict[tuple, tuple[Path, Path]] = {}
         self._passes: dict[tuple, tuple] = {}
-        self._canonical_forms: dict[tuple, tuple[Path, Path]] = {}
-        self._window = None  # the graph's fock.PathWindow, made on first use
+        self._table = PathTable(self)
 
     # -- accessors -------------------------------------------------------------
 
@@ -231,17 +334,18 @@ class KGraph:
 
         The same names give the same Path object every time they are asked.
         """
-        word = tuple(names)
-        out = self._paths.get(word)
-        if out is None:
+        word, table = tuple(names), self._table
+        i = table._ids.get(word)
+        if i is None:
             if not word:
                 raise GraphError("empty edge word; use vertex() for grading-zero paths")
             codes = tuple(map(self._code.get, word))
             if None in codes:  # the first unknown name, alone or not
                 raise GraphError(f"unknown edge {word[codes.index(None)]!r}")
             self._check_chain(codes)
-            out = self._paths[word] = Path(self, self._normal(codes))
-        return out
+            codes = self._normal(codes)
+            i = table._ids[word] = table._id(codes, codes)
+        return table.path(i)
 
     # -- the int-coded kernel -----------------------------------------------------
 
@@ -371,30 +475,23 @@ class KGraph:
             return q
         if not q.codes:
             return p
-        key = (p.codes, q.codes)
-        out = self._composites.get(key)
-        if out is None:
-            out = self._composites[key] = Path(self, self._join(*key))
-        return out
+        table = self._table
+        return table.path(table.composite(p._id, q._id))
 
     def factorize(self, p: Path, k: Shape) -> tuple[Path, Path]:
         """Split p = head·tail with shape(head) = k, a Shape or tuple with 0 <= k <= shape(p)."""
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
-        k = as_shape(k)
-        key = (p.codes or p.base, k.coords)
-        out = self._factorizations.get(key)
-        if out is not None:
-            return out
-        if len(k) != self.rank:
-            raise ShapeError(f"shape rank {len(k)} != graph rank {self.rank}")
-        if not k <= p.shape:
+        k, table = as_shape(k), self._table
+        split = table.split(p._id, k.coords)
+        if split is None:
             raise ShapeError(f"cannot factor {p!r} at {k}: not dominated by {p.shape}")
-        head, rest = self._split(p.codes, p.shape.coords, k.coords)
-        head_path = Path(self, head) if head else Path(self, (), p.target)
-        tail_path = Path(self, rest) if rest else Path(self, (), head_path.source)
-        out = self._factorizations[key] = (head_path, tail_path)
-        return out
+        head, tail = split
+        if head == EMPTY:
+            head = table._id(p.target, ())
+        if tail == EMPTY:
+            tail = table._id(table.sources[head], ())
+        return table.path(head), table.path(tail)
 
     # -- enumeration --------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from kgraphlab.groupoid import SemidirectGroupoid
 from kgraphlab.kgraph import (
     Edge,
     KGraph,
+    PathTable,
     flip_graph,
     grid_graph,
     one_loop_per_color_graph,
@@ -559,7 +560,7 @@ FOCK_SUITE_CASES = [
     "flip", "n2", "grid11", "single2x2", "mutated_flip", "endpoint_moving"])
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
 def test_fock_suite_shares_one_window_without_changing_a_report(monkeypatch, make, bound, order):
-    """Relations sharing the graph's basis and window report as each does alone.
+    """Relations sharing the graph's basis and path table report as each does alone.
 
     Each record is (ok, checked, every counterexample in order), or the
     error's type and text where the relation raises; both orders run, and
@@ -600,7 +601,7 @@ def test_fock_suite_shares_one_window_without_changing_a_report(monkeypatch, mak
             got.append(as_record(rep))
     assert [c.name for c in checks] == list(relations)
     assert got == [alone(rel) for rel in relations]
-    assert list(graph._window._bases) == [bound]
+    assert list(graph._table.bases) == [bound]
     if make is _endpoint_moving:
         assert all(record[0] == "NotComposable" for record in got)
 
@@ -618,16 +619,20 @@ def test_fock_suite_basis_error_fails_every_relation(monkeypatch):
     checks = cli.suite_fock(parse_fixture_text("suite fock\n"), graph, {"bound": (1, 1)})
     assert [(c.name, c.ok, c.info, str(c.witness)) for c in checks] == [
         (rel, False, "check raised GraphError", "enumeration broke") for rel in RELATION_NAMES]
-    assert calls == [(0, 1)] * len(RELATION_NAMES) and graph._window is None
+    assert calls == [(0, 1)] * len(RELATION_NAMES)
+    assert not (graph._table._ids or graph._table._paths or graph._table.bases)
 
 
 def test_fock_suite_work_counts_are_pinned(monkeypatch):
-    """One basis in one window per graph: each distinct kernel call once per run.
+    """One basis in one path table per graph: each distinct kernel call once per run.
 
     Flip at (2,2) enumerates its 8 nonzero shapes once, for the basis, and
-    the relations' instances take their paths from the window: they asked
+    the relations' instances take their paths from the table: they asked
     for 36 more enumerations when each enumerated its own.  Five windows,
     one per relation, made 6,304 joins, 3,328 splits and 76 enumerations.
+    n2's whole run makes 106 joins and 154 splits: its fock, groupoid and
+    boundary suites share one table, where the graph's memos and a
+    separate Fock window made 111 and 161.
     """
     counts = {}
     for name in ("_join", "_split", "enumerate_paths"):
@@ -645,7 +650,34 @@ def test_fock_suite_work_counts_are_pinned(monkeypatch):
         "_join": 704, "_split": 96}
     assert work("flip", ("_join", "_split", "enumerate_paths"), suite_names=["fock"]) == {
         "_join": 5120, "_split": 2688, "enumerate_paths": 8}
-    assert work("n2", ("_join", "_split")) == {"_join": 111, "_split": 161}
+    assert work("n2", ("_join", "_split")) == {"_join": 106, "_split": 154}
+
+
+def test_a_fixture_run_holds_each_normal_word_once(monkeypatch):
+    """After a flip fixture run, the graph holds one store of its paths.
+
+    Its table gives each normal word one id; every Path the table and its
+    clients keep (the Paths it made, each shape's paths, fock's basis,
+    duality's canonical forms) spells a word of that store, and the table's
+    own Paths share their id's word.  Besides its construction tables, the
+    graph keeps only the table and the kernel's passes.
+    """
+    graphs = []
+    monkeypatch.setattr(cli, "build_graph",
+                        lambda fixture: graphs.append(build_graph(fixture)) or graphs[-1])
+    assert run_fixture(parse_fixture(FIXTURES / "flip.kgf")).ok
+    (g,) = graphs
+    table = g._table
+    words = [w for w in table.words if w]
+    assert len(set(words)) == len(words) > 0
+    assert all(p.codes is table.words[i] for i, p in table._objects.items())
+    assert all(p is table.path(p._id) for form in table.canonical.values() for p in form)
+    kept = [*table._objects.values(), *(p for paths in table._paths.values() for p in paths),
+            *(b for basis in table.bases.values() for b in basis[1:]),
+            *(p for form in table.canonical.values() for p in form)]
+    assert table.canonical and {p.codes for p in kept if p.codes} <= set(words)
+    assert {name for name, v in vars(g).items() if isinstance(v, (dict, list, PathTable))} == {
+        "_code", "_into", "_to_normal", "_moves", "_starts", "_passes", "_table"}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

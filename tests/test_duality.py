@@ -746,15 +746,17 @@ def test_shift_arguments_take_a_coordinate_tuple(flip22):
 
 
 def test_path_memos_die_with_their_graph():
+    """The graph's path table, with its compositions, splits and canonical forms, dies with it."""
     g = flip_graph()
     a, ab = g.path(["a0"]), g.path(["a1", "b0"])
     y = RationalInfinitePath(a, ab)
     factorize(compose(a, ab), (1, 0))
-    assert g._composites and g._factorizations and g._canonical_forms
-    ref = weakref.ref(g)
-    del g, a, ab, y
+    table = g._table
+    assert any(table._composed) and any(table._splits) and table.canonical
+    refs = weakref.ref(g), weakref.ref(table)
+    del g, a, ab, y, table
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_zpoint_closure_work_is_pinned(monkeypatch):

@@ -37,7 +37,7 @@ from kgraphlab.fock import (
     verify_shape_floor,
     RELATION_NAMES,
 )
-from kgraphlab.kgraph import KGraph, Path, flip_graph, grid_graph, single_vertex_graph
+from kgraphlab.kgraph import KGraph, Path, PathTable, flip_graph, grid_graph, single_vertex_graph
 from kgraphlab.shapes import INF, ExtendedShape, Shape
 
 
@@ -281,10 +281,8 @@ def test_catalog_instances_match_the_reference_evaluation(graph_family):
         L, R = left_creation(g, a), right_creation(g, a)
         mixed = [("mixed", (L - 2 * R) * L.adjoint(),
                   R.adjoint() * (Product(()) - L * L.adjoint()))]
-        fock_basis(g, Shape(2, 2))
-        win = g._window
         for name in RELATION_NAMES:
-            for label, lhs, rhs in [*fock._CATALOG[name](win, Shape(2, 2)), *mixed]:
+            for label, lhs, rhs in [*fock._CATALOG[name](g._table, Shape(2, 2)), *mixed]:
                 for b in basis:
                     assert lhs.act(b) == _reference_act(lhs, b), (g.name, name, label, b)
                     assert rhs.act(b) == _reference_act(rhs, b), (g.name, name, label, b)
@@ -353,36 +351,38 @@ def test_random_expressions_keep_the_normal_form(graph_family):
                 Sum(((Fraction(1, 2), rng.choice(atoms)),))
 
 
-def _window_state(win):
-    """What a window keeps: ids, composition entries, splits, enumerated shapes and bases."""
-    return (len(win.words), *(sum(len(row) for row in rows if row)
-                              for rows in (win._composed, win._splits)),
-            len(win._paths), len(win._bases))
+def _table_state(table):
+    """What a table keeps: ids and their keys, composition entries, splits, enumerated
+    shapes, Path objects, canonical forms and bases."""
+    return (len(table.words), len(table._ids), *(sum(len(row) for row in rows if row)
+                                                 for rows in (table._composed, table._splits)),
+            len(table._paths), len(table._objects), len(table.canonical), len(table.bases))
 
 
 def _graph_state(g):
-    """What a graph keeps, its kernel passes and factorizations left out."""
-    return {name: len(v) if isinstance(v, dict) else _window_state(v)
-            if isinstance(v, fock.PathWindow) else v
-            for name, v in vars(g).items() if name not in ("_passes", "_factorizations")}
+    """What a graph keeps, its kernel passes left out."""
+    return {name: len(v) if isinstance(v, dict) else _table_state(v)
+            if isinstance(v, PathTable) else v
+            for name, v in vars(g).items() if name != "_passes"}
 
 
 def test_window_evaluation_matches_the_reference(graph_family):
-    """Random expressions evaluated over one shared PathWindow match _reference_act.
+    """Random expressions evaluated over one throwaway PathTable match _reference_act.
 
     The reference evaluates each basis vector on its own: products and sums
     as whole vectors, annihilations through the public factorize, and
-    creations through act, in a window of their own.
+    creations through act, in a table of their own.
 
     Each operator maps the whole list of basis ids at once, to one image per
     id: None for zero, an id for a single vector with coefficient 1, and an
-    {id: coefficient} dict otherwise.  The shared window keeps every
+    {id: coefficient} dict otherwise.  The shared table keeps every
     composition and split it has made, across all the operators evaluated
     in it; images whose shape leaves the bound are interned too and must
     read back as the same paths.  operators_agree keeps its public
     contract, (ok, checked, [(basis element, vector, vector)]), and an
     evaluation on a basis the caller supplies leaves the graph nothing but
-    its table of kernel passes: its own window is as it was.
+    its table of kernel passes: its own path table is as it was.  The
+    reference's factorize answers from the graph's table, so it runs after.
     """
     rng = random.Random(2014)
     bound = Shape(2, 2)
@@ -391,34 +391,33 @@ def test_window_evaluation_matches_the_reference(graph_family):
         basis = fock_basis(g, bound)
         atoms = [op for e in g.edges for create in (left_creation, right_creation)
                  for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
-        algebra = diagonal_algebra(g, 2, Shape(1, 1))  # built in the graph's window
-        # the reference fills the factorize memo; the window fills only the passes
+        algebra = diagonal_algebra(g, 2, Shape(1, 1))  # built in the graph's table
         state = _graph_state(g)
-        win = fock.PathWindow()
-        ids = win.ids(basis)
-        assert ids[0] == fock.VAC and win.ids(basis) is ids
-        outside[g.name] = 0
-        for _ in range(30):
-            A = _random_operator(rng, atoms, 3)
-            images = A.on(win)(ids)
-            assert len(images) == len(basis)
-            for b, image in zip(basis, images):
-                want = _reference_act(A, b)
-                assert fock._vector_out(win, image) == want, (g.name, A, b)
-                if isinstance(image, dict):
-                    assert len(want) > 1 or set(want.values()) != {1}, (g.name, A, b)
-                outside[g.name] += any(x is not VACUUM and not x.shape <= bound for x in want)
-
+        table = PathTable()
+        ids = fock._ids(table, basis)
+        assert ids[0] == fock.VAC and table.graph is g
+        ops = [_random_operator(rng, atoms, 3) for _ in range(30)]
+        evaluated = [A.on(table)(ids) for A in ops]
         a = g.enumerate_paths(Shape(1, 0))[0]
         lhs, rhs = left_creation(g, a), right_creation(g, a) - left_creation(g, a)
         ok, checked, failures = operators_agree(lhs, rhs, basis)
+        obstruction_report(g, a, a, algebra=algebra)
+        assert _graph_state(g) == state, g.name
+
+        outside[g.name] = 0
+        for A, images in zip(ops, evaluated):
+            assert len(images) == len(basis)
+            for b, image in zip(basis, images):
+                want = _reference_act(A, b)
+                assert fock._vector_out(table, image) == want, (g.name, A, b)
+                if isinstance(image, dict):
+                    assert len(want) > 1 or set(want.values()) != {1}, (g.name, A, b)
+                outside[g.name] += any(x is not VACUUM and not x.shape <= bound for x in want)
         assert not ok and type(checked) is int and type(failures) is list
         assert 0 < len(failures) <= 3 and checked <= len(basis)
         for b, lv, rv in failures:
             assert b in basis and all(x is VACUUM or isinstance(x, Path) for x in (*lv, *rv))
             assert (lv, rv) == (_reference_act(lhs, b), _reference_act(rhs, b))
-        obstruction_report(g, a, a, algebra=algebra)
-        assert _graph_state(g) == state, g.name
     # every path of the 1x1 grid has shape <= (1, 1); the loop graphs leave the bound
     assert [name for name, n in outside.items() if n] == ["free_abelian_2", "flip2x2"]
 
@@ -433,11 +432,11 @@ def test_relation_work_counts_are_pinned(monkeypatch):
     distinct: a left strip and a right one can ask for the same split.  R4
     at (3,3) asks for 47,600 splits; the terms of a range sum share one per
     vector, and 4,768 reach the kernel, which answers None where the grade
-    does not fit.  The reports on one graph share its window: after R1,
+    does not fit.  The reports on one graph share its path table: after R1,
     commutation makes 2,816 of its 3,520 joins, and after both R4 makes 512
     joins and 3,680 splits; a second, identical round makes none.  "_sort"
     counts the passes the graph sorts, and "moves" the square moves they
-    make.
+    make.  Fock work over ids makes no Path object the table keeps.
     """
     counts = {}
     for name in ("_join", "_split", "_sort"):
@@ -476,14 +475,40 @@ def test_relation_work_counts_are_pinned(monkeypatch):
             report = verify_identity(g, name, bound)
             assert (report.ok, report.checked, counts) == (True, checked, shared if first else {})
     assert len(g._passes) == 72 + 32 + 288
-    assert not (g._paths or g._composites or g._factorizations or g._canonical_forms)
+    assert not (g._table._objects or g._table.canonical)
 
 
-def test_graph_keeps_its_passes_and_one_window():
-    """Every flip relation at (3,3) leaves the graph its kernel passes and one PathWindow.
+def test_the_path_layer_answers_from_the_reports_rows(monkeypatch):
+    """The path layer and the Fock layer share one store of the graph's paths.
+
+    After flip's R1 report at (1,1), KGraph.compose on every pair the report
+    composed, and KGraph.factorize on every split it made, runs no kernel
+    join or split, and answers with the report's ids.
+    """
+    g = flip_graph()
+    assert verify_identity(g, "R1", (1, 1)).ok
+    table = g._table
+    composed = [(i, j, y) for i, row in enumerate(table._composed) if row
+                for j, y in row.items() if y is not None]
+    splits = [(x, grade, s) for x, row in enumerate(table._splits) if row
+              for grade, s in row.items() if s is not None]
+    assert len(composed) == 64 and len(splits) == 80
+    calls = []
+    for name in ("_join", "_split"):
+        monkeypatch.setattr(KGraph, name, lambda *args, _name=name: calls.append(_name))
+    for i, j, y in composed:
+        assert g.compose(table.path(i), table.path(j)) is table.path(y)
+    for x, grade, (head, tail) in splits:
+        got = g.factorize(table.path(x), grade)
+        assert [table.id_of(p) if p.codes else fock.VAC for p in got] == [head, tail]
+    assert calls == []
+
+
+def test_graph_keeps_its_passes_and_one_table():
+    """Every flip relation at (3,3) leaves the graph its kernel passes and one PathTable.
 
     The passes are the (left word, right word) pairs a join or a split
-    sorts: 456 of them on flip at (3,3), a few KiB.  The window holds the
+    sorts: 456 of them on flip at (3,3), a few KiB.  The table holds the
     reports' one basis, its 15 enumerated nonzero shapes, and the ids,
     compositions and splits they made: 16,128 ids, most of them R1's
     composites of shape up to (6,6), 61,952 compositions and 52,992 splits.
@@ -493,73 +518,76 @@ def test_graph_keeps_its_passes_and_one_window():
     for name in RELATION_NAMES:
         assert verify_identity(g, name, Shape(3, 3)).ok, name
     assert set(vars(g)) == attributes
-    assert isinstance(g._window, fock.PathWindow) and g._window.graph is g
-    assert _window_state(g._window) == (16128, 61952, 52992, 15, 1)
+    assert isinstance(g._table, PathTable) and g._table.graph is g
+    assert _table_state(g._table) == (16128, 16128, 61952, 52992, 15, 0, 0, 1)
     assert len(g._passes) == 456
-    assert not (g._paths or g._composites or g._factorizations or g._canonical_forms)
 
 
-def test_the_graphs_window_serves_only_the_bases_it_builds():
-    """Evaluations on a basis or element the caller supplies leave the graph's window as it is.
+def test_a_callers_basis_leaves_the_graphs_table_unchanged():
+    """Evaluations on a basis or element the caller supplies leave the graph's table as it is.
 
     A report given basis=, operators_agree, act and obstruction_report each
-    act in a window of their own; the same reports without a basis build
-    their basis from (graph, bound) and run in the graph's window, with the
-    same answers.
+    act in a throwaway table; the same reports without a basis build their
+    basis from (graph, bound) and run in the graph's table, with the same
+    answers.
     """
     g = flip_graph()
     a0, b1 = g.path(["a0"]), g.path(["b1"])
     algebra = diagonal_algebra(g, 2, Shape(1, 1))
     basis = fock_basis(g, (2, 2))
     assert fock_basis(g, Shape(2, 2)) is basis
-    before = _window_state(g._window)
+    a0b1 = g.path(["a0", "b1"])
+    before = _table_state(g._table)
     supplied = (verify_shape_floor(g, (1, 1), (2, 2), basis),
                 creation_commutation(g, a0, b1, (2, 2), basis))
     assert all(supplied)
     assert operators_agree(left_creation(g, a0), left_creation(g, a0), basis)[0]
-    assert left_creation(g, a0).act(b1) == {g.path(["a0", "b1"]): 1}
+    assert left_creation(g, a0).act(b1) == {a0b1: 1}
     assert obstruction_report(g, a0, a0, algebra=algebra).in_one_sided
-    assert _window_state(g._window) == before
+    assert _table_state(g._table) == before
     built = (verify_shape_floor(g, (1, 1), (2, 2)), creation_commutation(g, a0, b1, (2, 2)))
-    assert built == supplied and _window_state(g._window) != before
+    assert built == supplied and _table_state(g._table) != before
 
 
 def test_shape_arguments_take_a_coordinate_tuple():
     """Every shape-taking name of fock gives one answer for a Shape and for its coordinates.
 
-    A Shape bound and a tuple bound share one basis in the graph's window.
+    A Shape bound and a tuple bound share one basis in the graph's table.
     """
     g = flip_graph()
     lam = g.path(["a0"])
     for name in RELATION_NAMES:
         assert verify_identity(g, name, (2, 1)) == verify_identity(g, name, Shape(2, 1)), name
-    assert list(g._window._bases) == [(2, 1)]
+    assert list(g._table.bases) == [(2, 1)]
     assert fock_basis(g, (2, 1)) is fock_basis(g, Shape(2, 1))
     assert (verify_shape_floor(g, (1, 1), (2, 1))
             == verify_shape_floor(g, Shape(1, 1), Shape(2, 1)))
     assert (creation_commutation(g, lam, lam, (2, 1))
             == creation_commutation(g, lam, lam, Shape(2, 1)))
     assert diagonal_algebra(g, 2, (1, 1)) == diagonal_algebra(g, 2, Shape(1, 1))
-    assert list(g._window._bases) == [(2, 1), (1, 1)]
+    assert list(g._table.bases) == [(2, 1), (1, 1)]
     basis = fock_basis(g, (2, 1))
     assert ([shape_floor_projection(g, (1, 1)).act(b) for b in basis]
             == [shape_floor_projection(g, Shape(1, 1)).act(b) for b in basis])
 
 
-@pytest.mark.parametrize("bad", [(INF, 1), ExtendedShape(1, INF), (1,), (0,), (1, 1, 1)],
-                         ids=["inf", "extended-inf", "rank-1", "rank-1-zero", "rank-3"])
+@pytest.mark.parametrize("bad", [(INF, 1), ExtendedShape(1, INF), (1,), (0,), (1, 1, 1), (1, 0, 0)],
+                         ids=["inf", "extended-inf", "rank-1", "rank-1-zero", "rank-3",
+                              "rank-3-unit"])
 def test_bad_bounds_raise_shape_error_and_keep_nothing(bad):
     """An INF or wrong-rank bound raises ShapeError on every call, before anything is kept.
 
     It raises with a basis supplied too, which the bound would not select;
-    a fresh graph gets no window, and a used one keeps what it held.  An
-    INF shape floor raises ShapeError as well.
+    a fresh graph's table stays empty, and a used one keeps what it held.
+    An INF or wrong-rank shape floor k raises ShapeError as well, before
+    any basis is built; a zero k of the graph's rank keeps its ConfigError
+    (test_shape_floor_rejects_zero).
     """
     fresh, used = flip_graph(), flip_graph()
     basis = fock_basis(used, (1, 1))
-    held = _window_state(used._window)
-    for g in (fresh, used):
-        a0 = g.path(["a0"])
+    a0s = {g: g.path(["a0"]) for g in (fresh, used)}
+    held = {g: _table_state(g._table) for g in (fresh, used)}
+    for g, a0 in a0s.items():
         calls = [lambda name=name: verify_identity(g, name, bad) for name in RELATION_NAMES]
         calls += [
             lambda: fock_basis(g, bad),
@@ -568,15 +596,15 @@ def test_bad_bounds_raise_shape_error_and_keep_nothing(bad):
             lambda: verify_shape_floor(g, (1, 0), bad, basis),
             lambda: creation_commutation(g, a0, a0, bad),
             lambda: creation_commutation(g, a0, a0, bad, basis),
+            lambda: shape_floor_projection(g, bad),
+            lambda: verify_shape_floor(g, bad, (1, 1)),
+            lambda: verify_shape_floor(g, bad, (1, 1), basis),
         ]
-        if INF in tuple(bad):
-            calls += [lambda: shape_floor_projection(g, bad),
-                      lambda: verify_shape_floor(g, bad, (1, 1))]
         for call in calls * 2:
             with pytest.raises(ShapeError):
                 call()
-    assert fresh._window is None
-    assert _window_state(used._window) == held
+    assert held[fresh] == (1, 2, 0, 0, 0, 1, 0, 0)  # a0's id, keyed by word and name, and Path
+    assert all(_table_state(g._table) == state for g, state in held.items())
 
 
 def test_product_applies_right_to_left(n2graph):
@@ -833,22 +861,22 @@ def test_one_sided_pools_keep_their_vertex_projections():
 
 
 def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
-    # one compile of the mixed projection, in one window, then its images of all basis ids at once
+    # one compile of the mixed projection, in one table, then its images of all basis ids at once
     algebra = diagonal_algebra(flip22, 2, Shape(2, 2))
     lam = flip22.enumerate_paths(Shape(1, 2))[0]
-    windows, calls = [], []
+    tables, calls = [], []
     on = Product.on
 
-    def counted_on(op, win):
-        windows.append(win)
-        image = on(op, win)
-        return lambda xs: calls.append([win.element(x) for x in xs]) or image(xs)
+    def counted_on(op, table):
+        tables.append(table)
+        image = on(op, table)
+        return lambda xs: calls.append([fock._vector_out(table, x) for x in xs]) or image(xs)
 
     monkeypatch.setattr(Product, "on", counted_on)
     monkeypatch.setattr(Product, "act", lambda op, b: pytest.fail("act per basis vector"))
     report = obstruction_report(flip22, lam, lam, algebra=algebra)
-    assert len(windows) == 1 and isinstance(windows[0], fock.PathWindow)
-    assert calls == [list(algebra.basis)]
+    assert len(tables) == 1 and tables[0] is not flip22._table
+    assert calls == [[{b: 1} for b in algebra.basis]]
     monkeypatch.undo()
     assert report.fixed_set == _fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
     assert sorted(map(repr, report.fixed_set)) == [
@@ -901,6 +929,6 @@ def test_identity_operator_everywhere(graph_family):
     for g in graph_family:
         for b in fock_basis(g, Shape(1, 1)):
             assert one.act(b) == one.adjoint().act(b) == {b: 1}
-        win = fock.PathWindow()
-        ids = [win.intern(b) for b in fock_basis(g, Shape(2, 2))]
-        assert one.on(win)(ids) == one.adjoint().on(win)(ids) == ids
+        table = PathTable()
+        ids = fock._ids(table, fock_basis(g, Shape(2, 2)))
+        assert one.on(table)(ids) == one.adjoint().on(table)(ids) == ids

@@ -18,6 +18,7 @@ from kgraphlab.kgraph import (
     Edge,
     KGraph,
     Path,
+    PathTable,
     compose,
     factorize,
     flip_graph,
@@ -248,8 +249,8 @@ def test_memoized_answers_are_the_kernel_answers():
     """Seeded compose and factorize questions, each asked twice in a random order.
 
     The first answer equals a fresh kernel answer, the second is the same
-    object, and flip and its opposite, asked the same edge words, each
-    answer on their own graph.
+    object (a factorization, the same two objects), and flip and its
+    opposite, asked the same edge words, each answer on their own graph.
     """
     rng = random.Random(21)
     flip = flip_graph()
@@ -267,7 +268,10 @@ def test_memoized_answers_are_the_kernel_answers():
             key = (kind, p.word or p.base, arg if kind == "factorize" else arg.word or arg.base)
             got = g.compose(p, arg) if kind == "compose" else g.factorize(p, arg)
             if key in first:
-                assert got is first[key], key
+                if kind == "compose":
+                    assert got is first[key], key
+                else:
+                    assert type(got) is tuple and list(map(id, got)) == list(map(id, first[key]))
                 continue
             first[key] = got
             assert got == _kernel_answer(g, kind, p, arg), key
@@ -280,20 +284,28 @@ def test_memoized_answers_are_the_kernel_answers():
 
 
 def test_memoized_questions_raise_every_time():
+    """A kernel error is raised every time and never stored in the graph's table.
+
+    A grade that does not fit keeps the table's answer None, and factorize
+    raises on it every time.
+    """
     edges = [Edge("a0", 1, "u", "u"), Edge("b0", 2, "u", "u")]
     g = KGraph(2, ["u"], edges, {(1, 2): {}})  # the one square entry dropped
-    b, a = g.path(["b0"]), g.path(["a0"])
-    messages = []
-    for _ in range(2):
-        with pytest.raises(GraphError) as e:
-            g.compose(b, a)
-        messages.append(str(e.value))
-    assert messages[0] == messages[1] and not g._composites
+    b, a, ab = g.path(["b0"]), g.path(["a0"]), g.path(["a0", "b0"])
+    for call, match in ((lambda: g.compose(b, a), "no square"),
+                        (lambda: g.factorize(ab, (0, 1)), "no inverse square")):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(GraphError, match=match) as e:
+                call()
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+    assert not any(g._table._composed) and not any(g._table._splits)
     p = flip_graph().path(["a0", "a1"])
     for _ in range(2):
         with pytest.raises(ShapeError, match="not dominated"):
             p.graph.factorize(p, (1, 1))
-    assert not p.graph._factorizations
+    assert [row for row in p.graph._table._splits if row] == [{(1, 1): None}]
 
 
 def test_path_is_memoized_per_graph(monkeypatch):
@@ -315,7 +327,9 @@ def test_path_is_memoized_per_graph(monkeypatch):
                 graph.path(names)
             messages.append(str(e.value))
         assert messages[0] == messages[1]
-    assert list(g._paths) == [("b0", "a1")] and not grid._paths
+    table = g._table
+    assert table.words == [p.codes] and table._ids == {("b0", "a1"): 0, p.codes: 0}
+    assert not grid._table._ids
 
 
 def test_rank3_sort_matches_reference_routes():
@@ -323,9 +337,9 @@ def test_rank3_sort_matches_reference_routes():
 
     Seeded random rank-3 tables on one vertex with two loops per color: each
     color pair's squares are a random bijection with some entries dropped.
-    KGraph.path, KGraph.compose and a PathWindow's creations match the
-    leftmost rewriting of the concatenated words; split, factorize and a
-    window's left and right strips match pulling the head's edges to the
+    KGraph.path, KGraph.compose and fock's creations in a PathTable match
+    the leftmost rewriting of the concatenated words; split, factorize and
+    fock's left and right strips match pulling the head's edges to the
     front.
     """
     rng = random.Random(17)
@@ -345,19 +359,19 @@ def test_rank3_sort_matches_reference_routes():
             assert got == outcome(leftmost_normal, g, w), w
             errors += isinstance(got, str)
         paths = g.all_paths(Shape(1, 2, 1))
-        win = fock.PathWindow()
+        table = PathTable()
 
         def word(i):
-            return () if i == fock.VAC else win.element(i).word
+            return () if i == fock.VAC else table.path(i).word
 
         def created(a, b, left):
-            return word(win.creations(win.intern(a), [win.intern(b)], left)[0])
+            return word(fock._creations(table, table.id_of(a), [table.id_of(b)], left)[0])
 
         def split(p, grade):
             return tuple(map(g._decode, g._split(p.codes, p.shape.coords, grade)))
 
         def stripped(p, m, left):
-            kept, rest = win.strips([win.intern(p)], m, left)[0]
+            kept, rest = fock._strips(table, [table.id_of(p)], m, left)[0]
             return (word(kept), word(rest)) if left else (word(rest), word(kept))
 
         for p, q in (rng.sample(paths, 2) for _ in range(60)):
@@ -511,7 +525,7 @@ def test_squares_that_move_endpoints_raise_at_the_move():
     """Loops a, b at u and c, d at v, with squares b.a -> c.d and d.c -> a.b.
 
     Every route through either square raises NotComposable naming it:
-    compose, path, factorize and a PathWindow's creations and strips.
+    compose, path, factorize and fock's creations and strips in a PathTable.
     """
     edges = [Edge("a", 1, "u", "u"), Edge("b", 2, "u", "u"),
              Edge("c", 1, "v", "v"), Edge("d", 2, "v", "v")]
@@ -519,15 +533,15 @@ def test_squares_that_move_endpoints_raise_at_the_move():
     a, b, ab = g.path(["a"]), g.path(["b"]), g.path(["a", "b"])
     square = "^square b,a -> c,d moves the outer endpoints u,u to v,v$"
     inverse_square = "^inverse square a,b -> d,c moves the outer endpoints u,u to v,v$"
-    win = fock.PathWindow()
+    table = PathTable()
     for route, message in [
         (lambda: g.compose(b, a), square),
         (lambda: g.path(("b", "a")), square),
         (lambda: g.factorize(ab, (0, 1)), inverse_square),
-        (lambda: win.creations(win.intern(b), [win.intern(a)], True), square),
-        (lambda: win.creations(win.intern(a), [win.intern(b)], False), square),
-        (lambda: win.strips([win.intern(ab)], (0, 1), True), inverse_square),
-        (lambda: win.strips([win.intern(ab)], (1, 0), False), inverse_square),
+        (lambda: fock._creations(table, table.id_of(b), [table.id_of(a)], True), square),
+        (lambda: fock._creations(table, table.id_of(a), [table.id_of(b)], False), square),
+        (lambda: fock._strips(table, [table.id_of(ab)], (0, 1), True), inverse_square),
+        (lambda: fock._strips(table, [table.id_of(ab)], (1, 0), False), inverse_square),
     ]:
         with pytest.raises(NotComposable, match=message):
             route()

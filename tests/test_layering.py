@@ -1,9 +1,10 @@
 """The package's import layering and callers, read from the source with ast.
 
 Every import of a kgraphlab module sits at module level, the graph of
-imports between the package's modules has no cycle, every definition has
-a caller outside the tests, and every attribute a class sets has a reader
-outside the tests, or a listed reason to stay.
+imports between the package's modules has no cycle, attributes are set
+only on self or cls, every definition has a caller outside the tests, and
+every attribute a class sets has a reader outside the tests, or a listed
+reason to stay.
 """
 
 import ast
@@ -73,6 +74,20 @@ def test_only_kgraph_converts_between_names_and_codes(trees):
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and node.attr in conversions)
     assert readers == []
+
+
+def test_no_module_sets_an_attribute_of_another_object(trees):
+    """Every attribute store or delete in the package is on self or cls.
+
+    An object's state is set by its own class, so no layer keeps its data
+    on another layer's objects (as graph._window = window once did).  A
+    write through a subscript, table.canonical[key] = form, stores into a
+    container the object exposes and is no attribute store.
+    """
+    stores = sorted((name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+    assert stores == []
 
 
 # definitions no code in src/ or bench/ names, each with its reason to stay
