@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import ConfigError, DomainError
 from .reporting import CAP, Check
-from .shapes import INF, ExtendedShape, Shape, as_shape, shapes_below
+from .shapes import INF, ExtendedShape, Shape, as_shape, ranked_shape, shapes_below
 
 
 class PartialMap:
@@ -159,20 +159,19 @@ class MGDS:
     def power(self, n: Shape) -> PartialMap:
         """The composite map indexed by a shape or its coordinates; T^0 is the identity.
 
-        The table is keyed by coordinate tuple.  Only a miss checks the rank:
-        a key in the table has passed that check already.  A miss walks down
-        one generator at a time to a tabled power, at best in one step, then
-        composes back up by T^n = T_j T^(n - e_j), tabling each step.  The
-        generators commute as partial maps, so every route gives the same
-        table, keyed in carrier order like the identity T^0.
+        The table is keyed by coordinate tuple.  Only a miss checks the rank
+        (ShapeError): a key in the table has passed that check already.  A
+        miss walks down one generator at a time to a tabled power, at best in
+        one step, then composes back up by T^n = T_j T^(n - e_j), tabling each
+        step.  The generators commute as partial maps, so every route gives
+        the same table, keyed in carrier order like the identity T^0.
         """
         # as_shape's test, spelled inline: every meets inside compose calls power twice
         n = Shape(n) if not isinstance(n, Shape) else n
         powers = self._powers
         cached = powers.get(n.coords)
         if cached is None:
-            if n.rank != self.rank:
-                raise ConfigError(f"shape rank {n.rank} does not match system rank {self.rank}")
+            ranked_shape(n, self.rank)
             steps, key = [], n.coords
             while key not in powers:  # T^0 is tabled from the start
                 below = [(j, key[:j] + (c - 1,) + key[j + 1:]) for j, c in enumerate(key) if c]

@@ -19,11 +19,9 @@ when it is zero, the id itself when it is one id with coefficient 1, and
 an {id: coefficient} dict otherwise, so equal vectors have equal images.
 Creations and strips read the table's composition and split rows, so the
 reports on a graph share its compositions and splits with each other and
-with the path layer.  fock_basis keeps each basis in the graph's table,
-once per bound, and every evaluation on such a basis (a relation report,
-diagonal_algebra) runs there.  An evaluation on a basis or element the
-caller supplies (operators_agree, a report given basis=, act,
-obstruction_report) runs in a throwaway PathTable, which dies with it.
+with the path layer.  fock_basis keeps each basis there, once per bound, and
+every evaluation, on a built basis or one the caller supplies, runs in the
+table of its paths' graph and keeps there what it made.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -36,10 +34,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import ConfigError, GraphError, ShapeError
-from .kgraph import EMPTY, KGraph, Path, PathTable
+from .errors import ConfigError, GraphError
+from .kgraph import EMPTY, KGraph, Path
 from .reporting import CAP
-from .shapes import Shape, as_shape, shapes_below
+from .shapes import Shape, ranked_shape, shapes_below
 
 
 class _Vacuum:
@@ -58,7 +56,7 @@ VAC = EMPTY  # the vacuum's id in every table: a split's empty side, no vertex's
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     """The vacuum plus every nonzero-shape path with shape <= bound, kept in the graph's
     table once built."""
-    bound, table = _checked_bound(graph, bound), graph._table
+    bound, table = ranked_shape(bound, graph.rank), graph._table
     basis = table.bases.get(bound.coords)
     if basis is None:
         basis = table.bases[bound.coords] = (VACUUM, *_nonzero_paths(table, bound))
@@ -70,17 +68,24 @@ def _nonzero_paths(table, bound) -> list:
     return [p for n in shapes_below(bound) if not n.is_zero for p in table.paths(n)]
 
 
-def _checked_bound(graph, bound) -> Shape:
-    """bound as a Shape of the graph's rank; ShapeError for another rank or an INF coordinate."""
-    bound = as_shape(bound)
-    if len(bound) != graph.rank:
-        raise ShapeError(f"shape rank {len(bound)} != graph rank {graph.rank}")
-    return bound
-
-
 def _ids(table, basis) -> list:
     """The ids of a sequence of basis elements in table."""
     return [VAC if b is VACUUM else table.id_of(b) for b in basis]
+
+
+def _table_of(basis, ops):
+    """The table of basis's first path's graph, else the operators'; None if neither has one."""
+    first = next(itertools.chain((b for b in basis if b is not VACUUM),
+                                 (p for op in ops for p in _operator_paths(op))), None)
+    return None if first is None else first.graph._table
+
+
+def _operator_paths(op) -> list:
+    """The paths an operator creates or strips by, factor by factor."""
+    if isinstance(op, PathOperator):
+        return [op.path]
+    factors = op.factors if isinstance(op, Product) else [t for _, t in op.terms if t is not op]
+    return [p for f in factors for p in _operator_paths(f)]
 
 
 def _creations(table, p, xs, left) -> list:
@@ -134,7 +139,7 @@ class FockOperator:
 
     def act(self, b) -> dict:
         """The image of one basis element as a {basis element: int} vector."""
-        table = PathTable()
+        table = _table_of([b], [self])
         return _vector_out(table, self.on(table)(_ids(table, [b]))[0])
 
     def __mul__(self, other):
@@ -409,7 +414,7 @@ def level_projection(graph: KGraph, j: int) -> FockOperator:
 
 def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
     """Paths whose shape dominates k; the vacuum is excluded.  Needs k != 0."""
-    k = _checked_bound(graph, k)
+    k = ranked_shape(k, graph.rank)
     if k.is_zero:
         raise ConfigError("shape floor needs a nonzero bound; at zero the "
                           "left and right sums count the vacuum differently")
@@ -424,9 +429,9 @@ def shape_floor_projection(graph: KGraph, k: Shape) -> FockOperator:
 def operators_agree(lhs: FockOperator, rhs: FockOperator, basis):
     """Compare pointwise up to the CAP+1st failure.  Returns (ok, checked, failures).
 
-    The operators act in a PathTable of their own.
+    The operators act in the table of their paths' graph (see _table_of).
     """
-    table = PathTable()
+    table = _table_of(basis, (lhs, rhs))
     return _agree(lhs, rhs, basis, _ids(table, basis), table)
 
 
@@ -476,15 +481,11 @@ class RelationReport:
 def _report(relation, graph, bound, instances, basis=None) -> RelationReport:
     """The one runner: check the (label, lhs, rhs) instances(table, bound) pointwise on basis.
 
-    With no basis, they act in the graph's table on fock_basis; a caller's
-    basis gets a throwaway PathTable.  The first CAP counterexamples over
-    all instances are kept, in order.
+    They act in the graph's table, on fock_basis unless the caller supplies a
+    basis; the first CAP counterexamples over all instances are kept, in order.
     """
-    if basis is None:
-        table, basis = graph._table, fock_basis(graph, bound)
-    else:
-        _checked_bound(graph, bound)  # a caller's basis ignores it, yet a bad one raises
-        table = PathTable(graph)
+    bound, table = ranked_shape(bound, graph.rank), graph._table  # a bad bound raises first
+    basis = fock_basis(graph, bound) if basis is None else basis
     checked, bad, ids = 0, [], _ids(table, basis)
     for label, lhs, rhs in instances(table, bound):
         _, n, failures = _agree(lhs, rhs, basis, ids, table)
@@ -561,7 +562,7 @@ def _commutations(graph, pairs):
 
 def verify_shape_floor(graph: KGraph, k: Shape, bound: Shape, basis=None) -> RelationReport:
     """R4 at one nonzero shape k."""
-    k = _checked_bound(graph, k)
+    k = ranked_shape(k, graph.rank)
     return _report(f"R4[k={tuple(k.coords)}]", graph, bound,
                    lambda table, bound: _shape_floors(table, (k,)), basis)
 
@@ -762,8 +763,7 @@ class ObstructionReport:
 def obstruction_report(graph: KGraph, lam: Path, mu: Path, *,
                        algebra: DiagonalAlgebra) -> ObstructionReport:
     """Probe one mixed range projection against a precomputed diagonal_algebra."""
-    table = PathTable(graph)
-    ids = _ids(table, algebra.basis)
+    table, ids = graph._table, _ids(graph._table, algebra.basis)
     images = mixed_range_projection(graph, lam, mu).on(table)(ids)
     moved = next(((b, out) for b, i, out in zip(algebra.basis, ids, images)
                   if out is not None and out != i), None)

@@ -37,7 +37,7 @@ from functools import cached_property
 
 from .errors import GraphError, NotComposable, ShapeError
 from .reporting import CAP, Check
-from .shapes import Shape, as_shape, shapes_below
+from .shapes import Shape, as_shape, ranked_shape, shapes_below
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,13 @@ class PathTable:
     row per id; an error is never kept.  paths enumerates each shape once,
     and path makes an id's Path only when a caller asks, once per id.
 
-    Each KGraph owns one table, which dies with it; duality keeps its
-    canonical forms there and fock its bases.  A table made without a
-    graph takes the graph of the first path it meets: fock evaluates a
-    caller's basis or element in such a throwaway table.
+    Each KGraph owns one table, made with it and dying with it, and every
+    evaluation on the graph's paths runs there: duality keeps its canonical
+    forms in it, and fock its bases and every composition and split its
+    operators make.  A path of another graph has no id here.
     """
 
-    def __init__(self, graph=None):
+    def __init__(self, graph):
         self.graph = graph
         self._ids: dict = {}  # normal code word, vertex name, or names path() normalized -> id
         self.words, self.sources, self.targets, self.coords = [], [], [], []  # by id
@@ -161,11 +161,9 @@ class PathTable:
         return i
 
     def id_of(self, p: Path) -> int:
-        """The id of a Path: of its code word, or of its vertex."""
+        """The id of a Path, its code word's or its vertex's; GraphError for another graph's."""
         if p.graph is not self.graph:
-            if self.graph is not None:
-                raise GraphError("paths belong to a different graph")
-            self.graph = p.graph
+            raise GraphError("paths belong to a different graph")
         return self._id(p.codes or p.base, p.codes)
 
     def path(self, i) -> Path:
@@ -173,8 +171,7 @@ class PathTable:
         p = self._objects.get(i)
         if p is None:
             word = self.words[i]
-            p = self._objects[i] = (Path(self.graph, word) if word
-                                    else Path(self.graph, (), self.targets[i]))
+            p = self._objects[i] = Path(self.graph, word, None if word else self.targets[i])
         return p
 
     def paths(self, shape) -> list:
@@ -200,16 +197,13 @@ class PathTable:
         return out
 
     def split(self, i, grade):
-        """(head id, tail id) of path i with the head of shape grade, a coordinate tuple;
-        EMPTY for an empty side, None unless 0 <= grade <= the path's shape.  ShapeError for
-        a grade of another rank."""
+        """(head id, tail id) of path i, the head of shape grade (coordinates of the graph's
+        rank); EMPTY for an empty side, None unless 0 <= grade <= the path's shape."""
         row = self._splits[i]
         if row is None:
             row = self._splits[i] = {}
         out = row.get(grade, _UNSET)
         if out is _UNSET:
-            if len(grade) != self.graph.rank:
-                raise ShapeError(f"shape rank {len(grade)} != graph rank {self.graph.rank}")
             out = self.graph._split(self.words[i], self.coords[i], grade)
             out = row[self._shapes.setdefault(grade, grade)] = out and tuple(
                 self._id(w, w) if w else EMPTY for w in out)
@@ -239,10 +233,10 @@ class KGraph:
     The graph keeps its paths in one store, _table, a PathTable that lives
     and dies with it: path, compose and factorize answer from its ids and
     rows, and path also keys the edge names it normalized, so the same
-    names are normalized once; duality keeps its canonical forms there and
-    fock its bases.  _passes, keyed by the pass's two words, is the
-    kernel's table of sub-word sorts.  A miss runs the kernel; an error
-    is raised, never stored.
+    names are normalized once; duality keeps its canonical forms there, and
+    fock its bases and every evaluation's compositions and splits.  _passes,
+    keyed by the pass's two words, is the kernel's table of sub-word sorts.
+    A miss runs the kernel; an error is raised, never stored.
     """
 
     def __init__(self, rank, vertices, edges, squares=None, name="graph"):
@@ -482,7 +476,7 @@ class KGraph:
         """Split p = head·tail with shape(head) = k, a Shape or tuple with 0 <= k <= shape(p)."""
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
-        k, table = as_shape(k), self._table
+        k, table = ranked_shape(k, self.rank), self._table
         split = table.split(p._id, k.coords)
         if split is None:
             raise ShapeError(f"cannot factor {p!r} at {k}: not dominated by {p.shape}")
@@ -503,9 +497,7 @@ class KGraph:
         Deterministic order (edges by code, that is by name within a color;
         vertices by name).
         """
-        shape = as_shape(shape)
-        if len(shape) != self.rank:
-            raise ShapeError(f"shape rank {len(shape)} != graph rank {self.rank}")
+        shape = ranked_shape(shape, self.rank)
         if shape.is_zero:
             return [self.vertex(v) for v in sorted(self.vertices)
                     if (source is None or v == source) and (target is None or v == target)]

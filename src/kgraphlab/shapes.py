@@ -202,6 +202,14 @@ def as_shape(x) -> Shape:
     return x if isinstance(x, Shape) else Shape(*x)
 
 
+def ranked_shape(x, rank) -> Shape:
+    """as_shape(x), or ShapeError unless it has rank coordinates."""
+    shape = as_shape(x)
+    if len(shape.coords) != rank:
+        raise ShapeError(f"shape {shape} has rank {len(shape.coords)}, not {rank}")
+    return shape
+
+
 def shapes_below(bound: Shape):
     """All shapes n with 0 <= n <= bound, in lexicographic order; bound is a Shape or tuple."""
     for coords in itertools.product(*(range(c + 1) for c in as_shape(bound).coords)):

@@ -20,6 +20,7 @@ from kgraphlab.dynsys import (
     product_system,
 )
 from kgraphlab.errors import ConfigError, DomainError, ShapeError
+from kgraphlab.groupoid import build_semidirect
 from kgraphlab.kgraph import factorize, grid_graph, one_loop_per_color_graph
 from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
@@ -84,17 +85,24 @@ def test_grid_iterated_shift(grid24):
 
 
 def test_power_checks_rank_on_every_miss():
+    # a wrong-rank shape is a ShapeError wherever it reaches a power: power, meets,
+    # check_dc and build_semidirect, forced or not
     system = grid_system(2, 2)
-    with pytest.raises(ConfigError, match="rank 1"):
+    with pytest.raises(ShapeError, match="rank 1"):
         system.power(Shape(1))
     for n in shapes_below(Shape(1, 1)):
         system.power(n)
-    with pytest.raises(ConfigError, match="rank 1"):
+    with pytest.raises(ShapeError, match="rank 1"):
         system.power(Shape(1))
-    with pytest.raises(ConfigError, match="rank 1"):
+    with pytest.raises(ShapeError, match="rank 1"):
         system.meets((0, 0), (0, 0), Shape(1), Shape(0, 0))
-    with pytest.raises(ConfigError, match="rank 3"):
+    with pytest.raises(ShapeError, match="rank 3"):
         system.meets((0, 0), (0, 0), Shape(0, 0), Shape(0, 0, 0))
+    with pytest.raises(ShapeError, match="rank 1"):
+        system.check_dc(Shape(1))
+    for force in (False, True):
+        with pytest.raises(ShapeError, match="rank 3"):
+            build_semidirect(system, Shape(1, 1, 1), force=force)
     with pytest.raises(ShapeError):
         system.power(ExtendedShape(INF, 0))
 

@@ -37,7 +37,15 @@ from kgraphlab.fock import (
     verify_shape_floor,
     RELATION_NAMES,
 )
-from kgraphlab.kgraph import KGraph, Path, PathTable, flip_graph, grid_graph, single_vertex_graph
+from kgraphlab.kgraph import (
+    KGraph,
+    Path,
+    PathTable,
+    flip_graph,
+    grid_graph,
+    one_loop_per_color_graph,
+    single_vertex_graph,
+)
 from kgraphlab.shapes import INF, ExtendedShape, Shape
 
 
@@ -367,7 +375,7 @@ def _graph_state(g):
 
 
 def test_window_evaluation_matches_the_reference(graph_family):
-    """Random expressions evaluated over one throwaway PathTable match _reference_act.
+    """Random expressions evaluated over a second PathTable of the graph match _reference_act.
 
     The reference evaluates each basis vector on its own: products and sums
     as whole vectors, annihilations through the public factorize, and
@@ -380,9 +388,10 @@ def test_window_evaluation_matches_the_reference(graph_family):
     in it; images whose shape leaves the bound are interned too and must
     read back as the same paths.  operators_agree keeps its public
     contract, (ok, checked, [(basis element, vector, vector)]), and an
-    evaluation on a basis the caller supplies leaves the graph nothing but
-    its table of kernel passes: its own path table is as it was.  The
-    reference's factorize answers from the graph's table, so it runs after.
+    evaluation on a basis the caller supplies keeps what it makes in the
+    graph's own table and nowhere else on the graph: the table keeps no new
+    basis.  The reference's factorize answers from the graph's table, so it
+    runs after.
     """
     rng = random.Random(2014)
     bound = Shape(2, 2)
@@ -393,7 +402,7 @@ def test_window_evaluation_matches_the_reference(graph_family):
                  for op in (create(g, g.path([e.name])), create(g, g.path([e.name])).adjoint())]
         algebra = diagonal_algebra(g, 2, Shape(1, 1))  # built in the graph's table
         state = _graph_state(g)
-        table = PathTable()
+        table = PathTable(g)
         ids = fock._ids(table, basis)
         assert ids[0] == fock.VAC and table.graph is g
         ops = [_random_operator(rng, atoms, 3) for _ in range(30)]
@@ -402,7 +411,8 @@ def test_window_evaluation_matches_the_reference(graph_family):
         lhs, rhs = left_creation(g, a), right_creation(g, a) - left_creation(g, a)
         ok, checked, failures = operators_agree(lhs, rhs, basis)
         obstruction_report(g, a, a, algebra=algebra)
-        assert _graph_state(g) == state, g.name
+        after = _graph_state(g)  # the bases are the last entry of a table's state
+        assert after.pop("_table")[-1] == state.pop("_table")[-1] and after == state, g.name
 
         outside[g.name] = 0
         for A, images in zip(ops, evaluated):
@@ -523,13 +533,13 @@ def test_graph_keeps_its_passes_and_one_table():
     assert len(g._passes) == 456
 
 
-def test_a_callers_basis_leaves_the_graphs_table_unchanged():
-    """Evaluations on a basis or element the caller supplies leave the graph's table as it is.
+def test_a_callers_basis_runs_in_the_graphs_table():
+    """Evaluations on a basis or element the caller supplies run in the graph's table.
 
     A report given basis=, operators_agree, act and obstruction_report each
-    act in a throwaway table; the same reports without a basis build their
-    basis from (graph, bound) and run in the graph's table, with the same
-    answers.
+    keep their compositions and splits there.  The same reports without a
+    basis build their basis from (graph, bound) and give the same answers,
+    finding every composition and split they need already kept.
     """
     g = flip_graph()
     a0, b1 = g.path(["a0"]), g.path(["b1"])
@@ -544,9 +554,46 @@ def test_a_callers_basis_leaves_the_graphs_table_unchanged():
     assert operators_agree(left_creation(g, a0), left_creation(g, a0), basis)[0]
     assert left_creation(g, a0).act(b1) == {a0b1: 1}
     assert obstruction_report(g, a0, a0, algebra=algebra).in_one_sided
-    assert _table_state(g._table) == before
+    after = _table_state(g._table)
+    assert after != before
     built = (verify_shape_floor(g, (1, 1), (2, 2)), creation_commutation(g, a0, b1, (2, 2)))
-    assert built == supplied and _table_state(g._table) != before
+    assert built == supplied and _table_state(g._table) == after
+
+
+def test_a_callers_basis_reuses_the_reports_compositions(monkeypatch):
+    """After R1 at (2,2), its isometries on the (2,2) basis supplied by hand run no kernel.
+
+    operators_agree evaluates in the graph's table, where the report kept
+    every composition and split the isometries make.
+    """
+    g = flip_graph()
+    assert verify_identity(g, "R1", (2, 2))
+    basis, calls = fock_basis(g, (2, 2)), []
+    for name in ("_join", "_split"):
+        kernel = getattr(KGraph, name)
+        monkeypatch.setattr(KGraph, name, lambda self, *args, name=name, kernel=kernel:
+                            calls.append(name) or kernel(self, *args))
+    for mu in g.all_paths((2, 2)):
+        for create, project, end in ((left_creation, target_projection, mu.source),
+                                     (right_creation, source_projection, mu.target)):
+            C = create(g, mu)
+            assert operators_agree(C.adjoint() * C, project(g, end), basis)[0], mu
+    assert calls == []
+
+
+def test_operands_of_two_graphs_raise():
+    """An evaluation that meets paths of two graphs raises GraphError, whatever the route."""
+    flip, n2 = flip_graph(), one_loop_per_color_graph(2)
+    basis, a0 = fock_basis(flip, (1, 1)), flip.path(["a0"])
+    lam = n2.enumerate_paths((1, 0))[0]
+    with pytest.raises(GraphError):
+        operators_agree(left_creation(n2, lam), left_creation(n2, lam), basis)
+    with pytest.raises(GraphError):
+        creation_commutation(n2, lam, lam, (1, 1), basis)
+    with pytest.raises(GraphError):
+        left_creation(flip, a0).act(lam)
+    with pytest.raises(GraphError):
+        (left_creation(flip, a0) * left_creation(n2, lam)).act(VACUUM)
 
 
 def test_shape_arguments_take_a_coordinate_tuple():
@@ -875,7 +922,7 @@ def test_obstruction_report_acts_once_per_basis_vector(flip22, monkeypatch):
     monkeypatch.setattr(Product, "on", counted_on)
     monkeypatch.setattr(Product, "act", lambda op, b: pytest.fail("act per basis vector"))
     report = obstruction_report(flip22, lam, lam, algebra=algebra)
-    assert len(tables) == 1 and tables[0] is not flip22._table
+    assert len(tables) == 1 and tables[0] is flip22._table
     assert calls == [[{b: 1} for b in algebra.basis]]
     monkeypatch.undo()
     assert report.fixed_set == _fixed_set(mixed_range_projection(flip22, lam, lam), algebra.basis)
@@ -929,6 +976,6 @@ def test_identity_operator_everywhere(graph_family):
     for g in graph_family:
         for b in fock_basis(g, Shape(1, 1)):
             assert one.act(b) == one.adjoint().act(b) == {b: 1}
-        table = PathTable()
+        table = PathTable(g)
         ids = fock._ids(table, fock_basis(g, Shape(2, 2)))
         assert one.on(table)(ids) == one.adjoint().on(table)(ids) == ids

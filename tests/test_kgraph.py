@@ -359,7 +359,7 @@ def test_rank3_sort_matches_reference_routes():
             assert got == outcome(leftmost_normal, g, w), w
             errors += isinstance(got, str)
         paths = g.all_paths(Shape(1, 2, 1))
-        table = PathTable()
+        table = PathTable(g)
 
         def word(i):
             return () if i == fock.VAC else table.path(i).word
@@ -533,7 +533,7 @@ def test_squares_that_move_endpoints_raise_at_the_move():
     a, b, ab = g.path(["a"]), g.path(["b"]), g.path(["a", "b"])
     square = "^square b,a -> c,d moves the outer endpoints u,u to v,v$"
     inverse_square = "^inverse square a,b -> d,c moves the outer endpoints u,u to v,v$"
-    table = PathTable()
+    table = PathTable(g)
     for route, message in [
         (lambda: g.compose(b, a), square),
         (lambda: g.path(("b", "a")), square),

@@ -2,9 +2,9 @@
 
 Every import of a kgraphlab module sits at module level, the graph of
 imports between the package's modules has no cycle, attributes are set
-only on self or cls, every definition has a caller outside the tests, and
-every attribute a class sets has a reader outside the tests, or a listed
-reason to stay.
+only on self or cls, a path table is made only by its graph, every
+definition has a caller outside the tests, and every attribute a class sets
+has a reader outside the tests, or a listed reason to stay.
 """
 
 import ast
@@ -88,6 +88,34 @@ def test_no_module_sets_an_attribute_of_another_object(trees):
                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
                     and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
     assert stores == []
+
+
+def _calls(tree, name):
+    """The enclosing class and function names, dotted, of each call to name in a module."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_a_graph_makes_its_path_table(trees):
+    """PathTable is called only in KGraph.__init__: each graph makes its one table.
+
+    Every evaluation on a graph's paths runs in that table, so no layer
+    makes a table of its own, not even one that dies after a call.
+    """
+    makers = [(name, where) for name, tree in trees.items() for where in _calls(tree, "PathTable")]
+    assert makers == [("kgraph", "KGraph.__init__")]
 
 
 # definitions no code in src/ or bench/ names, each with its reason to stay
