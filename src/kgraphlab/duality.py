@@ -9,21 +9,23 @@ path) data with its inverse phi_section, so that fiber lifts are unique
 and built constructively, the two-sided shift on doubly infinite words,
 and the lattice-translation twist on groupoid elements.
 
-Everything is exact: an infinite path is canonicalized once per distinct
-(prefix, cycle) per graph, so its equality and hash compare two finite
-paths, and every check here is a finite computation.
+Everything is exact and runs on ids of the graph's PathTable: an infinite
+path is canonicalized once per distinct (prefix id, cycle id), so its
+equality compares a graph and an id pair, shifts join and split ids, and
+every check here is a finite computation.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .dynsys import MGDS
 from .errors import ConfigError, DomainError, NotComposable, WitnessError
 from .groupoid import GroupoidElement
-from .kgraph import Path, compose, factorize
-from .shapes import INF, ExtendedShape, Shape, as_shape, shapes_below, witness_pairs
+from .kgraph import Path, factorize
+from .shapes import INF, ExtendedShape, Shape, as_shape, ranked_shape, shapes_below, witness_pairs
 
 __all__ = [
     "RationalInfinitePath",
@@ -51,33 +53,34 @@ __all__ = [
 # -- rational infinite paths -----------------------------------------------------
 
 
-def _canonical(prefix: Path, cycle: Path) -> tuple[Path, Path]:
-    """The diagonal canonical form of prefix.cycle.cycle...; see RationalInfinitePath."""
-    rank = prefix.graph.rank
-    ones, s = Shape((1,) * rank), cycle.shape
-    start = ones * max(prefix.shape.coords)  # least diagonal grade above the prefix
-    word = prefix
-    while not start + s <= word.shape:
-        word = compose(word, cycle)
-    head, block = factorize(factorize(word, start + s)[0], start)
+def _canonical(table, p: int, c: int) -> tuple[int, int]:
+    """The diagonal canonical form of the ids p.c.c... of table, as an id pair; see
+    RationalInfinitePath."""
+    coords, join, factor = table.coords, table.join, table.factor
+    s = coords[c]
+    ones, start = (1,) * len(s), (max(coords[p]),) * len(s)  # least diagonal grade above p
+    top = tuple(map(operator.add, start, s))
+    word = p
+    while not all(map(operator.le, top, coords[word])):
+        word = join(word, c)
+    head, block = factor(factor(word, top)[0], start)
     blocks = []
-    while not head.is_vertex:
-        d, head = factorize(head, ones)
+    while table.words[head]:
+        d, head = factor(head, ones)
         blocks.append(d)
-    first_seen: dict[Path, int] = {}
+    first_seen: dict[int, int] = {}
     while block not in first_seen:
         first_seen[block] = len(blocks)
-        d, rest = factorize(compose(block, block), ones)
+        d, rest = factor(join(block, block), ones)
         blocks.append(d)
-        block = factorize(rest, s)[0]
+        block = factor(rest, s)[0]
     lo, hi = first_seen[block], len(blocks)
     while lo and blocks[lo - 1] == blocks[hi - 1]:
         lo, hi = lo - 1, hi - 1
-    return (functools.reduce(compose, blocks[:lo], prefix.graph.vertex(prefix.target)),
-            functools.reduce(compose, blocks[lo:hi]))
+    return (functools.reduce(join, blocks[:lo], table.vertex(table.targets[p])),
+            functools.reduce(join, blocks[lo:hi]))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RationalInfinitePath:
     """Eventually periodic infinite path prefix.cycle.cycle...
 
@@ -85,57 +88,63 @@ class RationalInfinitePath:
     and has strictly positive shape in every color, so shifts of every
     color stay defined forever.
 
-    Construction replaces the pair by its diagonal canonical form, so two
-    instances are equal exactly when they live on the same graph object
-    and have equal (prefix, cycle).  The argument: let N = (1,...,1) and
-    cut the path x into diagonal blocks d_i = x(iN, (i+1)N).  The heads
-    x(0, iN) are cofinal, so x and its block sequence determine each
-    other.  Once iN dominates the prefix shape, the tail of x at iN is
-    s-periodic, s being the cycle shape; an s-periodic path is B.B.B...
-    for its block B = tail(0, s), so two of them are equal exactly when
-    their blocks are.  Since N <= s, the next tail has block
-    (B.B)(N, N + s), and d_i = (B.B)(0, N).  Iterating over the finitely
-    many paths of shape s, the first repeated block closes the least
-    period of the tails, hence of the block sequence.  Rotating trailing
-    pre-period blocks into the period while each matches the period's
-    last block then gives the least pre-period.  The canonical prefix is
-    the composite of the pre-period blocks (the vertex x(0) if there are
-    none), the canonical cycle the composite of the period blocks; both
-    depend only on x.  On the flip graph, the point with periods (2, 1)
+    Construction replaces the pair by its diagonal canonical form, kept as
+    ids of the graph's PathTable, which gives each path one id: two
+    instances are equal exactly when they live on the same graph object and
+    have the same (prefix id, cycle id).  The hash, computed once, reads the
+    form's words and not its ids, which depend on the table's history.  The
+    argument for the form: let N = (1,...,1) and cut the path x into
+    diagonal blocks d_i = x(iN, (i+1)N).  The heads x(0, iN) are cofinal, so
+    x and its block sequence determine each other.  Once iN dominates the
+    prefix shape, the tail of x at iN is s-periodic, s being the cycle
+    shape; an s-periodic path is B.B.B... for its block B = tail(0, s), so
+    two of them are equal exactly when their blocks are.  Since N <= s, the
+    next tail has block (B.B)(N, N + s), and d_i = (B.B)(0, N).  Iterating
+    over the finitely many paths of shape s, the first repeated block closes
+    the least period of the tails, hence of the block sequence.  Rotating
+    trailing pre-period blocks into the period while each matches the
+    period's last block then gives the least pre-period.  The canonical
+    prefix is the composite of the pre-period blocks (the vertex x(0) if
+    there are none), the canonical cycle the composite of the period blocks;
+    both depend only on x.  On the flip graph, the point with periods (2, 1)
     and (1, 2) gets a (3, 3) cycle.
     """
 
-    prefix: Path
-    cycle: Path
+    __slots__ = ("graph", "ids", "_hash")
 
-    def __post_init__(self):
-        prefix, cycle = self.prefix, self.cycle
+    def __init__(self, prefix: Path, cycle: Path):
         if prefix.graph is not cycle.graph:
             raise ConfigError("prefix and cycle must live on the same graph")
-        if cycle.source != cycle.target:
-            raise NotComposable(
-                f"cycle must return to its start: {cycle.target} -> {cycle.source}"
-            )
-        if prefix.source != cycle.target:
-            raise NotComposable(
-                f"prefix ends at {prefix.source}, cycle starts at {cycle.target}"
-            )
-        if any(c < 1 for c in cycle.shape.coords):
-            raise ConfigError(
-                f"cycle shape {cycle.shape} must be strictly positive in every color"
-            )
-        table = prefix.graph._table
-        key = (prefix._id, cycle._id)
-        canon = table.canonical.get(key)
-        if canon is None:  # the table's own Paths, so equal forms compare by identity
-            canon = table.canonical[key] = tuple(table.path(p._id) for p in _canonical(prefix, cycle))
-        prefix, cycle = canon
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
+        self._set(prefix.graph._table, prefix._id, cycle._id)
+
+    @classmethod
+    def _of(cls, table, p: int, c: int) -> RationalInfinitePath:
+        """The path p.c.c... of ids of table, checked and canonicalized as by the constructor."""
+        return cls.__new__(cls)._set(table, p, c)
+
+    def _set(self, table, p, c):
+        sources, targets, coords = table.sources, table.targets, table.coords
+        if sources[c] != targets[c]:
+            raise NotComposable(f"cycle must return to its start: {targets[c]} -> {sources[c]}")
+        if sources[p] != targets[c]:
+            raise NotComposable(f"prefix ends at {sources[p]}, cycle starts at {targets[c]}")
+        if min(coords[c]) < 1:
+            raise ConfigError(f"cycle shape {coords[c]} must be strictly positive in every color")
+        canon = table.canonical.get((p, c))
+        if canon is None:
+            canon = table.canonical[p, c] = _canonical(table, p, c)
+        p, c = self.ids = canon
+        self.graph = table.graph
+        self._hash = hash((targets[p], table.words[p], table.words[c]))
+        return self
 
     @property
-    def graph(self):
-        return self.prefix.graph
+    def prefix(self) -> Path:
+        return self.graph._table.path(self.ids[0])
+
+    @property
+    def cycle(self) -> Path:
+        return self.graph._table.path(self.ids[1])
 
     @property
     def rank(self) -> int:
@@ -144,36 +153,35 @@ class RationalInfinitePath:
     @property
     def target(self) -> str:
         """Vertex at the finite (grade zero) end."""
-        return self.prefix.target
+        return self.graph._table.targets[self.ids[0]]
 
     @property
     def shape(self) -> ExtendedShape:
         return ExtendedShape((INF,) * self.rank)
 
-    def unroll(self, bound: Shape) -> Path:
-        """Finite path prefix.cycle^n whose shape dominates ``bound``."""
-        bound = as_shape(bound)
+    def _cut(self, k) -> tuple[int, int]:
+        """(head id, tail id) at grade k, a Shape or tuple of the graph's rank: the split of
+        prefix.cycle^n, n the fewest copies whose shape dominates k."""
+        k, table, (word, c) = ranked_shape(k, self.rank).coords, self.graph._table, self.ids
         copies = 0
-        for p, c, b in zip(self.prefix.shape.coords, self.cycle.shape.coords, bound.coords):
+        for p, s, b in zip(table.coords[word], table.coords[c], k):
             if b > p:
-                copies = max(copies, -((p - b) // c))  # ceil((b - p) / c)
-        word = self.prefix
+                copies = max(copies, -((p - b) // s))  # ceil((b - p) / s)
         for _ in range(copies):
-            word = compose(word, self.cycle)
-        return word
+            word = table.join(word, c)
+        return table.factor(word, k)
 
     def head(self, k: Shape) -> Path:
         """The finite head of shape k."""
-        return factorize(self.unroll(k), k)[0]
+        return self.graph._table.path(self._cut(k)[0])
 
     def __eq__(self, other):
         if not isinstance(other, RationalInfinitePath):
             return NotImplemented
-        # Path equality includes the graph object
-        return (self.prefix, self.cycle) == (other.prefix, other.cycle)
+        return self.ids == other.ids and self.graph is other.graph
 
     def __hash__(self):
-        return hash((self.prefix.target, self.prefix.codes, self.cycle.codes))
+        return self._hash
 
     def __repr__(self):
         return f"<{self.prefix.display()}|({self.cycle.display()})^inf>"
@@ -181,9 +189,7 @@ class RationalInfinitePath:
 
 def shift_infinite(k: Shape, y: RationalInfinitePath) -> RationalInfinitePath:
     """Drop the grade-k head; the shift of every color is total on rational paths."""
-    k = as_shape(k)
-    tail = factorize(y.unroll(k), k)[1]
-    return RationalInfinitePath(tail, y.cycle)
+    return RationalInfinitePath._of(y.graph._table, y._cut(k)[1], y.ids[1])
 
 
 def boundary_points(graph, *, prefix_cap: Shape | None = None,
@@ -260,9 +266,10 @@ def boundary_subsystem(graph, prefix_cap: Shape | None = None, cycle_cap: Shape 
 # -- paired points and their two shift families ----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ZPoint:
-    """Finite path glued to an infinite continuation at its right end."""
+    """Finite path glued to an infinite continuation at its right end; equal when x has
+    the same id and y is equal, hashed once from x's word and y's hash."""
 
     x: Path
     y: RationalInfinitePath
@@ -274,6 +281,7 @@ class ZPoint:
             raise NotComposable(
                 f"x ends at {self.x.source} but y starts at {self.y.target}"
             )
+        object.__setattr__(self, "_hash", hash((self.x, self.y)))
 
     @property
     def rank(self) -> int:
@@ -282,7 +290,16 @@ class ZPoint:
     @functools.cached_property
     def composite(self) -> RationalInfinitePath:
         """The glued infinite path x.y, built once per point."""
-        return RationalInfinitePath(compose(self.x, self.y.prefix), self.y.cycle)
+        table, (p, c) = self.y.graph._table, self.y.ids
+        return RationalInfinitePath._of(table, table.join(self.x._id, p), c)
+
+    def __eq__(self, other):
+        if not isinstance(other, ZPoint):
+            return NotImplemented
+        return self.y == other.y and self.x._id == other.x._id
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"({self.x.display()}, {self.y!r})"
@@ -290,18 +307,22 @@ class ZPoint:
 
 def t_shift(m: Shape, z: ZPoint) -> ZPoint:
     """Move the grade-m tail of x across the seam onto y; needs sigma(x) >= m."""
-    m = as_shape(m)
-    if not m <= z.x.shape:
-        raise DomainError(f"no t-shift by {m}: x has shape {z.x.shape}")
-    head, tail = factorize(z.x, z.x.shape - m)
-    return ZPoint(head, RationalInfinitePath(compose(tail, z.y.prefix), z.y.cycle))
+    m, x = as_shape(m), z.x
+    if not m <= x.shape:
+        raise DomainError(f"no t-shift by {m}: x has shape {x.shape}")
+    table, (p, c) = x.graph._table, z.y.ids
+    head, tail = table.factor(x._id, tuple(map(operator.sub, table.coords[x._id], m.coords)))
+    return ZPoint(table.path(head), RationalInfinitePath._of(table, table.join(tail, p), c))
 
 
 def v_shift(m: Shape, z: ZPoint) -> ZPoint:
     """Slide the window forward: append the grade-m head of y to x, then drop
     the grade-m head of the extended x.  Total, and preserves sigma(x)."""
-    extended = compose(z.x, z.y.head(m))
-    return ZPoint(factorize(extended, m)[1], shift_infinite(m, z.y))
+    y, table = z.y, z.y.graph._table
+    head, tail = y._cut(m)
+    extended = table.join(z.x._id, head)
+    return ZPoint(table.path(table.factor(extended, table.coords[head])[1]),
+                  RationalInfinitePath._of(table, tail, y.ids[1]))
 
 
 def zpoint_system(graph, seeds) -> MGDS:
@@ -334,8 +355,8 @@ def phi_section(pair) -> ZPoint:
     rational data.
     """
     n, w = pair
-    n = as_shape(n)
-    return ZPoint(w.head(n), shift_infinite(n, w))
+    table, (head, tail) = w.graph._table, w._cut(n)
+    return ZPoint(table.path(head), RationalInfinitePath._of(table, tail, w.ids[1]))
 
 
 def s_shift(m: Shape, pair) -> tuple:
@@ -427,11 +448,10 @@ def two_sided_shift(k: int, p) -> tuple:
     x, y = _pivot_check(p)
     if not 1 <= k <= x.rank:
         raise ConfigError(f"color {k} out of range 1..{x.rank}")
-    unit = Shape.unit(x.rank, k)
-    name = x.head(unit).word[0]
-    hop = y.graph.path((name,))
-    return (shift_infinite(unit, x),
-            RationalInfinitePath(compose(hop, y.prefix), y.cycle))
+    table, (head, tail) = y.graph._table, x._cut(Shape.unit(x.rank, k))
+    hop = y.graph.path(x.graph._table.path(head).word)._id
+    return (RationalInfinitePath._of(x.graph._table, tail, x.ids[1]),
+            RationalInfinitePath._of(table, table.join(hop, y.ids[0]), y.ids[1]))
 
 
 def two_sided_shift_inverse(k: int, p) -> tuple:

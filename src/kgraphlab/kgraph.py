@@ -81,10 +81,6 @@ class Path:
         return self.graph._decode(self.codes)
 
     @property
-    def is_vertex(self):
-        return not self.codes
-
-    @property
     def target(self):
         """Vertex at the left (grading-zero) end."""
         if not self.codes:
@@ -124,13 +120,16 @@ class PathTable:
     endpoints sources[i] and targets[i] and shape coordinates coords[i].
     composite and split run the kernel (_join, _split) once per distinct
     question and keep the answer as ids, in a composition row and a split
-    row per id; an error is never kept.  paths enumerates each shape once,
-    and path makes an id's Path only when a caller asks, once per id.
+    row per id; an error is never kept.  join and factor are the same with
+    vertices: a vertex operand or empty side is its vertex's id.  paths
+    enumerates each shape once, and path makes an id's Path only when a
+    caller asks, once per id.
 
     Each KGraph owns one table, made with it and dying with it, and every
     evaluation on the graph's paths runs there: duality keeps its canonical
-    forms in it, and fock its bases and every composition and split its
-    operators make.  A path of another graph has no id here.
+    forms in it as id pairs and shifts on its ids, and fock its bases and
+    every composition and split its operators make.  A path of another
+    graph has no id here.
     """
 
     def __init__(self, graph):
@@ -166,12 +165,17 @@ class PathTable:
             raise GraphError("paths belong to a different graph")
         return self._id(p.codes or p.base, p.codes)
 
+    def vertex(self, v) -> int:
+        """The id of vertex v."""
+        return self._id(v, ())
+
     def path(self, i) -> Path:
-        """The Path of id i, the same object every time."""
+        """The Path of id i, the same object every time, its _id already known."""
         p = self._objects.get(i)
         if p is None:
             word = self.words[i]
             p = self._objects[i] = Path(self.graph, word, None if word else self.targets[i])
+            p.__dict__["_id"] = i
         return p
 
     def paths(self, shape) -> list:
@@ -207,6 +211,23 @@ class PathTable:
             out = self.graph._split(self.words[i], self.coords[i], grade)
             out = row[self._shapes.setdefault(grade, grade)] = out and tuple(
                 self._id(w, w) if w else EMPTY for w in out)
+        return out
+
+    def join(self, i, j) -> int:
+        """The id of path i · path j, a vertex side giving the other's; NotComposable unless
+        i's source is j's target."""
+        if self.sources[i] != self.targets[j]:
+            raise NotComposable(f"cannot compose {self.path(i)!r}·{self.path(j)!r}: "
+                                f"source {self.sources[i]} != target {self.targets[j]}")
+        return (self.composite(i, j) if self.words[j] else i) if self.words[i] else j
+
+    def factor(self, i, grade):
+        """split's answer with each empty side as its vertex's id: None where grade does not fit."""
+        out = self.split(i, grade)
+        if out and EMPTY in out:
+            head, tail = out
+            out = (self.vertex(self.targets[i]) if head == EMPTY else head,
+                   self.vertex(self.sources[i]) if tail == EMPTY else tail)
         return out
 
 
@@ -462,30 +483,17 @@ class KGraph:
     def compose(self, p: Path, q: Path) -> Path:
         if p.graph is not self or q.graph is not self:
             raise GraphError("paths belong to a different graph")
-        if p.source != q.target:
-            raise NotComposable(
-                f"cannot compose {p!r}·{q!r}: source {p.source} != target {q.target}")
-        if not p.codes:
-            return q
-        if not q.codes:
-            return p
-        table = self._table
-        return table.path(table.composite(p._id, q._id))
+        return self._table.path(self._table.join(p._id, q._id))
 
     def factorize(self, p: Path, k: Shape) -> tuple[Path, Path]:
         """Split p = head·tail with shape(head) = k, a Shape or tuple with 0 <= k <= shape(p)."""
         if p.graph is not self:
             raise GraphError("path belongs to a different graph")
         k, table = ranked_shape(k, self.rank), self._table
-        split = table.split(p._id, k.coords)
+        split = table.factor(p._id, k.coords)
         if split is None:
             raise ShapeError(f"cannot factor {p!r} at {k}: not dominated by {p.shape}")
-        head, tail = split
-        if head == EMPTY:
-            head = table._id(p.target, ())
-        if tail == EMPTY:
-            tail = table._id(table.sources[head], ())
-        return table.path(head), table.path(tail)
+        return table.path(split[0]), table.path(split[1])
 
     # -- enumeration --------------------------------------------------------------
 

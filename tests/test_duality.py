@@ -1,5 +1,6 @@
 """Rational infinite paths, paired-point shifts, the covering map, and twists."""
 
+import functools
 import gc
 import itertools
 import random
@@ -122,7 +123,7 @@ def test_power_cycle_reduced(rank1):
 
 def test_rotation_absorbed_into_cycle(rank1):
     y = rational(rank1, ("a0",), ("a1", "a0"))
-    assert y.prefix.is_vertex
+    assert not y.prefix.codes
     assert y.cycle == rank1.path(("a0", "a1"))
 
 
@@ -283,6 +284,93 @@ def test_canonical_form_matches_bounded_unrolling(case):
         assert (again.prefix, again.cycle) == (y.prefix, y.cycle)
 
 
+def _path_canonical(prefix, cycle):
+    """The diagonal canonical form on Path objects, by public compose and factorize only.
+
+    The oracle for duality._canonical, which runs the same steps on the ids
+    of the graph's path table.
+    """
+    ones, s = Shape((1,) * prefix.graph.rank), cycle.shape
+    start = ones * max(prefix.shape.coords)  # least diagonal grade above the prefix
+    word = prefix
+    while not start + s <= word.shape:
+        word = compose(word, cycle)
+    head, block = factorize(factorize(word, start + s)[0], start)
+    blocks = []
+    while head.codes:
+        d, head = factorize(head, ones)
+        blocks.append(d)
+    first_seen = {}
+    while block not in first_seen:
+        first_seen[block] = len(blocks)
+        d, rest = factorize(compose(block, block), ones)
+        blocks.append(d)
+        block = factorize(rest, s)[0]
+    lo, hi = first_seen[block], len(blocks)
+    while lo and blocks[lo - 1] == blocks[hi - 1]:
+        lo, hi = lo - 1, hi - 1
+    return (functools.reduce(compose, blocks[:lo], prefix.graph.vertex(prefix.target)),
+            functools.reduce(compose, blocks[lo:hi]))
+
+
+def test_canonical_form_matches_the_path_level_oracle(flip22, n2graph, two_cycle, rank1):
+    """The id-level canonical form is the Path-level one, and is its own canonical form.
+
+    Every (prefix, cycle) with both of shape at most 2 in every color, the
+    cycle strictly positive and closing where the prefix ends.
+    """
+    checked = {}
+    for graph in (flip22, n2graph, two_cycle, rank1):
+        cap, table = Shape((2,) * graph.rank), graph._table
+        window = graph.all_paths(cap)
+        cycles = [c for c in window if min(c.shape.coords) >= 1 and c.source == c.target]
+        pairs = [(p, c) for p in window for c in cycles if c.target == p.source]
+        for prefix, cycle in pairs:
+            form = duality._canonical(table, prefix._id, cycle._id)
+            assert tuple(map(table.path, form)) == _path_canonical(prefix, cycle)
+            assert duality._canonical(table, *form) == form
+        checked[graph.name] = len(pairs)
+    assert checked == {"flip2x2": 1764, "free_abelian_2": 36, "two_cycle": 6, "two_loops": 42}
+
+
+def test_points_on_a_graph_and_its_opposite_differ():
+    """Equality needs the same graph: the same id pair on flip and on its opposite is two points."""
+    g = flip_graph()
+    op = g.opposite()
+    y, y_op = (RationalInfinitePath(h.path(("a0",)), h.path(("a0", "b0"))) for h in (g, op))
+    assert y.ids == y_op.ids
+    assert y != y_op and hash(y) == hash(y_op)
+    x, x_op = g.path(("b1",)), op.path(("b1",))
+    assert x._id == x_op._id and ZPoint(x, y) != ZPoint(x_op, y_op)
+
+
+def test_presentations_of_one_point_hash_equal(flip22):
+    left = rational(flip22, (), ("a0", "a0", "b1"))
+    right = rational(flip22, ("a0",), ("a0", "b1", "a0", "b0", "b1", "a0"))
+    assert left == right and hash(left) == hash(right)
+    x = flip22.path(("a0", "b1"))
+    same_x = next(p for p in flip22.enumerate_paths(Shape((1, 1))) if p.codes == x.codes)
+    assert same_x is not x
+    assert ZPoint(x, left) == ZPoint(same_x, right)
+    assert hash(ZPoint(x, left)) == hash(ZPoint(same_x, right))
+    assert ZPoint(x, left) != ZPoint(flip22.path(("a1", "b0")), left)
+
+
+def test_a_points_hash_does_not_depend_on_table_history():
+    """The same point on two fresh flip graphs, after different prior work, hashes the same."""
+    busy, fresh = flip_graph(), flip_graph()
+    boundary_points(busy, prefix_cap=Shape((1, 1)), cycle_cap=Shape((2, 1)))
+    x_words, prefix_words, cycle_words = ("a1", "b0"), ("b1",), ("a0", "b1", "a1", "b0")
+    points = []
+    for g in (busy, fresh):
+        y = RationalInfinitePath(g.path(prefix_words), g.path(cycle_words))
+        points.append((y, ZPoint(g.path(x_words), y)))
+    (y1, z1), (y2, z2) = points
+    assert y1.ids != y2.ids and y1 != y2  # other ids, and other graphs
+    assert repr(y1) == repr(y2) and hash(y1) == hash(y2)
+    assert repr(z1) == repr(z2) and hash(z1) == hash(z2)
+
+
 def test_differential_two_vertex_graph_validates():
     assert DIFFERENTIAL_GRAPHS[-1].validate().ok
 
@@ -292,7 +380,7 @@ def test_differential_two_vertex_graph_validates():
 
 def test_segment_and_unroll(n2graph):
     y = rational(n2graph, (), ("a0", "b0"))
-    assert y.unroll(Shape((3, 2))).shape >= Shape((3, 2))
+    assert y.head(Shape((3, 2))).shape == Shape((3, 2))
     block = factorize(y.head(Shape((2, 2))), Shape((1, 0)))[1]
     assert block.shape == Shape((1, 2))
     with pytest.raises(ShapeError):
@@ -709,7 +797,7 @@ def test_shift_arguments_take_a_coordinate_tuple(flip22):
     z = ZPoint(flip22.path(("a0", "b0")), y)
     for k in [(1, 0), (0, 1), (1, 1)]:
         K = Shape(k)
-        assert y.unroll(k) == y.unroll(K) and y.head(k) == y.head(K)
+        assert y.head(k) == y.head(K)
         assert shift_infinite(k, y) == shift_infinite(K, y)
         assert t_shift(k, z) == t_shift(K, z) and v_shift(k, z) == v_shift(K, z)
         assert s_shift(k, phi(z)) == s_shift(K, phi(z))
@@ -732,7 +820,7 @@ def test_shift_arguments_take_a_coordinate_tuple(flip22):
             a, b = build(cap), build(C)
             assert (a.name, a.carrier, a.generators) == (b.name, b.carrier, b.generators)
     for infinite in [(INF, 0), ExtendedShape(INF, 0)]:
-        for call in (y.unroll, y.head, lambda k: shift_infinite(k, y),
+        for call in (y.head, lambda k: shift_infinite(k, y),
                      lambda k: t_shift(k, z), lambda k: v_shift(k, z), grid.check_dc,
                      lambda k: s_shift(k, phi(z)), lambda k: w_shift(k, phi(z)),
                      lambda k: phi_section((k, y)),

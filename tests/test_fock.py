@@ -113,14 +113,14 @@ def _reference_act(op, b):
         return op.act(b)
     p, left = op.path, op.left
     if b is VACUUM:
-        return {VACUUM: 1} if p.is_vertex else {}
+        return {VACUUM: 1} if not p.codes else {}
     if not p.shape <= b.shape:
         return {}
     head, tail = p.graph.factorize(b, p.shape if left else b.shape - p.shape)
     kept, rest = (head, tail) if left else (tail, head)
     if kept != p:
         return {}
-    return {VACUUM: 1} if rest.is_vertex else {rest: 1}
+    return {VACUUM: 1} if not rest.codes else {rest: 1}
 
 
 # -- basic actions ---------------------------------------------------------------
@@ -441,10 +441,12 @@ def test_relation_work_counts_are_pinned(monkeypatch):
     of them distinct and of two edge words, and 4,800 splits, 2,400
     distinct: a left strip and a right one can ask for the same split.  R4
     at (3,3) asks for 47,600 splits; the terms of a range sum share one per
-    vector, and 4,768 reach the kernel, which answers None where the grade
-    does not fit.  The reports on one graph share its path table: after R1,
-    commutation makes 2,816 of its 3,520 joins, and after both R4 makes 512
-    joins and 3,680 splits; a second, identical round makes none.  "_sort"
+    vector, a right strip whose grade would be negative asks the table
+    nothing, and 3,584 reach the kernel, which answers None where a left
+    strip's grade does not fit.  The reports on one graph share its path
+    table: after R1, commutation makes 2,816 of its 3,520 joins, and after
+    both R4 makes 512 joins and 2,496 splits; a second, identical round
+    makes none.  "_sort"
     counts the passes the graph sorts, and "moves" the square moves they
     make.  Fock work over ids makes no Path object the table keeps.
     """
@@ -471,8 +473,8 @@ def test_relation_work_counts_are_pinned(monkeypatch):
          {"_join": 2304, "_split": 2400, "_sort": 72, "moves": 200}),
         ("commutation", (2, 2), 3136, {"_join": 3520, "_sort": 52, "moves": 132},
          {"_join": 2816, "_sort": 32, "moves": 96}),
-        ("R4", (3, 3), 6750, {"_join": 1952, "_split": 4768, "_sort": 392, "moves": 2312},
-         {"_join": 512, "_split": 3680, "_sort": 288, "moves": 2016}),
+        ("R4", (3, 3), 6750, {"_join": 1952, "_split": 3584, "_sort": 392, "moves": 2312},
+         {"_join": 512, "_split": 2496, "_sort": 288, "moves": 2016}),
     ]
     for name, bound, checked, fresh, _ in expected:
         counts.clear()
@@ -521,7 +523,7 @@ def test_graph_keeps_its_passes_and_one_table():
     sorts: 456 of them on flip at (3,3), a few KiB.  The table holds the
     reports' one basis, its 15 enumerated nonzero shapes, and the ids,
     compositions and splits they made: 16,128 ids, most of them R1's
-    composites of shape up to (6,6), 61,952 compositions and 52,992 splits.
+    composites of shape up to (6,6), 61,952 compositions and 51,808 splits.
     """
     g = flip_graph()
     attributes = set(vars(g))
@@ -529,7 +531,7 @@ def test_graph_keeps_its_passes_and_one_table():
         assert verify_identity(g, name, Shape(3, 3)).ok, name
     assert set(vars(g)) == attributes
     assert isinstance(g._table, PathTable) and g._table.graph is g
-    assert _table_state(g._table) == (16128, 16128, 61952, 52992, 15, 0, 0, 1)
+    assert _table_state(g._table) == (16128, 16128, 61952, 51808, 15, 0, 0, 1)
     assert len(g._passes) == 456
 
 

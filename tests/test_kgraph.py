@@ -238,7 +238,7 @@ def _kernel_answer(g, kind, p, arg):
     """compose(p, arg) by a whole-word sort, or factorize(p, arg) by a fresh split."""
     if kind == "compose":
         if not (p.codes and arg.codes):
-            return arg if p.is_vertex else p
+            return arg if not p.codes else p
         return Path(g, g._normal(p.codes + arg.codes))
     head, tail = g._split(p.codes, p.shape.coords, arg)
     head = Path(g, head) if head else g.vertex(p.target)
@@ -401,9 +401,9 @@ def test_factorize_out_of_range(n2graph):
 def test_factorize_degenerate_ends(flip22):
     p = flip22.path(["a0", "b1"])
     h, t = factorize(p, Shape.zero(2))
-    assert h.is_vertex and t == p
+    assert not h.codes and t == p
     h, t = factorize(p, p.shape)
-    assert h == p and t.is_vertex
+    assert h == p and not t.codes
 
 
 def test_factorize_takes_a_coordinate_tuple(flip22):
