@@ -68,17 +68,18 @@ class PartialMap:
         return f"PartialMap({self.name}: {len(self._table)} points)"
 
 
-def _orbit(T: PartialMap, x) -> tuple[int, bool]:
-    """Steps T takes from x until it is undefined or revisits a point; whether it revisited."""
-    seen = {x}
+def _orbit(T: PartialMap, x) -> tuple[int, int | None]:
+    """Steps T takes from x until it is undefined or revisits a point, and the step
+    that first reached the revisited point (the preperiod), None where none is."""
+    seen = {x: 0}
     cur, steps = x, 0
     while T.defined_at(cur):
         cur = T(cur)
         steps += 1
         if cur in seen:
-            return steps, True
-        seen.add(cur)
-    return steps, False
+            return steps, seen[cur]
+        seen[cur] = steps
+    return steps, None
 
 
 class MGDS:
@@ -192,6 +193,12 @@ class MGDS:
     def domain(self, n: Shape) -> frozenset:
         return self.power(n).domain()
 
+    def orbit(self, x) -> tuple:
+        """Per generator, _orbit's (steps, preperiod) from x: the period is steps - preperiod."""
+        if x not in self._carrier_set:
+            raise DomainError(f"{x!r} is not a carrier point of {self.name}", point=x)
+        return tuple(_orbit(T, x) for T in self.generators)
+
     def exit_time(self, x) -> ExtendedShape:
         """Per coordinate, how many times the generator applies starting at x.
 
@@ -199,12 +206,9 @@ class MGDS:
         coordinate is infinite.  Intrinsic to the carrier: no truncation
         bookkeeping is consulted.
         """
-        if x not in self._carrier_set:
-            raise DomainError(f"{x!r} is not a carrier point of {self.name}", point=x)
         cached = self._exit.get(x)
         if cached is None:
-            orbits = (_orbit(T, x) for T in self.generators)
-            coords = [INF if periodic else steps for steps, periodic in orbits]
+            coords = [steps if start is None else INF for steps, start in self.orbit(x)]
             cached = self._exit[x] = ExtendedShape(coords)
         return cached
 

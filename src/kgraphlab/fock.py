@@ -112,9 +112,8 @@ def _strips(table, xs, m, left) -> list:
             out.append(None)
         elif left:
             out.append(split(x, m))
-        else:  # a left and a right strip can ask for the same split; a negative grade fits none
-            grade = tuple(map(operator.sub, coords[x], m))
-            s = split(x, grade) if min(grade) >= 0 else None
+        else:  # a left and a right strip can ask for the same split
+            s = split(x, tuple(map(operator.sub, coords[x], m)))
             out.append(s and s[::-1])
     return out
 

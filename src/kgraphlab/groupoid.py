@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .dynsys import MGDS
 from .errors import ConfigError, DomainError, NotComposable, WitnessError
 from .ideals import IdealTuple, build_sequence, from_mgds
 from .reporting import Check
-from .shapes import INF, Shape, as_shape, shapes_below, witness_pairs
+from .shapes import Shape, as_shape, shapes_below, witness_pairs
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,47 @@ class GermElement:
     y: object
 
 
+class _ArrowIds:
+    """check_axioms' int ids, one per arrow it meets, and their products.
+
+    An element's id is its position in elements, any other arrow's the next
+    free one.  x and y hold each id's range and source label, here its points;
+    times composes each id pair once, here through compose, and pending is
+    the pair in progress, a WitnessError's operands.
+    """
+
+    def __init__(self, G):
+        self.G, self.products, self.pending = G, {}, None
+        self.ids, self.arrows, self.x, self.y = {}, [], [], []
+        for g in G.elements:
+            self.intern(g)
+
+    def intern(self, g) -> int:
+        i = self.ids.get(g)
+        if i is None:
+            i = self.ids[g] = len(self.arrows)
+            self.arrows.append(g)
+            self.x.append(g.x)
+            self.y.append(g.y)
+        return i
+
+    def times(self, i, j) -> int:
+        k = self.products.get((i, j))
+        if k is None:
+            self.pending = i, j
+            k = self.products[i, j] = self.product(i, j)
+        return k
+
+    def product(self, i, j) -> int:
+        return self.intern(self.G.compose(self.arrow(i), self.arrow(j)))
+
+    def arrow(self, k):
+        return self.arrows[k]
+
+    def key(self, k):
+        return self.G.ambient_key(self.arrows[k])
+
+
 class FiniteGroupoid:
     """Finite groupoid with an explicit set of distinct elements.
 
@@ -67,6 +109,7 @@ class FiniteGroupoid:
     # an injective arrow -> key map into an associative groupoid, whose product of
     # the keys of composable arrows is ambient_product; see check_axioms
     ambient_key = None
+    _id_table = _ArrowIds  # check_axioms' ids, products and keys
 
     def __init__(self, name: str, elements, unit_points):
         self.name = name
@@ -92,19 +135,6 @@ class FiniteGroupoid:
         if g.y != h.x:
             raise NotComposable(f"arrows do not meet: {g!r} ends at {g.y!r}, {h!r} starts at {h.x!r}")
 
-    @functools.cached_property
-    def _by_range(self) -> dict:
-        """Range point -> ids of the elements starting there."""
-        by_range: dict = {}
-        for j, h in enumerate(self.elements):
-            by_range.setdefault(h.x, []).append(j)
-        return by_range
-
-    def _composable_ids(self):
-        for i, g in enumerate(self.elements):
-            for j in self._by_range.get(g.y, ()):
-                yield i, j
-
     def check_axioms(self) -> Check:
         """Exhaustive closure, unit, inverse and associativity verification.
 
@@ -116,71 +146,54 @@ class FiniteGroupoid:
         does not is a witness of inverse-closure and of the inverse law,
         which does not compose it.
 
-        Every arrow the check meets has one int id: an element its position
-        in elements, any other arrow the next free id when first seen, so an
-        id is outside the window when it is at least len(elements).  Each id
-        pair is composed once, and every law compares ids.  An arrow is its
-        triple (x, z, y), never its witness; where check_dc holds, compose
-        never searches for a witness, so whichever equal arrow an id keeps,
-        its products are the same.  Ids and table live for this call only.
+        Every law compares ids of the groupoid's _id_table, made for this call,
+        and composes each id pair once.  An arrow is its triple (x, z, y), never
+        its witness; under check_dc no product searches for a witness, so
+        whichever equal arrow an id keeps, its products are the same.
 
         Associativity: ambient_key maps arrows injectively into an
-        associative groupoid with product ambient_product.  If key(gh) =
-        key(g)key(h) for each window pair, and for each composite outside
-        the window times each window arrow on either side, then every window
-        triple has key((gh)k) = key(g)key(h)key(k) = key(g(hk)), so
-        (gh)k = g(hk).  These are the distinct products a loop over all
-        triples composes, compared in O(products), not O(triples).  Left to
-        prove is that each product exists; under check_dc the join formula
-        witnesses it with no fallback search.  On a mismatch or WitnessError,
-        and always without a key, the triple loop runs: it reports the first
-        (g, h, k) in element order that does not associate, or (g, h, err)
-        for a product with no witness.
+        associative groupoid with product ambient_product, and the table's
+        key(k) is the key of id k.  If key(gh) = key(g)key(h) for each window
+        pair, and for each composite outside the window times each window
+        arrow on either side, then every window triple has key((gh)k) =
+        key(g)key(h)key(k) = key(g(hk)), so (gh)k = g(hk).  These are the
+        distinct products a loop over all triples composes, compared in
+        O(products), not O(triples).  Left to prove is that each product
+        exists; under check_dc the join formula witnesses it with no fallback
+        search.  On a mismatch or WitnessError, and always without a key, the
+        triple loop runs: it reports the first (g, h, k) in element order
+        that does not associate, or (g, h, err) for a product with no witness.
         """
-        elements, by_range, window = self.elements, self._by_range, len(self.elements)
-        ids, arrows = dict(self._element_set), list(elements)  # arrow <-> id
-        table: dict = {}  # id pair -> id of its composite
-        pending = None  # the id pair being composed: a WitnessError's operands
-
-        def intern(g):
-            i = ids.get(g)
-            if i is None:
-                i = ids[g] = len(arrows)
-                arrows.append(g)
-            return i
-
-        def times(i, j):
-            nonlocal pending
-            k = table.get((i, j))
-            if k is None:
-                pending = i, j
-                k = table[i, j] = intern(self.compose(arrows[i], arrows[j]))
-            return k
-
+        elements, window = self.elements, len(self.elements)
+        t = self._id_table(self)
+        x, y, times, products = t.x, t.y, t.times, t.products
+        by_range, by_source = {}, {}  # label -> window ids starting, ending there
+        for i in range(window):
+            by_range.setdefault(x[i], []).append(i)
+            by_source.setdefault(y[i], []).append(i)
+        composable = [(i, j) for i in range(window) for j in by_range.get(y[i], ())]
         checks = []
 
         inverses = [self.inverse(g) for g in elements]
         reversed_ok = [inv.x == g.y and inv.y == g.x for g, inv in zip(elements, inverses)]
-        inverse_ids = list(map(intern, inverses))
+        inverse_ids = list(map(t.intern, inverses))
         bad = next((g for g, inv, ok in zip(elements, inverse_ids, reversed_ok)
                     if not ok or inv >= window), None)
         checks.append(Check("inverse-closure", bad is None, bad))
 
         closure_witness = None
-        for i, j in self._composable_ids():
-            g, h = elements[i], elements[j]
+        for i, j in composable:
             try:
                 k = times(i, j)
             except WitnessError as err:
-                closure_witness = (g, h, err)
+                closure_witness = (elements[i], elements[j], err)
                 break
-            gh = arrows[k]
-            if (self.closed and k >= window) or gh.x != g.x or gh.y != h.y:
-                closure_witness = (g, h, gh)
+            if (self.closed and k >= window) or x[k] != x[i] or y[k] != y[j]:
+                closure_witness = (elements[i], elements[j], t.arrow(k))
                 break
         checks.append(Check("closure", closure_witness is None, closure_witness))
 
-        unit = {p: intern(self.unit_at(p)) for p in self.unit_points}
+        unit = {p: t.intern(self.unit_at(p)) for p in self.unit_points}
         bad = next((g for i, g in enumerate(elements)
                     if times(unit[g.x], i) != i or times(i, unit[g.y]) != i), None)
         checks.append(Check("units", bad is None, bad))
@@ -192,31 +205,68 @@ class FiniteGroupoid:
         def embedded():
             # whether each product the triple loop composes is multiplicative under the key;
             # a composite inside the window makes only window pairs
-            key, product, by_source = self.ambient_key, self.ambient_product, {}
-            for i, g in enumerate(elements):
-                by_source.setdefault(g.y, []).append(i)
-            escaped = dict.fromkeys(c for c in map(table.__getitem__, self._composable_ids()) if c >= window)
+            key, product = t.key, self.ambient_product
+            escaped = dict.fromkeys(c for c in map(products.__getitem__, composable) if c >= window)
             pairs = itertools.chain(
-                self._composable_ids(),
-                ((c, k) for c in escaped for k in by_range.get(arrows[c].y, ())),
-                ((i, c) for c in escaped for i in by_source.get(arrows[c].x, ())))
-            keys = list(map(key, arrows))  # every operand below has its id already
+                composable,
+                ((c, k) for c in escaped for k in by_range.get(y[c], ())),
+                ((i, c) for c in escaped for i in by_source.get(x[c], ())))
+            keys = list(map(key, range(len(x))))  # every operand below has its id already
             try:
-                return all(key(arrows[times(i, j)]) == product(keys[i], keys[j]) for i, j in pairs)
+                return all(key(times(i, j)) == product(keys[i], keys[j]) for i, j in pairs)
             except WitnessError:
                 return False
 
         if closure_witness is None:  # associativity is vacuous when closure already failed
             try:  # embedded() catches its own WitnessError: one here comes from the triple loop
                 bad = None if self.ambient_key is not None and embedded() else next(
-                    ((elements[i], elements[j], elements[k]) for i, j in self._composable_ids()
-                     for k in by_range.get(elements[j].y, ())
-                     if times(table[i, j], k) != times(i, table[j, k])), None)
+                    ((elements[i], elements[j], elements[k]) for i, j in composable
+                     for k in by_range.get(y[j], ())
+                     if times(products[i, j], k) != times(i, products[j, k])), None)
             except WitnessError as err:
-                bad = (arrows[pending[0]], arrows[pending[1]], err)
+                bad = (t.arrow(t.pending[0]), t.arrow(t.pending[1]), err)
             checks.append(Check("associativity", bad is None, bad))
 
         return Check("axioms", all(c.ok for c in checks), checks=tuple(checks))
+
+
+class _JoinIds(_ArrowIds):
+    """A semidirect window's ids: x and y hold carrier indices, and data each id's
+    (x, z, y, witness coordinates), interned by (x, z, y).  A product is the join
+    formula's, else compose's; arrow makes a GroupoidElement only when asked."""
+
+    def __init__(self, G):
+        self.index, self.data = G._index, []
+        super().__init__(G)
+
+    def intern(self, g) -> int:
+        w = g.witness and (g.witness[0].coords, g.witness[1].coords)
+        return self._id(self.index[g.x], g.z, self.index[g.y], w, g)
+
+    def _id(self, x, z, y, w, g=None) -> int:
+        i = self.ids.setdefault((x, z, y), len(self.data))
+        if i == len(self.data):
+            self.data.append((x, z, y, w))
+            self.x.append(x)
+            self.y.append(y)
+            self.arrows.append(g)
+        return i
+
+    def product(self, i, j) -> int:
+        (x, z, _, w), (_, z2, y, v) = self.data[i], self.data[j]
+        joined = w and v and self.G._joined(x, y, *w, *v)
+        if joined:
+            return self._id(x, tuple(map(operator.add, z, z2)), y, joined)
+        return super().product(i, j)
+
+    def arrow(self, k):
+        if self.arrows[k] is None:
+            (x, z, y, w), carrier = self.data[k], self.G.system.carrier
+            self.arrows[k] = GroupoidElement(carrier[x], z, carrier[y], witness=tuple(map(Shape._make, w)))
+        return self.arrows[k]
+
+    def key(self, k):
+        return self.data[k][:3]
 
 
 class SemidirectGroupoid(FiniteGroupoid):
@@ -225,16 +275,20 @@ class SemidirectGroupoid(FiniteGroupoid):
     The element set is the window: every arrow with a witness (m, n) at most
     witness_bound.  A composite may need a larger witness and leave the
     window, so the groupoid is not closed: closure fails only where compose
-    finds no witness.
+    finds no witness.  compose and check_axioms' id product share _joined,
+    whose test of T^m x = T^n y reads image lists made once per shape.
     """
 
     closed = False
+    _id_table = _JoinIds
 
     def __init__(self, system: MGDS, elements, witness_bound: Shape):
         super().__init__(f"semidirect({system.name})", elements, system.carrier)
         self.system = system
         self.witness_bound = witness_bound
         self._zero = (0,) * system.rank
+        self._index = {x: i for i, x in enumerate(system.carrier)}
+        self._images: dict = {}  # shape coordinates -> _image
 
     @functools.cached_property
     def _units(self) -> dict:
@@ -255,27 +309,51 @@ class SemidirectGroupoid(FiniteGroupoid):
         w = (g.witness[1], g.witness[0]) if g.witness else None
         return GroupoidElement(g.y, tuple(-c for c in g.z), g.x, witness=w)
 
-    def find_witness(self, x, z: tuple, y):
-        """Search (m, n) with m - n = z and T^m x = T^n y, m <= 2 * witness_bound.
+    def _image(self, m: tuple) -> list:
+        """T^m's image index per carrier index, -1 off its domain; made once per shape."""
+        index, images = self._index, [-1] * len(self._index)
+        for x, v in self.system.power(Shape._make(m)).items():
+            images[index[x]] = index[v]
+        self._images[m] = images
+        return images
 
-        n is determined by m and z.  The build already holds every arrow with
-        a witness below witness_bound; this is the fallback of element and compose.
-        It searches only where both powers can be defined: m_j <= exit_time(x)_j
-        and n_j <= exit_time(y)_j wherever those are finite.  No witness is lost,
-        as the generators commute as partial maps, domains included (MGDS checks
-        this): T^m = T^(m - m_j e_j) T_j^(m_j), so T^m x defined implies
-        T_j^(m_j) x defined, and the same for n and y.  Candidates keep their
-        order.  An empty box, or a point off the carrier, calls no meets.
+    def _joined(self, x: int, y: int, m: tuple, n: tuple, m2: tuple, n2: tuple):
+        """The join formula's witness (m + k - n, n2 + k - m2), k = n join m2, of arrows
+        witnessed by (m, n) and (m2, n2) from carrier index x to y, if it meets; else None."""
+        mm, nn = [], []
+        for a, b, c, d in zip(m, n, m2, n2):
+            k = b if b > c else c
+            mm.append(a + k - b)
+            nn.append(d + k - c)
+        mm, nn, images = tuple(mm), tuple(nn), self._images
+        return (mm, nn) if (images.get(mm) or self._image(mm))[x] == \
+            (images.get(nn) or self._image(nn))[y] >= 0 else None
+
+    def find_witness(self, x, z: tuple, y):
+        """The first (m, n) in shapes_below order with m - n = z and T^m x = T^n y, or None.
+
+        The fallback of element and compose.  The generators commute as
+        partial maps (MGDS checks this), so T^m = T^(m - m_j e_j) T_j^(m_j),
+        and the box searched loses no witness.  Where exit_time(x)_j or
+        exit_time(y)_j is finite, it bounds m_j or n_j = m_j - z_j.  Where both
+        are infinite, let a be a point's preperiod and q its period under T_j,
+        and L = lcm(q_x, q_y): T_j^(m_j) x = T_j^(m_j - L) x once m_j - L >= a_x,
+        and the same for n_j and y, so (m - L e_j, n - L e_j) is an earlier
+        witness; the first has m_j <= max(a_x, a_y + z_j) + L - 1.  So None
+        means no witness at all.  An empty box, or a point off the carrier,
+        calls no meets.
         """
         z, system = tuple(z), self.system
         if len(z) != system.rank:
             raise ConfigError(f"translation {z} has length {len(z)}, not the system rank {system.rank}")
         try:
-            ends = zip((self.witness_bound * 2).coords, system.exit_time(x).coords,
-                       system.exit_time(y).coords, z)
+            ends = zip(system.orbit(x), system.orbit(y), z)
         except DomainError:
             return None
-        box = tuple(min(b, b if ex is INF else ex, b if ey is INF else ey + c) for b, ex, ey, c in ends)
+        box = tuple(  # orbit: (steps, preperiod), None where the exit time, steps, is finite
+            max(ax, ay + c) + math.lcm(sx - ax, sy - ay) - 1 if ax is not None and ay is not None
+            else min(sx if ax is None else sy + c, sy + c if ay is None else sx)
+            for (sx, ax), (sy, ay), c in ends)
         if min(box) < 0:
             return None
         return next(((m, n) for m, n in witness_pairs(Shape._make(box), z)
@@ -307,16 +385,12 @@ class SemidirectGroupoid(FiniteGroupoid):
         """
         self._require_meeting(g, h)
         z = tuple(map(operator.add, g.z, h.z))
-        if g.witness and h.witness:
+        index = self._index
+        if g.witness and h.witness and g.x in index and h.y in index:
             (m, n), (m2, n2) = g.witness, h.witness
-            mm, nn = [], []
-            for a, b, c, d in zip(m.coords, n.coords, m2.coords, n2.coords):
-                k = b if b > c else c  # k = n join m2; mm = m + k - n, nn = n2 + k - m2
-                mm.append(a + k - b)
-                nn.append(d + k - c)
-            mm, nn = Shape._make(tuple(mm)), Shape._make(tuple(nn))
-            if self.system.meets(g.x, h.y, mm, nn):
-                return GroupoidElement(g.x, z, h.y, witness=(mm, nn))
+            joined = self._joined(index[g.x], index[h.y], m.coords, n.coords, m2.coords, n2.coords)
+            if joined:
+                return GroupoidElement(g.x, z, h.y, witness=tuple(map(Shape._make, joined)))
         return self._searched(g.x, z, h.y, "composite ({x!r}, {z}, {y!r}) admits no witness")
 
 

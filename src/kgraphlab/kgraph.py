@@ -202,12 +202,15 @@ class PathTable:
 
     def split(self, i, grade):
         """(head id, tail id) of path i, the head of shape grade (coordinates of the graph's
-        rank); EMPTY for an empty side, None unless 0 <= grade <= the path's shape."""
+        rank); EMPTY for an empty side, None unless 0 <= grade <= the path's shape.  A
+        negative grade fits no path: it is answered None and not stored."""
         row = self._splits[i]
         if row is None:
             row = self._splits[i] = {}
         out = row.get(grade, _UNSET)
         if out is _UNSET:
+            if min(grade) < 0:
+                return None
             out = self.graph._split(self.words[i], self.coords[i], grade)
             out = row[self._shapes.setdefault(grade, grade)] = out and tuple(
                 self._id(w, w) if w else EMPTY for w in out)

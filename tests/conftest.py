@@ -5,8 +5,11 @@ from kgraphlab.kgraph import flip_graph, grid_graph, one_loop_per_color_graph
 
 
 def composable_pairs(G):
-    """The composable element pairs of G, in check_axioms order."""
-    return ((G.elements[i], G.elements[j]) for i, j in G._composable_ids())
+    """The composable element pairs (g, h) of G, in check_axioms order: g in element order, then h."""
+    by_range = {}
+    for h in G:
+        by_range.setdefault(h.x, []).append(h)
+    return ((g, h) for g in G for h in by_range.get(g.y, ()))
 
 
 @pytest.fixture(scope="session")

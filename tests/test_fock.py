@@ -441,8 +441,8 @@ def test_relation_work_counts_are_pinned(monkeypatch):
     of them distinct and of two edge words, and 4,800 splits, 2,400
     distinct: a left strip and a right one can ask for the same split.  R4
     at (3,3) asks for 47,600 splits; the terms of a range sum share one per
-    vector, a right strip whose grade would be negative asks the table
-    nothing, and 3,584 reach the kernel, which answers None where a left
+    vector, the table answers a right strip's negative grade without the
+    kernel, and 3,584 reach the kernel, which answers None where a left
     strip's grade does not fit.  The reports on one graph share its path
     table: after R1, commutation makes 2,816 of its 3,520 joins, and after
     both R4 makes 512 joins and 2,496 splits; a second, identical round

@@ -247,8 +247,14 @@ def test_axioms_exhaustive(grid_groupoid, identity_groupoid, mix_groupoid):
         assert rep.ok, [(c.name, c.witness) for c in rep.checks if not c.ok]
 
 
+def pin_windows(grid_groupoid, mix_groupoid):
+    """The three domain-compatible windows of the axiom work pins."""
+    swap = PartialMap("t", {0: 2, 2: 0})
+    return grid_groupoid, mix_groupoid, build_semidirect(MGDS("swap", [0, 1, 2], [swap, swap]))
+
+
 def test_axiom_compose_work_is_pinned(monkeypatch, grid_groupoid, mix_groupoid):
-    """compose calls per check_axioms: each composable id pair once, escaped composites included.
+    """Id products per check_axioms: each composable id pair once, escaped composites included.
 
     The grid window is closed under composition, so its 4,096 composable
     pairs are all the work.  The periodic mix window composes its 3,364
@@ -256,24 +262,71 @@ def test_axiom_compose_work_is_pinned(monkeypatch, grid_groupoid, mix_groupoid):
     outside the window; the 51-arrow system T1 = T2 = {0->2, 2->0} on three
     points composes its 1,251 pairs and 5,600 such products.  Comparing
     escaped operands by triple, recomposed at each meeting, took 60,004 and
-    27,651 calls.  All three windows are domain-compatible, so no composite
-    falls back to a witness search.
+    27,651 products.  All three windows are domain-compatible, so every
+    product is the join formula's: no compose call, no witness search.
     """
-    calls = {"compose": 0, "find_witness": 0}
-    for name in calls:
-        def counted(self, *args, _inner=getattr(SemidirectGroupoid, name), _name=name):
+    calls = {"product": 0, "compose": 0, "find_witness": 0}
+    for owner, name in ((SemidirectGroupoid._id_table, "product"), (SemidirectGroupoid, "compose"),
+                        (SemidirectGroupoid, "find_witness")):
+        def counted(self, *args, _inner=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _inner(self, *args)
-        monkeypatch.setattr(SemidirectGroupoid, name, counted)
-    swap = PartialMap("t", {0: 2, 2: 0})
+        monkeypatch.setattr(owner, name, counted)
     found = []
-    for G in (grid_groupoid, mix_groupoid, build_semidirect(MGDS("swap", [0, 1, 2], [swap, swap]))):
+    for G in pin_windows(grid_groupoid, mix_groupoid):
         assert G.system.check_dc(G.witness_bound).ok
-        calls.update(compose=0, find_witness=0)
+        calls.update(product=0, compose=0, find_witness=0)
         found.append((len(G), sum(1 for _ in composable_pairs(G)), G.check_axioms().ok,
-                      calls["compose"], calls["find_witness"]))
-    assert found == [(256, 4096, True, 4096, 0), (196, 3364, True, 15844, 0),
-                     (51, 1251, True, 6851, 0)]
+                      calls["product"], calls["compose"], calls["find_witness"]))
+    assert found == [(256, 4096, True, 4096, 0, 0), (196, 3364, True, 15844, 0, 0),
+                     (51, 1251, True, 6851, 0, 0)]
+
+
+class RecordedIds(SemidirectGroupoid._id_table):
+    """A semidirect id table that keeps each product's triple and witness, as interned."""
+
+    tables = []  # every table made while it stands in for SemidirectGroupoid._id_table
+
+    def __init__(self, G):
+        self.made, self.last = {}, None
+        super().__init__(G)
+        self.tables.append(self)
+
+    def _id(self, x, z, y, w, g=None):
+        self.last = x, z, y, w
+        return super()._id(x, z, y, w, g)
+
+    def product(self, i, j):
+        k = super().product(i, j)
+        self.made[i, j] = self.last
+        return k
+
+
+def test_every_product_of_the_check_is_composes(monkeypatch, grid_groupoid, mix_groupoid):
+    # each product check_axioms makes, on carrier indices, equals compose on the
+    # same two arrows, witness included; a composite without witness is the
+    # closure witness, with compose's WitnessError message
+    monkeypatch.setattr(SemidirectGroupoid, "_id_table", RecordedIds)
+    systems = point_systems(2)
+    windows = [*pin_windows(grid_groupoid, mix_groupoid),
+               *(build_semidirect(s, force=not s.check_dc().ok) for s in systems)]
+    failing = 0
+    for G in windows:
+        RecordedIds.tables.clear()
+        rep = G.check_axioms()
+        (t,) = RecordedIds.tables
+        index = {x: i for i, x in enumerate(G.system.carrier)}
+        for (i, j), made in t.made.items():
+            c = G.compose(t.arrow(i), t.arrow(j))
+            assert made == (index[c.x], c.z, index[c.y], tuple(s.coords for s in c.witness))
+        closure = next(c for c in rep.checks if c.name == "closure")
+        if not closure.ok:
+            g, h, err = closure.witness
+            with pytest.raises(WitnessError) as raised:
+                G.compose(g, h)
+            assert str(raised.value) == str(err) and raised.value.attempted == err.attempted
+            failing += 1
+    assert (len(windows), failing) == (3 + 41, 2)
 
 
 class MisComposing(FiniteGroupoid):
@@ -322,20 +375,27 @@ def test_failing_laws_keep_their_first_witness(wrong, n, held, failing):
     assert {c.name: c.witness for c in rep.checks if not c.ok} == arrows
 
 
+class PlantedIds(SemidirectGroupoid._id_table):
+    """The id table of a Planted window: its product of the planted pair is the
+    planted arrow, or raises WitnessError where that is None."""
+
+    def product(self, i, j):
+        g, h = self.G.planted
+        if (i, j) != (self.intern(g), self.intern(h)):
+            return super().product(i, j)
+        if self.G.gh is None:
+            raise WitnessError("planted", attempted=tuple(map(operator.add, g.z, h.z)))
+        return self.intern(self.G.gh)
+
+
 class Planted(SemidirectGroupoid):
-    """A copy of a window whose compose is wrong on one product: it returns
-    the planted arrow there, or raises WitnessError where that is None."""
+    """A copy of a window whose check makes one product wrong, on its ids."""
+
+    _id_table = PlantedIds
 
     def __init__(self, G, g, h, gh):
         super().__init__(G.system, G.elements, G.witness_bound)
         self.planted, self.gh = (g, h), gh
-
-    def compose(self, g, h):
-        if (g, h) != self.planted:
-            return super().compose(g, h)
-        if self.gh is None:
-            raise WitnessError("planted", attempted=tuple(map(operator.add, g.z, h.z)))
-        return self.gh
 
 
 def escaped_product(G, side):
@@ -446,27 +506,43 @@ def test_the_dc_witness_derives_a_composite_without_witness():
 
 
 def test_find_witness_matches_a_scan_of_the_whole_box():
-    """find_witness searches only where both powers can be defined, and loses nothing.
+    """find_witness gives the first witness of a brute-force scan, and loses none.
 
-    Reference: every m <= 2 * witness_bound in shapes_below order, with
-    n = m - z >= 0, the first (m, n) with T^m x = T^n y.  Checked on forced
-    builds of every commuting pair of partial maps on two points, for x and
-    y in the carrier and every |z_j| <= 3; a point outside the carrier has
-    no witness.
+    Reference: every m <= (9, 9) in shapes_below order, with n = m - z >= 0,
+    the first (m, n) with T^m x = T^n y, powers stepped through the tables.
+    On two points a preperiod is at most 1 and a period at most 2, so every
+    box find_witness derives lies inside (5, 5).  Checked on forced builds of
+    every commuting pair of partial maps on two points, for x and y in the
+    carrier and every |z_j| <= 3; a point outside the carrier has no witness.
+    Of the 2,266 witnesses, 276 need m_j above 2 * witness_bound.
     """
-    found = 0
+    found = beyond = 0
+    box = list(shapes_below(Shape(9, 9)))
     for system in point_systems(2):
         G = build_semidirect(system, force=True)
-        box = list(shapes_below(G.witness_bound * 2))
         for x, y in itertools.product(system.carrier, repeat=2):
+            powers = {m.coords: raw_power(system, m, x) for m in box}
             for z in itertools.product(range(-3, 4), repeat=2):
                 pairs = ((m, tuple(map(operator.sub, m.coords, z))) for m in box)
-                want = next(((m, Shape(n)) for m, n in pairs
-                             if min(n) >= 0 and system.meets(x, y, m, Shape(n))), None)
+                want = next(((m, Shape(n)) for m, n in pairs if min(n) >= 0
+                             and powers[m.coords] is not None
+                             and powers[m.coords] == raw_power(system, n, y)), None)
                 assert G.find_witness(x, z, y) == want, (system.generators, x, z, y)
                 found += want is not None
+                beyond += want is not None and not want[0] <= G.witness_bound * 2
         assert G.find_witness(2, (0, 0), 0) is None
-    assert found == 1990
+    assert (found, beyond) == (2266, 276)
+
+
+def test_a_witness_past_twice_the_bound_is_found():
+    # T1 = {0->0, 1->0, 2->1}, T2 = id: (0, (0, 3), 0) needs m_2 = 3, past
+    # 2 * witness_bound = (6, 2); both orbits of 0 are fixed points, so the box is (0, 3)
+    system = MGDS("item7", [0, 1, 2], [PartialMap("T1", {0: 0, 1: 0, 2: 1}),
+                                       PartialMap("T2", {0: 0, 1: 1, 2: 2})])
+    G = build_semidirect(system)
+    assert G.witness_bound == Shape(3, 1) and system.meets(0, 0, Shape(0, 3), Shape(0, 0))
+    g = G.element(0, (0, 3), 0)
+    assert g not in G and g.witness == (Shape(0, 3), Shape(0, 0))
 
 
 def test_composites_may_leave_the_window(mix_groupoid):
