@@ -93,8 +93,8 @@ def suite_counterexample(fixture: Fixture, graph, options: dict) -> list[Check]:
         # (n, 0) and (m, 0).  g^-1 h = (T^n x, m - n, T^m x) has no witness (p, q) at any
         # bound: T^p T^n x = T^q T^m x with p - q = m - n gives p + n = q + m >= n join m,
         # and T^(p+n) x defined puts x in dom T^(n join m).  So they compose in an empty
-        # window whose witness bound is a default build's, exit_bound(), which the
-        # WitnessError reports as its search bound.
+        # window whose witness bound is a default build's, exit_bound(); the WitnessError
+        # reports the box its search derived for the composite, None where it is empty.
         n, m, x = dc.witness
         zero = Shape.zero(system.rank)
         g, h = (GroupoidElement(x, k.coords, system.power(k)(x), witness=(k, zero)) for k in (n, m))

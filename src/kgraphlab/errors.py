@@ -31,8 +31,9 @@ class WitnessError(KGraphLabError, ValueError):
     """No valid commuting-power witness exists for an attempted composition.
 
     Only reachable when the domain-compatibility condition fails; carries the
-    attempted translation and the search bound so callers can surface the
-    counterexample.
+    attempted translation and the search bound, the Shape bounding the m of
+    the box the witness search derived (None where that box is empty, so
+    nothing was searched), so callers can surface the counterexample.
     """
 
     def __init__(self, msg, *, attempted=None, search_bound=None):

@@ -17,11 +17,16 @@ op.on(table) is op acting on whole lists of ids of a kgraph.PathTable
 their images.  A partial map's image is an id or None.  A sum's is None
 when it is zero, the id itself when it is one id with coefficient 1, and
 an {id: coefficient} dict otherwise, so equal vectors have equal images.
-Creations and strips read the table's composition and split rows, so the
+A creation by path p reads one inner dict of the table: p's left row
+(x -> p·x) or right row (x -> x·p), mapping its __getitem__ over the ids,
+so a repeat, the vacuum and None are answered without entering Python.
+A strip by a path of shape m reads the head or tail column of m the same
+way, and keeps the rest where the kept factor is the path.  So the
 reports on a graph share its compositions and splits with each other and
-with the path layer.  fock_basis keeps each basis there, once per bound, and
-every evaluation, on a built basis or one the caller supplies, runs in the
-table of its paths' graph and keeps there what it made.
+with the path layer.  fock_basis keeps each basis there with its ids, once
+per bound, and every evaluation, on a built basis or one the caller
+supplies, runs in the table of its paths' graph and keeps there what it
+made.
 
 Conventions match the path calculus in kgraph: a path runs from its source
 (right end) to its target (left end), and compose(p, q) requires
@@ -55,12 +60,13 @@ VAC = EMPTY  # the vacuum's id in every table: a split's empty side, no vertex's
 
 def fock_basis(graph: KGraph, bound: Shape) -> tuple:
     """The vacuum plus every nonzero-shape path with shape <= bound, kept in the graph's
-    table once built."""
+    table with its ids once built."""
     bound, table = ranked_shape(bound, graph.rank), graph._table
-    basis = table.bases.get(bound.coords)
-    if basis is None:
-        basis = table.bases[bound.coords] = (VACUUM, *_nonzero_paths(table, bound))
-    return basis
+    kept = table.bases.get(bound.coords)
+    if kept is None:
+        paths = _nonzero_paths(table, bound)
+        kept = table.bases[bound.coords] = ((VACUUM, *paths), [VAC, *(p._id for p in paths)])
+    return kept[0]
 
 
 def _nonzero_paths(table, bound) -> list:
@@ -69,7 +75,11 @@ def _nonzero_paths(table, bound) -> list:
 
 
 def _ids(table, basis) -> list:
-    """The ids of a sequence of basis elements in table."""
+    """The ids of a sequence of basis elements in table, read from table.bases for a basis
+    kept there; table is None only for a basis of the vacuum alone."""
+    for kept, ids in table.bases.values() if table else ():
+        if kept is basis:
+            return ids
     return [VAC if b is VACUUM else table.id_of(b) for b in basis]
 
 
@@ -88,34 +98,14 @@ def _operator_paths(op) -> list:
     return [p for f in factors for p in _operator_paths(f)]
 
 
-def _creations(table, p, xs, left) -> list:
-    """The images of ids xs under creation by path p: p·x on the left, x·p on the right,
-    None where x is None or the ends differ."""
-    composite, out = table.composite, []
-    for x in xs:
-        if x is None or x == VAC:
-            out.append(None if x is None else p)
-        else:
-            out.append(composite(p, x) if left else composite(x, p))
-    return out
-
-
-def _strips(table, xs, m, left) -> list:
-    """For each id x, the pair (kept id, rest id) with x = kept·rest on the left or
-    rest·kept on the right and kept of shape m, or None where m does not fit.
+def _strips(table, m, left):
+    """The table's dict from an id x to the split (head id, tail id) of x whose head (on the
+    left) or tail (on the right) has shape m, None where m does not fit, and the position,
+    0 or 1, of that kept factor in the pair; the other holds the rest.
 
     The vacuum and None give None; an empty kept or rest is VAC.
     """
-    split, coords, out = table.split, table.coords, []
-    for x in xs:
-        if x is None or x == VAC:
-            out.append(None)
-        elif left:
-            out.append(split(x, m))
-        else:  # a left and a right strip can ask for the same split
-            s = split(x, tuple(map(operator.sub, coords[x], m)))
-            out.append(s and s[::-1])
-    return out
+    return (table.head_columns if left else table.tail_columns)[m], 0 if left else 1
 
 
 def _vector_out(table, image) -> dict:
@@ -242,15 +232,15 @@ def _group_adder(table, terms):
     for c, t in terms:
         *rest, last = t.factors if isinstance(t, Product) else (t,)
         by_kept.setdefault(table.id_of(last.path), []).append((c, Product(rest).on(table)))
-    m, left = last.path.shape.coords, last.left
+    strips, k = _strips(table, last.path.shape.coords, last.left)
 
     def add(out, xs):
         batches = {kept: ([], []) for kept in by_kept}  # positions, rest ids
-        for n, s in enumerate(_strips(table, xs, m, left)):
-            if s is not None and s[0] in batches:
-                at, rests = batches[s[0]]
+        for n, s in enumerate(map(strips.__getitem__, xs)):
+            if s is not None and s[k] in batches:
+                at, rests = batches[s[k]]
                 at.append(n)
-                rests.append(s[1])
+                rests.append(s[1 - k])
         for kept, (at, rests) in batches.items():
             if at:
                 for c, image in by_kept[kept]:
@@ -331,12 +321,13 @@ class PathOperator(PartialMap):
         return PathOperator(self.path, self.left, not self.create)
 
     def on(self, table):
-        p, left = table.id_of(self.path), self.left
+        p = table.id_of(self.path)
         if self.create:
-            return lambda xs: _creations(table, p, xs, left)
-        m = self.path.shape.coords
-        return lambda xs: [None if s is None or s[0] != p else s[1]
-                           for s in _strips(table, xs, m, left)]
+            row = (table.left_rows if self.left else table.right_rows)[p]
+            return lambda xs: list(map(row.__getitem__, xs))
+        strips, k = _strips(table, self.path.shape.coords, self.left)
+        return lambda xs: [None if s is None or s[k] != p else s[1 - k]
+                           for s in map(strips.__getitem__, xs)]
 
     def __repr__(self):
         return f"{'l' if self.left else 'r'}{'+' if self.create else '-'}{self.path.display()}"

@@ -344,6 +344,14 @@ class SemidirectGroupoid(FiniteGroupoid):
         calls no meets.
         """
         z, system = tuple(z), self.system
+        box = self._box(x, z, y)
+        return None if box is None else next(
+            ((m, n) for m, n in witness_pairs(box, z) if system.meets(x, y, m, n)), None)
+
+    def _box(self, x, z: tuple, y) -> Shape | None:
+        """The bound on m that find_witness searches for (x, z, y), or None where the box is
+        empty: a side below 0, or a point off the carrier."""
+        system = self.system
         if len(z) != system.rank:
             raise ConfigError(f"translation {z} has length {len(z)}, not the system rank {system.rank}")
         try:
@@ -354,17 +362,15 @@ class SemidirectGroupoid(FiniteGroupoid):
             max(ax, ay + c) + math.lcm(sx - ax, sy - ay) - 1 if ax is not None and ay is not None
             else min(sx if ax is None else sy + c, sy + c if ay is None else sx)
             for (sx, ax), (sy, ay), c in ends)
-        if min(box) < 0:
-            return None
-        return next(((m, n) for m, n in witness_pairs(Shape._make(box), z)
-                     if system.meets(x, y, m, n)), None)
+        return None if min(box) < 0 else Shape._make(box)
 
     def _searched(self, x, z, y, message) -> GroupoidElement:
-        """A fresh arrow witnessed by find_witness, else WitnessError (message formatted on failure)."""
+        """A fresh arrow witnessed by find_witness, else WitnessError (message formatted on
+        failure) whose search_bound is the box searched, None where it was empty."""
         found = self.find_witness(x, z, y)
         if found is None:
             raise WitnessError(message.format(x=x, z=z, y=y),
-                               attempted=z, search_bound=self.witness_bound * 2)
+                               attempted=z, search_bound=self._box(x, z, y))
         return GroupoidElement(x, z, y, witness=found)
 
     def element(self, x, z, y) -> GroupoidElement:

@@ -24,13 +24,15 @@ defective table fails with the same edges named.  A Path keeps its normal
 code word, and compose and factorize are _join and _split on it; edge names
 appear only at the edges of the API (KGraph.path, Path.word, the texts of
 errors and witnesses).  Each graph keeps its paths in one PathTable: int ids
-for normal code words and vertices, with each id's composites and splits,
-so path, compose and factorize run the kernel once per distinct input.
+for normal code words and vertices, with the kernel's compositions and
+splits on them in dicts keyed the way their readers ask, so path, compose
+and factorize run the kernel once per distinct input.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,8 +111,28 @@ class Path:
         return (tuple(self.shape.coords), self.codes, self.base or "")
 
 
-EMPTY = -1  # a split's empty side, in every table; path ids count up from 0
-_UNSET = object()  # a row's default where None is a stored answer
+EMPTY = -1  # a split's empty side and fock's vacuum, in every table; path ids count up from 0
+
+
+class _Index(dict):
+    """A dict that answers a missing key by ask(at, key) and keeps the answer.
+
+    In a PathTable, an inner dict's at is the part of the question it holds
+    fixed and its ask puts the question to the kernel; an index's ask makes
+    the inner dict of a missing fixed part, its at being that dict's ask.
+    An error raised by ask leaves nothing behind, so it is raised again at
+    the next read.
+    """
+
+    __slots__ = ("ask", "at")
+
+    def __init__(self, ask, at=None, seeds=()):
+        super().__init__(seeds)
+        self.ask, self.at = ask, at
+
+    def __missing__(self, key):
+        out = self[key] = self.ask(self.at, key)
+        return out
 
 
 class PathTable:
@@ -118,18 +140,34 @@ class PathTable:
 
     Path id i has the normal code word words[i] (a vertex's is empty),
     endpoints sources[i] and targets[i] and shape coordinates coords[i].
-    composite and split run the kernel (_join, _split) once per distinct
-    question and keep the answer as ids, in a composition row and a split
-    row per id; an error is never kept.  join and factor are the same with
+    The kernel's answers are kept as ids in four indexes, each a dict of
+    dicts keyed first by the part a reader holds fixed, so a repeat read is
+    two dict lookups, and a reader of a list of ids maps one inner dict's
+    __getitem__ over it:
+
+      left_rows[i][x]     the id of path i · path x, None where i's source is not x's target;
+      right_rows[j][x]    the id of path x · path j, likewise;
+      head_columns[m][x]  (head id, tail id) of path x, the head of shape m, or None unless
+                          m <= the path's shape;
+      tail_columns[m][x]  (head id, tail id) of path x, the tail of shape m, or None.
+
+    An empty side is EMPTY.  Every inner dict has None and EMPTY, fock's
+    vacuum, as seeded keys: each answers None, except that a row answers
+    the vacuum with its own operand.  A miss runs the kernel (_join,
+    _split) once per distinct question, whichever index asks first: a
+    right row reads through the left operand's row, and a tail column
+    through the head column of the remaining shape, keeping the same pair;
+    a remaining shape not >= 0 fits no path and is never asked.  A kernel
+    error is raised, never kept.  join and factor read the same indexes, with
     vertices: a vertex operand or empty side is its vertex's id.  paths
-    enumerates each shape once, and path makes an id's Path only when a
-    caller asks, once per id.
+    enumerates each shape once, as the table's own Paths, and path makes an
+    id's Path only when a caller asks, once per id.
 
     Each KGraph owns one table, made with it and dying with it, and every
     evaluation on the graph's paths runs there: duality keeps its canonical
-    forms in it as id pairs and shifts on its ids, and fock its bases and
-    every composition and split its operators make.  A path of another
-    graph has no id here.
+    forms in it as id pairs and shifts on its ids, and fock its bases, each
+    with its ids, and every composition and split its operators make.  A
+    path of another graph has no id here.
     """
 
     def __init__(self, graph):
@@ -137,12 +175,39 @@ class PathTable:
         self._ids: dict = {}  # normal code word, vertex name, or names path() normalized -> id
         self.words, self.sources, self.targets, self.coords = [], [], [], []  # by id
         self._shapes: dict[tuple, tuple] = {}  # shape coordinates, one tuple per shape
-        self._composed: list = []  # by id, None until asked: the composition row
-        self._splits: list = []  # by id, None until asked: the split row
+        self.left_rows = _Index(self._row, self._composite)
+        self.right_rows = _Index(self._row, self._via_left)
+        self.head_columns = _Index(self._column, self._head_split)
+        self.tail_columns = _Index(self._column, self._via_head)
         self._paths: dict[tuple, list] = {}  # shape coordinates -> the graph's paths of it
         self._objects: dict[int, Path] = {}  # id -> its Path, once a caller asked for it
         self.canonical: dict[tuple, tuple] = {}  # duality's canonical forms, by id pair
-        self.bases: dict[tuple, tuple] = {}  # fock's bases, by bound coordinates
+        self.bases: dict[tuple, tuple] = {}  # fock's bases with their ids, by bound coordinates
+
+    @staticmethod
+    def _row(ask, operand) -> _Index:
+        return _Index(ask, operand, {None: None, EMPTY: operand})
+
+    @staticmethod
+    def _column(ask, shape) -> _Index:
+        return _Index(ask, shape, {None: None, EMPTY: None})
+
+    def _composite(self, i, j):
+        if self.sources[i] != self.targets[j]:
+            return None
+        word = self.graph._join(self.words[i], self.words[j])
+        return self._id(word, word)
+
+    def _via_left(self, j, x):
+        return self.left_rows[x][j]
+
+    def _head_split(self, m, x):
+        out = self.graph._split(self.words[x], self.coords[x], m)
+        return out and tuple(self._id(w, w) if w else EMPTY for w in out)
+
+    def _via_head(self, m, x):
+        grade = tuple(map(operator.sub, self.coords[x], m))
+        return None if min(grade) < 0 else self.head_columns[grade][x]
 
     def _id(self, key, word) -> int:
         """The id of a nonempty normal code word (key and word alike), or of a vertex: key
@@ -155,8 +220,6 @@ class PathTable:
             self.sources.append(graph._esource[word[-1]] if word else key)
             self.targets.append(graph._etarget[word[0]] if word else key)
             self.coords.append(self._shapes.setdefault(coords, coords))
-            self._composed.append(None)
-            self._splits.append(None)
         return i
 
     def id_of(self, p: Path) -> int:
@@ -179,41 +242,13 @@ class PathTable:
         return p
 
     def paths(self, shape) -> list:
-        """The graph's paths of one shape, a Shape or tuple, enumerated once."""
+        """The graph's paths of one shape, a Shape or tuple, enumerated once, as the table's
+        own Paths."""
         shape = as_shape(shape)
         out = self._paths.get(shape.coords)
         if out is None:
-            out = self._paths[shape.coords] = self.graph.enumerate_paths(shape)
-        return out
-
-    def composite(self, i, j):
-        """The id of path i · path j, or None where i's source is not j's target."""
-        row = self._composed[i]
-        if row is None:
-            row = self._composed[i] = {}
-        out = row.get(j, _UNSET)
-        if out is _UNSET:
-            out = None
-            if self.sources[i] == self.targets[j]:
-                word = self.graph._join(self.words[i], self.words[j])
-                out = self._id(word, word)
-            row[j] = out
-        return out
-
-    def split(self, i, grade):
-        """(head id, tail id) of path i, the head of shape grade (coordinates of the graph's
-        rank); EMPTY for an empty side, None unless 0 <= grade <= the path's shape.  A
-        negative grade fits no path: it is answered None and not stored."""
-        row = self._splits[i]
-        if row is None:
-            row = self._splits[i] = {}
-        out = row.get(grade, _UNSET)
-        if out is _UNSET:
-            if min(grade) < 0:
-                return None
-            out = self.graph._split(self.words[i], self.coords[i], grade)
-            out = row[self._shapes.setdefault(grade, grade)] = out and tuple(
-                self._id(w, w) if w else EMPTY for w in out)
+            out = self._paths[shape.coords] = [
+                self.path(self.id_of(p)) for p in self.graph.enumerate_paths(shape)]
         return out
 
     def join(self, i, j) -> int:
@@ -222,11 +257,12 @@ class PathTable:
         if self.sources[i] != self.targets[j]:
             raise NotComposable(f"cannot compose {self.path(i)!r}·{self.path(j)!r}: "
                                 f"source {self.sources[i]} != target {self.targets[j]}")
-        return (self.composite(i, j) if self.words[j] else i) if self.words[i] else j
+        return (self.left_rows[i][j] if self.words[j] else i) if self.words[i] else j
 
     def factor(self, i, grade):
-        """split's answer with each empty side as its vertex's id: None where grade does not fit."""
-        out = self.split(i, grade)
+        """(head id, tail id) of path i, the head of shape grade (coordinates of the graph's
+        rank, each >= 0), each empty side as its vertex's id: None where grade does not fit."""
+        out = self.head_columns[grade][i]
         if out and EMPTY in out:
             head, tail = out
             out = (self.vertex(self.targets[i]) if head == EMPTY else head,
@@ -256,7 +292,7 @@ class KGraph:
 
     The graph keeps its paths in one store, _table, a PathTable that lives
     and dies with it: path, compose and factorize answer from its ids and
-    rows, and path also keys the edge names it normalized, so the same
+    indexes, and path also keys the edge names it normalized, so the same
     names are normalized once; duality keeps its canonical forms there, and
     fock its bases and every evaluation's compositions and splits.  _passes,
     keyed by the pass's two words, is the kernel's table of sub-word sorts.

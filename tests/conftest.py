@@ -1,7 +1,14 @@
 import pytest
 
 from kgraphlab.shapes import Shape
-from kgraphlab.kgraph import flip_graph, grid_graph, one_loop_per_color_graph
+from kgraphlab.kgraph import EMPTY, flip_graph, grid_graph, one_loop_per_color_graph
+
+
+def index_entries(index):
+    """(fixed part, key, answer) of each entry of a path table's index, the seeded keys None
+    and EMPTY left out."""
+    return [(at, x, out) for at, inner in index.items() for x, out in inner.items()
+            if x is not None and x != EMPTY]
 
 
 def composable_pairs(G):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kgraphlab import cli, duality
+from kgraphlab import cli, duality, fock
 from kgraphlab.cli import main, run_fixture
 from kgraphlab.dynsys import MGDS
 from kgraphlab.errors import ConfigError, FixtureError, GraphError, KGraphLabError
@@ -416,7 +416,7 @@ def test_free_monoid_fixture_shows_both_defects(capsys):
     out = capsys.readouterr().out
     assert 'witness: ((1, 0), (0, 1), "a")' in out
     assert "PASS  counterexample.composite-without-witness" in out
-    assert "witness: ((-1, 1), (6, 6))" in out
+    assert "witness: ((-1, 1), none)" in out
 
 
 def test_fock_relations_flag_on_free_abelian(capsys):
@@ -505,13 +505,14 @@ def test_groupoid_suite_reports_an_invalid_graph_as_a_failed_check(monkeypatch, 
 
 def test_counterexample_suite_builds_no_window(monkeypatch, tmp_path, capsys):
     # g and h carry their evident witnesses, and their composite is refused in an
-    # empty window with the build's witness bound: no semidirect build runs
+    # empty window with the build's witness bound: no semidirect build runs, and
+    # the witness search's box is empty, so the error reports None as its bound
     def no_build(*args, **kwargs):
         raise AssertionError("the counterexample suite built a window")
 
     monkeypatch.setattr(cli, "build_semidirect", no_build)
     dc, composite = cli.suite_counterexample(parse_fixture_text("suite counterexample\n"), None, {})
-    assert (dc.ok, composite.ok, composite.witness) == (True, True, ((-1, 1), Shape(6, 6)))
+    assert (dc.ok, composite.ok, composite.witness) == (True, True, ((-1, 1), None))
     path = tmp_path / "one_letter.kgf"
     path.write_text("suite counterexample letters=a\n")
     assert main([str(path), "--format", "machine"]) == 0
@@ -658,11 +659,12 @@ def test_a_fixture_run_holds_each_normal_word_once(monkeypatch):
     """After a flip fixture run, the graph holds one store of its paths.
 
     Its table gives each normal word one id; every Path the table and its
-    clients keep (the Paths it made, each shape's paths, fock's basis)
-    spells a word of that store, the table's own Paths share their id's
-    word and know their id, and duality's canonical forms are pairs of its
-    ids, each form its own.  Besides its construction tables, the graph
-    keeps only the table and the kernel's passes.
+    clients keep (the Paths it made, each shape's paths, fock's basis) is
+    one of the table's own Paths, which share their id's word and know
+    their id, fock keeps each basis with its ids, and duality's canonical
+    forms are pairs of its ids, each form its own.  Besides its
+    construction tables, the graph keeps only the table and the kernel's
+    passes.
     """
     graphs = []
     monkeypatch.setattr(cli, "build_graph",
@@ -677,9 +679,11 @@ def test_a_fixture_run_holds_each_normal_word_once(monkeypatch):
     forms = list(table.canonical.values())
     assert forms and all(type(i) is int and 0 <= i < len(table.words) for f in forms for i in f)
     assert all(duality._canonical(table, *form) == form for form in forms)
-    kept = [*table._objects.values(), *(p for paths in table._paths.values() for p in paths),
-            *(b for basis in table.bases.values() for b in basis[1:])]
-    assert {p.codes for p in kept if p.codes} <= set(words)
+    bases = list(table.bases.values())
+    assert bases and all(ids == [fock.VAC, *(b._id for b in basis[1:])] for basis, ids in bases)
+    kept = [*(p for paths in table._paths.values() for p in paths),
+            *(b for basis, _ in bases for b in basis[1:])]
+    assert all(table._objects[p._id] is p for p in kept)
     assert {name for name, v in vars(g).items() if isinstance(v, (dict, list, PathTable))} == {
         "_code", "_into", "_to_normal", "_moves", "_starts", "_passes", "_table"}
 

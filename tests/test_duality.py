@@ -52,7 +52,7 @@ from kgraphlab.kgraph import (
 )
 from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
-from conftest import composable_pairs
+from conftest import composable_pairs, index_entries
 
 
 @pytest.fixture(scope="module")
@@ -842,7 +842,7 @@ def test_path_memos_die_with_their_graph():
     y = RationalInfinitePath(a, ab)
     factorize(compose(a, ab), (1, 0))
     table = g._table
-    assert any(table._composed) and any(table._splits) and table.canonical
+    assert index_entries(table.left_rows) and index_entries(table.head_columns) and table.canonical
     refs = weakref.ref(g), weakref.ref(table)
     del g, a, ab, y, table
     gc.collect()

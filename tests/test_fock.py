@@ -48,6 +48,8 @@ from kgraphlab.kgraph import (
 )
 from kgraphlab.shapes import INF, ExtendedShape, Shape
 
+from conftest import index_entries
+
 
 @pytest.fixture(scope="module")
 def rank1():
@@ -360,11 +362,15 @@ def test_random_expressions_keep_the_normal_form(graph_family):
 
 
 def _table_state(table):
-    """What a table keeps: ids and their keys, composition entries, splits, enumerated
-    shapes, Path objects, canonical forms and bases."""
-    return (len(table.words), len(table._ids), *(sum(len(row) for row in rows if row)
-                                                 for rows in (table._composed, table._splits)),
-            len(table._paths), len(table._objects), len(table.canonical), len(table.bases))
+    """What a table keeps: ids and their keys, compositions (its left rows' entries), splits
+    (its head columns'), enumerated shapes, Path objects, canonical forms and bases.
+
+    A right row or tail column holds only answers its left rows or head
+    columns hold too, since it reads through them.
+    """
+    return (len(table.words), len(table._ids), len(index_entries(table.left_rows)),
+            len(index_entries(table.head_columns)), len(table._paths), len(table._objects),
+            len(table.canonical), len(table.bases))
 
 
 def _graph_state(g):
@@ -448,7 +454,8 @@ def test_relation_work_counts_are_pinned(monkeypatch):
     both R4 makes 512 joins and 2,496 splits; a second, identical round
     makes none.  "_sort"
     counts the passes the graph sorts, and "moves" the square moves they
-    make.  Fock work over ids makes no Path object the table keeps.
+    make.  Fock work over ids makes no Path object the table keeps beyond
+    the paths it enumerated.
     """
     counts = {}
     for name in ("_join", "_split", "_sort"):
@@ -487,7 +494,9 @@ def test_relation_work_counts_are_pinned(monkeypatch):
             report = verify_identity(g, name, bound)
             assert (report.ok, report.checked, counts) == (True, checked, shared if first else {})
     assert len(g._passes) == 72 + 32 + 288
-    assert not (g._table._objects or g._table.canonical)
+    table = g._table
+    enumerated = [p for paths in table._paths.values() for p in paths]
+    assert list(table._objects.values()) == enumerated and not table.canonical
 
 
 def test_the_path_layer_answers_from_the_reports_rows(monkeypatch):
@@ -500,10 +509,8 @@ def test_the_path_layer_answers_from_the_reports_rows(monkeypatch):
     g = flip_graph()
     assert verify_identity(g, "R1", (1, 1)).ok
     table = g._table
-    composed = [(i, j, y) for i, row in enumerate(table._composed) if row
-                for j, y in row.items() if y is not None]
-    splits = [(x, grade, s) for x, row in enumerate(table._splits) if row
-              for grade, s in row.items() if s is not None]
+    composed = [entry for entry in index_entries(table.left_rows) if entry[2] is not None]
+    splits = [(x, grade, s) for grade, x, s in index_entries(table.head_columns) if s is not None]
     assert len(composed) == 64 and len(splits) == 80
     calls = []
     for name in ("_join", "_split"):
@@ -521,9 +528,10 @@ def test_graph_keeps_its_passes_and_one_table():
 
     The passes are the (left word, right word) pairs a join or a split
     sorts: 456 of them on flip at (3,3), a few KiB.  The table holds the
-    reports' one basis, its 15 enumerated nonzero shapes, and the ids,
-    compositions and splits they made: 16,128 ids, most of them R1's
-    composites of shape up to (6,6), 61,952 compositions and 51,808 splits.
+    reports' one basis, its 15 enumerated nonzero shapes as 224 Paths of
+    its own, and the ids, compositions and splits they made: 16,128 ids,
+    most of them R1's composites of shape up to (6,6), 61,952 compositions
+    and 51,808 splits.
     """
     g = flip_graph()
     attributes = set(vars(g))
@@ -531,8 +539,71 @@ def test_graph_keeps_its_passes_and_one_table():
         assert verify_identity(g, name, Shape(3, 3)).ok, name
     assert set(vars(g)) == attributes
     assert isinstance(g._table, PathTable) and g._table.graph is g
-    assert _table_state(g._table) == (16128, 16128, 61952, 51808, 15, 0, 0, 1)
+    assert _table_state(g._table) == (16128, 16128, 61952, 51808, 15, 224, 0, 1)
     assert len(g._passes) == 456
+
+
+@pytest.mark.parametrize("right_first", [True, False], ids=["right-or-tail-first",
+                                                            "left-or-head-first"])
+def test_the_indexes_answer_as_the_kernel_once_per_question(monkeypatch, right_first):
+    """Creations and strips read through a table's indexes are the kernel's own answers.
+
+    On fresh flip, n2 and grid2x2 graphs at (2,2) and the rank-1 two-loop
+    graph at (2,), every basis path creates and strips, on both sides, on
+    every basis id and on None, reading one inner dict per operator with
+    map: the right rows and tail columns first, or the left rows and head
+    columns first.  Each answer is _join's or _split's on the words, and
+    each distinct question reaches the kernel exactly once, whichever side
+    asks first: a right row reads through its operand's left row and a
+    tail column through a head column, and a tail shape that does not fit
+    asks nothing.  The right rows and tail columns keep only answers the
+    left rows and head columns keep too.
+    """
+    join, split = KGraph._join, KGraph._split
+    asked = []
+    monkeypatch.setattr(KGraph, "_join", lambda g, p, q: asked.append(("join", p, q))
+                        or join(g, p, q))
+    monkeypatch.setattr(KGraph, "_split", lambda g, w, n, k: asked.append(("split", w, k))
+                        or split(g, w, n, k))
+    for g, bound in ((flip_graph(), (2, 2)), (one_loop_per_color_graph(2), (2, 2)),
+                     (grid_graph((2, 2)), (2, 2)), (single_vertex_graph((2,)), (2,))):
+        asked.clear()
+        table, basis = g._table, fock_basis(g, bound)
+        xs, words, coords = [*fock._ids(table, basis), None], table.words, table.coords
+        got = {}
+        for left in (False, True) if right_first else (True, False):
+            rows, columns = ((table.left_rows, table.head_columns) if left
+                             else (table.right_rows, table.tail_columns))
+            for p in (b._id for b in basis[1:]):
+                row, column = rows[p], columns[coords[p]]
+                got[left, p] = list(map(row.__getitem__, xs)), list(map(column.__getitem__, xs))
+
+        questions = set()
+        for (left, p), (created, stripped) in got.items():
+            for x, c, s in zip(xs, created, stripped):
+                if x is None or x == fock.VAC:
+                    assert (c, s) == (None if x is None else p, None), (g.name, p, x)
+                    continue
+                a, b = (p, x) if left else (x, p)
+                if table.sources[a] == table.targets[b]:
+                    questions.add(("join", words[a], words[b]))
+                    assert words[c] == join(g, words[a], words[b]), (g.name, left, p, x)
+                else:
+                    assert c is None, (g.name, left, p, x)
+                grade = coords[p] if left else tuple(map(operator.sub, coords[x], coords[p]))
+                cut = None
+                if min(grade) >= 0:
+                    questions.add(("split", words[x], grade))
+                    cut = split(g, words[x], coords[x], grade)
+                assert (s and tuple(() if i == fock.VAC else words[i] for i in s)) == cut, (
+                    g.name, left, p, x)
+        assert len(asked) == len(set(asked)) and set(asked) == questions, g.name
+        lefts = {(i, x): y for i, x, y in index_entries(table.left_rows)}
+        heads = {(m, x): s for m, x, s in index_entries(table.head_columns)}
+        assert all(lefts[x, j] == y for j, x, y in index_entries(table.right_rows)), g.name
+        assert all(s is (None if min(m) < 0 else heads[m, x])
+                   for n, x, s in index_entries(table.tail_columns)
+                   for m in [tuple(map(operator.sub, coords[x], n))]), g.name
 
 
 def test_a_callers_basis_runs_in_the_graphs_table():

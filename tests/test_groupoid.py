@@ -634,8 +634,19 @@ def test_forced_build_composition_failure():
     g, h, evidence = closure.witness
     assert isinstance(evidence, WitnessError)
     assert (g, h) == (F.element("", (0, -1), "a"), F.element("a", (1, 0), ""))
-    assert evidence.attempted == (1, -1) and evidence.search_bound == Shape(6, 6)
+    # '' has exit time 0 in both colors, so n_2 = m_2 + 1 <= 0 leaves the box empty
+    assert evidence.attempted == (1, -1) and evidence.search_bound is None
     assert str(evidence) == "composite ('', (1, -1), '') admits no witness"
+
+
+def test_a_witness_error_reports_the_box_it_searched():
+    # two fixed points never meet; for z = (1, 1) the derived box bounds m by (1, 1)
+    system = MGDS("fixed", [0, 1], [PartialMap("T1", {0: 0, 1: 1}), PartialMap("T2", {0: 0, 1: 1})])
+    G = build_semidirect(system)
+    assert G.find_witness(0, (1, 1), 1) is None
+    with pytest.raises(WitnessError, match=r"no witness for \(0, \(1, 1\), 1\)") as err:
+        G.element(0, (1, 1), 1)
+    assert (err.value.attempted, err.value.search_bound) == ((1, 1), Shape(1, 1))
 
 
 def test_forced_build_failure_shape_scales_with_word_length():

@@ -28,6 +28,8 @@ from kgraphlab.kgraph import (
 )
 from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
+from conftest import index_entries
+
 
 # -- independent oracles -----------------------------------------------------------
 
@@ -300,12 +302,12 @@ def test_memoized_questions_raise_every_time():
                 call()
             messages.append(str(e.value))
         assert messages[0] == messages[1]
-    assert not any(g._table._composed) and not any(g._table._splits)
+    assert not (index_entries(g._table.left_rows) or index_entries(g._table.head_columns))
     p = flip_graph().path(["a0", "a1"])
     for _ in range(2):
         with pytest.raises(ShapeError, match="not dominated"):
             p.graph.factorize(p, (1, 1))
-    assert [row for row in p.graph._table._splits if row] == [{(1, 1): None}]
+    assert index_entries(p.graph._table.head_columns) == [((1, 1), p._id, None)]
 
 
 def test_path_is_memoized_per_graph(monkeypatch):
@@ -365,14 +367,14 @@ def test_rank3_sort_matches_reference_routes():
             return () if i == fock.VAC else table.path(i).word
 
         def created(a, b, left):
-            return word(fock._creations(table, table.id_of(a), [table.id_of(b)], left)[0])
+            return word(fock.PathOperator(a, left, True).on(table)([table.id_of(b)])[0])
 
         def split(p, grade):
             return tuple(map(g._decode, g._split(p.codes, p.shape.coords, grade)))
 
         def stripped(p, m, left):
-            kept, rest = fock._strips(table, [table.id_of(p)], m, left)[0]
-            return (word(kept), word(rest)) if left else (word(rest), word(kept))
+            strips, _ = fock._strips(table, m, left)
+            return tuple(map(word, strips[table.id_of(p)]))
 
         for p, q in (rng.sample(paths, 2) for _ in range(60)):
             want = outcome(leftmost_normal, g, p.word + q.word)
@@ -538,10 +540,10 @@ def test_squares_that_move_endpoints_raise_at_the_move():
         (lambda: g.compose(b, a), square),
         (lambda: g.path(("b", "a")), square),
         (lambda: g.factorize(ab, (0, 1)), inverse_square),
-        (lambda: fock._creations(table, table.id_of(b), [table.id_of(a)], True), square),
-        (lambda: fock._creations(table, table.id_of(a), [table.id_of(b)], False), square),
-        (lambda: fock._strips(table, [table.id_of(ab)], (0, 1), True), inverse_square),
-        (lambda: fock._strips(table, [table.id_of(ab)], (1, 0), False), inverse_square),
+        (lambda: fock.PathOperator(b, True, True).on(table)([table.id_of(a)]), square),
+        (lambda: fock.PathOperator(a, False, True).on(table)([table.id_of(b)]), square),
+        (lambda: fock._strips(table, (0, 1), True)[0][table.id_of(ab)], inverse_square),
+        (lambda: fock._strips(table, (1, 0), False)[0][table.id_of(ab)], inverse_square),
     ]:
         with pytest.raises(NotComposable, match=message):
             route()

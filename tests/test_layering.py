@@ -2,9 +2,10 @@
 
 Every import of a kgraphlab module sits at module level, the graph of
 imports between the package's modules has no cycle, attributes are set
-only on self or cls, a path table is made only by its graph, every
-definition has a caller outside the tests, and every attribute a class sets
-has a reader outside the tests, or a listed reason to stay.
+only on self or cls, a path table is made only by its graph and its
+index dicts only by the table, every definition has a caller outside the
+tests, and every attribute a class sets has a reader outside the tests,
+or a listed reason to stay.
 """
 
 import ast
@@ -112,10 +113,15 @@ def test_only_a_graph_makes_its_path_table(trees):
     """PathTable is called only in KGraph.__init__: each graph makes its one table.
 
     Every evaluation on a graph's paths runs in that table, so no layer
-    makes a table of its own, not even one that dies after a call.
+    makes a table of its own, not even one that dies after a call.  The
+    table's index dicts (_Index) are made only by the table: its four
+    indexes in __init__, and their rows and columns in _row and _column.
     """
     makers = [(name, where) for name, tree in trees.items() for where in _calls(tree, "PathTable")]
     assert makers == [("kgraph", "KGraph.__init__")]
+    makers = [(name, where) for name, tree in trees.items() for where in _calls(tree, "_Index")]
+    assert makers == [("kgraph", f"PathTable.{where}")
+                      for where in ("__init__",) * 4 + ("_row", "_column")]
 
 
 # definitions no code in src/ or bench/ names, each with its reason to stay
