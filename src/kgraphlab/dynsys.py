@@ -33,9 +33,6 @@ class PartialMap:
         self.name = name
         self._table = dict(table)
 
-    def defined_at(self, x) -> bool:
-        return x in self._table
-
     def __call__(self, x):
         try:
             return self._table[x]
@@ -48,9 +45,6 @@ class PartialMap:
     def items(self):
         """(point, image) pairs over the domain, in table order."""
         return self._table.items()
-
-    def codomain_points(self) -> frozenset:
-        return frozenset(self._table.values())
 
     def compose(self, other: "PartialMap") -> "PartialMap":
         # dom(self after other) = {x in dom(other): other(x) in dom(self)}
@@ -68,43 +62,56 @@ class PartialMap:
         return f"PartialMap({self.name}: {len(self._table)} points)"
 
 
-def _orbit(T: PartialMap, x) -> tuple[int, int | None]:
-    """Steps T takes from x until it is undefined or revisits a point, and the step
-    that first reached the revisited point (the preperiod), None where none is."""
-    seen = {x: 0}
-    cur, steps = x, 0
-    while T.defined_at(cur):
-        cur = T(cur)
+def _orbit(images: list, i: int) -> tuple[int, int | None]:
+    """Steps an image list takes from carrier index i until it is undefined or revisits
+    an index, and the step that first reached the revisited index (the preperiod), None
+    where none is."""
+    seen = {i: 0}
+    steps = 0
+    while (i := images[i]) >= 0:
         steps += 1
-        if cur in seen:
-            return steps, seen[cur]
-        seen[cur] = steps
+        if i in seen:
+            return steps, seen[i]
+        seen[i] = steps
     return steps, None
+
+
+def _bits(flags) -> int:
+    """The carrier indices i where flags[i] holds, as an int whose bit i is set."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
 
 
 class MGDS:
     """Finitely many commuting partial maps acting on one finite carrier.
 
-    Immutable after construction; power tables and exit times are cached.
+    Immutable after construction; image lists and exit times are cached.
     Generators are 1-based in every public signature, matching shape
-    coordinates.
+    coordinates.  Inside, a carrier point is its index in carrier, and a map
+    is an image list: the image index of each carrier index, -1 off the
+    domain, plus one trailing -1, so that images[-1] answers a step from off
+    the domain.
     """
 
     def __init__(self, name: str, carrier: Iterable, generators):
         self.name = name
         self.carrier = tuple(dict.fromkeys(carrier))
-        self._carrier_set = frozenset(self.carrier)
+        index = self.index = {x: i for i, x in enumerate(self.carrier)}  # carrier point -> its index
         self.generators = tuple(generators)
         if not self.generators:
             raise ConfigError("a system needs at least one generator")
+        self._maps = []  # per generator, its image list
         for T in self.generators:
-            stray = (T.domain() | T.codomain_points()) - self._carrier_set
+            stray = {p for pair in T.items() for p in pair if p not in index}
             if stray:
                 raise ConfigError(
                     f"map {T.name} of system {name} leaves the carrier: {sorted(map(repr, stray))[:CAP]}"
                 )
-        zero = (0,) * self.rank
-        self._powers: dict = {zero: PartialMap(f"T^{zero}", {x: x for x in self.carrier})}
+            images = [-1] * (len(index) + 1)
+            for x, v in T.items():
+                images[index[x]] = index[v]
+            self._maps.append(images)
+        # shape coordinates -> T^n's image list, filled by images(n)
+        self.image_table: dict = {(0,) * self.rank: [*range(len(self.carrier)), -1]}
         self._exit: dict = {}
         rep = self.check_commuting()
         if not rep.ok:
@@ -142,62 +149,63 @@ class MGDS:
     def check_commuting(self) -> Check:
         """Both composition orders of every generator pair must agree as partial maps.
 
-        The witness is (i, j, x): a 1-based generator pair and the point
-        where the two orders disagree.
+        The witness is (i, j, x): a 1-based generator pair and the first
+        carrier point where the two orders disagree.
         """
-        for i in range(1, self.rank + 1):
-            for j in range(i + 1, self.rank + 1):
-                a = self.generators[i - 1].compose(self.generators[j - 1])
-                b = self.generators[j - 1].compose(self.generators[i - 1])
-                if a == b:
-                    continue
-                for x in self.carrier:
-                    da, db = a.defined_at(x), b.defined_at(x)
-                    if da != db or (da and a(x) != b(x)):
-                        return Check("commuting", False, (i, j, x))
+        for (i, a), (j, b) in itertools.combinations(enumerate(self._maps, start=1), 2):
+            ab, ba = list(map(a.__getitem__, b)), list(map(b.__getitem__, a))
+            if ab != ba:
+                k = next(k for k, (u, v) in enumerate(zip(ab, ba)) if u != v)
+                return Check("commuting", False, (i, j, self.carrier[k]))
         return Check("commuting", True)
 
-    def power(self, n: Shape) -> PartialMap:
-        """The composite map indexed by a shape or its coordinates; T^0 is the identity.
+    def images(self, n: Shape) -> list:
+        """T^n's image list, n a shape or its coordinates; T^0 is the identity.
 
         The table is keyed by coordinate tuple.  Only a miss checks the rank
         (ShapeError): a key in the table has passed that check already.  A
-        miss walks down one generator at a time to a tabled power, at best in
+        miss walks down one generator at a time to a tabled list, at best in
         one step, then composes back up by T^n = T_j T^(n - e_j), tabling each
         step.  The generators commute as partial maps, so every route gives
-        the same table, keyed in carrier order like the identity T^0.
+        the same list.
         """
-        # as_shape's test, spelled inline: every meets inside compose calls power twice
+        # as_shape's test, spelled inline: every meets inside compose reads two lists
         n = Shape(n) if not isinstance(n, Shape) else n
-        powers = self._powers
-        cached = powers.get(n.coords)
-        if cached is None:
+        tabled = self.image_table
+        images = tabled.get(n.coords)
+        if images is None:
             ranked_shape(n, self.rank)
             steps, key = [], n.coords
-            while key not in powers:  # T^0 is tabled from the start
+            while key not in tabled:  # T^0 is tabled from the start
                 below = [(j, key[:j] + (c - 1,) + key[j + 1:]) for j, c in enumerate(key) if c]
-                j, lower = next((s for s in below if s[1] in powers), below[-1])
+                j, lower = next((s for s in below if s[1] in tabled), below[-1])
                 steps.append((j, key))
                 key = lower
-            cached = powers[key]
+            images = tabled[key]
             for j, key in reversed(steps):
-                step = self.generators[j].compose(cached)
-                cached = powers[key] = PartialMap(f"T^{key}", step._table)
-        return cached
+                images = tabled[key] = list(map(self._maps[j].__getitem__, images))
+        return images
+
+    def power(self, n: Shape) -> PartialMap:
+        """The composite map T^n as a table keyed in carrier order, read off images(n)."""
+        images, carrier = self.images(n), self.carrier
+        return PartialMap(f"T^{tuple(n)}", {x: carrier[v] for x, v in zip(carrier, images) if v >= 0})
 
     def meets(self, x, y, m: Shape, n: Shape) -> bool:
         """Whether T^m x = T^n y with both sides defined: (m, n) witnesses an arrow from y to x."""
-        pm, pn = self.power(m)._table, self.power(n)._table
-        return x in pm and y in pn and pm[x] == pn[y]
+        pm, pn, index = self.images(m), self.images(n), self.index
+        return pm[index.get(x, -1)] == pn[index.get(y, -1)] >= 0
 
-    def domain(self, n: Shape) -> frozenset:
-        return self.power(n).domain()
+    def agreement(self, n: Shape, m: Shape) -> int:
+        """The carrier indices where T^n and T^m are both defined and agree, as a bitset."""
+        return _bits([a == b >= 0 for a, b in zip(self.images(n), self.images(m))])
 
     def orbit(self, x) -> tuple:
         """Per generator, _orbit's (steps, preperiod) from x: the period is steps - preperiod."""
-        if x not in self._carrier_set:
+        i = self.index.get(x)
+        if i is None:
             raise DomainError(f"{x!r} is not a carrier point of {self.name}", point=x)
-        return tuple(_orbit(T, x) for T in self.generators)
+        return tuple(_orbit(T, i) for T in self._maps)
 
     def exit_time(self, x) -> ExtendedShape:
         """Per coordinate, how many times the generator applies starting at x.
@@ -221,21 +229,22 @@ class MGDS:
         groupoid witnesses: large enough to see both every finite domain and
         every period.
         """
-        return Shape([max((_orbit(T, x)[0] for x in self.carrier), default=0)
-                      for T in self.generators])
+        points = range(len(self.carrier))
+        return Shape([max((_orbit(T, i)[0] for i in points), default=0) for T in self._maps])
 
     def first_pair_offence(self, bound: Shape, offenders):
         """The first (n, m, x) with x in offenders(n, m), or None.
 
         n runs over the shapes below the bound, m over those before n in
-        shapes_below order; x is the first carrier point of the offending set.
+        shapes_below order; offenders returns a bitset of carrier indices,
+        and x is the point of its lowest set bit, the first in carrier order.
         """
         shapes = list(shapes_below(bound))
         for a, n in enumerate(shapes):
             for m in shapes[:a]:
                 bad = offenders(n, m)
                 if bad:
-                    return n, m, next(x for x in self.carrier if x in bad)
+                    return n, m, self.carrier[(bad & -bad).bit_length() - 1]
         return None
 
     def check_dc(self, bound: Shape | None = None) -> Check:
@@ -247,12 +256,12 @@ class MGDS:
         bound scanned.
         """
         bound = self.exit_bound() if bound is None else as_shape(bound)
-        dom = {n: self.domain(n) for n in shapes_below(bound)}
+        dom = {n: _bits([v >= 0 for v in self.images(n)]) for n in shapes_below(bound)}
 
         def outside_join(n, m):
             if m <= n or n <= m:
-                return ()  # join is the larger one, nothing to check
-            return (dom[n] & dom[m]) - dom[n | m]
+                return 0  # join is the larger one, nothing to check
+            return dom[n] & dom[m] & ~dom[n | m]
 
         witness = self.first_pair_offence(bound, outside_join)
         return Check("domain-compat", witness is None, witness, f"bound={tuple(bound.coords)}")

@@ -236,7 +236,7 @@ class _JoinIds(_ArrowIds):
     formula's, else compose's; arrow makes a GroupoidElement only when asked."""
 
     def __init__(self, G):
-        self.index, self.data = G._index, []
+        self.index, self.data = G.system.index, []
         super().__init__(G)
 
     def intern(self, g) -> int:
@@ -276,7 +276,7 @@ class SemidirectGroupoid(FiniteGroupoid):
     witness_bound.  A composite may need a larger witness and leave the
     window, so the groupoid is not closed: closure fails only where compose
     finds no witness.  compose and check_axioms' id product share _joined,
-    whose test of T^m x = T^n y reads image lists made once per shape.
+    whose test of T^m x = T^n y reads the system's image lists.
     """
 
     closed = False
@@ -287,8 +287,6 @@ class SemidirectGroupoid(FiniteGroupoid):
         self.system = system
         self.witness_bound = witness_bound
         self._zero = (0,) * system.rank
-        self._index = {x: i for i, x in enumerate(system.carrier)}
-        self._images: dict = {}  # shape coordinates -> _image
 
     @functools.cached_property
     def _units(self) -> dict:
@@ -309,14 +307,6 @@ class SemidirectGroupoid(FiniteGroupoid):
         w = (g.witness[1], g.witness[0]) if g.witness else None
         return GroupoidElement(g.y, tuple(-c for c in g.z), g.x, witness=w)
 
-    def _image(self, m: tuple) -> list:
-        """T^m's image index per carrier index, -1 off its domain; made once per shape."""
-        index, images = self._index, [-1] * len(self._index)
-        for x, v in self.system.power(Shape._make(m)).items():
-            images[index[x]] = index[v]
-        self._images[m] = images
-        return images
-
     def _joined(self, x: int, y: int, m: tuple, n: tuple, m2: tuple, n2: tuple):
         """The join formula's witness (m + k - n, n2 + k - m2), k = n join m2, of arrows
         witnessed by (m, n) and (m2, n2) from carrier index x to y, if it meets; else None."""
@@ -325,9 +315,9 @@ class SemidirectGroupoid(FiniteGroupoid):
             k = b if b > c else c
             mm.append(a + k - b)
             nn.append(d + k - c)
-        mm, nn, images = tuple(mm), tuple(nn), self._images
-        return (mm, nn) if (images.get(mm) or self._image(mm))[x] == \
-            (images.get(nn) or self._image(nn))[y] >= 0 else None
+        mm, nn, tabled, images = tuple(mm), tuple(nn), self.system.image_table, self.system.images
+        return (mm, nn) if (tabled.get(mm) or images(Shape._make(mm)))[x] == \
+            (tabled.get(nn) or images(Shape._make(nn)))[y] >= 0 else None
 
     def find_witness(self, x, z: tuple, y):
         """The first (m, n) in shapes_below order with m - n = z and T^m x = T^n y, or None.
@@ -391,7 +381,7 @@ class SemidirectGroupoid(FiniteGroupoid):
         """
         self._require_meeting(g, h)
         z = tuple(map(operator.add, g.z, h.z))
-        index = self._index
+        index = self.system.index
         if g.witness and h.witness and g.x in index and h.y in index:
             (m, n), (m2, n2) = g.witness, h.witness
             joined = self._joined(index[g.x], index[h.y], m.coords, n.coords, m2.coords, n2.coords)
@@ -406,7 +396,7 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
     Refuses systems that fail joint-domain compatibility unless forced; a
     forced build runs no compatibility scan, since only the refusal reads
     its verdict, so a caller whose own scan at this bound passed forces it.
-    Each shape's power table is read once, as (point, image) pairs.
+    Each shape's image list is read once; the build makes no PartialMap.
     """
     witness_bound = system.exit_bound() if witness_bound is None else as_shape(witness_bound)
     if not force:
@@ -418,21 +408,21 @@ def build_semidirect(system: MGDS, witness_bound: Shape | None = None, *, force:
                 f"x={x!r}); pass force=True to build anyway"
             )
     shapes = list(shapes_below(witness_bound))
-    reachers = {n: {} for n in shapes}  # shape n -> value -> points y with T^n y = value
-    for n in shapes:
-        for y, v in system.power(n).items():  # (point, image) pairs in carrier order
-            reachers[n].setdefault(v, []).append(y)
-    elements: dict = {}
-    for m in shapes:
-        table = system.power(m).items()
-        for n in shapes:
-            vmap = reachers[n]
+    # per shape, its image list's (index, image index) pairs over the domain, in carrier order
+    tables = [[(x, v) for x, v in enumerate(system.images(n)) if v >= 0] for n in shapes]
+    reachers = [{} for _ in shapes]  # per shape n: image index -> indices y with T^n y there
+    for vmap, table in zip(reachers, tables):
+        for y, v in table:
+            vmap.setdefault(v, []).append(y)
+    carrier, elements = system.carrier, {}
+    for m, table in zip(shapes, tables):
+        for n, vmap in zip(shapes, reachers):
             z = m.diff(n)
             for x, v in table:
                 for y in vmap.get(v, ()):
                     key = (x, z, y)
                     if key not in elements:
-                        elements[key] = GroupoidElement(x, z, y, witness=(m, n))
+                        elements[key] = GroupoidElement(carrier[x], z, carrier[y], witness=(m, n))
     return SemidirectGroupoid(system, elements.values(), witness_bound)
 
 
@@ -481,10 +471,8 @@ def check_essentially_free(system: MGDS, bound: Shape | None = None) -> Check:
     finite path's shape, and boundary windows always fail, since every
     orbit of a finite carrier is eventually periodic.
     """
-    def agree(n, m):
-        return {x for x in system.carrier if system.meets(x, x, n, m)}
-
-    witness = system.first_pair_offence(system.exit_bound() if bound is None else bound, agree)
+    witness = system.first_pair_offence(system.exit_bound() if bound is None else bound,
+                                        system.agreement)
     return Check("essentially-free", witness is None, witness)
 
 

@@ -1,8 +1,8 @@
 """Partial-map system tests.
 
 Oracle strategy: domains and composites are recomputed here by direct set
-comprehension over the carrier, then compared with the library's cached
-power tables.
+comprehension over the carrier, then compared with the powers the library
+reads off its cached image lists.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from kgraphlab.shapes import INF, ExtendedShape, Shape, shapes_below
 
 def test_partial_map_basics():
     f = PartialMap("f", {1: 2, 2: 3})
-    assert f(1) == 2 and f.defined_at(2) and not f.defined_at(3)
+    assert f(1) == 2 and 2 in f.domain() and 3 not in f.domain()
     with pytest.raises(DomainError) as e:
         f(3)
     assert e.value.point == 3
@@ -43,8 +43,8 @@ def test_composition_domain_law():
     g = PartialMap("g", {0: 1, 1: 1, 5: 7})
     fg = f.compose(g)
     # dom(fg) = {x in dom(g): g(x) in dom(f)}, recomputed from scratch
-    assert fg.domain() == {x for x in g.domain() if f.defined_at(g(x))}
-    assert fg(0) == 2 and not fg.defined_at(5)
+    assert fg.domain() == {x for x in g.domain() if g(x) in f.domain()}
+    assert fg(0) == 2 and 5 not in fg.domain()
 
 
 def test_partial_map_equality_is_by_graph():
@@ -121,8 +121,9 @@ def test_meets_checks_type_whether_or_not_the_power_is_tabled():
 
 def test_power_table_is_keyed_by_coordinates():
     system = grid_system(2, 2)
-    assert system.power((1, 0)) is system.power(Shape(1, 0))
-    assert system.power(Shape(0, 1)) is system.power((0, 1))
+    assert system.images((1, 0)) is system.images(Shape(1, 0))
+    assert system.images(Shape(0, 1)) is system.images((0, 1))
+    assert system.power((1, 0)) == system.power(Shape(1, 0))
     assert system.meets((0, 1), (1, 0), (0, 0), (1, 1)) is False
     assert system.meets((0, 0), (1, 0), (0, 0), Shape(1, 0)) is True
 
@@ -145,8 +146,8 @@ def composed_from_identity(system, n):
 ], ids=["grid", "word", "identity", "product"])
 @pytest.mark.parametrize("order", ["ascending", "descending"])
 def test_power_grown_from_cached_powers_matches_composing_from_the_identity(make, order):
-    # a miss composes one generator onto a smaller tabled power; whatever was
-    # tabled before, each table equals the route from the identity, key order included
+    # a miss composes one generator onto a smaller tabled list; whatever was
+    # tabled before, each power equals the route from the identity, key order included
     system = make()
     shapes = list(shapes_below(Shape(3, 3)))
     for n in shapes if order == "ascending" else reversed(shapes):
@@ -154,33 +155,23 @@ def test_power_grown_from_cached_powers_matches_composing_from_the_identity(make
         assert list(system.power(n).items()) == list(want.items())
 
 
-@pytest.fixture
-def compose_calls(monkeypatch):
-    """A list that gains one entry per PartialMap.compose call."""
-    calls = []
-
-    def counted(self, other, _inner=PartialMap.compose):
-        calls.append(1)
-        return _inner(self, other)
-
-    monkeypatch.setattr(PartialMap, "compose", counted)
-    return calls
+def tabled(system):
+    """How many image lists the system has tabled beyond T^0."""
+    return len(system.image_table) - 1
 
 
-def test_dc_scan_composes_once_per_nonzero_shape(compose_calls):
+def test_dc_scan_composes_once_per_nonzero_shape():
     system = grid_system(2, 4)
-    compose_calls.clear()  # the constructor's commutation check composes too
     assert system.check_dc().ok and system.exit_bound() == Shape(3, 3)
-    assert len(compose_calls) == 15
+    assert tabled(system) == 15
 
 
-def test_a_power_miss_steps_onto_a_tabled_neighbour(compose_calls):
+def test_a_power_miss_steps_onto_a_tabled_neighbour():
     system = grid_system(2, 4)
-    compose_calls.clear()
-    system.power((0, 3))  # T^(0,1), T^(0,2), T^(0,3) from T^0
-    assert len(compose_calls) == 3
+    system.images((0, 3))  # T^(0,1), T^(0,2), T^(0,3) from T^0
+    assert tabled(system) == 3
     system.power((1, 3))  # one generator onto T^(0,3), not three onto T^(1,0)
-    assert len(compose_calls) == 4
+    assert tabled(system) == 4
 
 
 def test_power_zero_is_identity(grid24):
@@ -198,7 +189,7 @@ def test_power_additivity(grid24):
 def test_grid_domains_are_upper_sets(grid24):
     for n in shapes_below(Shape(3, 3)):
         expect = {x for x in grid24.carrier if Shape(x) >= n}
-        assert grid24.domain(n) == expect
+        assert grid24.power(n).domain() == expect
     assert grid24.check_dc(Shape(3, 3)).ok
 
 
@@ -231,7 +222,7 @@ def test_exit_time_drops_by_shift(grid24):
 def test_power_domain_matches_exit_time(grid24):
     # for compatibility-certified systems: dom(T^n) = {x: n <= sigma(x)}
     for n in shapes_below(Shape(3, 3)):
-        assert grid24.domain(n) == {x for x in grid24.carrier if below(n, grid24.exit_time(x))}
+        assert grid24.power(n).domain() == {x for x in grid24.carrier if below(n, grid24.exit_time(x))}
 
 
 # -- word system ---------------------------------------------------------------------
@@ -256,7 +247,7 @@ def test_word_system_dc_witness_arithmetic():
     # recheck the reported witness from the raw domain definitions
     fm = free_monoid_system("ab", 3)
     n, m, x = fm.check_dc().witness
-    assert x in fm.domain(n) and x in fm.domain(m) and x not in fm.domain(n | m)
+    assert x in fm.power(n).domain() and x in fm.power(m).domain() and x not in fm.power(n | m).domain()
 
 
 # -- the closure builder -------------------------------------------------------------
@@ -303,7 +294,7 @@ def test_path_space_shifts_agree_with_factorization():
             if e <= p.shape:
                 assert sys.power(e)(p) == factorize(p, e)[1]
             else:
-                assert not sys.generators[j - 1].defined_at(p)
+                assert p not in sys.generators[j - 1].domain()
     assert sys.check_dc().ok
 
 

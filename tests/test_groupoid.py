@@ -118,7 +118,7 @@ def raw_power(system, m, x):
     """T^m x by stepping the generator tables one at a time; None where undefined."""
     for T, count in zip(system.generators, m):
         for _ in range(count):
-            if not T.defined_at(x):
+            if x not in T.domain():
                 return None
             x = T(x)
     return x
@@ -452,14 +452,19 @@ def test_a_wrong_escaped_product_keeps_its_first_witness(mix_groupoid, side, fir
         ("associativity", False, tuple(GroupoidElement(*t) for t in first))]
 
 
+def point_maps(size):
+    """Every partial map on {0, .., size - 1}, as a dict."""
+    points = range(size)
+    return [{x: v for x, v in zip(points, images) if v is not None}
+            for images in itertools.product((None, *points), repeat=size)]
+
+
 def point_systems(size):
     """Every commuting pair of partial maps on {0, .., size - 1}, as a system.
 
     41 of the 81 pairs on two points commute, and 640 of the 4,096 on three.
     """
-    points = range(size)
-    maps = [{x: v for x, v in zip(points, images) if v is not None}
-            for images in itertools.product((None, *points), repeat=size)]
+    points, maps = range(size), point_maps(size)
     systems = []
     for t1, t2 in itertools.product(maps, repeat=2):
         try:
@@ -718,6 +723,64 @@ def test_shape_pair_scan_witnesses_are_pinned(system, bound, dc, free):
     assert rep.info == f"bound={tuple(bound or system.exit_bound())}"
     rep = check_essentially_free(system, bound)
     assert (rep.ok, plain(rep.witness)) == (free is None, free)
+
+
+def first_offending_set(system, bound, offenders):
+    """The first (n, m, set) with a nonempty frozenset offenders(n, m), in the order of
+    first_pair_offence, or None."""
+    shapes = list(shapes_below(bound))
+    return next(((n, m, bad) for a, n in enumerate(shapes) for m in shapes[:a]
+                 if (bad := offenders(n, m))), None)
+
+
+def test_scan_witnesses_are_the_first_point_in_carrier_order():
+    # reference: domains and agreement sets as frozensets of points, stepped through the
+    # generator tables, and the witness the first carrier point of the offending set.
+    # The lowest set bit of the bitset scans must pick that point, which is not always
+    # the least point of the set
+    systems = [s for s in point_systems(3) if not s.check_dc().ok]
+    systems += [MGDS("reversed", s.carrier[::-1], s.generators) for s in systems]
+    systems.append(MGDS("words-reversed", reversed(WORDS.carrier), WORDS.generators))
+    not_least = 0
+    for system in systems:
+        bound = system.exit_bound()
+        dom = {n: frozenset(x for x in system.carrier if raw_power(system, n, x) is not None)
+               for n in shapes_below(bound)}
+
+        def outside_join(n, m):
+            return frozenset() if m <= n or n <= m else (dom[n] & dom[m]) - dom[n | m]
+
+        def agree(n, m):
+            return frozenset(x for x in system.carrier
+                             if raw_power(system, n, x) == raw_power(system, m, x) is not None)
+
+        for rep, offenders in ((system.check_dc(), outside_join),
+                               (check_essentially_free(system), agree)):
+            found = first_offending_set(system, bound, offenders)
+            if found is None:
+                assert rep.ok and rep.witness is None
+                continue
+            n, m, bad = found
+            x = next(x for x in system.carrier if x in bad)
+            assert rep.witness == (n, m, x)
+            not_least += x != min(bad)
+    assert (len(systems), not_least) == (2 * 81 + 1, 14)
+
+
+def test_commuting_witness_is_the_first_point_in_carrier_order():
+    # every pair of partial maps on three points that does not commute, on a carrier
+    # listed in reverse: the rejection names the first carrier point where the two
+    # composition orders differ, an undefined side counting as a value
+    carrier, off = (2, 1, 0), object()
+    not_least = 0
+    for t1, t2 in itertools.product(point_maps(3), repeat=2):
+        bad = [x for x in carrier if t1.get(t2.get(x, off), off) != t2.get(t1.get(x, off), off)]
+        if not bad:
+            continue
+        with pytest.raises(ConfigError, match=f"do not commute at {bad[0]}$"):
+            MGDS("pair", carrier, [PartialMap("T1", t1), PartialMap("T2", t2)])
+        not_least += bad[0] != min(bad)
+    assert not_least == 2394
 
 
 def test_injectivity_matches_freeness_exactly():

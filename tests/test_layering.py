@@ -133,6 +133,8 @@ UNCALLED = {
     "theta_twist": _DUALITY,
     "theta_untwist": _DUALITY,
     "two_sided_cocycle": _DUALITY,
+    "domain": "a partial map's domain as a point set, for a caller that asks; the package's checks read "
+              "a system's image lists and bitsets",
     "star": "the involution that the Cuntz-like relation S₁*S₂ = S₂S₁* needs (ROADMAP item "
             "20); it goes if that item never lands",
 }
